@@ -21,8 +21,10 @@ This module is exactly that loop:
 
 from __future__ import annotations
 
+import gc
 import itertools
 import warnings
+import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..lang.bytecode import CompiledProgram
@@ -56,6 +58,31 @@ LEGACY_KWARGS_MESSAGE = (
 
 # A preset global: one value for all nodes, or an explicit per-node mapping.
 PresetValue = Union[int, Dict[int, int]]
+
+
+class gc_paused:
+    """Pause automatic cyclic garbage collection for a ``with`` block.
+
+    Exploration allocates no cyclic garbage, yet every fork allocates
+    several GC-tracked containers, so allocation-triggered collections
+    would keep re-walking the whole live state graph and free nothing.
+    The pause is process-global; nesting is safe, because only the
+    outermost block re-enables, and only if the collector was enabled
+    when it entered (docs/VM.md, "Memory management").
+    """
+
+    __slots__ = ("_was_enabled",)
+
+    def __enter__(self) -> None:
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        # Allocate nothing after re-enabling: the first GC-tracked
+        # allocation would start a collection over the graph the block
+        # built, before the caller had a chance to drop it.
+        if self._was_enabled:
+            gc.enable()
 
 
 class RunReport:
@@ -156,10 +183,14 @@ class SDEEngine:
         self.medium = make_medium(config.medium, topology, **medium_params)
         self.clock = VirtualClock(config.horizon_ms)
         self.solver = solver if solver is not None else config.make_solver()
+        # The OS and the mapper's spawn callback reach the engine through
+        # a weak proxy, so the engine graph has no back-references and a
+        # dropped engine is freed by refcount, states and all.
+        services = weakref.proxy(self)
         self.executor = Executor(
             program,
             self.solver,
-            host=NodeOS(self),
+            host=NodeOS(services),
             max_steps_per_event=config.max_steps_per_event,
             fuse_ops=config.fuse_ops,
         )
@@ -207,7 +238,7 @@ class SDEEngine:
         self._phase_map = self.profiler.phase("map")
         self.medium.trace = trace
         self.solver.attach_observability(trace, self.profiler)
-        mapper.bind(self._register_state, trace=trace)
+        mapper.bind(lambda state: services._register_state(state), trace=trace)
         # Symmetry/POR reduction (repro.core.reduce): built only when a
         # reduction flag is set, so default runs carry zero overhead.
         self.reducer: Optional[StateReducer] = None
@@ -387,15 +418,18 @@ class SDEEngine:
     # -- the main loop ----------------------------------------------------------------
 
     def run(self) -> RunReport:
-        self.run_until()
-        self._sample_and_check_caps(force=True)
-        if self.trace is not None:
-            self.trace.emit(
-                "run.end",
-                algorithm=self.mapper.name,
-                events=self.events_executed,
-            )
-        return RunReport(self)
+        # The report is assembled inside the pause too: re-enabling the
+        # collector first would let its next pass walk the live graph.
+        with gc_paused():
+            self.run_until()
+            self._sample_and_check_caps(force=True)
+            if self.trace is not None:
+                self.trace.emit(
+                    "run.end",
+                    algorithm=self.mapper.name,
+                    events=self.events_executed,
+                )
+            return RunReport(self)
 
     def run_until(
         self,
@@ -408,40 +442,42 @@ class SDEEngine:
         consumed — the pending entries stay queued, so the run can be
         snapshotted (:meth:`scheduler_snapshot`) and resumed elsewhere.
         ``split_events`` bounds the number of events executed the same way.
-        With neither bound this is the complete run loop.
+        With neither bound this is the complete run loop.  The cyclic
+        collector is paused throughout (:class:`gc_paused`).
         """
-        if not self._started:
-            self.setup()
-        if self.reducer is not None and not self.reducer.seeded:
-            # Resumed checkpoints / restored worker partitions inherit
-            # states that must count as covered, never be parked.
-            self.reducer.seed(self.states.values())
-        while True:
-            if (split_events is not None and self.events_executed >= split_events):
-                break  # event-count split point reached
-            entry = self.scheduler.pop(self._entry_valid, max_time=split_ms)
-            if entry is None:
-                break  # no runnable state left (or virtual-time split hit)
-            event_time, sid = entry
-            if self.clock.expired(event_time):
-                break  # simulation horizon reached
-            state = self.states[sid]
-            event = state.pop_event()
-            self.clock.advance_to(event_time)
-            state.clock = event_time
-            with self._phase_execute:
-                self._dispatch(state, event)
-            if self.reducer is not None:
-                self._apply_reduction()
-            self.events_executed += 1
-            if self._checkpoint_due():
-                self.write_checkpoint()
-            if self.stats.should_sample(self.events_executed):
-                self._sample_and_check_caps()
-            if self.check_invariants:
-                self.mapper.check_invariants()
-            if self.aborted:
-                break
+        with gc_paused():
+            if not self._started:
+                self.setup()
+            if self.reducer is not None and not self.reducer.seeded:
+                # Resumed checkpoints / restored worker partitions inherit
+                # states that must count as covered, never be parked.
+                self.reducer.seed(self.states.values())
+            while True:
+                if split_events is not None and self.events_executed >= split_events:
+                    break  # event-count split point reached
+                entry = self.scheduler.pop(self._entry_valid, max_time=split_ms)
+                if entry is None:
+                    break  # no runnable state left (or virtual-time split hit)
+                event_time, sid = entry
+                if self.clock.expired(event_time):
+                    break  # simulation horizon reached
+                state = self.states[sid]
+                event = state.pop_event()
+                self.clock.advance_to(event_time)
+                state.clock = event_time
+                with self._phase_execute:
+                    self._dispatch(state, event)
+                if self.reducer is not None:
+                    self._apply_reduction()
+                self.events_executed += 1
+                if self._checkpoint_due():
+                    self.write_checkpoint()
+                if self.stats.should_sample(self.events_executed):
+                    self._sample_and_check_caps()
+                if self.check_invariants:
+                    self.mapper.check_invariants()
+                if self.aborted:
+                    break
 
     # -- checkpointing (repro.core.resilience) ---------------------------------
 

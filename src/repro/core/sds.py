@@ -43,7 +43,13 @@ __all__ = ["SDSMapper", "VirtualState", "VDState"]
 
 
 class VirtualState:
-    """A reference to an execution state, member of exactly one dstate."""
+    """A reference to an execution state, member of exactly one dstate.
+
+    ``dstate`` and ``VDState.members`` point at each other: the one cycle
+    of the mapping layer, kept strong because both directions are on the
+    hot path.  A finished SDS run's virtual layer is therefore freed by a
+    collection, not by refcount (docs/VM.md, "Memory management").
+    """
 
     __slots__ = ("vid", "actual", "dstate")
 

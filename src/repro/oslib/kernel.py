@@ -56,6 +56,9 @@ class NodeOS(SyscallHost):
     """Per-run OS instance shared by all states (it holds no node state)."""
 
     def __init__(self, engine: EngineServices) -> None:
+        # The SDE engine passes a weakref.proxy of itself: the engine owns
+        # this OS through its executor, and a strong reference back would
+        # make every engine cyclic garbage once dropped.
         self._engine = engine
 
     # -- syscall dispatch -----------------------------------------------------

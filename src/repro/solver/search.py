@@ -13,6 +13,7 @@ generated test cases come out minimal-ish and stable across runs.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence
 
 from ..expr import BoolExpr, BVVar, Interval, evaluate
@@ -123,28 +124,27 @@ def _brute_force(
 
     Deterministic order (variables by name, values ascending) keeps models
     stable across runs.  The budget is charged per assignment so adversarial
-    queries still terminate with SearchBudgetExceeded.
+    queries still terminate with SearchBudgetExceeded.  A flat loop, not a
+    recursive closure: a self-referencing closure is cyclic garbage on
+    every call (docs/VM.md, "Memory management").
     """
     unresolved = sorted(unresolved, key=lambda v: v.name)
     env = {v.name: d.lo for v, d in domains.items() if d.is_singleton()}
-
-    def assign(index: int) -> Optional[Model]:
-        if index == len(unresolved):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchBudgetExceeded()
-            for constraint in constraints:
-                if not evaluate(constraint, env):
-                    return None
+    names = [variable.name for variable in unresolved]
+    ranges = [
+        range(domains[variable].lo, domains[variable].hi + 1)
+        for variable in unresolved
+    ]
+    # product() advances the last variable fastest: the same order as
+    # nesting one loop per variable, first variable outermost.
+    for values in itertools.product(*ranges):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchBudgetExceeded()
+        env.update(zip(names, values))
+        for constraint in constraints:
+            if not evaluate(constraint, env):
+                break
+        else:
             return Model(env)
-        variable = unresolved[index]
-        domain = domains[variable]
-        for value in range(domain.lo, domain.hi + 1):
-            env[variable.name] = value
-            result = assign(index + 1)
-            if result is not None:
-                return result
-        del env[variable.name]
-        return None
-
-    return assign(0)
+    return None

@@ -152,6 +152,9 @@ class Executor:
         #: A/B the threaded loop against the baseline chain.
         self.table_dispatch = table_dispatch
         self.decoded: DecodedProgram = program.decoded(fuse=fuse_ops)
+        # The bound handlers point back at this executor: a deliberate
+        # cycle (the threaded loop needs no attribute lookups), freed by
+        # one collection after the run.  It holds no execution state.
         self._threaded = tuple(
             self._bind(op, arg, line) for op, arg, line in self.decoded.code
         )

@@ -127,6 +127,9 @@ class ExecutionState:
         "link_busy",
         "forked_from",
         "trace",
+        # Weak-referenceable, so tests can watch a dropped engine free its
+        # states; the slot fits in the object's allocation size class.
+        "__weakref__",
     )
 
     def __init__(self, node: int, memory_size: int) -> None:

@@ -1,0 +1,143 @@
+"""The cyclic collector and the engine (docs/VM.md, "Memory management").
+
+- ``run_until`` and ``run`` pause automatic collection and restore the
+  collector's previous state, also when an exception escapes the loop;
+- exploration allocates no cyclic garbage;
+- a finished COB or COW engine is freed by refcount alone: its graph has
+  no cycles.  SDS keeps one cycle on purpose and needs one collection.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro import build_engine
+from repro.core import MappingError
+from repro.core.engine import gc_paused
+from repro.net.failures import (
+    SymbolicDuplication,
+    SymbolicNodeReboot,
+    SymbolicPacketDrop,
+)
+from repro.workloads import election_scenario, flood_scenario, grid_scenario
+
+SCENARIOS = {
+    "flood": lambda: flood_scenario(3, rounds=1),
+    "grid": lambda: grid_scenario(3, sim_seconds=3),
+    "election": lambda: election_scenario(4),
+}
+FAILURES = {
+    "drop": SymbolicPacketDrop,
+    "dup": SymbolicDuplication,
+    "reboot": SymbolicNodeReboot,
+}
+ALGORITHMS = ("cob", "cow", "sds")
+
+
+def build(algorithm, scenario="grid", failure="drop"):
+    built = SCENARIOS[scenario]()
+    models = (FAILURES[failure](built.topology.nodes()),)
+    return build_engine(built, algorithm, failure_models=models)
+
+
+@pytest.fixture
+def collector():
+    """Put the collector back the way the test found it."""
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.usefixtures("collector")
+class TestPauseRestores:
+    def test_nested_pause_restores_only_at_the_outermost_exit(self):
+        gc.enable()
+        with gc_paused():
+            assert not gc.isenabled()
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("entry", ["run", "run_until"])
+    def test_collector_paused_inside_and_restored_after(self, entry, enabled):
+        engine = build("sds")
+        seen = []
+        map_transmission = engine.mapper.map_transmission
+
+        def observing(sender, dest_node):
+            seen.append(gc.isenabled())
+            return map_transmission(sender, dest_node)
+
+        engine.mapper.map_transmission = observing
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        getattr(engine, entry)()
+        assert seen and not any(seen)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("entry", ["run", "run_until"])
+    def test_restored_when_an_exception_escapes(self, entry, enabled):
+        engine = build("cow")
+
+        def broken(sender, dest_node):
+            raise MappingError("injected")
+
+        engine.mapper.map_transmission = broken
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        with pytest.raises(MappingError, match="injected"):
+            getattr(engine, entry)()
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_exploration_allocates_no_cyclic_garbage(algorithm, scenario, failure):
+    engine = build(algorithm, scenario, failure)
+    gc.collect()
+    report = engine.run()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        found = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert report.total_states > 0 and engine.states  # still alive
+    assert found == 0
+
+
+@pytest.mark.usefixtures("collector")
+class TestTeardown:
+    def _finished(self, algorithm):
+        engine = build(algorithm)
+        report = engine.run()
+        state = next(s for s in engine.states.values() if s not in report.error_states)
+        return engine, weakref.ref(state)
+
+    @pytest.mark.parametrize("algorithm", ["cob", "cow"])
+    def test_dropped_engine_frees_its_states_by_refcount(self, algorithm):
+        engine, state = self._finished(algorithm)
+        gc.disable()
+        del engine
+        assert state() is None
+
+    def test_sds_virtual_layer_is_freed_by_one_collection(self):
+        engine, state = self._finished("sds")
+        gc.disable()
+        del engine
+        assert state() is not None  # the documented VirtualState cycle
+        gc.collect()
+        assert state() is None

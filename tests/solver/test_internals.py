@@ -1,6 +1,8 @@
 """Solver internals: independence partitioning, cache, search budget,
 propagation details."""
 
+import gc
+
 import pytest
 
 from repro.expr import Interval, add, bv, bvand, eq, mul, ne, ule, ult, var
@@ -175,6 +177,39 @@ class TestSearchBudget:
                        frozenset([A, B]), max_nodes=100_000)
         assert model is not None
         assert (model["a"] + model["b"]) & 0xFFFFFFFF == 10
+
+
+class TestBruteForce:
+    """Small residual spaces are enumerated: variables by name, values
+    ascending, the last variable fastest, one budget unit per assignment."""
+
+    X, Y = var("x", 3), var("y", 3)
+
+    def test_first_model_in_enumeration_order(self):
+        odd_sum = [ne(bvand(add(self.X, self.Y), bv(1, 3)), bv(0, 3))]
+        model = search(odd_sum, frozenset([self.X, self.Y]))
+        assert (model["x"], model["y"]) == (0, 1)
+
+    def test_budget_charged_once_per_assignment(self):
+        # x*x + y*y is never 3 mod 8: all 64 assignments are evaluated,
+        # plus the one split node that hands over to the enumeration.
+        square_sum = [eq(add(mul(self.X, self.X), mul(self.Y, self.Y)), bv(3, 3))]
+        variables = frozenset([self.X, self.Y])
+        assert search(square_sum, variables, max_nodes=65) is None
+        with pytest.raises(SearchBudgetExceeded):
+            search(square_sum, variables, max_nodes=64)
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        square_sum = [eq(add(mul(self.X, self.X), mul(self.Y, self.Y)), bv(3, 3))]
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            search(square_sum, frozenset([self.X, self.Y]))
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
 
 class TestPropagateDirect:
