@@ -1,12 +1,13 @@
 """Distributed exploration: the scaling gate (ROADMAP item 1 realized).
 
 ``bench_parallel.py`` proves worker-count-independent merging when the
-scenario already *has* independent partitions.  This benchmark covers the
-hard case that motivated :mod:`repro.core.distributed`: a single
-connected 3-node symbolic flood whose SDS component graph gives
-``ParallelRunner`` exactly one partition and therefore zero parallelism.
-The distributed runner deepens the engine until the component fractures,
-ships each subtree as a self-contained job, and work-steals stragglers.
+scenario already *has* independent partitions at a static cut.  This
+benchmark covers the hard case that motivated the adaptive cut of
+:mod:`repro.core.distributed`: a single connected 3-node symbolic flood
+whose SDS component graph has exactly one partition at any early fixed
+cut and therefore zero parallelism.  The adaptive cut deepens the engine
+until the component fractures, ships each subtree as a self-contained
+job, and work-steals stragglers.
 
 Two properties are gated:
 
@@ -134,7 +135,7 @@ def test_distributed_speedup(once, benchmark):
     )
     if cores >= 4:
         # The acceptance bar: near-linear scaling on the connected
-        # component ParallelRunner cannot split at all.
+        # component a static early cut cannot split at all.
         assert speedup >= 1.5, (
             f"distributed run too slow: {sequential_s:.2f}s sequential vs"
             f" {distributed_s:.2f}s on {WORKERS} workers (x{speedup:.2f})"

@@ -10,7 +10,8 @@ the medium's semantics changed, not that the machine got slower.
 
 The determinism half of the gate re-runs the identical scenario and
 requires bit-identical counters, and runs it once more under
-``ParallelRunner`` to hold the merged report to the sequential one.
+``DistributedRunner`` (a static cut, stealing off) to hold the merged
+report to the sequential one.
 
 Headline numbers are persisted to the ``SDE_BENCH_JSON`` artifact (see
 ``benchmarks/record.py``) and gated by ``benchmarks/check_trend.py``
@@ -19,7 +20,7 @@ against ``benchmarks/baselines/BENCH_network.json``.
 
 import time
 
-from repro.api import ParallelRunner, build_engine
+from repro.api import DistributedRunner, build_engine
 from repro.workloads import election_scenario
 
 from benchmarks.record import record_bench
@@ -49,8 +50,8 @@ def test_lossy_election_gate(once):
         first = build_engine(_scenario(), "sds").run()
         seconds = time.perf_counter() - start
         second = build_engine(_scenario(), "sds").run()
-        parallel = ParallelRunner(
-            _scenario(), "sds", workers=2, split_events=40
+        parallel = DistributedRunner(
+            _scenario(), "sds", workers=2, partition_depth=40, steal=False
         ).run()
         return first, seconds, second, parallel
 

@@ -7,10 +7,11 @@ identify the sets of states which can be safely offloaded on other cores."
 Dstates that share no execution state never interact, so each connected
 component of the dstate/state graph can run on its own core.  This script
 runs the grid scenario under COW and SDS twice — sequentially, then with
-:class:`repro.core.parallel.ParallelRunner` on worker processes — and
-shows (1) the partition structure and ideal speedup it allows, (2) the
-measured wall-clock of the real parallel run, and (3) that the merged
-parallel report is *identical* to the sequential one.
+:class:`repro.core.distributed.DistributedRunner` on worker processes
+(one static cut at a virtual time, stealing off) — and shows (1) the
+partition structure and ideal speedup it allows, (2) the measured
+wall-clock of the real parallel run, and (3) that the merged parallel
+report is *identical* to the sequential one.
 
 It also exposes a real trade-off: SDS's superposition makes states span
 dstates, fusing partitions that COW keeps separate.
@@ -21,7 +22,7 @@ Run: ``python examples/parallel_partitions.py [side] [workers]``
 import sys
 import time
 
-from repro.api import ParallelRunner, build_engine
+from repro.api import DistributedRunner, build_engine
 from repro.core import partition_groups, speedup_bound
 from repro.workloads import grid_scenario
 
@@ -47,11 +48,12 @@ def main() -> int:
         )
 
         t1 = time.perf_counter()
-        parallel = ParallelRunner(
+        parallel = DistributedRunner(
             grid_scenario(side, sim_seconds=SIM_SECONDS),
             algorithm,
             workers=workers,
             split_ms=SPLIT_MS,
+            steal=False,
         ).run()
         parallel_s = time.perf_counter() - t1
 

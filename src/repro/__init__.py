@@ -38,8 +38,6 @@ from .core import (  # noqa: F401,E402
     ALGORITHMS,
     COBMapper,
     COWMapper,
-    ParallelReport,
-    ParallelRunner,
     RunReport,
     Scenario,
     SDEEngine,
@@ -56,8 +54,6 @@ __all__ = [
     "ALGORITHMS",
     "COBMapper",
     "COWMapper",
-    "ParallelReport",
-    "ParallelRunner",
     "SDSMapper",
     "StateMapper",
     "SDEEngine",

@@ -21,9 +21,9 @@ The facade groups four things:
   ``docs/NETWORK.md``);
 - **engine configuration and runs** — :class:`EngineConfig`,
   :func:`build_engine`, :func:`run_scenario`, :class:`SDEEngine`,
-  :class:`ParallelRunner`, :class:`DistributedRunner` (with the
-  :class:`Transport` backends), :func:`resume_engine`, and the mapper registry
-  (:func:`make_mapper` / :func:`register_mapper`);
+  :class:`DistributedRunner` (with the :class:`Transport` backends),
+  :func:`resume_engine`, and the mapper registry (:func:`make_mapper` /
+  :func:`register_mapper`);
 - **the solver surface** — :class:`Solver`, :class:`ConstraintSet`,
   :class:`Model` (see ``docs/SOLVER.md`` for the pipeline);
 - **state-space reduction** — :func:`automorphisms`,
@@ -48,7 +48,6 @@ from .core.distributed import (
     Transport,
 )
 from .core.engine import RunReport, SDEEngine
-from .core.parallel import ParallelReport, ParallelRunner
 from .core.reduce import (
     StateReducer,
     analyze_recv_handler,
@@ -117,8 +116,6 @@ __all__ = [
     "SDEEngine",
     "build_engine",
     "run_scenario",
-    "ParallelRunner",
-    "ParallelReport",
     "DistributedRunner",
     "DistributedReport",
     "Transport",

@@ -133,7 +133,7 @@ def _fusion_disabled(args) -> bool:
 
 
 def _run_report(scenario, algorithm, args, **caps):
-    """One run — distributed/parallel per the worker flags, else sequential."""
+    """One run — on a worker pool per the worker flags, else sequential."""
     trace = TraceEmitter() if getattr(args, "trace_out", None) else None
     caps.update(_checkpoint_overrides(args))
     caps.update(_medium_overrides(args))
@@ -143,33 +143,31 @@ def _run_report(scenario, algorithm, args, **caps):
         caps["symmetry"] = True
     if getattr(args, "por", False):
         caps["por"] = True
-    if getattr(args, "distributed", False):
+    distributed = getattr(args, "distributed", False)
+    if distributed or args.workers is not None:
         from .core.distributed import DistributedRunner
 
+        if distributed:
+            # Adaptive test-depth cut (or --partition-depth), stealing on.
+            cut = dict(
+                partition_depth=getattr(args, "partition_depth", None),
+                steal=getattr(args, "steal", True),
+            )
+        else:
+            # One static cut at a virtual time, stealing off.
+            split_ms = args.split_ms
+            if split_ms is None:
+                split_ms = scenario.horizon_ms * 3 // 10
+            cut = dict(split_ms=split_ms, steal=False)
         report = DistributedRunner(
             scenario,
             algorithm,
             workers=args.workers if args.workers is not None else 4,
-            partition_depth=getattr(args, "partition_depth", None),
-            steal=getattr(args, "steal", True),
             trace=trace,
             max_retries=getattr(args, "max_retries", None),
             allow_partial=getattr(args, "allow_partial", None),
             task_timeout_seconds=getattr(args, "task_timeout", None),
-            **caps,
-        ).run()
-    elif args.workers is not None:
-        from .core.parallel import ParallelRunner
-
-        report = ParallelRunner(
-            scenario,
-            algorithm,
-            workers=args.workers,
-            split_ms=args.split_ms,
-            trace=trace,
-            max_retries=getattr(args, "max_retries", None),
-            allow_partial=getattr(args, "allow_partial", None),
-            task_timeout_seconds=getattr(args, "task_timeout", None),
+            **cut,
             **caps,
         ).run()
     else:
@@ -227,7 +225,7 @@ def _cmd_run(args) -> int:
         )
         if report.retries:
             print(f"worker-retries={report.retries}")
-    if hasattr(report, "partition_depth"):
+    if getattr(args, "distributed", False):
         print(
             f"distributed: depth={report.partition_depth}"
             f" jobs={report.jobs_dispatched}"

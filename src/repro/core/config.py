@@ -7,13 +7,8 @@ the solver pipeline switches.  Collaborator objects (a pre-built
 stay separate constructor arguments — they carry state and are never
 shipped across process boundaries, while a config is immutable and
 picklable, so a worker task or a checkpoint can carry exactly one of
-them.
-
-The legacy ``SDEEngine(program, topology, mapper, horizon_ms=..., ...)``
-keyword form still works through a shim that assembles an
-:class:`EngineConfig` and emits a :class:`DeprecationWarning` (the test
-suite escalates that warning to an error everywhere except the shim's
-own test).
+them.  :class:`~repro.core.engine.SDEEngine` takes one as its fourth
+argument; engine options are not accepted as keywords.
 """
 
 from __future__ import annotations

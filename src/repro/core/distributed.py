@@ -1,34 +1,40 @@
-"""Distributed SDE: test-depth partitioning of one exploration tree.
+"""Distributed SDE: run one exploration tree's partitions on a worker pool.
 
-:mod:`repro.core.parallel` parallelizes *independent dstate components*,
-which leaves the common flood/dissemination case — one big connected
-component — on a single worker.  This module implements the missing
-strategy from "Distributed Symbolic Execution using Test-Depth
-Partitioning" (PAPERS.md): split a single exploration tree **by depth**
-into self-contained jobs and keep the pool busy with work-stealing.
+The paper names this as the key next step (Section VI): "we have to
+identify the sets of states which can be safely offloaded on other cores
+and thus can be independently executed."  :mod:`repro.core.partition`
+identifies those sets — connected components of the dstate/state sharing
+graph; this module executes them, following "Distributed Symbolic
+Execution using Test-Depth Partitioning" (PAPERS.md): cut the tree at a
+frontier depth into self-contained jobs and keep the pool busy with
+work-stealing.
 
 Why depth and not an arbitrary graph cut: splitting a connected SDS
 component at one instant is unsound — ``needs_fork`` decisions depend on
 virtual states in *other* dstates of the component, so executing the
 halves separately changes fork decisions and the trace.  But components
 naturally **fracture** as execution deepens (states diverge, sharing
-dissolves).  So the partitioner advances the engine in event slices and
-cuts at the first frontier depth where the sharing graph has fractured
-into enough components:
+dissolves).  So the runner cuts only between components:
 
-1. :func:`deepen_until_partitioned` runs ``probe_events``-sized slices,
-   recomputing :func:`~repro.core.partition.partition_groups` after each,
-   until there are at least ``min_partitions`` components with runnable
-   states (or an explicit ``partition_depth`` is reached, or the run
-   completes first — the degenerate sequential case).
+1. The engine runs sequentially to the cut.  By default
+   :func:`deepen_until_partitioned` picks it adaptively: it runs
+   ``probe_events``-sized slices, recomputing
+   :func:`~repro.core.partition.partition_groups` after each, until there
+   are at least ``min_partitions`` components with runnable states (or
+   the run completes first — the degenerate sequential case).  A fixed
+   cut is the same with probing off: ``partition_depth`` cuts after that
+   many events, ``split_ms`` at that virtual time (``repro run --workers
+   N`` without ``--distributed`` cuts at 30% of the horizon, stealing
+   off).
 2. Every cut lands on an **event boundary**: all states are quiescent,
    ``scheduler_snapshot`` is exact, and each job is a pickled
-   :class:`~repro.core.parallel.WorkerTask` — an engine checkpoint
-   (mapper payload + scheduler order + id watermarks) with the run's
-   :meth:`EngineConfig.worker_variant` and a :class:`PathPrefix` summary
-   of the path constraints delimiting the subtree.  The constraints
-   themselves travel inside the snapshot (each shipped state carries its
-   ``ConstraintSet``), which is what makes the job self-contained.
+   :class:`WorkerTask` — an engine checkpoint (mapper payload + scheduler
+   order + id watermarks) with the run's :meth:`EngineConfig.worker_variant`
+   — plus a :class:`PathPrefix` summary of the subtree.  The path
+   constraints travel inside the snapshot (each shipped state carries its
+   ``ConstraintSet``), which is what makes the job self-contained.  Every
+   worker builds its own :class:`~repro.solver.Solver`; interned
+   expression nodes re-enter its interning table via ``__reduce__``.
 3. :class:`DistributedRunner` hands the jobs to a coordinator over a
    pluggable :class:`Transport` (an in-process ``multiprocessing`` pool
    now; a socket/queue backend only needs to move the same opaque
@@ -36,21 +42,25 @@ into enough components:
    pool prompts a busy worker to re-partition its remaining frontier at
    its next event boundary and hand half back as fresh jobs.
 
-Why the merged report is pinned identical to the sequential run: a cut
-ships every live state to exactly one job, and a steal is just another
-cut — the donor's partial slice is reported with *flow* counters only
+Why the merged :class:`DistributedReport` is identical to the sequential
+run: partitions are disjoint in execution states and cover all of them,
+transmissions only ever map within the sender's dstates, and each state
+executes the identical event sequence no matter which process hosts it
+(the scheduler snapshot preserves the sequential pop order, and solver
+verdicts are solver-instance independent).  A steal is just another cut
+— the donor's partial slice is reported with *flow* counters only
 (events, instructions, solver queries, stats, trace events) while all
 *stock* totals (states, census, groups, errors, memory) come from the
-terminal jobs, whose states are exactly the sequential run's.  So the
-:class:`~repro.core.parallel.ParallelReport` merge argument applies
-recursively, independent of worker count and steal timing.  State ids
-remain volatile (as in parallel runs); semantic trace comparison is by
-canonical multiset, which ignores them.
+terminal jobs.  So state counts, the census, error states, group counts,
+mapping stats and solver query totals all sum to exactly the sequential
+run's values, for any worker count and any steal timing; only cache
+hit/miss ratios shift with the partitioning.  State ids remain volatile;
+semantic trace comparison is by canonical multiset, which ignores them.
 
-Failures reuse the typed-failure machinery from
+Failures use the typed-failure machinery from
 :mod:`repro.core.resilience`: dead workers are detected by liveness
-scans, jobs are retried with the same deterministic backoff policy, the
-final crash/exception attempt runs inline, and ``SDE_CHAOS_KILL_WORKER``
+scans, jobs are retried with a deterministic backoff policy, the final
+crash/exception attempt runs inline, and ``SDE_CHAOS_KILL_WORKER``
 kills every job's first subprocess attempt.  A donor that dies *after* a
 steal reply costs nothing extra — the reply carries the kept half as a
 fresh payload, so the retry resumes from the split, and a donor that
@@ -59,6 +69,7 @@ dies *before* replying simply retries the original job.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import queue as queue_module
@@ -67,15 +78,12 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..net.packet import ensure_packet_ids_above, packet_id_watermark
 from ..obs.events import TraceEmitter
+from ..obs.metrics import Histogram, report_snapshot
+from ..obs.profile import merge_phase_snapshots
+from ..vm.state import ensure_state_ids_above, state_id_watermark
 from .engine import RunReport, SDEEngine
-from .parallel import (
-    ParallelReport,
-    WorkerResult,
-    WorkerTask,
-    restore_worker_engine,
-    snapshot_assignment_tasks,
-)
 from .partition import (
     Partition,
     lpt_assign,
@@ -89,7 +97,7 @@ from .resilience import (
     chaos_kill_requested,
     raise_worker_failure,
 )
-from .stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION
+from .stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION, Sample, process_rss_bytes
 
 __all__ = [
     "DistributedReport",
@@ -98,7 +106,11 @@ __all__ = [
     "MultiprocessTransport",
     "PathPrefix",
     "Transport",
+    "WorkerResult",
+    "WorkerTask",
     "deepen_until_partitioned",
+    "restore_worker_engine",
+    "snapshot_assignment_tasks",
 ]
 
 #: Events between a worker's steal-request polls.  Each poll is one
@@ -119,20 +131,210 @@ DEFAULT_PROBE_LIMIT_EVENTS = 4096
 STEAL_RETRY_COOLDOWN_SECONDS = 0.5
 
 
+class WorkerTask:
+    """Everything one worker needs to resume its partitions — picklable.
+
+    All engine value-options travel as one :class:`EngineConfig`
+    (already stripped to its worker variant: no checkpointing, no
+    invariant re-checks); the remaining slots are the execution frontier.
+    """
+
+    __slots__ = (
+        "index",
+        "algorithm",
+        "program",
+        "topology",
+        "config",
+        "mapper_payload",
+        "scheduler_entries",
+        "clock_now",
+        "state_watermark",
+        "packet_watermark",
+        "broadcast_watermark",
+        "trace",
+    )
+
+    def __init__(self, **fields) -> None:
+        for slot in self.__slots__:
+            setattr(self, slot, fields.pop(slot))
+        if fields:
+            raise TypeError(f"unknown WorkerTask fields {sorted(fields)}")
+
+    def __getstate__(self):
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state):
+        for slot, value in state.items():
+            setattr(self, slot, value)
+
+
+class WorkerResult:
+    """One worker's contribution to the merged report — picklable."""
+
+    __slots__ = (
+        "index",
+        "runtime_seconds",
+        "virtual_ms",
+        "events_executed",
+        "instructions",
+        "total_states",
+        "active_states",
+        "error_states",
+        "group_count",
+        "mapping_stats",
+        "solver_queries",
+        "accounted_bytes",
+        "census",
+        "aborted",
+        "abort_reason",
+        "cache_stats",
+        "solver_stats",
+        "net_stats",
+        "reduce_stats",
+        "phases",
+        "histograms",
+        "events",
+    )
+
+    def __init__(
+        self,
+        task: WorkerTask,
+        report: RunReport,
+        census: Dict[int, int],
+        events: Optional[List[dict]] = None,
+    ):
+        self.index = task.index
+        self.runtime_seconds = report.runtime_seconds
+        self.virtual_ms = report.virtual_ms
+        self.events_executed = report.events_executed
+        self.instructions = report.instructions
+        self.total_states = report.total_states
+        self.active_states = report.active_states
+        self.error_states = list(report.error_states)
+        self.group_count = report.group_count
+        self.mapping_stats = dict(report.mapping_stats)
+        self.solver_queries = report.solver_queries
+        self.accounted_bytes = report.accounted_bytes
+        self.census = dict(census)
+        self.aborted = report.aborted
+        self.abort_reason = report.abort_reason
+        self.cache_stats = report.cache_stats
+        self.solver_stats = dict(report.solver_stats)
+        self.net_stats = dict(report.net_stats)
+        self.reduce_stats = dict(getattr(report, "reduce_stats", {}) or {})
+        self.phases = dict(report.phases)
+        self.histograms = dict(report.histograms)
+        self.events = list(events or [])
+
+    def __getstate__(self):
+        return {slot: getattr(self, slot) for slot in self.__slots__}
+
+    def __setstate__(self, state):
+        for slot, value in state.items():
+            setattr(self, slot, value)
+
+
+def restore_worker_engine(task: WorkerTask) -> SDEEngine:
+    """Build a fresh engine hosting the task's partitions, mid-run.
+
+    The engine gets its own solver and a fresh mapper of the run's
+    algorithm; the mapper payload re-installs the shipped dstates and the
+    scheduler is re-seeded with the captured ``(time, sid)`` entries in
+    their sequential pop order.  Id counters are advanced past the parent
+    run's watermarks so locally created states/packets never collide with
+    shipped ones.
+    """
+    from .scenario import make_mapper
+
+    mapper = make_mapper(task.algorithm)
+    engine = SDEEngine(
+        task.program,
+        task.topology,
+        mapper,
+        task.config,
+        trace=TraceEmitter(worker=task.index) if task.trace else None,
+    )
+    engine._started = True  # resuming: the boot states already exist
+    mapper.restore_groups(task.mapper_payload)
+    for group in mapper.groups():
+        for states in group.values():
+            for state in states:
+                engine.states[state.sid] = state
+    engine.clock.advance_to(task.clock_now)
+    for event_time, sid in task.scheduler_entries:
+        engine.scheduler.push(event_time, sid)
+    ensure_state_ids_above(task.state_watermark)
+    ensure_packet_ids_above(task.packet_watermark)
+    engine._broadcast_ids = itertools.count(task.broadcast_watermark + 1)
+    return engine
+
+
+def _bundle_groups(bundle: Sequence[Partition]) -> List[int]:
+    return [index for partition in bundle for index in partition.group_indices]
+
+
+def snapshot_assignment_tasks(
+    engine: SDEEngine, assignment: Sequence[Sequence[Partition]], trace: bool
+) -> List[WorkerTask]:
+    """Build one :class:`WorkerTask` per partition bundle.
+
+    The shared snapshot step of every cut: capture the scheduler order and
+    id watermarks once, then ship each bundle its mapper payload and the
+    scheduler entries of its own states.  Used both for the initial cut
+    and for a donor's steal split (which is just another cut, taken
+    mid-run inside a worker).
+    """
+    scheduler_entries = engine.scheduler_snapshot()
+    state_watermark = state_id_watermark()
+    packet_watermark = packet_id_watermark()
+    broadcast_watermark = next(engine._broadcast_ids)
+
+    tasks: List[WorkerTask] = []
+    for index, bundle in enumerate(assignment):
+        sids = set()
+        for partition in bundle:
+            sids.update(partition.state_sids)
+        tasks.append(
+            WorkerTask(
+                index=index,
+                algorithm=engine.mapper.name,
+                program=engine.program,
+                topology=engine.topology,
+                config=engine.config.worker_variant(),
+                mapper_payload=engine.mapper.snapshot_groups(
+                    _bundle_groups(bundle)
+                ),
+                scheduler_entries=[
+                    entry for entry in scheduler_entries if entry[1] in sids
+                ],
+                clock_now=engine.clock.now,
+                state_watermark=state_watermark,
+                packet_watermark=packet_watermark,
+                broadcast_watermark=broadcast_watermark,
+                trace=trace,
+            )
+        )
+    return tasks
+
+
 class PathPrefix:
     """Summary of the path-prefix constraints delimiting one job's subtree.
 
     The actual constraints ship inside the job snapshot (every state
     carries its ``ConstraintSet``); this picklable summary travels next to
     the payload so the coordinator can log, meter, and attribute failures
-    without unpickling engine state.
+    without unpickling engine state.  ``group_indices`` names the
+    initial cut's mapper groups the subtree descends from, so a failure
+    record can say which part of the cut to re-run.
     """
 
-    __slots__ = ("depth", "groups", "states", "conjuncts")
+    __slots__ = ("depth", "group_indices", "states", "conjuncts")
 
-    def __init__(self, depth: int, groups: int, states: int, conjuncts: int):
+    def __init__(
+        self, depth: int, group_indices: Sequence[int], states: int, conjuncts: int
+    ):
         self.depth = depth
-        self.groups = groups
+        self.group_indices = tuple(group_indices)
         self.states = states
         self.conjuncts = conjuncts
 
@@ -145,7 +347,7 @@ class PathPrefix:
 
     def __repr__(self) -> str:
         return (
-            f"PathPrefix(depth={self.depth}, groups={self.groups},"
+            f"PathPrefix(depth={self.depth}, groups={self.group_indices},"
             f" states={self.states}, conjuncts={self.conjuncts})"
         )
 
@@ -153,10 +355,8 @@ class PathPrefix:
 def _path_prefix(engine: SDEEngine, bundle: Sequence[Partition]) -> PathPrefix:
     """Build the :class:`PathPrefix` for one bundle of partitions."""
     sids = set()
-    groups = 0
     for partition in bundle:
         sids.update(partition.state_sids)
-        groups += len(partition.group_indices)
     conjuncts = 0
     for sid in sids:
         state = engine.states.get(sid)
@@ -164,7 +364,7 @@ def _path_prefix(engine: SDEEngine, bundle: Sequence[Partition]) -> PathPrefix:
             conjuncts += len(state.constraints)
     return PathPrefix(
         depth=engine.events_executed,
-        groups=groups,
+        group_indices=_bundle_groups(bundle),
         states=len(sids),
         conjuncts=conjuncts,
     )
@@ -368,9 +568,9 @@ def _split_for_steal(
     if not kept or not given:
         return None
     kept = kept + [p for p in partitions if not (p.state_sids & runnable)]
-    tasks, _ = snapshot_assignment_tasks(engine, [kept, given], trace=task.trace)
-    if len(tasks) < 2:  # pragma: no cover - steal_split guarantees both
-        return None
+    kept_task, given_task = snapshot_assignment_tasks(
+        engine, [kept, given], trace=task.trace
+    )
     engine._sample_and_check_caps(force=True)
     events = engine.trace.events if engine.trace is not None else []
     partial = WorkerResult(task, RunReport(engine), {}, events)
@@ -380,10 +580,8 @@ def _split_for_steal(
     partial.error_states = []
     partial.census = {}
     partial.accounted_bytes = image_cost
-    stolen_jobs = [
-        (pickle.dumps(job), _path_prefix(engine, given)) for job in tasks[1:]
-    ]
-    return partial, pickle.dumps(tasks[0]), stolen_jobs
+    stolen_jobs = [(pickle.dumps(given_task), _path_prefix(engine, given))]
+    return partial, pickle.dumps(kept_task), stolen_jobs
 
 
 def _job_worker_main(
@@ -636,11 +834,15 @@ class StealStats:
 class _Coordinator:
     """Drives jobs over a transport: dispatch, steal, supervise, retry.
 
-    Failure semantics mirror :class:`~repro.core.resilience.WorkerSupervisor`:
-    typed :class:`WorkerFailure` records, deterministic seeded backoff, an
-    in-process final attempt for crash/exception failures (timeouts keep
-    retrying in a subprocess), and ``allow_partial`` degrading exhausted
-    jobs to report entries instead of raising.
+    The one in-process worker supervisor.  A bounded ``recv`` poll plus a
+    liveness scan replaces any blocking drain, so a worker that dies
+    without reporting is detected instead of hanging the run.  Every
+    failure becomes a typed :class:`WorkerFailure` that names the job's
+    initial-cut groups; retries use deterministic seeded backoff; the
+    final attempt for crash/exception failures runs in-process (timeouts
+    keep retrying in a subprocess); and ``allow_partial`` degrades
+    exhausted jobs to report entries instead of raising, keeping every
+    completed job's result.
     """
 
     def __init__(
@@ -785,6 +987,9 @@ class _Coordinator:
                 )
             moved = 0
             for payload, prefix in stolen_jobs:
+                # The donor's group indices are local to its restored
+                # engine; failure records name the initial cut's groups.
+                prefix.group_indices = self.prefixes[job_id].group_indices
                 self._enqueue_new(payload, prefix)
                 self.pending.append(self._next_job_id - 1)
                 self._outstanding += 1
@@ -813,7 +1018,7 @@ class _Coordinator:
         for worker, running in list(self._busy.items()):
             if not self.transport.alive(worker):
                 # A flushed result may still be queued; prefer it over a
-                # crash record (mirrors WorkerSupervisor's last drain).
+                # crash record (the feeder thread flushes before exit).
                 message = self.transport.recv(self.policy.poll_interval_seconds)
                 if message is not None:
                     self._handle(message, idle)
@@ -824,10 +1029,10 @@ class _Coordinator:
                 idle.add(worker)
                 self._job_failed(
                     running.job_id,
-                    self._make_failure(
-                        running.job_id,
-                        "crash",
-                        "worker process died without reporting a result",
+                    WorkerFailure(
+                        task_index=running.job_id,
+                        kind="crash",
+                        message="worker process died without reporting a result",
                     ),
                 )
             elif running.deadline is not None and now > running.deadline:
@@ -837,30 +1042,17 @@ class _Coordinator:
                 idle.add(worker)
                 self._job_failed(
                     running.job_id,
-                    self._make_failure(
-                        running.job_id,
-                        "timeout",
-                        "job exceeded its wall-clock budget of"
+                    WorkerFailure(
+                        task_index=running.job_id,
+                        kind="timeout",
+                        message="job exceeded its wall-clock budget of"
                         f" {self.policy.task_timeout_seconds}s",
                     ),
                 )
 
-    def _make_failure(self, job_id: int, kind: str, message: str):
-        prefix = self.prefixes.get(job_id)
-        return WorkerFailure(
-            task_index=job_id,
-            kind=kind,
-            message=message,
-            state_count=prefix.states if prefix is not None else 0,
-        )
-
     def _job_failed(self, job_id: int, failure: WorkerFailure) -> None:
         self.attempts[job_id] = self.attempts.get(job_id, 0) + 1
         failure.attempts = self.attempts[job_id]
-        if not failure.state_count:
-            prefix = self.prefixes.get(job_id)
-            if prefix is not None:
-                failure.state_count = prefix.states
         if self.trace is not None:
             self.trace.emit(
                 "worker.crash",
@@ -894,10 +1086,14 @@ class _Coordinator:
             import traceback as traceback_module
 
             self.attempts[job_id] += 1
-            failure = self._make_failure(job_id, "exception", str(exc))
-            failure.exc_type = type(exc).__name__
-            failure.traceback = traceback_module.format_exc()
-            failure.attempts = self.attempts[job_id]
+            failure = WorkerFailure(
+                task_index=job_id,
+                kind="exception",
+                message=str(exc),
+                exc_type=type(exc).__name__,
+                traceback=traceback_module.format_exc(),
+                attempts=self.attempts[job_id],
+            )
             self._exhaust(job_id, failure)
             return
         self._resolved.add(job_id)
@@ -905,6 +1101,10 @@ class _Coordinator:
         self.results.append(result)
 
     def _exhaust(self, job_id: int, failure: WorkerFailure) -> None:
+        # Enough to re-run the job later from the initial cut's snapshot.
+        prefix = self.prefixes[job_id]
+        failure.group_indices = tuple(prefix.group_indices)
+        failure.state_count = prefix.states
         self._resolved.add(job_id)
         self._outstanding -= 1
         if self.policy.allow_partial:
@@ -928,45 +1128,214 @@ def _run_job_inline(job_id: int, payload: bytes) -> WorkerResult:
 # ---------------------------------------------------------------------------
 
 
-class DistributedReport(ParallelReport):
-    """Merged report of a distributed run.
+def _sum_dicts(parts: Sequence[Dict[str, int]]) -> Dict[str, int]:
+    merged: Dict[str, int] = {}
+    for part in parts:
+        for key, value in part.items():
+            merged[key] = merged.get(key, 0) + value
+    return merged
 
-    Reuses the :class:`~repro.core.parallel.ParallelReport` merge — the
-    semantic totals are pinned identical to the sequential run for any
-    worker count and any steal timing (see the module docstring) — and
-    adds the distributed extras: ``partition_depth`` (the frontier cut, in
-    events), ``jobs_dispatched`` and the ``steals`` counters.
+
+class DistributedReport:
+    """Merged report of a distributed run; duck-types :class:`RunReport`.
+
+    All `RunReport` consumers (``BenchRow``, ``render_table1``,
+    ``report_to_dict``/``save_report``) work unchanged on instances of
+    this class.  The semantic totals are identical to the sequential run
+    for any worker count and any steal timing (see the module docstring).
+    The extras are ``workers``, ``worker_results``, ``prefix_events`` (=
+    ``partition_depth``, the cut in events), ``split_ms`` (the cut's
+    virtual time, ``None`` for an event-count cut), ``partition_count``,
+    ``projected`` (the LPT-projected speedup), ``jobs_dispatched``, the
+    ``steals_*`` counters, ``transport_name``, ``retries`` and
+    ``failed_partitions``.
     """
 
     def __init__(
         self,
         *,
-        partition_depth: int,
+        prefix: RunReport,
+        prefix_census: Dict[int, int],
+        worker_results: List[WorkerResult],
+        image_cost: int,
+        partitions: List[Partition],
+        workers: int,
+        split_ms: Optional[int],
+        runtime_seconds: float,
         jobs_dispatched: int,
         steal_stats: StealStats,
         transport_name: str,
-        **parallel_kwargs,
+        failed_partitions: Sequence[WorkerFailure] = (),
+        retries: int = 0,
     ) -> None:
-        # Set before super().__init__ so report_snapshot (called at the
-        # end of the merge) already sees the distributed extras.
-        self.partition_depth = partition_depth
+        merge_started = _time.perf_counter()
+        self.algorithm = prefix.algorithm
+        self.workers = workers
+        self.worker_results = list(worker_results)
+        self.prefix_events = self.partition_depth = prefix.events_executed
+        self.split_ms = split_ms
+        self.partition_count = len(partitions)
+        self.projected = (projected_speedup(partitions, workers) if partitions else 1.0)
+        self.runtime_seconds = runtime_seconds
         self.jobs_dispatched = jobs_dispatched
         self.steals_requested = steal_stats.requested
         self.steals_granted = steal_stats.granted
         self.steals_denied = steal_stats.denied
         self.transport_name = transport_name
-        super().__init__(**parallel_kwargs)
+        # Resilience: jobs that exhausted their retries (only under
+        # --allow-partial; otherwise the run raised) and the retry count.
+        # A report with failed partitions is *partial*: its totals cover
+        # the prefix plus the surviving jobs only.
+        self.failed_partitions = list(failed_partitions)
+        self.retries = retries
+        self.partial = bool(self.failed_partitions)
+        self.checkpoints_written = getattr(prefix, "checkpoints_written", 0)
+        self.resumed = getattr(prefix, "resumed", False)
+
+        results = self.worker_results
+        self.aborted = prefix.aborted or any(w.aborted for w in results)
+        self.abort_reason = prefix.abort_reason or next(
+            (w.abort_reason for w in results if w.abort_reason), ""
+        )
+        if results:
+            # Every prefix state was shipped to exactly one job, so the
+            # terminal results' totals sum to the sequential run's totals.
+            self.virtual_ms = max(w.virtual_ms for w in results)
+            self.total_states = sum(w.total_states for w in results)
+            self.active_states = sum(w.active_states for w in results)
+            self.group_count = sum(w.group_count for w in results)
+            self.error_states = [state for w in results for state in w.error_states]
+            # Each worker's accounting re-charges the shared program image;
+            # count it once, like the sequential run does.
+            self.accounted_bytes = image_cost + sum(
+                w.accounted_bytes - image_cost for w in results
+            )
+            self.census = {node: 0 for node in prefix_census}
+            for worker in results:
+                for node, count in worker.census.items():
+                    self.census[node] = self.census.get(node, 0) + count
+        else:
+            # Degenerate: the run finished before the cut.
+            self.virtual_ms = prefix.virtual_ms
+            self.total_states = prefix.total_states
+            self.active_states = prefix.active_states
+            self.group_count = prefix.group_count
+            self.error_states = list(prefix.error_states)
+            self.accounted_bytes = prefix.accounted_bytes
+            self.census = dict(prefix_census)
+        self.events_executed = prefix.events_executed + sum(
+            w.events_executed for w in results
+        )
+        self.instructions = prefix.instructions + sum(w.instructions for w in results)
+        self.solver_queries = prefix.solver_queries + sum(
+            w.solver_queries for w in results
+        )
+        self.mapping_stats = dict(prefix.mapping_stats)
+        for worker in results:
+            for key, value in worker.mapping_stats.items():
+                self.mapping_stats[key] = self.mapping_stats.get(key, 0) + value
+
+        self.samples: List[Sample] = list(prefix.samples)
+        self.samples.append(
+            Sample(
+                wall_seconds=runtime_seconds,
+                virtual_ms=self.virtual_ms,
+                events_executed=self.events_executed,
+                live_states=self.active_states,
+                total_states=self.total_states,
+                accounted_bytes=self.accounted_bytes,
+                rss_bytes=process_rss_bytes(),
+                groups=self.group_count,
+            )
+        )
+
+        # Observability merge: stats sum exactly (same argument as the
+        # state totals above); phases/histograms merge across the prefix
+        # and every job, plus a "merge" phase for this method itself.
+        self.solver_stats = _sum_dicts(
+            [prefix.solver_stats] + [w.solver_stats for w in results]
+        )
+        self.net_stats = _sum_dicts([prefix.net_stats] + [w.net_stats for w in results])
+        self.reduce_stats = _sum_dicts(
+            [getattr(prefix, "reduce_stats", {}) or {}]
+            + [getattr(w, "reduce_stats", {}) or {} for w in results]
+        )
+        cache_parts = [
+            part
+            for part in [prefix.cache_stats] + [w.cache_stats for w in results]
+            if part is not None
+        ]
+        self.cache_stats = _sum_dicts(cache_parts) if cache_parts else None
+        histogram_names = set(prefix.histograms)
+        for worker in results:
+            histogram_names.update(worker.histograms)
+        self.histograms = {
+            name: Histogram.merge_data(
+                [prefix.histograms.get(name)]
+                + [w.histograms.get(name) for w in results]
+            )
+            for name in sorted(histogram_names)
+        }
+        merge_phase = {
+            "merge": {
+                "count": 1,
+                "seconds": _time.perf_counter() - merge_started,
+            }
+        }
+        self.phases = merge_phase_snapshots(
+            [prefix.phases] + [w.phases for w in results] + [merge_phase]
+        )
+        self.metrics = report_snapshot(self)
+
+    # -- RunReport duck-typing ------------------------------------------------
+
+    def peak_states(self) -> int:
+        return max((s.total_states for s in self.samples), default=self.total_states)
+
+    def peak_accounted_bytes(self) -> int:
+        return max((s.accounted_bytes for s in self.samples), default=0)
+
+    def state_census(self) -> Dict[int, int]:
+        return dict(self.census)
 
     def summary(self) -> str:
+        status = "ABORTED" if self.aborted else "completed"
+        split = (
+            f"{self.split_ms} ms"
+            if self.split_ms is not None
+            else f"{self.partition_depth} events"
+        )
         lines = [
-            super().summary(),
-            f"  partition depth  : {self.partition_depth} events"
+            f"[{self.algorithm}] {status} after {self.runtime_seconds:.2f}s"
+            f" on {self.workers} workers"
+            + (f" ({self.abort_reason})" if self.aborted else ""),
+            f"  split point      : {split}"
+            f" ({self.prefix_events} prefix events)",
+            f"  partitions       : {self.partition_count}"
+            f" (projected speedup x{self.projected:.2f})",
+            f"  virtual time     : {self.virtual_ms} ms",
+            f"  events executed  : {self.events_executed}",
+            f"  instructions     : {self.instructions}",
+            f"  states (total)   : {self.total_states}",
+            f"  dscenarios/dstates: {self.group_count}",
+            f"  accounted memory : {self.accounted_bytes / 1e6:.2f} MB",
+            f"  error states     : {len(self.error_states)}",
+            f"  solver queries   : {self.solver_queries}",
+            f"  jobs dispatched  : {self.jobs_dispatched}"
             f" ({self.transport_name} transport)",
-            f"  jobs dispatched  : {self.jobs_dispatched}",
             f"  steals           : {self.steals_granted} granted"
             f" / {self.steals_denied} denied"
             f" / {self.steals_requested} requested",
         ]
+        if self.retries:
+            lines.append(f"  worker retries   : {self.retries}")
+        if self.partial:
+            lines.append(
+                f"  PARTIAL: {len(self.failed_partitions)} partition(s)"
+                " failed after retries"
+            )
+            for failure in self.failed_partitions:
+                lines.append(f"    - {failure.describe()}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -980,11 +1349,12 @@ class DistributedReport(ParallelReport):
 class DistributedRunner:
     """Run one scenario with depth partitioning over a worker pool.
 
-    The pipeline: deepen the engine to the cut depth (adaptive probing by
-    default, ``partition_depth`` for an explicit cut), emit each partition
-    bundle as a self-contained job, and let the coordinator drive the jobs
-    over the transport with work-stealing and supervised retries.  With
-    ``workers=1`` (or a still-connected frontier) the run degrades to
+    The pipeline: run the engine to the cut, emit each partition bundle as
+    a self-contained job, and let the coordinator drive the jobs over the
+    transport with supervised retries and (unless ``steal=False``)
+    work-stealing.  The cut is adaptive by default; ``partition_depth``
+    fixes it at an executed-event count and ``split_ms`` at a virtual
+    time.  With ``workers=1`` (or a single job) the run degrades to
     supervised sequential execution over the same pickle round-trip.
     """
 
@@ -994,6 +1364,7 @@ class DistributedRunner:
         algorithm: str = "sds",
         workers: int = 4,
         partition_depth: Optional[int] = None,
+        split_ms: Optional[int] = None,
         min_partitions: Optional[int] = None,
         probe_events: int = DEFAULT_PROBE_EVENTS,
         probe_limit_events: Optional[int] = DEFAULT_PROBE_LIMIT_EVENTS,
@@ -1014,6 +1385,7 @@ class DistributedRunner:
         self.algorithm = algorithm
         self.workers = workers
         self.partition_depth = partition_depth
+        self.split_ms = split_ms
         self.min_partitions = (
             min_partitions if min_partitions is not None else 2 * workers
         )
@@ -1049,10 +1421,7 @@ class DistributedRunner:
             trace=self.trace,
             **self.engine_overrides,
         )
-        if self.partition_depth is not None:
-            engine.run_until(split_events=self.partition_depth)
-            partitions = partition_groups(engine.mapper)
-        else:
+        if self.partition_depth is None and self.split_ms is None:
             partitions = deepen_until_partitioned(
                 engine,
                 min_partitions=self.min_partitions,
@@ -1061,10 +1430,12 @@ class DistributedRunner:
                 balance_workers=self.workers,
                 trace=self.trace,
             )
+        else:
+            engine.run_until(split_ms=self.split_ms, split_events=self.partition_depth)
+            partitions = partition_groups(engine.mapper)
         engine._sample_and_check_caps(force=True)
         prefix = RunReport(engine)
         prefix_census = engine.state_census()
-        depth = engine.events_executed
 
         jobs: List[Tuple[bytes, PathPrefix]] = []
         if not engine.aborted and engine.scheduler_snapshot():
@@ -1073,7 +1444,7 @@ class DistributedRunner:
                 for bundle in lpt_assign(partitions, self.workers)
                 if bundle
             ]
-            tasks, _ = snapshot_assignment_tasks(
+            tasks = snapshot_assignment_tasks(
                 engine, assignment, trace=self.trace is not None
             )
             jobs = [
@@ -1114,10 +1485,6 @@ class DistributedRunner:
                 self.trace.extend(worker.events)
             self.trace.emit("worker.merge", workers=len(results))
         return DistributedReport(
-            partition_depth=depth,
-            jobs_dispatched=coordinator.jobs_dispatched,
-            steal_stats=coordinator.steal_stats,
-            transport_name=type(transport).__name__,
             prefix=prefix,
             prefix_census=prefix_census,
             worker_results=results,
@@ -1126,9 +1493,11 @@ class DistributedRunner:
             ),
             partitions=partitions,
             workers=self.workers,
-            split_ms=None,
-            split_events=depth,
+            split_ms=self.split_ms,
             runtime_seconds=_time.perf_counter() - started,
+            jobs_dispatched=coordinator.jobs_dispatched,
+            steal_stats=coordinator.steal_stats,
+            transport_name=type(transport).__name__,
             failed_partitions=coordinator.failed,
             retries=coordinator.retries,
         )

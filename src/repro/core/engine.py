@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import warnings
 import weakref
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -47,14 +46,6 @@ from .reduce import StateReducer
 from .stats import Sample, StatsRecorder, estimate_state_bytes
 
 __all__ = ["SDEEngine", "RunReport", "PresetValue"]
-
-#: the exact DeprecationWarning text of the legacy-kwargs shim; the
-#: pytest ``filterwarnings`` entry in pyproject.toml is scoped to it.
-LEGACY_KWARGS_MESSAGE = (
-    "passing engine options as SDEEngine keyword arguments is deprecated;"
-    " build an EngineConfig and pass SDEEngine(program, topology, mapper,"
-    " config)"
-)
 
 # A preset global: one value for all nodes, or an explicit per-node mapping.
 PresetValue = Union[int, Dict[int, int]]
@@ -165,13 +156,11 @@ class SDEEngine:
         program: Union[str, CompiledProgram],
         topology: Topology,
         mapper: StateMapper,
-        config: Optional[Union[EngineConfig, int]] = None,
+        config: EngineConfig,
         *,
         solver: Optional[Solver] = None,
         trace: Optional[TraceEmitter] = None,
-        **legacy,
     ) -> None:
-        config = self._coerce_config(config, legacy)
         if isinstance(program, str):
             program = compile_source(program)
         self.config = config
@@ -254,32 +243,6 @@ class SDEEngine:
         self._reduce_candidates: List[ExecutionState] = []
         self._mapping_twins: List[ExecutionState] = []
         self._mapping_active = False
-
-    @staticmethod
-    def _coerce_config(
-        config: Optional[Union[EngineConfig, int]], legacy: Dict[str, object]
-    ) -> EngineConfig:
-        """Accept an :class:`EngineConfig` or the legacy keyword form.
-
-        The legacy form — ``horizon_ms`` as the fourth positional argument
-        and/or engine options as keywords — still works but warns; it is
-        exercised only by its dedicated deprecation test (the suite turns
-        this warning into an error everywhere else).
-        """
-        if isinstance(config, EngineConfig):
-            if legacy:
-                raise TypeError(
-                    "cannot mix EngineConfig with legacy keyword arguments"
-                    f" {sorted(legacy)}"
-                )
-            return config
-        fields = dict(legacy)
-        if config is not None:  # legacy positional horizon_ms
-            fields.setdefault("horizon_ms", config)
-        if "horizon_ms" not in fields:
-            raise TypeError("SDEEngine needs an EngineConfig (or at least horizon_ms)")
-        warnings.warn(LEGACY_KWARGS_MESSAGE, DeprecationWarning, stacklevel=3)
-        return EngineConfig(**fields)
 
     # -- EngineServices (used by NodeOS) ---------------------------------------
 
@@ -501,7 +464,7 @@ class SDEEngine:
 
         Safe between events: every state is quiescent and the scheduler
         snapshot preserves the sequential pop order, the same property the
-        parallel runner's split point relies on.
+        distributed runner's cut relies on.
         """
         from .resilience import save_checkpoint
 

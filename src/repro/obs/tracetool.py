@@ -5,7 +5,7 @@ The tool behind ``repro trace``.  Its central definition is the
 ``run.*``) reduced to its event type plus non-volatile fields
 (:data:`repro.obs.events.VOLATILE_FIELDS` dropped), counted as a
 multiset.  Two runs of the same scenario are *semantically identical*
-iff their canonical multisets are equal — the property the parallel
+iff their canonical multisets are equal — the property the distributed
 runner guarantees for any ``--workers N``, and the property
 ``tests/obs/test_trace_determinism.py`` checks through this module.
 """

@@ -146,9 +146,9 @@ def execute_job(payload: dict) -> dict:
 def job_entry(payload_bytes: bytes, queue, attempt: int = 0) -> None:
     """Subprocess target: run the attempt, ship a summary or a failure.
 
-    Mirrors the parallel runner's ``_worker_entry`` contract: failures
-    travel as typed :class:`WorkerFailure` records (exception name,
-    message, full traceback), never bare pickled exceptions.
+    Mirrors the distributed runner's worker contract: failures travel
+    as typed :class:`WorkerFailure` records (exception name, message,
+    full traceback), never bare pickled exceptions.
     """
     # A fork()ed child inherits the service loop's signal plumbing: a
     # no-op C handler for SIGTERM/SIGINT plus the loop's wakeup fd.

@@ -40,8 +40,8 @@ class EventQueue(Generic[T]):
         state that died or rescheduled since being enqueued).
 
         With ``max_time`` set, a valid head entry whose time exceeds it is
-        left in place and None is returned — the split-point probe of the
-        parallel runner, which must not consume work past the split.
+        left in place and None is returned — the virtual-time cut of the
+        distributed runner, which must not consume work past the cut.
         Invalid heads are still discarded while probing.
         """
         while self._heap:

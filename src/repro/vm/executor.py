@@ -243,14 +243,6 @@ class Executor:
             return self._execute_threaded(state)
         return self._execute_baseline(state, single=False)
 
-    def _execute(
-        self, state: ExecutionState, single: bool
-    ) -> List[ExecutionState]:
-        """Route to the configured interpreter loop."""
-        if self.table_dispatch and not single:
-            return self._execute_threaded(state)
-        return self._execute_baseline(state, single)
-
     def _execute_threaded(self, state: ExecutionState) -> List[ExecutionState]:
         """The table-dispatch loop: one tuple index + one call per pc.
 

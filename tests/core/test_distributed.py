@@ -14,13 +14,18 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
    past the end of the run) yields a sequential-prefix-only report.
 4. Steal grants move work atomically (partial + kept + stolen in one
    reply); a donor with fewer than two live partitions denies; stale
-   replies are dropped whole; killed workers retry through the same
-   typed-failure path as ``ParallelRunner``.
+   replies are dropped whole; killed workers retry through the typed
+   failure path, and every failure record names its initial-cut groups.
+5. The coordinator is the one worker supervisor: timeouts, crashes and
+   worker exceptions are classified, the last attempt runs inline, and
+   under ``allow_partial`` completed jobs survive another job's failure.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
+import time
 
 import pytest
 
@@ -33,13 +38,11 @@ from repro.core.distributed import (
     _Coordinator,
     _split_for_steal,
     deepen_until_partitioned,
-)
-from repro.core.parallel import (
     restore_worker_engine,
     snapshot_assignment_tasks,
 )
-from repro.core.partition import partition_groups, steal_split
-from repro.core.resilience import RetryPolicy, WorkerFailure
+from repro.core.partition import steal_split
+from repro.core.resilience import RetryPolicy, WorkerFailure, WorkerTaskError
 from repro.obs import TraceEmitter, diff_traces, validate_trace
 
 SYMBOLIC_PING = """
@@ -120,7 +123,7 @@ class TestJobRoundTrip:
             engine, min_partitions=4, probe_events=2
         )
         bundle = [partitions[0]]
-        tasks, _ = snapshot_assignment_tasks(engine, [bundle], trace=False)
+        tasks = snapshot_assignment_tasks(engine, [bundle], trace=False)
         payload = pickle.dumps(tasks[0])
 
         restored = restore_worker_engine(pickle.loads(payload))
@@ -134,15 +137,14 @@ class TestJobRoundTrip:
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        tasks, _ = snapshot_assignment_tasks(
-            engine, [partitions[:2]], trace=False
-        )
         from repro.core.distributed import _path_prefix
 
         prefix = _path_prefix(engine, partitions[:2])
         clone = pickle.loads(pickle.dumps(prefix))
         assert clone.depth == engine.events_executed
-        assert clone.groups == sum(p.group_count() for p in partitions[:2])
+        assert clone.group_indices == tuple(
+            index for p in partitions[:2] for index in p.group_indices
+        )
         assert clone.states == sum(p.state_count() for p in partitions[:2])
         assert clone.conjuncts == prefix.conjuncts
 
@@ -221,7 +223,7 @@ class TestStealSplit:
             engine, min_partitions=4, probe_events=2
         )
         bundle = [partitions[0]]
-        tasks, _ = snapshot_assignment_tasks(engine, [bundle], trace=False)
+        tasks = snapshot_assignment_tasks(engine, [bundle], trace=False)
         task = pickle.loads(pickle.dumps(tasks[0]))
         worker = restore_worker_engine(task)
         # One partition, still runnable: nothing to split off.
@@ -232,9 +234,7 @@ class TestStealSplit:
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        tasks, _ = snapshot_assignment_tasks(
-            engine, [partitions], trace=False
-        )
+        tasks = snapshot_assignment_tasks(engine, [partitions], trace=False)
         task = pickle.loads(pickle.dumps(tasks[0]))
         worker = restore_worker_engine(task)
         worker.run()  # final partition state: nothing runnable anywhere
@@ -245,9 +245,7 @@ class TestStealSplit:
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        tasks, _ = snapshot_assignment_tasks(
-            engine, [partitions], trace=False
-        )
+        tasks = snapshot_assignment_tasks(engine, [partitions], trace=False)
         task = pickle.loads(pickle.dumps(tasks[0]))
         worker = restore_worker_engine(task)
         split = _split_for_steal(worker, task, 0, 123)
@@ -274,8 +272,20 @@ class TestStealSplit:
 
 
 class _Prefix:
-    def __init__(self, states=1):
+    def __init__(self, states=1, group_indices=()):
         self.states = states
+        self.group_indices = tuple(group_indices)
+
+
+def _fail(worker, job_id, **fields):
+    """A worker's ``fail`` reply carrying a typed exception record."""
+    fields.setdefault("message", "boom")
+    return (
+        "fail",
+        worker,
+        job_id,
+        WorkerFailure(task_index=job_id, kind="exception", **fields),
+    )
 
 
 class ScriptedTransport(Transport):
@@ -457,19 +467,7 @@ class TestCoordinatorProtocol:
         jobs = [(b"j0", _Prefix(4))]
 
         def always_fail(worker, message):
-            return [
-                (
-                    "fail",
-                    worker,
-                    message[1],
-                    WorkerFailure(
-                        task_index=message[1],
-                        kind="exception",
-                        message="boom",
-                        exc_type="RuntimeError",
-                    ),
-                )
-            ]
+            return [_fail(worker, message[1], exc_type="RuntimeError")]
 
         transport.script = [always_fail, always_fail, always_fail]
 
@@ -484,22 +482,11 @@ class TestCoordinatorProtocol:
         assert "inline boom" in str(excinfo.value)
 
     def test_allow_partial_degrades_to_failed_jobs(self):
-        import dataclasses
-
         transport = ScriptedTransport(worker_count=1)
-        jobs = [(b"j0", _Prefix(4))]
+        jobs = [(b"j0", _Prefix(4, group_indices=(3, 5)))]
 
         def always_fail(worker, message):
-            return [
-                (
-                    "fail",
-                    worker,
-                    message[1],
-                    WorkerFailure(
-                        task_index=message[1], kind="exception", message="boom"
-                    ),
-                )
-            ]
+            return [_fail(worker, message[1])]
 
         transport.script = [always_fail, always_fail, always_fail]
 
@@ -513,6 +500,193 @@ class TestCoordinatorProtocol:
         coordinator.run()
         assert len(coordinator.failed) == 1
         assert coordinator.failed[0].state_count == 4
+        # The record carries enough to re-run the job from the cut.
+        assert coordinator.failed[0].group_indices == (3, 5)
+
+    def test_allow_partial_reports_instead_of_raising(self):
+        # Every job's worker dies unreported and no retry is left: under
+        # allow_partial the run ends with one record per job, no raise.
+        transport = ScriptedTransport()
+        jobs = [(b"j0", _Prefix(9, group_indices=(3, 5))), (b"j1", _Prefix(0))]
+
+        def die(worker, message):
+            transport._alive[worker] = False
+            return []
+
+        transport.script = [die, die]
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        coordinator = self._coordinator(
+            transport, jobs, steal=False, policy=policy
+        )
+        coordinator.run()
+        assert coordinator.results == []
+        assert coordinator.retries == 0
+        assert sorted(f.task_index for f in coordinator.failed) == [0, 1]
+        assert {f.kind for f in coordinator.failed} == {"crash"}
+        by_index = {f.task_index: f for f in coordinator.failed}
+        # The failure record carries enough to rerun the job.
+        assert by_index[0].group_indices == (3, 5)
+        assert by_index[0].state_count == 9
+
+    def test_stolen_job_failure_names_the_donors_groups(self):
+        transport = ScriptedTransport()
+        jobs = [(b"j0", _Prefix(8, group_indices=(0, 2))), (b"j1", _Prefix(2))]
+
+        def on_dispatch_j0(worker, message):
+            return []
+
+        def on_dispatch_j1(worker, message):
+            return [("done", worker, message[1], "result-1")]
+
+        def on_steal(worker, message):
+            return [
+                (
+                    "steal_reply",
+                    worker,
+                    0,
+                    "partial-0",
+                    b"kept-half",
+                    [(b"stolen-half", _Prefix(3, group_indices=(7,)))],
+                ),
+                ("done", worker, 0, "result-0"),
+            ]
+
+        def on_dispatch_stolen(worker, message):
+            return [_fail(worker, message[1])]
+
+        transport.script = [
+            on_dispatch_j0,
+            on_dispatch_j1,
+            on_steal,
+            on_dispatch_stolen,
+        ]
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        coordinator = self._coordinator(transport, jobs, policy=policy)
+        coordinator.run()
+        [failure] = coordinator.failed
+        assert failure.task_index == 2
+        assert failure.state_count == 3
+        # Group 7 is local to the donor's engine; the cut's groups are 0, 2.
+        assert failure.group_indices == (0, 2)
+
+    def test_timeout_classified_and_worker_restarted(self):
+        transport = ScriptedTransport(worker_count=1)
+        jobs = [(b"j0", _Prefix(4))]
+        transport.script = [lambda worker, message: []]  # hangs
+        policy = dataclasses.replace(
+            FAST, max_retries=0, task_timeout_seconds=0.05, allow_partial=True
+        )
+        coordinator = self._coordinator(
+            transport, jobs, steal=False, policy=policy
+        )
+        coordinator.run()
+        assert transport.restarts == [0]
+        assert coordinator.results == []
+        [failure] = coordinator.failed
+        assert failure.kind == "timeout"
+        assert "wall-clock budget" in failure.message
+
+    def test_final_attempt_runs_inline(self):
+        # With max_retries=1 a crashing job gets its last chance in the
+        # coordinator's own process, immune to further worker loss.
+        transport = ScriptedTransport()
+        jobs = [(b"j0", _Prefix(4)), (b"j1", _Prefix(4))]
+
+        def die(worker, message):
+            transport._alive[worker] = False
+            return []
+
+        transport.script = [die, die]
+        inline_runs = []
+
+        def inline_ok(job_id, payload):
+            inline_runs.append(payload)
+            return f"inline-{job_id}"
+
+        policy = dataclasses.replace(FAST, max_retries=1)
+        coordinator = self._coordinator(
+            transport, jobs, steal=False, run_inline=inline_ok, policy=policy
+        )
+        coordinator.run()
+        assert sorted(inline_runs) == [b"j0", b"j1"]
+        assert sorted(coordinator.results) == ["inline-0", "inline-1"]
+        assert coordinator.failed == []
+        assert coordinator.retries == 2
+
+    def test_inline_fallback_failure_is_classified(self):
+        transport = ScriptedTransport(worker_count=1)
+        jobs = [(b"j0", _Prefix(4))]
+
+        def die(worker, message):
+            transport._alive[worker] = False
+            return []
+
+        transport.script = [die]
+
+        def inline_fails(job_id, payload):
+            raise RuntimeError("inline boom")
+
+        policy = dataclasses.replace(FAST, max_retries=1, allow_partial=True)
+        coordinator = self._coordinator(
+            transport, jobs, steal=False, run_inline=inline_fails, policy=policy
+        )
+        coordinator.run()
+        assert coordinator.results == []
+        [failure] = coordinator.failed
+        assert failure.kind == "exception"
+        assert failure.exc_type == "RuntimeError"
+        assert "inline boom" in failure.message
+        assert failure.attempts == 2  # one crashed worker try + the inline one
+
+    def test_worker_exception_preserves_origin(self):
+        transport = ScriptedTransport(worker_count=1)
+        jobs = [(b"j0", _Prefix(4))]
+
+        def raise_in_worker(worker, message):
+            return [
+                _fail(
+                    worker,
+                    message[1],
+                    exc_type="ValueError",
+                    traceback="Traceback (most recent call last):\n"
+                    "ValueError: boom\n",
+                )
+            ]
+
+        transport.script = [raise_in_worker]
+        policy = dataclasses.replace(FAST, max_retries=0)
+        coordinator = self._coordinator(
+            transport, jobs, steal=False, policy=policy
+        )
+        with pytest.raises(WorkerTaskError) as excinfo:
+            coordinator.run()
+        failure = excinfo.value.failure
+        assert failure.kind == "exception"
+        assert failure.exc_type == "ValueError"
+        assert "ValueError: boom" in failure.traceback
+        # The worker traceback is chained for pytest/traceback display.
+        assert "worker traceback" in str(excinfo.value.__cause__)
+
+    def test_allow_partial_keeps_completed_jobs(self):
+        # One healthy job + one that always fails: the healthy result must
+        # survive the other job's exhaustion.
+        transport = ScriptedTransport()
+        jobs = [(b"j0", _Prefix(4)), (b"j1", _Prefix(4))]
+
+        def ok(worker, message):
+            return [("done", worker, message[1], "result-0")]
+
+        def fail(worker, message):
+            return [_fail(worker, message[1])]
+
+        transport.script = [ok, fail]
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        coordinator = self._coordinator(
+            transport, jobs, steal=False, policy=policy
+        )
+        coordinator.run()
+        assert coordinator.results == ["result-0"]
+        assert [f.task_index for f in coordinator.failed] == [1]
 
 
 class TestChaos:
@@ -528,6 +702,48 @@ class TestChaos:
         assert report.retries >= 1
         assert not report.failed_partitions
         _assert_matches_sequential(report, seq_engine, seq_report)
+
+    def test_dead_worker_does_not_hang_the_drain(self, monkeypatch):
+        # Regression: a blocking ``queue.get()`` drain hung forever when a
+        # worker died without enqueueing a result.  With no retries the
+        # real subprocess death must surface promptly as a typed crash.
+        monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
+        policy = dataclasses.replace(FAST, max_retries=0)
+        started = time.monotonic()
+        with pytest.raises(WorkerTaskError) as excinfo:
+            DistributedRunner(
+                _scenario(),
+                "sds",
+                workers=2,
+                partition_depth=10,
+                steal=False,
+                retry_policy=policy,
+            ).run()
+        assert time.monotonic() - started < 30.0
+        failure = excinfo.value.failure
+        assert failure.kind == "crash"
+        assert f"partition {failure.task_index}" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "cut", [dict(probe_events=2), dict(partition_depth=10, steal=False)]
+    )
+    def test_exhausted_jobs_name_their_groups(self, monkeypatch, cut):
+        # No retries under chaos: every job is exhausted and reported, and
+        # between them the records name every group of the initial cut.
+        monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        report = DistributedRunner(
+            _scenario(), "sds", workers=2, retry_policy=policy, **cut
+        ).run()
+        assert report.partial
+        assert len(report.failed_partitions) == report.jobs_dispatched >= 2
+        named = [
+            index
+            for failure in report.failed_partitions
+            for index in failure.group_indices
+        ]
+        assert all(failure.state_count for failure in report.failed_partitions)
+        assert sorted(named) == list(range(len(named)))
 
     def test_inline_transport_never_chaos_kills(self, monkeypatch):
         monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")

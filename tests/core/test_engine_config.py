@@ -2,8 +2,7 @@
 
 Covers the frozen dataclass itself, the override splitting that
 ``build_engine``/``resume_engine`` share, the worker variant, and the
-legacy keyword shim (the only place in the tree allowed to trip the
-``DeprecationWarning`` — pytest escalates it to an error elsewhere).
+engine's refusal of engine options passed as keywords.
 """
 
 import dataclasses
@@ -13,7 +12,6 @@ import pytest
 
 from repro.api import EngineConfig, SDEEngine, build_engine
 from repro.core.config import ENGINE_CONFIG_FIELDS, split_config_overrides
-from repro.core.engine import LEGACY_KWARGS_MESSAGE
 from repro.workloads import flood_scenario
 
 
@@ -52,6 +50,19 @@ class TestConfigObject:
         config = EngineConfig(horizon_ms=1000, boot_times=(1, 2))
         assert pickle.loads(pickle.dumps(config)) == config
 
+    def test_engine_rejects_keyword_options(self):
+        scenario = flood_scenario(3)
+        from repro.core.scenario import make_mapper
+
+        with pytest.raises(TypeError):
+            SDEEngine(
+                scenario.compiled(),
+                scenario.topology,
+                make_mapper("sds"),
+                horizon_ms=500,
+                max_states=9,
+            )
+
     def test_make_solver_honours_switches(self):
         solver = EngineConfig(
             horizon_ms=1, solver_cache=False, solver_optimize=False
@@ -83,40 +94,3 @@ class TestOverrideSplitting:
     def test_build_engine_rejects_unknown_override(self):
         with pytest.raises(TypeError, match="unknown"):
             build_engine(flood_scenario(3), "sds", not_a_knob=1)
-
-
-class TestLegacyKeywordShim:
-    def _parts(self):
-        scenario = flood_scenario(3)
-        from repro.core.scenario import make_mapper
-
-        return scenario.compiled(), scenario.topology, make_mapper("sds")
-
-    def test_keyword_form_warns_and_builds_equivalent_config(self):
-        program, topology, mapper = self._parts()
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            engine = SDEEngine(
-                program, topology, mapper, horizon_ms=500, max_states=9
-            )
-        assert engine.config == EngineConfig(horizon_ms=500, max_states=9)
-
-    def test_positional_horizon_still_accepted(self):
-        program, topology, mapper = self._parts()
-        with pytest.warns(DeprecationWarning):
-            engine = SDEEngine(program, topology, mapper, 500)
-        assert engine.config.horizon_ms == 500
-
-    def test_config_plus_legacy_keywords_is_an_error(self):
-        program, topology, mapper = self._parts()
-        with pytest.raises(TypeError, match="cannot mix"):
-            SDEEngine(
-                program,
-                topology,
-                mapper,
-                EngineConfig(horizon_ms=500),
-                max_states=9,
-            )
-
-    def test_message_constant_is_what_the_filter_matches(self):
-        # pyproject's filterwarnings entry match this text; keep them in sync.
-        assert "EngineConfig" in LEGACY_KWARGS_MESSAGE

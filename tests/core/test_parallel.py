@@ -1,11 +1,12 @@
-"""Sequential-vs-parallel equivalence and the parallel substrate.
+"""Sequential-vs-parallel equivalence under a static cut, and the substrate.
 
-The contract of :mod:`repro.core.parallel`: the merged report of a
-parallel run is *identical* to the sequential run's — same state census,
-same error states, same dscenario/dstate count — for any worker count.
-These tests pin that down on the paper's 5x5 grid under COW and SDS,
-plus the substrate pieces (pickling interned expressions, snapshotting
-mappers, LPT assignment) in isolation.
+The contract of :class:`repro.core.distributed.DistributedRunner` with a
+fixed cut and stealing off (what ``repro run --workers N`` runs): the
+merged report is *identical* to the sequential run's — same state
+census, same error states, same dscenario/dstate count — for any worker
+count.  These tests pin that down on the paper's 5x5 grid under COW and
+SDS, plus the substrate pieces (pickling interned expressions,
+snapshotting mappers, LPT assignment) in isolation.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ import pickle
 
 import pytest
 
-from repro.core.parallel import ParallelRunner, execute_task_bytes
-from repro.core.partition import Partition, lpt_assign, schedule_makespan
+from repro.core.distributed import (
+    DistributedRunner,
+    _run_job_inline,
+    snapshot_assignment_tasks,
+)
+from repro.core.partition import (
+    Partition,
+    lpt_assign,
+    partition_groups,
+    schedule_makespan,
+)
 from repro.core.scenario import Scenario, build_engine
 from repro.net import Topology
 from repro.workloads import grid_scenario
@@ -54,11 +64,12 @@ class TestParallelEquivalence:
         self, sequential_baseline, algorithm, workers
     ):
         report, census = sequential_baseline(algorithm)
-        parallel = ParallelRunner(
+        parallel = DistributedRunner(
             grid_scenario(5, sim_seconds=10),
             algorithm,
             workers=workers,
             split_ms=SPLIT_MS,
+            steal=False,
         ).run()
         assert parallel.total_states == report.total_states
         assert parallel.group_count == report.group_count
@@ -109,8 +120,8 @@ class TestParallelEquivalence:
         report = engine.run()
         assert report.error_states, "scenario must produce error states"
         for workers in (1, 2):
-            parallel = ParallelRunner(
-                scenario(), "sds", workers=workers, split_events=20
+            parallel = DistributedRunner(
+                scenario(), "sds", workers=workers, partition_depth=20, steal=False
             ).run()
             assert _error_signature(parallel) == _error_signature(report)
             assert parallel.total_states == report.total_states
@@ -122,19 +133,20 @@ class TestParallelEquivalence:
         factory = lambda: grid_scenario(3, sim_seconds=10)  # noqa: E731
         engine = build_engine(factory(), "cob")
         report = engine.run()
-        parallel = ParallelRunner(
-            factory(), "cob", workers=2, split_ms=SPLIT_MS
+        parallel = DistributedRunner(
+            factory(), "cob", workers=2, split_ms=SPLIT_MS, steal=False
         ).run()
         assert parallel.total_states == report.total_states
         assert parallel.group_count == report.group_count
         assert parallel.state_census() == engine.state_census()
 
     def test_run_finishing_before_split_degenerates_cleanly(self):
-        parallel = ParallelRunner(
+        parallel = DistributedRunner(
             grid_scenario(3, sim_seconds=2),
             "sds",
             workers=4,
             split_ms=10_000_000,
+            steal=False,
         ).run()
         engine = build_engine(grid_scenario(3, sim_seconds=2), "sds")
         report = engine.run()
@@ -146,8 +158,12 @@ class TestParallelEquivalence:
     def test_report_to_dict_accepts_parallel_report(self):
         from repro.core.reporting import report_to_dict
 
-        parallel = ParallelRunner(
-            grid_scenario(3, sim_seconds=4), "cow", workers=2, split_ms=1000
+        parallel = DistributedRunner(
+            grid_scenario(3, sim_seconds=4),
+            "cow",
+            workers=2,
+            split_ms=1000,
+            steal=False,
         ).run()
         data = report_to_dict(parallel)
         assert data["total_states"] == parallel.total_states
@@ -168,11 +184,12 @@ class TestParallelEquivalence:
             grid_scenario(5, sim_seconds=10), algorithm, trace=sequential
         ).run()
         parallel = TraceEmitter()
-        ParallelRunner(
+        DistributedRunner(
             grid_scenario(5, sim_seconds=10),
             algorithm,
             workers=2,
             split_ms=SPLIT_MS,
+            steal=False,
             trace=parallel,
         ).run()
         diff = diff_traces(sequential.events, parallel.events)
@@ -238,15 +255,15 @@ class TestPickling:
 
     def test_worker_task_round_trip_executes(self):
         # Build one real task, pickle it, and run it in-process: the exact
-        # path a worker subprocess takes.
-        runner = ParallelRunner(
-            grid_scenario(3, sim_seconds=6), "cow", workers=2, split_ms=2000
-        )
-        engine = build_engine(runner.scenario, "cow")
+        # path a job takes on a worker.
+        engine = build_engine(grid_scenario(3, sim_seconds=6), "cow")
         engine.run_until(split_ms=2000)
-        tasks = runner._build_tasks(engine)
+        assignment = lpt_assign(partition_groups(engine.mapper), 2)
+        tasks = snapshot_assignment_tasks(
+            engine, [bundle for bundle in assignment if bundle], trace=False
+        )
         assert tasks
-        result = execute_task_bytes(pickle.dumps(tasks[0]))
+        result = _run_job_inline(0, pickle.dumps(tasks[0]))
         assert result.total_states > 0
         assert result.events_executed > 0
 

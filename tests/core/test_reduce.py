@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.api import (
     DistributedRunner,
-    ParallelRunner,
     Scenario,
     Topology,
     build_engine,
@@ -353,10 +352,13 @@ func on_recv(src, len) {
         sequential = build_engine(
             _guard_scenario(topology), "sds", symmetry=True, por=True
         ).run()
-        parallel = ParallelRunner(
-            _guard_scenario(topology),
+        scenario = _guard_scenario(topology)
+        parallel = DistributedRunner(
+            scenario,
             "sds",
             workers=2,
+            split_ms=scenario.horizon_ms * 3 // 10,
+            steal=False,
             symmetry=True,
             por=True,
         ).run()

@@ -3,9 +3,10 @@
 The contracts pinned here (see docs/RESILIENCE.md):
 
 1. A worker SIGKILL'd mid-partition must *never* hang the run — the old
-   blocking ``queue.get()`` drain did exactly that.  The supervisor
-   detects the death, retries the partition, and a chaos-killed parallel
-   run finishes with results identical to an unfaulted sequential run.
+   blocking ``queue.get()`` drain did exactly that.  The coordinator
+   detects the death, retries the job, and a chaos-killed parallel run
+   finishes with results identical to an unfaulted sequential run (the
+   coordinator's own protocol tests live in test_distributed.py).
 2. Partitions that exhaust their retries surface as typed
    :class:`WorkerFailure` records — raised with the original worker
    traceback chained, or reported in ``failed_partitions`` under
@@ -21,21 +22,16 @@ The contracts pinned here (see docs/RESILIENCE.md):
 from __future__ import annotations
 
 import json
-import multiprocessing
-import os
 import pickle
-import time
 
 import pytest
 
-from repro.core.parallel import ParallelRunner
+from repro.core.distributed import DistributedRunner
 from repro.core.resilience import (
     CHECKPOINT_MAGIC,
     CheckpointError,
     RetryPolicy,
     WorkerFailure,
-    WorkerSupervisor,
-    WorkerTaskError,
     chaos_kill_probability,
     chaos_kill_requested,
     load_checkpoint,
@@ -45,17 +41,6 @@ from repro.core.resilience import (
 from repro.core.scenario import build_engine
 from repro.obs import TraceEmitter, diff_traces
 from repro.workloads import flood_scenario, grid_scenario
-
-FORK = multiprocessing.get_context("fork")
-
-# Fast-failing policy for supervisor unit tests: real backoff sleeps
-# would only slow the suite down.
-FAST = RetryPolicy(
-    max_retries=2,
-    backoff_base_seconds=0.001,
-    poll_interval_seconds=0.02,
-)
-
 
 def _error_signature(report):
     return sorted(
@@ -75,71 +60,6 @@ def _assert_reports_match(left, right):
     assert left.accounted_bytes == right.accounted_bytes
     assert left.solver_queries == right.solver_queries
     assert _error_signature(left) == _error_signature(right)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic worker entries (module-level: importable in child processes)
-# ---------------------------------------------------------------------------
-
-
-class FakeResult:
-    """Minimal stand-in for WorkerResult — just needs ``.index``."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-
-
-def _entry_ok(payload, queue, attempt=0, task_index=-1):
-    queue.put(pickle.dumps(FakeResult(task_index)))
-
-
-def _entry_crash_first(payload, queue, attempt=0, task_index=-1):
-    if attempt == 0:
-        os._exit(17)  # die unreported, like an OOM kill
-    queue.put(pickle.dumps(FakeResult(task_index)))
-
-
-def _entry_always_crash(payload, queue, attempt=0, task_index=-1):
-    os._exit(23)
-
-
-def _entry_hang(payload, queue, attempt=0, task_index=-1):
-    time.sleep(60)
-
-
-def _entry_report_exception(payload, queue, attempt=0, task_index=-1):
-    queue.put(
-        pickle.dumps(
-            WorkerFailure(
-                task_index=task_index,
-                kind="exception",
-                message="boom",
-                exc_type="ValueError",
-                traceback="Traceback (most recent call last):\nValueError: boom\n",
-            )
-        )
-    )
-
-
-def _inline_ok(payload):
-    return FakeResult(int(payload.decode()))
-
-
-def _inline_raise(payload):
-    raise RuntimeError("inline boom")
-
-
-def _supervisor(entry, *, run_inline=_inline_raise, policy=FAST, tasks=2, **kw):
-    payloads = {i: str(i).encode() for i in range(tasks)}
-    return WorkerSupervisor(
-        payloads=payloads,
-        context=FORK,
-        entry=entry,
-        run_inline=run_inline,
-        policy=policy,
-        sleep=lambda _s: None,
-        **kw,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -288,152 +208,6 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Supervisor
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerSupervisor:
-    def test_healthy_workers_complete_without_retries(self):
-        results, failed, retries = _supervisor(_entry_ok, tasks=3).run()
-        assert sorted(r.index for r in results) == [0, 1, 2]
-        assert failed == []
-        assert retries == 0
-
-    def test_killed_worker_is_retried_and_recovers(self):
-        trace = TraceEmitter()
-        results, failed, retries = _supervisor(
-            _entry_crash_first, tasks=2, trace=trace
-        ).run()
-        assert sorted(r.index for r in results) == [0, 1]
-        assert failed == []
-        assert retries == 2  # each task died once
-        names = [event["ev"] for event in trace.events]
-        assert "worker.crash" in names
-        assert "worker.retry" in names
-        crash = next(e for e in trace.events if e["ev"] == "worker.crash")
-        assert crash["kind"] == "crash"
-        assert crash["exitcode"] == 17
-
-    def test_dead_worker_does_not_hang_the_drain(self):
-        # Regression: the pre-supervisor drain blocked forever on
-        # ``queue.get()`` when a worker died without enqueueing a result.
-        started = time.monotonic()
-        policy = RetryPolicy(
-            max_retries=0, poll_interval_seconds=0.02, backoff_base_seconds=0.0
-        )
-        with pytest.raises(WorkerTaskError) as excinfo:
-            _supervisor(_entry_always_crash, policy=policy, tasks=1).run()
-        assert time.monotonic() - started < 30.0
-        failure = excinfo.value.failure
-        assert failure.kind == "crash"
-        assert failure.exitcode == 23
-        assert "partition 0" in str(excinfo.value)
-
-    def test_final_attempt_runs_inline(self):
-        # With max_retries=1 a crashing task gets its last chance in the
-        # supervisor's own process — immune to further worker loss.
-        policy = RetryPolicy(
-            max_retries=1, poll_interval_seconds=0.02, backoff_base_seconds=0.0
-        )
-        results, failed, retries = _supervisor(
-            _entry_always_crash, run_inline=_inline_ok, policy=policy, tasks=2
-        ).run()
-        assert sorted(r.index for r in results) == [0, 1]
-        assert failed == []
-        assert retries == 2
-
-    def test_allow_partial_reports_instead_of_raising(self):
-        policy = RetryPolicy(
-            max_retries=0,
-            poll_interval_seconds=0.02,
-            allow_partial=True,
-        )
-        meta = {0: ((3, 5), 9), 1: ((), 0)}
-        supervisor = _supervisor(
-            _entry_always_crash, policy=policy, tasks=2, task_meta=meta
-        )
-        results, failed, retries = supervisor.run()
-        assert results == []
-        assert retries == 0
-        assert sorted(f.task_index for f in failed) == [0, 1]
-        by_index = {f.task_index: f for f in failed}
-        # The failure record carries enough to rerun the partition.
-        assert by_index[0].group_indices == (3, 5)
-        assert by_index[0].state_count == 9
-
-    def test_mixed_outcome_keeps_completed_partitions(self):
-        # One healthy task + one that always dies: the healthy result
-        # must survive (the old drain threw everything away).
-        policy = RetryPolicy(
-            max_retries=0, poll_interval_seconds=0.02, allow_partial=True
-        )
-        payloads = {0: b"0", 1: b"1"}
-
-        supervisor = WorkerSupervisor(
-            payloads=payloads,
-            context=FORK,
-            entry=_entry_crash_by_index,
-            run_inline=_inline_raise,
-            policy=policy,
-            sleep=lambda _s: None,
-        )
-        results, failed, _ = supervisor.run()
-        assert [r.index for r in results] == [0]
-        assert [f.task_index for f in failed] == [1]
-
-    def test_timeout_classified_and_terminated(self):
-        policy = RetryPolicy(
-            max_retries=0,
-            poll_interval_seconds=0.02,
-            task_timeout_seconds=0.3,
-            allow_partial=True,
-        )
-        started = time.monotonic()
-        results, failed, _ = _supervisor(
-            _entry_hang, policy=policy, tasks=1
-        ).run()
-        assert time.monotonic() - started < 30.0
-        assert results == []
-        assert len(failed) == 1
-        assert failed[0].kind == "timeout"
-        assert "wall-clock budget" in failed[0].message
-
-    def test_worker_exception_preserves_origin(self):
-        policy = RetryPolicy(max_retries=0, poll_interval_seconds=0.02)
-        with pytest.raises(WorkerTaskError) as excinfo:
-            _supervisor(_entry_report_exception, policy=policy, tasks=1).run()
-        failure = excinfo.value.failure
-        assert failure.kind == "exception"
-        assert failure.exc_type == "ValueError"
-        assert "ValueError: boom" in failure.traceback
-        # The worker traceback is chained for pytest/traceback display.
-        assert excinfo.value.__cause__ is not None
-        assert "worker traceback" in str(excinfo.value.__cause__)
-
-    def test_inline_fallback_failure_is_classified(self):
-        policy = RetryPolicy(
-            max_retries=1,
-            poll_interval_seconds=0.02,
-            backoff_base_seconds=0.0,
-            allow_partial=True,
-        )
-        results, failed, _ = _supervisor(
-            _entry_always_crash, run_inline=_inline_raise, policy=policy, tasks=1
-        ).run()
-        assert results == []
-        assert len(failed) == 1
-        assert failed[0].kind == "exception"
-        assert failed[0].exc_type == "RuntimeError"
-        assert "inline boom" in failed[0].message
-
-
-def _entry_crash_by_index(payload, queue, attempt=0, task_index=-1):
-    if task_index == 1:
-        os._exit(9)
-    queue.put(pickle.dumps(FakeResult(task_index)))
-
-
-# ---------------------------------------------------------------------------
 # End-to-end fault injection (the acceptance scenario)
 # ---------------------------------------------------------------------------
 
@@ -451,10 +225,13 @@ class TestChaosEquivalence:
 
         monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
         parallel_trace = TraceEmitter()
-        parallel = ParallelRunner(
-            flood_scenario(4, rounds=6),
+        scenario = flood_scenario(4, rounds=6)
+        parallel = DistributedRunner(
+            scenario,
             "sds",
             workers=2,
+            split_ms=scenario.horizon_ms * 3 // 10,
+            steal=False,
             trace=parallel_trace,
             retry_policy=RetryPolicy(
                 backoff_base_seconds=0.001, poll_interval_seconds=0.02

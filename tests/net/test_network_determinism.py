@@ -2,16 +2,16 @@
 
 The medium's loss/jitter draws are pure functions of the run seed and
 the logical send, so the same scenario must produce bit-identical
-verdicts sequentially, under `ParallelRunner`, under `DistributedRunner`,
-and through a checkpoint resume — and the symmetry/POR reducer must
-refuse to run on a non-symmetric medium rather than prune unsoundly."""
+verdicts sequentially, under `DistributedRunner` with a static cut and
+with an adaptive one, and through a checkpoint resume — and the
+symmetry/POR reducer must refuse to run on a non-symmetric medium rather
+than prune unsoundly."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.distributed import DistributedRunner, InlineTransport
-from repro.core.parallel import ParallelRunner
 from repro.core.resilience import resume_engine, save_checkpoint
 from repro.core.scenario import Scenario, build_engine
 from repro.net import Topology
@@ -105,8 +105,12 @@ class TestCrossHarness:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_parallel_matches_sequential(self, sequential, workers):
         engine, report = sequential
-        parallel = ParallelRunner(
-            _lossy_scenario(), "sds", workers=workers, split_events=40
+        parallel = DistributedRunner(
+            _lossy_scenario(),
+            "sds",
+            workers=workers,
+            partition_depth=40,
+            steal=False,
         ).run()
         _assert_reports_match(parallel, report)
         assert parallel.state_census() == engine.state_census()
