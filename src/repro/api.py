@@ -5,7 +5,7 @@ importable from here::
 
     from repro.api import Scenario, EngineConfig, run_scenario
 
-    report = run_scenario(my_scenario, "sds", solver_optimize=False)
+    report = run_scenario(my_scenario, "sds", max_states=50_000)
 
 The deep module paths (``repro.core.engine``, ``repro.solver.core``, ...)
 remain importable but are internal: their layout may shift between

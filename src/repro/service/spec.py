@@ -51,9 +51,7 @@ CONFIG_FIELD_ALLOWLIST = frozenset(
         "max_steps_per_event",
         "solver_cache",
         "solver_max_nodes",
-        "solver_optimize",
         "fuse_ops",
-        "loop_reuse",
         "symmetry",
         "por",
         "medium",

@@ -41,6 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.config import ENGINE_CONFIG_FIELDS
 from ..obs.fileio import atomic_write_text
 from .spec import SubmissionSpec
 
@@ -102,7 +103,7 @@ class JobRecord:
             raise ValueError(f"corrupt job record: state {data.get('state')!r}")
         return cls(
             id=data["id"],
-            spec=SubmissionSpec.from_dict(data["spec"]),
+            spec=SubmissionSpec.from_dict(_without_retired_fields(data["spec"])),
             digest=data["digest"],
             client=data.get("client", "anon"),
             state=data["state"],
@@ -114,6 +115,22 @@ class JobRecord:
             submitted_at=data.get("submitted_at", 0.0),
             finished_at=data.get("finished_at"),
         )
+
+
+def _without_retired_fields(spec):
+    """A stored spec minus config fields :class:`EngineConfig` no longer has.
+
+    The service validated the spec when it was submitted, so a config key
+    that is not an engine field any more names a retired switch (the
+    removed reference-path selectors, say).  Dropping it keeps the job
+    and its stored id and digest; a *new* submission naming it is still
+    rejected by :meth:`SubmissionSpec.from_dict`.
+    """
+    config = spec.get("config") if isinstance(spec, dict) else None
+    if not isinstance(config, dict) or set(config) <= ENGINE_CONFIG_FIELDS:
+        return spec
+    kept = {k: v for k, v in config.items() if k in ENGINE_CONFIG_FIELDS}
+    return {**spec, "config": kept}
 
 
 class RunStore:

@@ -18,9 +18,6 @@ cheapest first:
 Stats use the metric names the observability layer exports
 (``solver.cache.hit.exact`` / ``hit.cex`` / ``hit.model`` / ``miss``);
 :meth:`CacheStats.restore` maps them back for checkpoint resume.
-``tiered=False`` drops tier 2 and the subset-key shortcut of tier 3
-(the seed behaviour), which is what ``Solver(optimize=False)`` uses for
-A/B runs.
 """
 
 from __future__ import annotations
@@ -110,8 +107,6 @@ class SolverCache:
         max_model_scan: int = 64,
         max_unsat_entries: int = 4096,
         max_subset_scan: int = 64,
-        tiered: bool = True,
-        model_memo: bool = False,
     ) -> None:
         self._exact: "OrderedDict[Key, Optional[Model]]" = OrderedDict()
         self._models: "OrderedDict[Model, None]" = OrderedDict()
@@ -127,11 +122,6 @@ class SolverCache:
         self._max_model_scan = max_model_scan
         self._max_unsat_entries = max_unsat_entries
         self._max_subset_scan = max_subset_scan
-        self._tiered = tiered
-        # Memoize per-conjunct verdicts on scanned models (the
-        # loop-increment-reuse path): iterations of the same loop probe
-        # the same models with mostly the same conjuncts.
-        self._model_memo = model_memo
         self.stats = CacheStats()
         #: how the most recent lookup was answered; read by the solver's
         #: trace instrumentation ("exact"/"cex"/"model"/"miss").
@@ -169,7 +159,7 @@ class SolverCache:
             if variables is None
             else frozenset(v.name for v in variables)
         )
-        if self._tiered and query_names and self._unsat_subset(key, query_names):
+        if query_names and self._unsat_subset(key, query_names):
             self.stats.cex_hits += 1
             self.last_outcome = "cex"
             return True, None
@@ -214,11 +204,12 @@ class SolverCache:
                 continue
             evaluated += 1
             probe: Iterable[BoolExpr] = key
-            if self._tiered:
-                stored_key = self._model_keys.get(model)
-                if stored_key is not None and stored_key <= key:
-                    probe = key - stored_key  # evaluate only the extras
-            if model.satisfies(probe, memo=self._model_memo):
+            stored_key = self._model_keys.get(model)
+            if stored_key is not None and stored_key <= key:
+                probe = key - stored_key  # evaluate only the extras
+            # Verdicts are memoized on the model: iterations of the same
+            # loop probe the same models with mostly the same conjuncts.
+            if model.satisfies(probe):
                 self.stats.model_scan_steps += evaluated
                 return model
         self.stats.model_scan_steps += evaluated
@@ -241,7 +232,7 @@ class SolverCache:
                 evicted, _ = self._models.popitem(last=False)
                 self._model_vars.pop(evicted, None)
                 self._model_keys.pop(evicted, None)
-        elif self._tiered:
+        else:
             self._remember_unsat(key)
 
     def _remember_unsat(self, key: Key) -> None:

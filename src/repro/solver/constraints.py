@@ -104,12 +104,11 @@ class ConstraintSet:
         The satisfaction check memoizes per-conjunct verdicts on the
         model: loop iterations re-extend with structurally repeating
         conjuncts, and sibling forks re-test the same conjunct against
-        the same inherited model.  Semantically invisible — the verdict
-        is deterministic — so it is not gated behind ``loop_reuse``.
+        the same inherited model.
         """
         child = ConstraintSet(self, conjunct)
         model = self._model
-        if model is not None and model.satisfies((conjunct,), memo=True):
+        if model is not None and model.satisfies((conjunct,)):
             child._model = model
         return child
 
@@ -219,19 +218,17 @@ class ConstraintSet:
 
     # -- canonical view -------------------------------------------------------
 
-    def canonical(
-        self, stats=None, delta: bool = False
-    ) -> Optional[Tuple[BoolExpr, ...]]:
+    def canonical(self, stats=None) -> Optional[Tuple[BoolExpr, ...]]:
         """The simplified conjunct tuple; ``None`` = provably UNSAT.
 
         Computed once per node by extending the parent's canonical form
         (see module docstring); ``stats`` is an optional mutable mapping
         collecting ``simplify.*`` counter increments.
 
-        ``delta=True`` (the loop-increment-reuse path): when the new
-        conjunct introduces an implied equality, only the inherited
-        conjuncts sharing variables with it are re-simplified — a delta
-        against the parent's memoized form instead of a full rerun.
+        When the new conjunct introduces an implied equality, only the
+        inherited conjuncts sharing variables with it are re-simplified
+        (the loop-increment-reuse path) — a delta against the parent's
+        memoized form instead of a full rerun.
         Sound because the rewrite rules are variable-local: conjuncts
         disjoint from the equality are fixpoints of the substitution,
         so the partial form is equisatisfiable with the full one (a
@@ -246,10 +243,10 @@ class ConstraintSet:
             pending.append(node)
             node = node.parent
         for entry in reversed(pending):
-            entry._extend_canonical(stats, delta)
+            entry._extend_canonical(stats)
         return self._canonical
 
-    def _extend_canonical(self, stats, delta: bool = False) -> None:
+    def _extend_canonical(self, stats) -> None:
         parent = self.parent
         base = parent._canonical
         if base is None:  # already UNSAT: stays UNSAT
@@ -278,10 +275,7 @@ class ConstraintSet:
                 self._mark_unsat(stats)
                 return
             if _introduces_equality(conjunct, eqs):
-                if delta:
-                    self._resimplify_delta(base, conjunct, stats)
-                else:
-                    self._resimplify(base + (conjunct,), stats)
+                self._resimplify_delta(base, conjunct, stats)
                 return
             # Plain append: canonical grows by exactly this conjunct.
             self._canonical = base + (conjunct,)

@@ -35,9 +35,9 @@ blow-ups and raises rather than silently mis-answering.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..expr import BoolAnd, BoolConst, BoolExpr, and_, not_
+from ..expr import BoolAnd, BoolConst, BoolExpr, not_
 from ..obs.metrics import Histogram
 from .cache import SolverCache
 from .constraints import (
@@ -46,7 +46,6 @@ from .constraints import (
     groups_of,
     merge_into_groups,
 )
-from .independence import partition
 from .model import Model
 from .search import SearchBudgetExceeded, search
 from .simplify import simplify_conjuncts, substitute
@@ -68,39 +67,18 @@ class Solver:
     A single instance is shared by all execution states of an SDE run (the
     cache thrives on the cross-state query overlap that forking produces).
 
-    ``optimize=False`` turns off the query-optimization layer — no model
-    shortcut, no canonicalization, no counterexample tier — leaving the
-    seed pipeline (flatten, partition, exact+model cache, search).  Both
-    modes produce semantically identical results; the A/B benchmark
-    (``benchmarks/bench_solver.py``) gates on that plus the backend-solve
-    reduction.
+    Loop-increment reuse is part of the pipeline: when a symbolic loop
+    body re-executes along the same control path, its iterations extend
+    the path condition with structurally repeating conjuncts.  Models
+    memoize per-conjunct verdicts, so tier 0 and the cache's model-reuse
+    scan evaluate each (model, conjunct) pair once, and an iteration's
+    extension is canonicalized as a delta against the parent's memoized
+    form instead of a full re-simplification.
     """
 
-    def __init__(
-        self,
-        use_cache: bool = True,
-        max_nodes: int = 200_000,
-        optimize: bool = True,
-        loop_reuse: bool = True,
-    ) -> None:
-        # loop_reuse: the loop-increment-reuse layer (EngineConfig
-        # field of the same name).  When a symbolic loop body re-executes
-        # along the same control path, its iterations extend the path
-        # condition with structurally repeating conjuncts; this flag (a)
-        # memoizes per-conjunct verdicts on models, so tier-0 and the
-        # cache's model-reuse scan only evaluate each (model, conjunct)
-        # pair once, and (b) canonicalizes the iteration's extension as a
-        # delta against the parent's memoized form instead of a full
-        # re-simplification.  Verdicts and traces are bit-identical with
-        # it off; only volatile work counters move.
-        self._loop_reuse = loop_reuse and optimize
-        self._cache = (
-            SolverCache(tiered=optimize, model_memo=self._loop_reuse)
-            if use_cache
-            else None
-        )
+    def __init__(self, use_cache: bool = True, max_nodes: int = 200_000) -> None:
+        self._cache = SolverCache() if use_cache else None
         self._max_nodes = max_nodes
-        self._optimize = optimize
         # Deterministic, semantic counters (see module docstring).
         self.queries = 0
         self.sat_results = 0
@@ -289,16 +267,13 @@ class Solver:
         size = len(cset) + (0 if extra is None else 1)
         self.conjunct_histogram.observe(size)
 
-        memoizable = self._optimize and len(cset) > 0
-        if self._optimize:
-            model = cset.cached_model()
-            if model is not None and (
-                extra is None or model.satisfies((extra,), memo=self._loop_reuse)
-            ):
-                self.model_shortcuts += 1
-                self.sat_results += 1
-                self._emit_query(size, "sat")
-                return model
+        memoizable = len(cset) > 0
+        model = cset.cached_model()
+        if model is not None and (extra is None or model.satisfies((extra,))):
+            self.model_shortcuts += 1
+            self.sat_results += 1
+            self._emit_query(size, "sat")
+            return model
         if memoizable:
             # Forked siblings share the ConstraintSet node and probe the
             # same branch conditions, so identical (node, extra) queries
@@ -347,17 +322,8 @@ class Solver:
 
     def _normalized(self, cset: ConstraintSet, extra: Optional[BoolExpr]):
         """``(conjuncts, groups)`` to solve, or ``(None, None)`` = UNSAT."""
-        if not self._optimize:
-            raw = list(cset.raw())
-            if extra is not None:
-                raw.append(extra)
-            conjuncts = self._flatten(raw)
-            if conjuncts is None:
-                return None, None
-            return conjuncts, partition(list(conjuncts))
-
         stats = self.simplify_stats
-        base = cset.canonical(stats, delta=self._loop_reuse)
+        base = cset.canonical(stats)
         if base is None:
             return None, None
         if extra is None:
@@ -385,16 +351,6 @@ class Solver:
             base + (conjunct,),
             merge_into_groups(cset.partition_groups(stats), conjunct),
         )
-
-    @staticmethod
-    def _flatten(constraints: Iterable[BoolExpr]):
-        """Seed normalization: flatten into a conjunct tuple; None = unsat."""
-        combined = and_(*constraints)
-        if isinstance(combined, BoolConst):
-            return () if combined.value else None
-        if isinstance(combined, BoolAnd):
-            return combined.operands
-        return (combined,)
 
     def _emit_query(self, conjuncts: int, result: str) -> None:
         if self.trace is not None:

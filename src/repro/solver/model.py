@@ -28,9 +28,7 @@ class Model:
     def __init__(self, values: Dict[str, int]) -> None:
         self._values = dict(values)
         # Lazy per-conjunct verdict memo: constraint expr -> bool.  Sound
-        # because the assignment is immutable and expressions interned;
-        # populated only through satisfies(..., memo=True) so the seed
-        # evaluation path stays allocation-free.
+        # because the assignment is immutable and expressions interned.
         self._memo: Dict[BoolExpr, bool] = {}
 
     def __getitem__(self, name: str) -> int:
@@ -54,7 +52,7 @@ class Model:
     def as_dict(self) -> Dict[str, int]:
         return dict(self._values)
 
-    def satisfies(self, constraints: Iterable[BoolExpr], memo: bool = False) -> bool:
+    def satisfies(self, constraints: Iterable[BoolExpr]) -> bool:
         """True iff every constraint evaluates to true under this model.
 
         Variables absent from the model default to 0 — the solver only
@@ -62,26 +60,24 @@ class Model:
         satisfying partial assignment over unmentioned variables also
         satisfies the query.
 
-        With ``memo=True`` each conjunct's verdict is cached on the
-        model, so re-checking a loop iteration's constraint prefix only
-        evaluates the new conjuncts (the loop-increment-reuse path).
+        Each conjunct's verdict is cached on the model, so re-checking a
+        loop iteration's constraint prefix only evaluates the new
+        conjuncts (the loop-increment-reuse path).
         """
         env = self._values
-        cache = self._memo if memo else None
+        cache = self._memo
         for constraint in constraints:
-            if cache is not None:
-                cached = cache.get(constraint)
-                if cached is not None:
-                    if not cached:
-                        return False
-                    continue
+            cached = cache.get(constraint)
+            if cached is not None:
+                if not cached:
+                    return False
+                continue
             missing = {
                 v.name: 0 for v in constraint.variables() if v.name not in env
             }
             scope = {**env, **missing} if missing else env
             verdict = bool(evaluate(constraint, scope))
-            if cache is not None:
-                cache[constraint] = verdict
+            cache[constraint] = verdict
             if not verdict:
                 return False
         return True

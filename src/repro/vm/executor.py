@@ -18,22 +18,17 @@ branch"), while COW/SDS react to transmissions via the syscall host instead.
 The executor is deliberately ignorant of networking: everything beyond pure
 computation goes through a :class:`SyscallHost`.
 
-Two interpreter loops coexist (selected by ``table_dispatch``):
-
-- the *threaded* loop (default): each pc indexes a precomputed
-  ``(bound handler, specialized arg, line)`` triple built from the
-  decoder output, so dispatch is one tuple index and one call — no
-  opcode comparison chain, no operand re-interpretation, and fused
-  superinstructions collapse 2–4 dispatches into one;
-- the *baseline* loop: the original if/elif chain over ``program.code``,
-  kept as the semantic reference for A/B benchmarks and equivalence
-  tests, and for single-instruction :meth:`Executor.step`.
-
-Both produce bit-identical traces, forks, verdicts, counters and
-coverage (fused handlers account their constituents' steps, instruction
-counts and visited pcs).  The only observable divergence is the step
-*limit* boundary: a superinstruction is not split by the limit, so a
-limit-truncated event may die up to three base instructions later.
+The interpreter is *threaded*: each pc indexes a precomputed
+``(bound handler, specialized arg, line)`` triple built from the decoder
+output, so dispatch is one tuple index and one call — no opcode
+comparison chain, no operand re-interpretation — and fused
+superinstructions collapse 2–4 dispatches into one.  Fused handlers
+account their constituents' steps, instruction counts and visited pcs,
+so fused and unfused decoding (``fuse_ops``) produce bit-identical
+traces, forks, verdicts, counters and coverage.  The only observable
+divergence is the step *limit* boundary: a superinstruction is not
+split by the limit, so a limit-truncated event may die up to three base
+instructions later.
 """
 
 from __future__ import annotations
@@ -136,7 +131,6 @@ class Executor:
         host: Optional[SyscallHost] = None,
         max_steps_per_event: int = 1_000_000,
         fuse_ops: bool = True,
-        table_dispatch: bool = True,
     ) -> None:
         self.program = program
         self.solver = solver if solver is not None else Solver()
@@ -148,9 +142,6 @@ class Executor:
         #: raw data behind repro.vm.coverage.coverage_report.
         self.visited_pcs = set()
         self.fuse_ops = fuse_ops
-        #: plain attribute so benches can flip it post-construction to
-        #: A/B the threaded loop against the baseline chain.
-        self.table_dispatch = table_dispatch
         self.decoded: DecodedProgram = program.decoded(fuse=fuse_ops)
         # The bound handlers point back at this executor: a deliberate
         # cycle (the threaded loop needs no attribute lookups), freed by
@@ -214,7 +205,7 @@ class Executor:
         done: List[ExecutionState] = []
         while active:
             current = active.pop()
-            successors = self._run_until_fork(current)
+            successors = self._execute_threaded(current)
             if len(successors) > 1:
                 self.forks += len(successors) - 1
                 if on_fork is not None:
@@ -228,20 +219,7 @@ class Executor:
                     done.append(successor)
         return done
 
-    def step(self, state: ExecutionState) -> List[ExecutionState]:
-        """Execute exactly one *base* instruction (test/debug entry point).
-
-        Always uses the baseline interpreter so stepping granularity is
-        the unfused ISA regardless of ``fuse_ops``.
-        """
-        return self._execute_baseline(state, single=True)
-
-    # -- the interpreter loops -----------------------------------------------------
-
-    def _run_until_fork(self, state: ExecutionState) -> List[ExecutionState]:
-        if self.table_dispatch:
-            return self._execute_threaded(state)
-        return self._execute_baseline(state, single=False)
+    # -- the interpreter loop --------------------------------------------------------
 
     def _execute_threaded(self, state: ExecutionState) -> List[ExecutionState]:
         """The table-dispatch loop: one tuple index + one call per pc.
@@ -277,105 +255,6 @@ class Executor:
                     return outcome
         finally:
             self.instructions_executed += dispatched
-
-    def _execute_baseline(
-        self, state: ExecutionState, single: bool
-    ) -> List[ExecutionState]:
-        """Run ``state`` until it forks, finishes its event, or dies.
-
-        Returns the list of successor states (always containing ``state``
-        itself unless it was replaced — it never is; mutation in place).
-        """
-        code = self.program.code
-        memory = state.memory
-        opstack = state.opstack
-        visited = self.visited_pcs
-
-        while True:
-            if state.steps >= self.max_steps_per_event:
-                return [
-                    self._die(
-                        state,
-                        GuestError(
-                            ErrorKind.STEP_LIMIT,
-                            f"event exceeded {self.max_steps_per_event} steps",
-                        ),
-                    )
-                ]
-            instr = code[state.pc]
-            op = instr.op
-            visited.add(state.pc)
-            state.pc += 1
-            state.steps += 1
-            self.instructions_executed += 1
-
-            if op == Op.PUSH:
-                opstack.append(instr.arg)
-            elif op == Op.LOAD:
-                opstack.append(memory[instr.arg])
-            elif op == Op.STORE:
-                memory[instr.arg] = _mask_cell(opstack.pop())
-            elif op == Op.LOADI:
-                base, size = instr.arg
-                outcome = self._indexed(state, base, size, instr.line, load=True)
-                if outcome is not None:
-                    return outcome
-            elif op == Op.STOREI:
-                base, size = instr.arg
-                outcome = self._indexed(state, base, size, instr.line, load=False)
-                if outcome is not None:
-                    return outcome
-            elif Op.ADD <= op <= Op.BNOT:
-                outcome = self._arith(state, op, instr.line)
-                if outcome is not None:
-                    return outcome
-            elif Op.EQ <= op <= Op.BOOL:
-                self._compare(state, op)
-            elif op == Op.JMP:
-                state.pc = instr.arg
-            elif op == Op.JZ or op == Op.JNZ:
-                outcome = self._branch(state, op, instr.arg)
-                if outcome is not None:
-                    return outcome
-            elif op == Op.CALL:
-                func_index, nargs = instr.arg
-                func = self.program.functions[func_index]
-                if len(state.call_stack) > 64:
-                    return [
-                        self._die(
-                            state,
-                            GuestError(
-                                ErrorKind.STACK_OVERFLOW,
-                                "call stack exceeded 64 frames",
-                                instr.line,
-                            ),
-                        )
-                    ]
-                for offset in range(nargs - 1, -1, -1):
-                    memory[func.param_base + offset] = _mask_cell(opstack.pop())
-                state.call_stack.append(state.pc)
-                state.pc = func.entry
-            elif op == Op.RET:
-                return_pc = state.call_stack.pop()
-                if return_pc == _RETURN_SENTINEL:
-                    opstack.pop()  # discard the handler's return value
-                    state.status = Status.IDLE
-                    return [state]
-                state.pc = return_pc
-            elif op == Op.SYS:
-                name, nargs = instr.arg
-                outcome = self._syscall(state, name, nargs, instr.line)
-                if outcome is not None:
-                    return outcome
-            elif op == Op.POP:
-                opstack.pop()
-            elif op == Op.DUP:
-                opstack.append(opstack[-1])
-            else:  # pragma: no cover - exhaustive over the ISA
-                raise AssertionError(f"unhandled opcode {op!r}")
-
-            if single:
-                return [state]
 
     # -- threaded dispatch: binding ------------------------------------------------
 
@@ -501,9 +380,9 @@ class Executor:
 
     # -- threaded dispatch: base handlers ------------------------------------------
     # Each handler returns None to keep running, or the successor list
-    # exactly as the baseline loop would.  The loop has already accounted
-    # the dispatch (pc, steps, instruction count) and set the fall-through
-    # pc before the handler runs.
+    # (the forks, or the one finished or dead state).  The loop has
+    # already accounted the dispatch (pc, steps, instruction count) and
+    # set the fall-through pc before the handler runs.
 
     def _op_push(self, state, arg, line):
         state.opstack.append(arg)
@@ -521,7 +400,12 @@ class Executor:
         return self._indexed(state, arg[0], arg[1], line, load=False)
 
     def _op_unary(self, state, op, line):
-        return self._arith(state, op, line)
+        opstack = state.opstack
+        value = opstack.pop()
+        if isinstance(value, int):
+            opstack.append((-value if op == Op.NEG else ~value) & _MASK32)
+        else:
+            opstack.append(bv_neg(value) if op == Op.NEG else bv_not(value))
 
     def _op_arith2(self, state, fns, line):
         opstack = state.opstack
@@ -539,7 +423,16 @@ class Executor:
         return self._divide(state, fns[0], fns[1], left, right, line)
 
     def _op_truth(self, state, op, line):
-        self._compare(state, op)
+        opstack = state.opstack
+        value = opstack.pop()
+        if isinstance(value, int):
+            truthy = value != 0
+            opstack.append(int(truthy) if op == Op.BOOL else int(not truthy))
+        else:
+            condition = ne(value, bv(0))
+            if op == Op.LNOT:
+                condition = not_(condition)
+            opstack.append(ite(condition, bv(1), bv(0)))
 
     def _op_cmp2(self, state, fns, line):
         opstack = state.opstack
@@ -756,30 +649,7 @@ class Executor:
         """
         return self.solver.branch_feasibility(state.constraints, condition)
 
-    # .. arithmetic ..................................................................
-
-    def _arith(self, state, op, line) -> Optional[List[ExecutionState]]:
-        opstack = state.opstack
-        if op == Op.NEG or op == Op.BNOT:
-            value = opstack.pop()
-            if isinstance(value, int):
-                result = (-value if op == Op.NEG else ~value) & _MASK32
-            else:
-                result = bv_neg(value) if op == Op.NEG else bv_not(value)
-            opstack.append(result)
-            return None
-        right = opstack.pop()
-        left = opstack.pop()
-        if op in _DIVISIVE:
-            return self._divide(
-                state, _CONCRETE_ARITH[op], _SYMBOLIC_ARITH[op],
-                left, right, line,
-            )
-        if isinstance(left, int) and isinstance(right, int):
-            opstack.append(_CONCRETE_ARITH[op](left, right))
-        else:
-            opstack.append(_SYMBOLIC_ARITH[op](as_bv(left), as_bv(right)))
-        return None
+    # .. division ....................................................................
 
     def _divide(
         self, state, cfn, sfn, left, right, line
@@ -832,33 +702,7 @@ class Executor:
             return [state] + successors
         return None
 
-    # .. comparisons .................................................................
-
-    def _compare(self, state, op) -> None:
-        opstack = state.opstack
-        if op == Op.LNOT or op == Op.BOOL:
-            value = opstack.pop()
-            if isinstance(value, int):
-                truthy = value != 0
-                opstack.append(int(truthy) if op == Op.BOOL else int(not truthy))
-            else:
-                condition = ne(value, bv(0))
-                if op == Op.LNOT:
-                    condition = not_(condition)
-                opstack.append(ite(condition, bv(1), bv(0)))
-            return
-        right = opstack.pop()
-        left = opstack.pop()
-        if isinstance(left, int) and isinstance(right, int):
-            opstack.append(int(_CONCRETE_CMP[op](left, right)))
-        else:
-            condition = _SYMBOLIC_CMP[op](as_bv(left), as_bv(right))
-            opstack.append(ite(condition, bv(1), bv(0)))
-
     # .. branches ......................................................................
-
-    def _branch(self, state, op, target) -> Optional[List[ExecutionState]]:
-        return self._branch_value(state, state.opstack.pop(), op == Op.JZ, target)
 
     def _branch_value(
         self, state, value, jump_on_zero, target

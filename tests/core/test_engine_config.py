@@ -65,18 +65,18 @@ class TestConfigObject:
 
     def test_make_solver_honours_switches(self):
         solver = EngineConfig(
-            horizon_ms=1, solver_cache=False, solver_optimize=False
+            horizon_ms=1, solver_cache=False, solver_max_nodes=99
         ).make_solver()
         assert solver.cache_stats() is None
-        assert not solver._optimize
+        assert solver._max_nodes == 99
 
 
 class TestOverrideSplitting:
     def test_split_config_overrides(self):
         config_part, rest = split_config_overrides(
-            {"max_states": 5, "trace": object(), "solver_optimize": False}
+            {"max_states": 5, "trace": object(), "solver_cache": False}
         )
-        assert set(config_part) == {"max_states", "solver_optimize"}
+        assert set(config_part) == {"max_states", "solver_cache"}
         assert set(rest) == {"trace"}
 
     def test_field_inventory_matches_dataclass(self):
@@ -86,10 +86,10 @@ class TestOverrideSplitting:
 
     def test_build_engine_routes_overrides_into_config(self):
         engine = build_engine(
-            flood_scenario(3), "sds", max_states=123, solver_optimize=False
+            flood_scenario(3), "sds", max_states=123, solver_cache=False
         )
         assert engine.config.max_states == 123
-        assert not engine.solver._optimize
+        assert engine.solver.cache_stats() is None
 
     def test_build_engine_rejects_unknown_override(self):
         with pytest.raises(TypeError, match="unknown"):

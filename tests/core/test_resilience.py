@@ -294,6 +294,33 @@ class TestCheckpointResume:
         _assert_reports_match(report, baseline)
         assert resumed.state_census() == baseline_engine.state_census()
 
+    def test_resume_ignores_retired_config_fields(self, tmp_path, monkeypatch):
+        """A checkpoint whose pickled config still carries the removed
+        reference-path switches resumes to the uninterrupted report."""
+        import repro.core.resilience as resilience
+
+        baseline = build_engine(_scenario(), "sds").run()
+        payload_of = resilience._engine_payload
+
+        def with_retired_fields(engine):
+            payload = payload_of(engine)
+            object.__setattr__(payload["config"], "solver_optimize", False)
+            object.__setattr__(payload["config"], "loop_reuse", False)
+            return payload
+
+        monkeypatch.setattr(resilience, "_engine_payload", with_retired_fields)
+        engine = build_engine(_scenario(), "sds")
+        engine.run_until(split_ms=3000)
+        path = tmp_path / "old.sdeckpt"
+        save_checkpoint(engine, path)
+        del engine
+        _, payload = load_checkpoint(path)
+        assert vars(payload["config"])["solver_optimize"] is False
+
+        report = resume_engine(path).run()
+        assert report.resumed
+        _assert_reports_match(report, baseline)
+
     def test_periodic_checkpointing_during_run(self, tmp_path):
         path = tmp_path / "auto.sdeckpt"
         trace = TraceEmitter()

@@ -8,12 +8,16 @@ to an uninterrupted run — the PR 3 resume-equality guarantee, carried
 through the whole service lifecycle.
 """
 
+import json
+
 import pytest
 
 from repro.api import make_workload, report_to_dict, run_scenario
 from repro.service import ServiceLimits
+from repro.service.spec import SubmissionSpec
+from repro.service.store import RunStore
 
-from .test_service import PINNED_FIELDS, SLOW_SPEC, ServiceThread
+from .test_service import FAST_SPEC, PINNED_FIELDS, SLOW_SPEC, ServiceThread
 
 #: cadence chosen so flood:9 (~45k events) checkpoints early and often
 #: relative to its runtime, but cheaply
@@ -71,3 +75,34 @@ def test_drain_restart_resume_is_pinned_equal(tmp_path, slow_reference):
         assert stats["counters"]["service.recovered"] == 1
     finally:
         second.stop()
+
+
+def test_parked_job_with_retired_config_fields_survives_restart(tmp_path):
+    """A queued record from a build that still had the reference-path
+    switches is recovered and run on boot, not silently dropped."""
+    data_dir = tmp_path / "data"
+    store = RunStore(data_dir)
+    record = store.allocate(SubmissionSpec.from_dict(FAST_SPEC), client="old")
+    with open(store.record_path(record.id)) as handle:
+        stored = json.load(handle)
+    stored["spec"]["config"] = {"solver_optimize": False, "loop_reuse": False}
+    with open(store.record_path(record.id), "w") as handle:
+        json.dump(stored, handle)
+
+    reference = report_to_dict(
+        run_scenario(
+            make_workload(FAST_SPEC["workload"], FAST_SPEC["size"]),
+            FAST_SPEC["algorithm"],
+        )
+    )
+    service = ServiceThread(data_dir)
+    try:
+        done = service.wait_terminal(record.id, timeout=60)
+        assert done["state"] == "done"
+        assert done["digest"] == record.digest
+        status, report = service.request("GET", f"/v1/runs/{record.id}/report")
+        assert status == 200
+        for field in PINNED_FIELDS:
+            assert report[field] == reference[field], field
+    finally:
+        service.stop()

@@ -211,6 +211,13 @@ class TestRejections:
         assert status == 400
         assert "JSON" in out["error"] or "object" in out["error"]
 
+    def test_retired_config_fields_are_400(self, service):
+        for key in ("solver_optimize", "loop_reuse"):
+            spec = dict(FAST_SPEC, config={key: False})
+            status, out = service.submit(spec)
+            assert status == 400, out
+            assert key in out["error"]
+
     def test_unknown_routes_and_methods(self, service):
         assert service.request("GET", "/v1/runs/zzzz")[0] == 404
         assert service.request("GET", "/nope")[0] == 404

@@ -48,6 +48,26 @@ class TestRecords:
             handle.write("{ half a json")
         assert store.load(record.id) is None
 
+    def test_record_with_retired_config_fields_still_loads(self, tmp_path):
+        """A record naming engine switches that no longer exist keeps its
+        job: the stale keys are dropped, the stored id and digest kept."""
+        store = RunStore(tmp_path)
+        record = store.allocate(make_spec(), client="c1")
+        with open(store.record_path(record.id)) as handle:
+            stored = json.load(handle)
+        stored["spec"]["config"] = {
+            "solver_optimize": False,
+            "loop_reuse": True,
+            "max_states": 50,
+        }
+        with open(store.record_path(record.id), "w") as handle:
+            json.dump(stored, handle)
+        loaded = store.load(record.id)
+        assert loaded is not None
+        assert loaded.id == record.id and loaded.digest == record.digest
+        assert loaded.spec.config == {"max_states": 50}
+        assert [r.id for r in store.list_records()] == [record.id]
+
     def test_path_traversal_ids_rejected(self, tmp_path):
         store = RunStore(tmp_path)
         assert store.load("../../etc/passwd") is None

@@ -1,10 +1,14 @@
 """ConstraintSet: structural sharing, memoized analysis, identity,
 pickling, and the no-per-query-materialization guarantee."""
 
+import itertools
 import pickle
 import tracemalloc
 
-from repro.expr import bv, eq, ne, ult, var
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.expr import add, bv, eq, evaluate, ne, ult, var
 from repro.solver import EMPTY, ConstraintSet, Model, Solver, as_constraint_set
 
 X = var("x")
@@ -163,3 +167,78 @@ class TestAllocationRegression:
         # magnitude (the absolute term absorbs allocator jitter on what
         # are sub-kilobyte numbers).
         assert large < small * 3 + 2048, (small, large)
+
+
+# 3-bit variables keep brute force over every assignment cheap.
+X3 = var("x3", 3)
+Y3 = var("y3", 3)
+Z3 = var("z3", 3)
+
+#: Conjunct shapes, by how they relate to the equalities on x3/y3.
+_CHAIN_BUILDERS = {
+    "equality": [lambda c: eq(X3, bv(c, 3)), lambda c: eq(Y3, bv(c, 3))],
+    "shared": [
+        lambda c: ult(X3, bv(c, 3)),
+        lambda c: ne(Y3, bv(c, 3)),
+        lambda c: ult(add(X3, Y3), bv(c, 3)),
+        lambda c: eq(add(X3, Z3), bv(c, 3)),
+    ],
+    "disjoint": [lambda c: ult(Z3, bv(c, 3)), lambda c: ne(Z3, bv(c, 3))],
+}
+
+
+@st.composite
+def _chains(draw):
+    length = draw(st.integers(min_value=1, max_value=6))
+    chain = []
+    for _ in range(length):
+        kind = draw(st.sampled_from(sorted(_CHAIN_BUILDERS)))
+        builder = draw(st.sampled_from(_CHAIN_BUILDERS[kind]))
+        chain.append(builder(draw(st.integers(min_value=0, max_value=7))))
+    return chain
+
+
+def _satisfiable_prefixes(chain):
+    """Brute force: which prefix lengths of ``chain`` have a model."""
+    sat = [False] * (len(chain) + 1)
+    for x, y, z in itertools.product(range(8), repeat=3):
+        env = {"x3": x, "y3": y, "z3": z}
+        held = 0
+        while held < len(chain) and evaluate(chain[held], env):
+            held += 1
+        for length in range(held + 1):
+            sat[length] = True
+    return sat
+
+
+class TestDeltaCanonicalization:
+    """An equality-introducing conjunct re-simplifies only the inherited
+    conjuncts that share its variables (the delta path); verdicts must
+    still match brute force over the raw chain."""
+
+    def test_delta_leaves_disjoint_conjuncts_untouched(self):
+        solver = Solver()
+        disjoint = ult(Z3, bv(3, 3))
+        cs = (
+            EMPTY.extended(ult(X3, bv(5, 3)))
+            .extended(disjoint)
+            .extended(ult(add(X3, Y3), bv(6, 3)))
+            .extended(eq(X3, bv(2, 3)))
+        )
+        model = solver.check(cs)
+        assert model is not None and model.satisfies(cs.raw())
+        assert solver.stats_dict()["simplify.delta"] == 1
+        assert disjoint in cs.canonical()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_chains())
+    def test_verdicts_match_brute_force(self, chain):
+        solver = Solver()
+        expected = _satisfiable_prefixes(chain)
+        node = EMPTY
+        for length, conjunct in enumerate(chain, start=1):
+            node = node.extended(conjunct)
+            model = solver.check(node)
+            assert (model is not None) == expected[length], node.raw()
+            if model is not None:
+                assert model.satisfies(node.raw())

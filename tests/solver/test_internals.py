@@ -119,15 +119,6 @@ class TestCacheTierAccounting:
         assert hit and result is None
         assert cache.stats.cex_hits == 1 and cache.last_outcome == "cex"
 
-    def test_untriered_cache_has_no_cex_tier(self):
-        cache = SolverCache(tiered=False)
-        unsat_core = SolverCache.key([eq(A, bv(1)), eq(A, bv(2))])
-        cache.store(unsat_core, None)
-        superset = SolverCache.key([eq(A, bv(1)), eq(A, bv(2)), ult(B, bv(9))])
-        hit, _ = cache.lookup(superset, frozenset([A, B]))
-        assert not hit
-        assert cache.stats.cex_hits == 0 and cache.stats.misses == 1
-
     def test_each_tier_books_exactly_one_counter(self):
         cache = SolverCache()
         key = SolverCache.key([ult(A, bv(10))])

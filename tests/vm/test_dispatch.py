@@ -1,8 +1,9 @@
 """Interpreter dispatch: pre-decoding, superinstruction fusion, and
-threaded-vs-baseline bit-identity.
+fused-vs-unfused bit-identity.
 
-The threaded interpreter (handler table + superinstructions) must be an
-implementation detail: identical final memory, identical instruction
+Superinstructions must be an implementation detail of the threaded
+interpreter: the unfused base-ISA decoding is the baseline, with
+identical final memory, identical instruction
 counts, identical visited-pc coverage, identical forks and path
 constraints.  Fusion is slot-preserving — a fused instruction occupies
 the first constituent's slot and the remaining slots keep the original
@@ -136,19 +137,8 @@ class TestConcreteEquivalence:
         )
 
     def test_threaded_matches_baseline(self):
-        fused = self._ab()
-        unfused = self._ab(fuse_ops=False)
-        baseline = self._ab(table_dispatch=False)
-        assert fused == unfused == baseline
-
-    def test_step_uses_base_isa_granularity(self):
-        program = compile_source(COUNT_LOOP)
-        executor = Executor(program, Solver())
-        state = executor.make_initial_state(0)
-        executor.start_event(state, "main", [3])
-        steps_before = state.steps
-        executor.step(state)
-        assert state.steps == steps_before + 1  # one instruction, not a pair
+        """Fused dispatch == the unfused base-ISA baseline."""
+        assert self._ab() == self._ab(fuse_ops=False)
 
 
 class TestSymbolicEquivalence:
@@ -170,8 +160,7 @@ class TestSymbolicEquivalence:
 
     def test_forks_and_constraints_identical(self):
         fused_paths, fused_instr = self._paths()
-        base_paths, base_instr = self._paths(table_dispatch=False)
         unfused_paths, unfused_instr = self._paths(fuse_ops=False)
-        assert fused_paths == base_paths == unfused_paths
+        assert fused_paths == unfused_paths
         assert [p for p, _ in fused_paths] == [1, 2, 3, 4]
-        assert fused_instr == base_instr == unfused_instr
+        assert fused_instr == unfused_instr
