@@ -1,8 +1,7 @@
 """State-space reduction benchmarks (symmetry + POR, ``docs/REDUCTION.md``).
 
-One A/B gate on the same 3-node symbolic flood that ``bench_engine`` and
-``bench_solver`` use, so wall-clock numbers stay comparable across bench
-files:
+One A/B gate on the same 3-node symbolic flood that ``bench_solver``
+times, so wall-clock numbers stay comparable across bench files:
 
 - reduction **off** (the default configuration every other bench runs);
 - reduction **on** (``symmetry=True, por=True``).

@@ -5,23 +5,25 @@ Usage::
     python benchmarks/check_trend.py BENCH_solver.json [baseline.json]
 
 The baseline (default: ``benchmarks/baselines/<same name>``) pins the
-*gated* keys — scale-free ratios and deterministic counts that should not
-drift with runner hardware — each with the direction that counts as
-better::
+*gated* keys — scale-free ratios, deterministic counts and *calibrated*
+wall-clock numbers, none of which should drift with runner hardware —
+each with the direction that counts as better::
 
     {
       "gates": {
-        "solver_group_reduction_pct": {"direction": "higher", "value": 52.3}
+        "flood_wall_calibrated_s": {"direction": "lower", "value": 3.7}
       },
       "recorded": { ... the full artifact the baseline was cut from ... }
     }
 
+Calibrated keys (``*_calibrated*``) are wall-clock times or rates scaled
+to a reference host by the calibration loop of ``benchmarks.ladder.child``
+(timed before and after the measurement), so they are gated like counts.
 A gated key failing by more than ``TOLERANCE`` (25% adverse change, the
-same headroom the bench asserts use for CI jitter) fails the check; a
-gated key missing from the fresh artifact fails immediately — silently
-dropping a measurement is how perf gates rot.  Wall-clock keys stay
-ungated (they track runner hardware, and the benches themselves hold the
-speedup bars); they are still printed for the log.  A fresh key that the
+headroom left for CI jitter) fails the check; a gated key missing from
+the fresh artifact fails immediately — silently dropping a measurement
+is how perf gates rot.  Raw wall-clock keys stay ungated (they track
+runner hardware); they are still printed for the log.  A fresh key that the
 baseline's ``recorded`` section has never seen is printed as a
 ``WARNING`` line — not a failure, but a prompt to refresh the baseline —
 so new measurements cannot slip past review unnoticed.
