@@ -1,4 +1,4 @@
-"""Symmetry + partial-order reduction over the SDS frontier (ROADMAP item 3).
+"""Symmetry + partial-order reduction over the SDS frontier.
 
 Every workload this reproduction runs is maximally symmetric — grids,
 lines and rings of *identical* programs — yet the engine explores each
@@ -36,6 +36,7 @@ conservative analysis cannot certify.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..expr.ast import BoolConst, BVConst, BVVar
@@ -117,18 +118,6 @@ def node_orbit(node: int, autos: Sequence[Tuple[int, ...]]) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _IdentityPerm:
-    """The identity permutation over any index (no fixed length)."""
-
-    __slots__ = ()
-
-    def __getitem__(self, index: int) -> int:
-        return index
-
-
-_IDENTITY = _IdentityPerm()
-
-
 class _Canon:
     """Order-of-first-appearance renaming of symbolic variable names.
 
@@ -200,26 +189,33 @@ def _live_variables(state: ExecutionState) -> Set:
     return live
 
 
-def _serialize_packet(packet: Packet, perm, canon: _Canon, out: List) -> None:
-    out.append(("pkt", perm[packet.src]))
+def _serialize_packet(
+    packet: Packet, canon: _Canon, out: List, slots: List[int]
+) -> None:
+    slots.append(len(out))
+    out.append(("pkt", packet.src))
     for cell in packet.payload:
         _serialize_cell(cell, canon, out)
 
 
-def _serialize_state(
-    state: ExecutionState, perm: Tuple[int, ...], canon: _Canon
-) -> List:
+def _serialize_state(state: ExecutionState, canon: _Canon, slots: List[int]) -> List:
     """One flat, hashable-token serialization of an idle state's
-    configuration under node relabelling ``perm``.
+    configuration, with node ids as they are.
 
-    Includes: node (relabelled), status, guest memory, pending events in
-    deterministic order (timer liveness instead of absolute generations,
-    packet sources relabelled), and the live-projected canonical
-    constraint groups.  Excludes: sid, pc/stacks (empty between events),
-    clock (event times are absolute), communication history and symbolic
-    counters (future names are alpha-erased anyway).
+    Includes: node, status, guest memory, pending events in deterministic
+    order (timer liveness instead of absolute generations), and the
+    live-projected canonical constraint groups.  Excludes: sid, pc/stacks
+    (empty between events), clock (event times are absolute),
+    communication history and symbolic counters (future names are
+    alpha-erased anyway).
+
+    The only node ids in the stream are the ``("node", n)`` token at
+    index 0 and the ``("pkt", src)`` token of every pending packet; their
+    positions are appended to ``slots`` so a node relabelling can be
+    applied afterwards (see :func:`_canonical_form`).
     """
-    out: List = [("node", perm[state.node]), ("status", state.status)]
+    slots.append(0)
+    out: List = [("node", state.node), ("status", state.status)]
     out.append("mem")
     for cell in state.memory:
         _serialize_cell(cell, canon, out)
@@ -227,7 +223,7 @@ def _serialize_state(
     for event in state.events:
         if event.kind == Event.RECV:
             out.append(("recv", event.time))
-            _serialize_packet(event.data, perm, canon, out)
+            _serialize_packet(event.data, canon, out, slots)
         elif event.kind == Event.TIMER:
             live = event.generation == state.timer_generations.get(event.data, 0)
             out.append(("timer", event.time, event.data, live))
@@ -249,26 +245,49 @@ def _serialize_state(
     return out
 
 
+def _canonical_form(
+    state: ExecutionState,
+    perms: Optional[Sequence[Tuple[int, ...]]],
+    packet: Optional[Packet] = None,
+) -> Optional[tuple]:
+    """The minimal serialization of ``state`` (then ``packet``, if given)
+    over the node relabellings ``perms``, in one serialization walk.
+
+    ``perms=None`` keeps node ids as they are.  A relabelling changes
+    only the node and packet-source slots: alpha-renaming follows the
+    order of first appearance, which no relabelling moves, and memory,
+    timers and constraint groups hold no node ids.  So all candidate
+    streams agree outside the slots, and the lexicographically least one
+    is the walk with its slots patched by the permutation whose images
+    of the slot ids, in slot order, are least.
+    """
+    if len(state.constraints) > MAX_FINGERPRINT_CONJUNCTS:
+        return None
+    canon = _Canon()
+    slots: List[int] = []
+    tokens = _serialize_state(state, canon, slots)
+    if packet is not None:
+        _serialize_packet(packet, canon, tokens, slots)
+    if perms is not None:
+        ids = [tokens[pos][1] for pos in slots]
+        best = min(perms, key=itemgetter(*ids))
+        for pos, node in zip(slots, ids):
+            tokens[pos] = (tokens[pos][0], best[node])
+    return tuple(tokens)
+
+
 def state_fingerprint(
     state: ExecutionState, perm: Optional[Tuple[int, ...]] = None
 ) -> Optional[tuple]:
     """The alpha-renamed configuration fingerprint of one idle state."""
-    if len(state.constraints) > MAX_FINGERPRINT_CONJUNCTS:
-        return None
-    if perm is None:
-        perm = _IDENTITY
-    return tuple(_serialize_state(state, perm, _Canon()))
+    return _canonical_form(state, None if perm is None else (perm,))
 
 
 def canonical_state_form(
     state: ExecutionState, autos: Sequence[Tuple[int, ...]]
 ) -> Optional[tuple]:
     """The minimal fingerprint over the given permutations."""
-    if len(state.constraints) > MAX_FINGERPRINT_CONJUNCTS:
-        return None
-    return min(
-        tuple(_serialize_state(state, perm, _Canon())) for perm in autos
-    )
+    return _canonical_form(state, autos)
 
 
 def permute_state(state: ExecutionState, perm: Tuple[int, ...]) -> ExecutionState:
@@ -550,14 +569,13 @@ class StateReducer:
 
     # -- fingerprinting -----------------------------------------------------
 
-    def _fingerprint(self, state: ExecutionState) -> Optional[tuple]:
-        perms = self._stabilizers[state.node]
-        if len(state.constraints) > MAX_FINGERPRINT_CONJUNCTS:
-            return None
-        self.stats.fingerprints += 1
-        return min(
-            tuple(_serialize_state(state, perm, _Canon())) for perm in perms
-        )
+    def _fingerprint(
+        self, state: ExecutionState, packet: Optional[Packet] = None
+    ) -> Optional[tuple]:
+        fingerprint = _canonical_form(state, self._stabilizers[state.node], packet)
+        if fingerprint is not None:
+            self.stats.fingerprints += 1
+        return fingerprint
 
     def orbit_count(self) -> int:
         return len(self.seen)
@@ -649,18 +667,7 @@ class StateReducer:
     def _delivery_key(
         self, state: ExecutionState, packet: Packet
     ) -> Optional[tuple]:
-        if len(state.constraints) > MAX_FINGERPRINT_CONJUNCTS:
-            return None
-        self.stats.fingerprints += 1
-        best = None
-        for perm in self._stabilizers[state.node]:
-            canon = _Canon()
-            tokens = _serialize_state(state, perm, canon)
-            _serialize_packet(packet, perm, canon, tokens)
-            candidate = tuple(tokens)
-            if best is None or candidate < best:
-                best = candidate
-        return best
+        return self._fingerprint(state, packet)
 
     # -- reporting -----------------------------------------------------------
 

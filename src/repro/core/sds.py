@@ -242,11 +242,20 @@ class SDSMapper(StateMapper):
             twin = twins.get(target.sid)
             if twin is None:
                 continue
-            for vt in list(self._virtuals[target.sid]):
-                if vt.dstate.id not in delivery_dstate_ids:
-                    self._virtuals[target.sid].remove(vt)
+            # One order-preserving pass: snapshot_groups relies on the
+            # per-sid virtual order.
+            virtuals = self._virtuals[target.sid]
+            keep: List[VirtualState] = []
+            moved: List[VirtualState] = []
+            for vt in virtuals:
+                if vt.dstate.id in delivery_dstate_ids:
+                    keep.append(vt)
+                else:
                     vt.actual = twin
-                    self._virtuals.setdefault(twin.sid, []).append(vt)
+                    moved.append(vt)
+            virtuals[:] = keep
+            if moved:
+                self._virtuals.setdefault(twin.sid, []).extend(moved)
 
         return targets
 

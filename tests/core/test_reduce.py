@@ -6,7 +6,8 @@ Four layers:
   orbits, closure);
 - the canonicalization property — ``canonicalize(permute(s)) ==
   canonicalize(s)`` for random reachable states under random
-  automorphisms (hypothesis);
+  automorphisms (hypothesis) — and the one-walk canonical form checked
+  against a per-permutation reference serializer;
 - the static receive-handler certification that guards POR;
 - the reducer wired into the engine: pruning/sleeping/waking counters,
   verdict preservation, the uncertified-handler self-disable, and
@@ -23,7 +24,13 @@ from repro.api import (
     Topology,
     build_engine,
 )
+from repro.core import reduce
 from repro.core.reduce import (
+    StateReducer,
+    _Canon,
+    _live_variables,
+    _serialize_cell,
+    _serialize_expr,
     analyze_recv_handler,
     automorphisms,
     canonical_state_form,
@@ -36,6 +43,9 @@ from repro.core.reduce import (
 from repro.expr import add, bv, var
 from repro.lang import compile_source
 from repro.net.packet import Packet
+from repro.vm.state import Event
+
+from benchmarks.ladder.workloads import runs_for
 
 #: Symbolic readings guarded by assertions: every reception forks on the
 #: solver and one branch violates, so runs report real verdicts.
@@ -167,6 +177,170 @@ class TestCanonicalInvariance:
             assert state_fingerprint(state, identity) == state_fingerprint(
                 state
             )
+
+
+# ---------------------------------------------------------------------------
+# One serialization walk per canonical form
+# ---------------------------------------------------------------------------
+
+
+def _reference_serialize_packet(packet, perm, canon, out):
+    out.append(("pkt", perm[packet.src]))
+    for cell in packet.payload:
+        _serialize_cell(cell, canon, out)
+
+
+def _reference_serialize_state(state, perm, canon):
+    """The serialization under node relabelling ``perm``, written out in
+    full for every permutation: the reference the one-walk form must
+    equal token for token."""
+    out = [("node", perm[state.node]), ("status", state.status)]
+    out.append("mem")
+    for cell in state.memory:
+        _serialize_cell(cell, canon, out)
+    out.append("events")
+    for event in state.events:
+        if event.kind == Event.RECV:
+            out.append(("recv", event.time))
+            _reference_serialize_packet(event.data, perm, canon, out)
+        elif event.kind == Event.TIMER:
+            live = event.generation == state.timer_generations.get(event.data, 0)
+            out.append(("timer", event.time, event.data, live))
+        else:
+            out.append((event.kind, event.time))
+    out.append("constraints")
+    live = _live_variables(state)
+    groups = []
+    for conjuncts, variables in state.constraints.partition_groups():
+        if live and not variables.isdisjoint(live):
+            group_out = []
+            group_canon = _Canon(canon)
+            for conjunct in conjuncts:
+                _serialize_expr(conjunct, group_canon, group_out)
+            groups.append(tuple(group_out))
+    out.extend(sorted(groups))
+    return out
+
+
+def _reference_form(state, perms, packet=None):
+    """The minimum over ``perms`` of one full serialization each."""
+    best = None
+    for perm in perms:
+        canon = _Canon()
+        tokens = _reference_serialize_state(state, perm, canon)
+        if packet is not None:
+            _reference_serialize_packet(packet, perm, canon, tokens)
+        candidate = tuple(tokens)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+#: GUARDED with every node's timer at the same instant, so all nodes
+#: broadcast together and states hold several pending receptions from
+#: distinct sources — the case where the packet-source slots, not just
+#: the node slot, decide the canonical relabelling.
+SIMULTANEOUS = GUARDED.replace("40 + node_id() * 7", "40")
+
+_WALK_TOPOLOGIES = [
+    Topology.full_mesh(4),
+    Topology.ring(4),
+    Topology.grid(2, 2),
+    Topology.line(3),
+]
+_INPUT_CACHE = {}
+
+
+def _pending_sources(state):
+    return {e.data.src for e in state.events if e.kind == Event.RECV}
+
+
+def _reducer_inputs(index):
+    """The states and packets a reduced SIMULTANEOUS run fingerprints.
+
+    Returns ``(reducer, states, multi, packets)``: a fresh reducer for
+    the topology, copies of every fingerprinted state, those among them
+    with pending receptions from at least two sources, and every packet
+    the run fingerprinted (delivered or pending)."""
+    if index not in _INPUT_CACHE:
+        topology = _WALK_TOPOLOGIES[index]
+        captured = []
+        original = StateReducer._fingerprint
+
+        def capture(self, state, packet=None):
+            captured.append((state.fork(), packet))
+            return original(self, state, packet)
+
+        StateReducer._fingerprint = capture
+        try:
+            build_engine(
+                Scenario(
+                    name=f"simultaneous-{topology.name}",
+                    program=SIMULTANEOUS,
+                    topology=topology,
+                    horizon_ms=300,
+                ),
+                "sds",
+                symmetry=True,
+                por=True,
+            ).run()
+        finally:
+            StateReducer._fingerprint = original
+        states = [state for state, _ in captured]
+        packets = [packet for _, packet in captured if packet is not None]
+        for state in states:
+            packets.extend(
+                e.data for e in state.events if e.kind == Event.RECV
+            )
+        _INPUT_CACHE[index] = (
+            StateReducer(topology, compile_source(SIMULTANEOUS)),
+            states,
+            [state for state in states if len(_pending_sources(state)) >= 2],
+            packets,
+        )
+    return _INPUT_CACHE[index]
+
+
+class TestOneWalkCanonicalForm:
+    def test_multi_source_states_are_drawn(self):
+        _, _, multi, packets = _reducer_inputs(0)
+        assert len(multi) >= 5 and packets
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_equals_per_permutation_reference(self, data):
+        index = data.draw(
+            st.integers(min_value=0, max_value=len(_WALK_TOPOLOGIES) - 1)
+        )
+        reducer, states, multi, packets = _reducer_inputs(index)
+        pool = multi if multi and data.draw(st.booleans()) else states
+        state = pool[data.draw(st.integers(0, len(pool) - 1))]
+        packet = packets[data.draw(st.integers(0, len(packets) - 1))]
+        stabilizer = reducer._stabilizers[state.node]
+
+        walks = []
+        walk = reduce._serialize_state
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reduce, "_serialize_state", counted)
+            fingerprint = reducer._fingerprint(state)
+            assert len(walks) == 1
+            delivery_key = reducer._delivery_key(state, packet)
+            assert len(walks) == 2
+            canonical = canonical_state_form(state, reducer.autos)
+            assert len(walks) == 3
+            identity = state_fingerprint(state)
+            assert len(walks) == 4
+
+        assert fingerprint == _reference_form(state, stabilizer)
+        assert delivery_key == _reference_form(state, stabilizer, packet)
+        assert canonical == _reference_form(state, reducer.autos)
+        node_count = len(reducer.autos[0])
+        assert identity == _reference_form(state, [tuple(range(node_count))])
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +511,27 @@ func on_recv(src, len) {
         assert on.total_states == off.total_states
         assert on.group_count == off.group_count
         assert on.events_executed == off.events_executed
+
+    def test_reduced_flood_counters_are_pinned(self):
+        """The ladder's reduced-flood run: every fingerprint, delivery key
+        and so every park, sleep and wake decision shows up here."""
+        (run,) = runs_for("reduced-flood", 7)
+        report = run.execute(run.scenario())
+        assert (report.total_states, report.group_count) == (4002, 48)
+        counters = report.metrics["counters"]
+        assert {
+            key[len("reduce."):]: value
+            for key, value in counters.items()
+            if key.startswith("reduce.")
+        } == {
+            "fingerprints": 4346,
+            "pruned": 936,
+            "slept_twins": 67,
+            "slept_events": 4482,
+            "woken": 67,
+            "disabled": 0,
+            "orbits": 217,
+        }
 
     def test_reduction_off_exposes_no_counters(self):
         report = build_engine(
