@@ -28,9 +28,11 @@ dissolves).  So the runner cuts only between components:
    off).
 2. Every cut lands on an **event boundary**: all states are quiescent,
    ``scheduler_snapshot`` is exact, and each job is a pickled
-   :class:`WorkerTask` — an engine checkpoint (mapper payload + scheduler
-   order + id watermarks) with the run's :meth:`EngineConfig.worker_variant`
-   — plus a :class:`PathPrefix` summary of the subtree.  The path
+   :class:`~repro.core.snapshot.EngineSnapshot` — the same object a
+   checkpoint writes, restricted to the job's groups, without counters and
+   under the run's :meth:`EngineConfig.worker_variant` — plus a
+   :class:`PathPrefix` summary of the subtree.  A worker answers with its
+   engine's :class:`RunReport`, tagged with the job id.  The path
    constraints travel inside the snapshot (each shipped state carries its
    ``ConstraintSet``), which is what makes the job self-contained.  Every
    worker builds its own :class:`~repro.solver.Solver`; interned
@@ -69,7 +71,6 @@ dies *before* replying simply retries the original job.
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import queue as queue_module
@@ -78,11 +79,9 @@ from abc import ABC, abstractmethod
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..net.packet import ensure_packet_ids_above, packet_id_watermark
 from ..obs.events import TraceEmitter
 from ..obs.metrics import Histogram, report_snapshot
 from ..obs.profile import merge_phase_snapshots
-from ..vm.state import ensure_state_ids_above, state_id_watermark
 from .engine import RunReport, SDEEngine
 from .partition import (
     Partition,
@@ -97,6 +96,7 @@ from .resilience import (
     chaos_kill_requested,
     raise_worker_failure,
 )
+from .snapshot import EngineSnapshot
 from .stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION, Sample, process_rss_bytes
 
 __all__ = [
@@ -106,10 +106,7 @@ __all__ = [
     "MultiprocessTransport",
     "PathPrefix",
     "Transport",
-    "WorkerResult",
-    "WorkerTask",
     "deepen_until_partitioned",
-    "restore_worker_engine",
     "snapshot_assignment_tasks",
 ]
 
@@ -131,190 +128,49 @@ DEFAULT_PROBE_LIMIT_EVENTS = 4096
 STEAL_RETRY_COOLDOWN_SECONDS = 0.5
 
 
-class WorkerTask:
-    """Everything one worker needs to resume its partitions — picklable.
-
-    All engine value-options travel as one :class:`EngineConfig`
-    (already stripped to its worker variant: no checkpointing, no
-    invariant re-checks); the remaining slots are the execution frontier.
-    """
-
-    __slots__ = (
-        "index",
-        "algorithm",
-        "program",
-        "topology",
-        "config",
-        "mapper_payload",
-        "scheduler_entries",
-        "clock_now",
-        "state_watermark",
-        "packet_watermark",
-        "broadcast_watermark",
-        "trace",
-    )
-
-    def __init__(self, **fields) -> None:
-        for slot in self.__slots__:
-            setattr(self, slot, fields.pop(slot))
-        if fields:
-            raise TypeError(f"unknown WorkerTask fields {sorted(fields)}")
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-
-class WorkerResult:
-    """One worker's contribution to the merged report — picklable."""
-
-    __slots__ = (
-        "index",
-        "runtime_seconds",
-        "virtual_ms",
-        "events_executed",
-        "instructions",
-        "total_states",
-        "active_states",
-        "error_states",
-        "group_count",
-        "mapping_stats",
-        "solver_queries",
-        "accounted_bytes",
-        "census",
-        "aborted",
-        "abort_reason",
-        "cache_stats",
-        "solver_stats",
-        "net_stats",
-        "reduce_stats",
-        "phases",
-        "histograms",
-        "events",
-    )
-
-    def __init__(
-        self,
-        task: WorkerTask,
-        report: RunReport,
-        census: Dict[int, int],
-        events: Optional[List[dict]] = None,
-    ):
-        self.index = task.index
-        self.runtime_seconds = report.runtime_seconds
-        self.virtual_ms = report.virtual_ms
-        self.events_executed = report.events_executed
-        self.instructions = report.instructions
-        self.total_states = report.total_states
-        self.active_states = report.active_states
-        self.error_states = list(report.error_states)
-        self.group_count = report.group_count
-        self.mapping_stats = dict(report.mapping_stats)
-        self.solver_queries = report.solver_queries
-        self.accounted_bytes = report.accounted_bytes
-        self.census = dict(census)
-        self.aborted = report.aborted
-        self.abort_reason = report.abort_reason
-        self.cache_stats = report.cache_stats
-        self.solver_stats = dict(report.solver_stats)
-        self.net_stats = dict(report.net_stats)
-        self.reduce_stats = dict(getattr(report, "reduce_stats", {}) or {})
-        self.phases = dict(report.phases)
-        self.histograms = dict(report.histograms)
-        self.events = list(events or [])
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
-
-def restore_worker_engine(task: WorkerTask) -> SDEEngine:
-    """Build a fresh engine hosting the task's partitions, mid-run.
-
-    The engine gets its own solver and a fresh mapper of the run's
-    algorithm; the mapper payload re-installs the shipped dstates and the
-    scheduler is re-seeded with the captured ``(time, sid)`` entries in
-    their sequential pop order.  Id counters are advanced past the parent
-    run's watermarks so locally created states/packets never collide with
-    shipped ones.
-    """
-    from .scenario import make_mapper
-
-    mapper = make_mapper(task.algorithm)
-    engine = SDEEngine(
-        task.program,
-        task.topology,
-        mapper,
-        task.config,
-        trace=TraceEmitter(worker=task.index) if task.trace else None,
-    )
-    engine._started = True  # resuming: the boot states already exist
-    mapper.restore_groups(task.mapper_payload)
-    for group in mapper.groups():
-        for states in group.values():
-            for state in states:
-                engine.states[state.sid] = state
-    engine.clock.advance_to(task.clock_now)
-    for event_time, sid in task.scheduler_entries:
-        engine.scheduler.push(event_time, sid)
-    ensure_state_ids_above(task.state_watermark)
-    ensure_packet_ids_above(task.packet_watermark)
-    engine._broadcast_ids = itertools.count(task.broadcast_watermark + 1)
-    return engine
-
-
 def _bundle_groups(bundle: Sequence[Partition]) -> List[int]:
     return [index for partition in bundle for index in partition.group_indices]
 
 
-def snapshot_assignment_tasks(
-    engine: SDEEngine, assignment: Sequence[Sequence[Partition]], trace: bool
-) -> List[WorkerTask]:
-    """Build one :class:`WorkerTask` per partition bundle.
+def _bundle_sids(bundle: Sequence[Partition]) -> set:
+    return {sid for partition in bundle for sid in partition.state_sids}
 
-    The shared snapshot step of every cut: capture the scheduler order and
-    id watermarks once, then ship each bundle its mapper payload and the
-    scheduler entries of its own states.  Used both for the initial cut
-    and for a donor's steal split (which is just another cut, taken
+
+def snapshot_assignment_tasks(
+    engine: SDEEngine, assignment: Sequence[Sequence[Partition]]
+) -> List[EngineSnapshot]:
+    """Capture one :class:`EngineSnapshot` per partition bundle.
+
+    The shared step of every cut: capture the scheduler order once, then
+    ship each bundle its mapper groups and the scheduler entries of its
+    own states, under the run's worker config.  Used both for the initial
+    cut and for a donor's steal split (which is just another cut, taken
     mid-run inside a worker).
     """
     scheduler_entries = engine.scheduler_snapshot()
-    state_watermark = state_id_watermark()
-    packet_watermark = packet_id_watermark()
-    broadcast_watermark = next(engine._broadcast_ids)
-
-    tasks: List[WorkerTask] = []
-    for index, bundle in enumerate(assignment):
-        sids = set()
-        for partition in bundle:
-            sids.update(partition.state_sids)
-        tasks.append(
-            WorkerTask(
-                index=index,
-                algorithm=engine.mapper.name,
-                program=engine.program,
-                topology=engine.topology,
-                config=engine.config.worker_variant(),
-                mapper_payload=engine.mapper.snapshot_groups(
-                    _bundle_groups(bundle)
-                ),
-                scheduler_entries=[
-                    entry for entry in scheduler_entries if entry[1] in sids
-                ],
-                clock_now=engine.clock.now,
-                state_watermark=state_watermark,
-                packet_watermark=packet_watermark,
-                broadcast_watermark=broadcast_watermark,
-                trace=trace,
+    config = engine.config.worker_variant()
+    snapshots: List[EngineSnapshot] = []
+    for bundle in assignment:
+        sids = _bundle_sids(bundle)
+        snapshots.append(
+            EngineSnapshot.capture(
+                engine,
+                _bundle_groups(bundle),
+                [entry for entry in scheduler_entries if entry[1] in sids],
+                config=config,
             )
         )
-    return tasks
+    return snapshots
+
+
+def _job_report(engine: SDEEngine, job_id: int) -> RunReport:
+    """The worker engine's report, tagged for the coordinator's merge."""
+    engine._sample_and_check_caps(force=True)
+    report = RunReport(engine)
+    report.job_id = job_id
+    report.census = engine.state_census()
+    report.trace_events = engine.trace.events if engine.trace is not None else []
+    return report
 
 
 class PathPrefix:
@@ -354,9 +210,7 @@ class PathPrefix:
 
 def _path_prefix(engine: SDEEngine, bundle: Sequence[Partition]) -> PathPrefix:
     """Build the :class:`PathPrefix` for one bundle of partitions."""
-    sids = set()
-    for partition in bundle:
-        sids.update(partition.state_sids)
+    sids = _bundle_sids(bundle)
     conjuncts = 0
     for sid in sids:
         state = engine.states.get(sid)
@@ -436,11 +290,14 @@ def deepen_until_partitioned(
 #     ("stop", )                                exit the worker loop
 #
 #   worker -> coordinator:
-#     ("done", worker, job_id, WorkerResult)    terminal result for job_id
-#     ("steal_reply", worker, job_id, partial_result, kept_payload,
+#     ("done", worker, job_id, RunReport)       terminal report for job_id
+#     ("steal_reply", worker, job_id, partial_report, kept_payload,
 #       [(payload, PathPrefix), ...])           donor split: flow-only slice
-#                                               result + its continuation +
+#                                               report + its continuation +
 #                                               the stolen jobs
+#
+#   Every payload is a pickled EngineSnapshot; every RunReport carries the
+#   job_id, census and trace_events tags of _job_report.
 #     ("steal_deny", worker, job_id)            single component, can't split
 #     ("fail", worker, job_id, WorkerFailure)   worker survived an exception
 
@@ -495,62 +352,54 @@ def _execute_job(
     The engine advances in ``steal_check_events``-sized slices; between
     slices (an event boundary — states quiescent, snapshot exact) the
     worker polls for a steal request.  Granting one means: snapshot *all*
-    local partitions, ship a flow-only partial result plus the stolen half
+    local partitions, ship a flow-only partial report plus the stolen half
     plus our own continuation payload in a single atomic reply, then
     resume from the continuation.  The reply is self-delimiting: even if
     this worker dies right after sending it, the coordinator can finish
     the subtree from the kept/stolen payloads alone.
     """
     while True:
-        task: WorkerTask = pickle.loads(payload)
-        task.index = job_id  # result/trace attribution is coordinator-side
-        engine = restore_worker_engine(task)
-        image_cost = PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(task.program.code)
-        stolen = None
+        snapshot: EngineSnapshot = pickle.loads(payload)
+        engine = snapshot.restore(
+            TraceEmitter(worker=job_id) if snapshot.trace is not None else None
+        )
+        image_cost = PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(engine.program.code)
         while True:
             target = engine.events_executed + steal_check_events
             engine.run_until(split_events=target)
             if engine.events_executed < target or engine.aborted:
-                engine._sample_and_check_caps(force=True)
-                events = engine.trace.events if engine.trace is not None else []
-                result = WorkerResult(
-                    task, RunReport(engine), engine.state_census(), events
-                )
-                send(("done", worker_index, job_id, result))
+                send(("done", worker_index, job_id, _job_report(engine, job_id)))
                 return
             if poll_steal is not None and poll_steal():
-                stolen = _split_for_steal(engine, task, job_id, image_cost)
-                if stolen is None:
+                split = _split_for_steal(engine, job_id, image_cost)
+                if split is None:
                     send(("steal_deny", worker_index, job_id))
                     continue
-                partial, kept_payload, stolen_jobs = stolen
+                partial, payload, stolen_jobs = split
                 send(
                     (
                         "steal_reply",
                         worker_index,
                         job_id,
                         partial,
-                        kept_payload,
+                        payload,
                         stolen_jobs,
                     )
                 )
-                payload = kept_payload
                 break  # restart from the kept half
-        if stolen is None:  # pragma: no cover - defensive
-            return
 
 
 def _split_for_steal(
-    engine: SDEEngine, task: WorkerTask, job_id: int, image_cost: int
-) -> Optional[Tuple[WorkerResult, bytes, List[Tuple[bytes, PathPrefix]]]]:
+    engine: SDEEngine, job_id: int, image_cost: int
+) -> Optional[Tuple[RunReport, bytes, List[Tuple[bytes, PathPrefix]]]]:
     """Split a running engine in half; ``None`` when it cannot be split.
 
-    Returns ``(partial_result, kept_payload, stolen_jobs)``.  The partial
-    result covers the donor's slice up to this boundary with *flow*
+    Returns ``(partial_report, kept_payload, stolen_jobs)``.  The partial
+    report covers the donor's slice up to this boundary with *flow*
     counters only: its stock totals are zeroed (and ``accounted_bytes``
     set to the shared-image sentinel) because every state lives on in
-    exactly one of the kept/stolen payloads, whose terminal results will
-    report them.
+    exactly one of the kept/stolen payloads, whose terminal reports will
+    count them.
     """
     partitions = partition_groups(engine.mapper)
     runnable = {sid for _, sid in engine.scheduler_snapshot()}
@@ -568,20 +417,18 @@ def _split_for_steal(
     if not kept or not given:
         return None
     kept = kept + [p for p in partitions if not (p.state_sids & runnable)]
-    kept_task, given_task = snapshot_assignment_tasks(
-        engine, [kept, given], trace=task.trace
+    kept_snapshot, given_snapshot = snapshot_assignment_tasks(
+        engine, [kept, given]
     )
-    engine._sample_and_check_caps(force=True)
-    events = engine.trace.events if engine.trace is not None else []
-    partial = WorkerResult(task, RunReport(engine), {}, events)
+    partial = _job_report(engine, job_id)
     partial.total_states = 0
     partial.active_states = 0
     partial.group_count = 0
     partial.error_states = []
     partial.census = {}
     partial.accounted_bytes = image_cost
-    stolen_jobs = [(pickle.dumps(given_task), _path_prefix(engine, given))]
-    return partial, pickle.dumps(kept_task), stolen_jobs
+    stolen_jobs = [(pickle.dumps(given_snapshot), _path_prefix(engine, given))]
+    return partial, pickle.dumps(kept_snapshot), stolen_jobs
 
 
 def _job_worker_main(
@@ -637,22 +484,8 @@ def _job_worker_main(
                 steal_check_events,
             )
         except BaseException as exc:
-            import traceback
-
-            outbox.put(
-                (
-                    "fail",
-                    worker_index,
-                    job_id,
-                    WorkerFailure(
-                        task_index=job_id,
-                        kind="exception",
-                        message=str(exc),
-                        exc_type=type(exc).__name__,
-                        traceback=traceback.format_exc(),
-                    ),
-                )
-            )
+            failure = WorkerFailure.from_exception(job_id, exc)
+            outbox.put(("fail", worker_index, job_id, failure))
 
 
 class MultiprocessTransport(Transport):
@@ -772,22 +605,8 @@ class InlineTransport(Transport):
         try:
             _execute_job(0, job_id, payload, self._replies.append, None, 1)
         except BaseException as exc:
-            import traceback
-
-            self._replies.append(
-                (
-                    "fail",
-                    0,
-                    job_id,
-                    WorkerFailure(
-                        task_index=job_id,
-                        kind="exception",
-                        message=str(exc),
-                        exc_type=type(exc).__name__,
-                        traceback=traceback.format_exc(),
-                    ),
-                )
-            )
+            failure = WorkerFailure.from_exception(job_id, exc)
+            self._replies.append(("fail", 0, job_id, failure))
 
     def recv(self, timeout: float) -> Optional[tuple]:
         if self._replies:
@@ -869,7 +688,7 @@ class _Coordinator:
             self._enqueue_new(payload, prefix)
         self.pending: deque = deque(sorted(self.payloads))
         self.attempts: Dict[int, int] = {}
-        self.results: List[WorkerResult] = []
+        self.results: List[RunReport] = []
         self.failed: List[WorkerFailure] = []
         self.retries = 0
         self.steal_stats = StealStats()
@@ -1083,16 +902,9 @@ class _Coordinator:
         try:
             result = self.run_inline(job_id, self.payloads[job_id])
         except BaseException as exc:  # noqa: BLE001 - classified below
-            import traceback as traceback_module
-
             self.attempts[job_id] += 1
-            failure = WorkerFailure(
-                task_index=job_id,
-                kind="exception",
-                message=str(exc),
-                exc_type=type(exc).__name__,
-                traceback=traceback_module.format_exc(),
-                attempts=self.attempts[job_id],
+            failure = WorkerFailure.from_exception(
+                job_id, exc, attempts=self.attempts[job_id]
             )
             self._exhaust(job_id, failure)
             return
@@ -1113,7 +925,7 @@ class _Coordinator:
         raise_worker_failure(failure)
 
 
-def _run_job_inline(job_id: int, payload: bytes) -> WorkerResult:
+def _run_job_inline(job_id: int, payload: bytes) -> RunReport:
     """The coordinator's in-process final attempt at a job."""
     replies: List[tuple] = []
     _execute_job(0, job_id, payload, replies.append, None, 1)
@@ -1143,7 +955,8 @@ class DistributedReport:
     ``report_to_dict``/``save_report``) work unchanged on instances of
     this class.  The semantic totals are identical to the sequential run
     for any worker count and any steal timing (see the module docstring).
-    The extras are ``workers``, ``worker_results``, ``prefix_events`` (=
+    The extras are ``workers``, ``worker_results`` (every job's tagged
+    :class:`RunReport`, steal partials included), ``prefix_events`` (=
     ``partition_depth``, the cut in events), ``split_ms`` (the cut's
     virtual time, ``None`` for an event-count cut), ``partition_count``,
     ``projected`` (the LPT-projected speedup), ``jobs_dispatched``, the
@@ -1156,7 +969,7 @@ class DistributedReport:
         *,
         prefix: RunReport,
         prefix_census: Dict[int, int],
-        worker_results: List[WorkerResult],
+        worker_results: List[RunReport],
         image_cost: int,
         partitions: List[Partition],
         workers: int,
@@ -1189,8 +1002,8 @@ class DistributedReport:
         self.failed_partitions = list(failed_partitions)
         self.retries = retries
         self.partial = bool(self.failed_partitions)
-        self.checkpoints_written = getattr(prefix, "checkpoints_written", 0)
-        self.resumed = getattr(prefix, "resumed", False)
+        self.checkpoints_written = prefix.checkpoints_written
+        self.resumed = prefix.resumed
 
         results = self.worker_results
         self.aborted = prefix.aborted or any(w.aborted for w in results)
@@ -1257,8 +1070,7 @@ class DistributedReport:
         )
         self.net_stats = _sum_dicts([prefix.net_stats] + [w.net_stats for w in results])
         self.reduce_stats = _sum_dicts(
-            [getattr(prefix, "reduce_stats", {}) or {}]
-            + [getattr(w, "reduce_stats", {}) or {} for w in results]
+            [prefix.reduce_stats] + [w.reduce_stats for w in results]
         )
         cache_parts = [
             part
@@ -1444,12 +1256,10 @@ class DistributedRunner:
                 for bundle in lpt_assign(partitions, self.workers)
                 if bundle
             ]
-            tasks = snapshot_assignment_tasks(
-                engine, assignment, trace=self.trace is not None
-            )
+            snapshots = snapshot_assignment_tasks(engine, assignment)
             jobs = [
-                (pickle.dumps(task), _path_prefix(engine, bundle))
-                for task, bundle in zip(tasks, assignment)
+                (pickle.dumps(snapshot), _path_prefix(engine, bundle))
+                for snapshot, bundle in zip(snapshots, assignment)
             ]
         else:
             partitions = []
@@ -1479,10 +1289,12 @@ class DistributedRunner:
             trace=self.trace,
         )
         coordinator.run()
-        results = sorted(coordinator.results, key=lambda w: (w.index, -w.total_states))
+        results = sorted(
+            coordinator.results, key=lambda w: (w.job_id, -w.total_states)
+        )
         if self.trace is not None:
             for worker in results:
-                self.trace.extend(worker.events)
+                self.trace.extend(worker.trace_events)
             self.trace.emit("worker.merge", workers=len(results))
         return DistributedReport(
             prefix=prefix,

@@ -17,33 +17,34 @@ modes dominate, and this module answers each:
    loss.  With ``allow_partial`` the run degrades gracefully: exhausted
    partitions are reported (with enough information to rerun them)
    instead of aborting the whole run.
-3. **Run loss** — :func:`save_checkpoint` serializes a mid-run engine
-   (mapper payload, scheduler entries, id watermarks, counters, metrics
-   baselines, trace position) to disk atomically with a versioned header
-   and an integrity checksum; :func:`resume_engine` rebuilds the engine
-   so the completed run's report is identical to an uninterrupted one on
-   every deterministic field.
+3. **Run loss** — :func:`save_checkpoint` writes a mid-run
+   :class:`~repro.core.snapshot.EngineSnapshot` with its counters and
+   trace so far to disk atomically, under a versioned header and an
+   integrity checksum; :func:`resume_engine` restores it so the completed
+   run's report is identical to an uninterrupted one on every
+   deterministic field.
 
-The checkpoint payload deliberately reuses the picklable snapshot
-machinery built for distributed execution (``snapshot_groups`` /
-``restore_groups``, scheduler snapshots, id watermarks): a checkpoint is
-morally a :class:`~repro.core.distributed.WorkerTask` covering *all*
-partitions, plus the counter baselines a worker does not need because the
-merge re-adds them.
+A checkpoint is the same snapshot the distributed runner ships for each
+part of a cut, taken over every group and with the counters a worker does
+not need (the merge re-adds the prefix's).  Only what is particular to a
+checkpoint lives here: the config stripped of checkpoint cadence, the
+resume-time config overrides, the file header and integrity check, and
+the ``resumed`` flag with its ``checkpoint.resume`` event.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import pickle
 import random
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..obs.fileio import atomic_write_bytes
+from .snapshot import EngineSnapshot
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -114,6 +115,22 @@ class WorkerFailure:
         self.attempts = attempts
         self.group_indices = tuple(group_indices)
         self.state_count = state_count
+
+    @classmethod
+    def from_exception(
+        cls, task_index: int, exc: BaseException, attempts: int = 0
+    ) -> "WorkerFailure":
+        """An ``exception`` failure that keeps ``exc``'s type and traceback."""
+        return cls(
+            task_index=task_index,
+            kind="exception",
+            message=str(exc),
+            exc_type=type(exc).__name__,
+            traceback="".join(
+                traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+            attempts=attempts,
+        )
 
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in self.__slots__}
@@ -279,76 +296,13 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 3: EngineConfig gained medium/medium_params and ExecutionState
 # gained the link_busy slot — version-2 pickles would deserialize into
 # objects silently missing both, so they are rejected at the header.
-CHECKPOINT_VERSION = 3
+# Version 4: the body is one EngineSnapshot (the object every distributed
+# cut ships too) instead of a flat dict.
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
     """The checkpoint file is missing, corrupt, or incompatible."""
-
-
-def _engine_payload(engine) -> dict:
-    """Everything needed to rebuild ``engine`` mid-run, picklable."""
-    mapper = engine.mapper
-    return {
-        # -- construction parameters --------------------------------------
-        "algorithm": mapper.name,
-        "program": engine.program,
-        "topology": engine.topology,
-        # Checkpoint cadence is NOT inherited: the resumed run only
-        # checkpoints if the caller re-enables it via overrides (the CLI's
-        # --resume does), so a resume into a different path can't silently
-        # keep overwriting the original file.
-        "config": engine.config.replace(
-            checkpoint_path=None,
-            checkpoint_every_events=None,
-            checkpoint_every_seconds=None,
-        ),
-        # -- execution frontier ------------------------------------------
-        "mapper_payload": mapper.snapshot_groups(range(mapper.group_count())),
-        "scheduler_entries": engine.scheduler_snapshot(),
-        "clock_now": engine.clock.now,
-        "state_watermark": _state_watermark(),
-        "packet_watermark": _packet_watermark(),
-        "broadcast_watermark": next(engine._broadcast_ids),
-        # -- counter baselines (so the resumed report matches) -----------
-        "events_executed": engine.events_executed,
-        "instructions": engine.executor.instructions_executed,
-        "solver_queries": engine.solver.queries,
-        "solver_stats": engine.solver.stats_dict(),
-        "conjunct_histogram": engine.solver.conjunct_histogram.data(),
-        "mapping_stats": mapper.stats.as_dict(),
-        "net_stats": engine.medium.stats_dict(),
-        "cache_stats": engine.solver.cache_stats(),
-        "phases": engine.profiler.snapshot(),
-        "samples": list(engine.stats.samples),
-        "checkpoints_written": engine.checkpoints_written,
-        "trace_events": list(engine.trace.events)
-        if engine.trace is not None
-        else [],
-    }
-
-
-def _restore_histogram(histogram, data: dict) -> None:
-    """Load a :meth:`Histogram.data` dict back into a live histogram."""
-    if tuple(data["bounds"]) != histogram.bounds:
-        raise CheckpointError("checkpoint histogram bounds do not match this build")
-    histogram.buckets = list(data["buckets"])
-    histogram.count = data["count"]
-    histogram.total = data["total"]
-    histogram.min = data["min"]
-    histogram.max = data["max"]
-
-
-def _state_watermark() -> int:
-    from ..vm.state import state_id_watermark
-
-    return state_id_watermark()
-
-
-def _packet_watermark() -> int:
-    from ..net.packet import packet_id_watermark
-
-    return packet_id_watermark()
 
 
 def save_checkpoint(engine, path) -> dict:
@@ -359,7 +313,20 @@ def save_checkpoint(engine, path) -> dict:
     so truncated or bit-rotted checkpoints are rejected at load rather
     than producing a silently wrong resume.
     """
-    body = pickle.dumps(_engine_payload(engine), protocol=pickle.HIGHEST_PROTOCOL)
+    snapshot = EngineSnapshot.capture(
+        engine,
+        # Checkpoint cadence is NOT inherited: the resumed run only
+        # checkpoints if the caller re-enables it via overrides (the CLI's
+        # --resume does), so a resume into a different path can't silently
+        # keep overwriting the original file.
+        config=engine.config.replace(
+            checkpoint_path=None,
+            checkpoint_every_events=None,
+            checkpoint_every_seconds=None,
+        ),
+        with_counters=True,
+    )
+    body = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
     header = {
         "version": CHECKPOINT_VERSION,
         "algorithm": engine.mapper.name,
@@ -373,8 +340,8 @@ def save_checkpoint(engine, path) -> dict:
     return header
 
 
-def load_checkpoint(path) -> Tuple[dict, dict]:
-    """Read and verify a checkpoint; returns ``(header, payload)``."""
+def load_checkpoint(path) -> Tuple[dict, EngineSnapshot]:
+    """Read and verify a checkpoint; returns ``(header, EngineSnapshot)``."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -413,15 +380,9 @@ def resume_engine(path, trace=None, **engine_overrides):
     may re-enable checkpointing on the resumed run (``checkpoint_path``,
     ``checkpoint_every_events``, ...).
     """
-    from ..net.packet import ensure_packet_ids_above
-    from ..vm.state import ensure_state_ids_above
     from .config import split_config_overrides
-    from .engine import SDEEngine
-    from .scenario import make_mapper
 
-    _, payload = load_checkpoint(path)
-    mapper = make_mapper(payload["algorithm"])
-    config = payload["config"]
+    _, snapshot = load_checkpoint(path)
     # Overrides win: a run aborted at a cap can be resumed with the cap
     # raised (`resume_engine(path, max_states=None)`), or with
     # checkpointing re-enabled on the resumed run.
@@ -429,47 +390,12 @@ def resume_engine(path, trace=None, **engine_overrides):
     if rest:
         raise TypeError(f"unknown engine override(s) {sorted(rest)}")
     if config_fields:
-        config = config.replace(**config_fields)
-    engine = SDEEngine(
-        payload["program"], payload["topology"], mapper, config, trace=trace
-    )
-    engine._started = True  # the boot states live in the payload
-    mapper.restore_groups(payload["mapper_payload"])
-    for group in mapper.groups():
-        for states in group.values():
-            for state in states:
-                engine.states[state.sid] = state
-    engine.clock.advance_to(payload["clock_now"])
-    for event_time, sid in payload["scheduler_entries"]:
-        engine.scheduler.push(event_time, sid)
-    ensure_state_ids_above(payload["state_watermark"])
-    ensure_packet_ids_above(payload["packet_watermark"])
-    engine._broadcast_ids = itertools.count(payload["broadcast_watermark"] + 1)
-
-    # -- counter baselines: the resumed report must equal an uninterrupted
-    # run's on every deterministic field.
-    engine.events_executed = payload["events_executed"]
-    engine.executor.instructions_executed = payload["instructions"]
-    solver = engine.solver
-    solver.queries = payload["solver_queries"]
-    solver.restore_stats(payload["solver_stats"])
-    _restore_histogram(solver.conjunct_histogram, payload["conjunct_histogram"])
-    for slot, value in payload["mapping_stats"].items():
-        setattr(mapper.stats, slot, value)
-    engine.medium.restore_stats(payload["net_stats"])
-    if payload["cache_stats"] and solver._cache is not None:
-        from ..solver import CacheStats
-
-        solver._cache.stats = CacheStats.restore(payload["cache_stats"])
-    for name, data in payload["phases"].items():
-        phase = engine.profiler.phase(name)
-        phase.count = data["count"]
-        phase.seconds = data["seconds"]
-    engine.stats.samples = list(payload["samples"])
-    engine.stats._last_sampled_at = payload["events_executed"]
-    engine.checkpoints_written = payload["checkpoints_written"]
+        snapshot.config = snapshot.config.replace(**config_fields)
+    try:
+        engine = snapshot.restore(trace)
+    except ValueError as exc:  # counters laid out by another build
+        raise CheckpointError(f"{path}: {exc}") from exc
     engine.resumed = True
     if trace is not None:
-        trace.extend(payload["trace_events"])
         trace.emit("checkpoint.resume", events=engine.events_executed)
     return engine

@@ -115,6 +115,7 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "worker.retry": frozenset(["task", "attempt"]),
     "checkpoint.write": frozenset(["events"]),
     "checkpoint.resume": frozenset(["events"]),
+    "checkpoint.discarded": frozenset(["reason"]),
     # job service (meta: admission, supervision and drain decisions are
     # harness-side; job ids are content-digest prefixes + random suffixes)
     "service.submit": frozenset(["workload", "algorithm", "dedup"]),

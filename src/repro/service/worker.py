@@ -10,8 +10,11 @@ Each attempt at a job runs here, in a child process supervised by the
   ``trace.jsonl`` immediately (line-buffered JSONL), which is what makes
   ``GET /v1/runs/{id}/trace`` live rather than post-hoc;
 - on a retry or a service restart, *resumes from the latest checkpoint*
-  (PR 3 machinery) instead of starting over — the resumed report is
-  pinned equal to an uninterrupted run on every deterministic field;
+  instead of starting over — the resumed report is pinned equal to an
+  uninterrupted run on every deterministic field.  A checkpoint it cannot
+  read (corrupt, or from a build with another checkpoint version) is
+  discarded with a ``checkpoint.discarded`` event and the job starts
+  fresh, which gives the same report because runs are deterministic;
 - writes ``report.json`` atomically and ships a small summary dict back
   on the result queue (or a typed
   :class:`~repro.core.resilience.WorkerFailure` on error).
@@ -30,10 +33,9 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import traceback
 from typing import Optional
 
-from ..core.resilience import WorkerFailure, resume_engine
+from ..core.resilience import CheckpointError, WorkerFailure, resume_engine
 from ..core.scenario import build_engine
 from ..obs.events import TraceEmitter
 from .spec import SubmissionSpec
@@ -103,18 +105,23 @@ def execute_job(payload: dict) -> dict:
         payload["trace_path"], kill_after=payload.get("kill_after")
     )
     try:
-        resumed = os.path.exists(checkpoint_path)
-        if resumed:
+        engine = None
+        if os.path.exists(checkpoint_path):
             # A previous attempt (or a previous service life) left a
             # checkpoint: continue it rather than redoing the work.  The
             # resumed report is pinned equal to an uninterrupted run.
-            engine = resume_engine(
-                checkpoint_path,
-                trace=trace,
-                checkpoint_path=checkpoint_path,
-                checkpoint_every_events=payload["checkpoint_every"],
-            )
-        else:
+            try:
+                engine = resume_engine(
+                    checkpoint_path,
+                    trace=trace,
+                    checkpoint_path=checkpoint_path,
+                    checkpoint_every_events=payload["checkpoint_every"],
+                )
+            except CheckpointError as exc:
+                # Unreadable now means unreadable on every retry too.
+                trace.emit("checkpoint.discarded", reason=str(exc))
+        resumed = engine is not None
+        if engine is None:
             scenario = spec.build_scenario()
             engine = build_engine(
                 scenario,
@@ -166,15 +173,5 @@ def job_entry(payload_bytes: bytes, queue, attempt: int = 0) -> None:
     try:
         queue.put(pickle.dumps(execute_job(payload)))
     except BaseException as exc:  # noqa: BLE001 - classified for the parent
-        queue.put(
-            pickle.dumps(
-                WorkerFailure(
-                    task_index=0,
-                    kind="exception",
-                    message=str(exc),
-                    exc_type=type(exc).__name__,
-                    traceback=traceback.format_exc(),
-                    attempts=attempt + 1,
-                )
-            )
-        )
+        failure = WorkerFailure.from_exception(0, exc, attempts=attempt + 1)
+        queue.put(pickle.dumps(failure))

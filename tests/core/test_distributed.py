@@ -38,7 +38,6 @@ from repro.core.distributed import (
     _Coordinator,
     _split_for_steal,
     deepen_until_partitioned,
-    restore_worker_engine,
     snapshot_assignment_tasks,
 )
 from repro.core.partition import steal_split
@@ -123,10 +122,10 @@ class TestJobRoundTrip:
             engine, min_partitions=4, probe_events=2
         )
         bundle = [partitions[0]]
-        tasks = snapshot_assignment_tasks(engine, [bundle], trace=False)
-        payload = pickle.dumps(tasks[0])
+        snapshots = snapshot_assignment_tasks(engine, [bundle])
+        payload = pickle.dumps(snapshots[0])
 
-        restored = restore_worker_engine(pickle.loads(payload))
+        restored = pickle.loads(payload).restore()
         assert len(restored.states) == partitions[0].state_count()
         restored.run()
         assert restored.events_executed > 0
@@ -223,38 +222,34 @@ class TestStealSplit:
             engine, min_partitions=4, probe_events=2
         )
         bundle = [partitions[0]]
-        tasks = snapshot_assignment_tasks(engine, [bundle], trace=False)
-        task = pickle.loads(pickle.dumps(tasks[0]))
-        worker = restore_worker_engine(task)
+        snapshots = snapshot_assignment_tasks(engine, [bundle])
+        worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
         # One partition, still runnable: nothing to split off.
-        assert _split_for_steal(worker, task, 0, 0) is None
+        assert _split_for_steal(worker, 0, 0) is None
 
     def test_drained_donor_denies(self):
         engine = build_engine(_scenario(), "sds")
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        tasks = snapshot_assignment_tasks(engine, [partitions], trace=False)
-        task = pickle.loads(pickle.dumps(tasks[0]))
-        worker = restore_worker_engine(task)
+        snapshots = snapshot_assignment_tasks(engine, [partitions])
+        worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
         worker.run()  # final partition state: nothing runnable anywhere
-        assert _split_for_steal(worker, task, 0, 0) is None
+        assert _split_for_steal(worker, 0, 0) is None
 
     def test_split_conserves_states(self):
         engine = build_engine(_scenario(), "sds")
         partitions = deepen_until_partitioned(
             engine, min_partitions=4, probe_events=2
         )
-        tasks = snapshot_assignment_tasks(engine, [partitions], trace=False)
-        task = pickle.loads(pickle.dumps(tasks[0]))
-        worker = restore_worker_engine(task)
-        split = _split_for_steal(worker, task, 0, 123)
+        snapshots = snapshot_assignment_tasks(engine, [partitions])
+        worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
+        split = _split_for_steal(worker, 0, 123)
         assert split is not None
         partial, kept_payload, stolen_jobs = split
         assert partial.total_states == 0
         assert partial.accounted_bytes == 123
-        kept_task = pickle.loads(kept_payload)
-        kept_engine = restore_worker_engine(kept_task)
+        kept_engine = pickle.loads(kept_payload).restore()
         stolen_states = sum(prefix.states for _, prefix in stolen_jobs)
         assert len(kept_engine.states) + stolen_states == len(worker.states)
 

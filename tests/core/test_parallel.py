@@ -254,16 +254,16 @@ class TestPickling:
         restored.check_invariants()
 
     def test_worker_task_round_trip_executes(self):
-        # Build one real task, pickle it, and run it in-process: the exact
-        # path a job takes on a worker.
+        # Build one real job snapshot, pickle it, and run it in-process:
+        # the exact path a job takes on a worker.
         engine = build_engine(grid_scenario(3, sim_seconds=6), "cow")
         engine.run_until(split_ms=2000)
         assignment = lpt_assign(partition_groups(engine.mapper), 2)
-        tasks = snapshot_assignment_tasks(
-            engine, [bundle for bundle in assignment if bundle], trace=False
+        snapshots = snapshot_assignment_tasks(
+            engine, [bundle for bundle in assignment if bundle]
         )
-        assert tasks
-        result = _run_job_inline(0, pickle.dumps(tasks[0]))
+        assert snapshots
+        result = _run_job_inline(0, pickle.dumps(snapshots[0]))
         assert result.total_states > 0
         assert result.events_executed > 0
 

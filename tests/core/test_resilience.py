@@ -297,29 +297,53 @@ class TestCheckpointResume:
     def test_resume_ignores_retired_config_fields(self, tmp_path, monkeypatch):
         """A checkpoint whose pickled config still carries the removed
         reference-path switches resumes to the uninterrupted report."""
-        import repro.core.resilience as resilience
+        from repro.core.snapshot import EngineSnapshot
 
         baseline = build_engine(_scenario(), "sds").run()
-        payload_of = resilience._engine_payload
+        capture = EngineSnapshot.capture
 
-        def with_retired_fields(engine):
-            payload = payload_of(engine)
-            object.__setattr__(payload["config"], "solver_optimize", False)
-            object.__setattr__(payload["config"], "loop_reuse", False)
-            return payload
+        def with_retired_fields(engine, **kwargs):
+            snapshot = capture(engine, **kwargs)
+            object.__setattr__(snapshot.config, "solver_optimize", False)
+            object.__setattr__(snapshot.config, "loop_reuse", False)
+            return snapshot
 
-        monkeypatch.setattr(resilience, "_engine_payload", with_retired_fields)
+        monkeypatch.setattr(
+            EngineSnapshot, "capture", staticmethod(with_retired_fields)
+        )
         engine = build_engine(_scenario(), "sds")
         engine.run_until(split_ms=3000)
         path = tmp_path / "old.sdeckpt"
         save_checkpoint(engine, path)
         del engine
-        _, payload = load_checkpoint(path)
-        assert vars(payload["config"])["solver_optimize"] is False
+        _, snapshot = load_checkpoint(path)
+        assert vars(snapshot.config)["solver_optimize"] is False
 
         report = resume_engine(path).run()
         assert report.resumed
         _assert_reports_match(report, baseline)
+
+    def test_foreign_histogram_bounds_rejected(self, tmp_path, monkeypatch):
+        """Counters laid out by another build fail as a CheckpointError,
+        the error a service job answers by starting fresh."""
+        from repro.core.snapshot import EngineSnapshot
+
+        capture = EngineSnapshot.capture
+
+        def with_foreign_bounds(engine, **kwargs):
+            snapshot = capture(engine, **kwargs)
+            snapshot.counters["conjunct_histogram"]["bounds"] = [1, 2, 3]
+            return snapshot
+
+        monkeypatch.setattr(
+            EngineSnapshot, "capture", staticmethod(with_foreign_bounds)
+        )
+        engine = build_engine(_scenario(), "sds")
+        engine.run_until(split_ms=3000)
+        path = tmp_path / "foreign.sdeckpt"
+        save_checkpoint(engine, path)
+        with pytest.raises(CheckpointError, match="histogram bounds"):
+            resume_engine(path)
 
     def test_periodic_checkpointing_during_run(self, tmp_path):
         path = tmp_path / "auto.sdeckpt"

@@ -1,0 +1,85 @@
+"""Properties of the one engine snapshot: resume at any boundary, any cut.
+
+A checkpoint and a distributed cut ship the same :class:`EngineSnapshot`.
+For generated scenarios (the shapes of ``test_property_equivalence.py``),
+each algorithm and an event boundary ``k``:
+
+(a) a snapshot with counters, pickled, restored and run to the end, gives
+    the uninterrupted run's report;
+(b) the ``partition_groups`` cut's snapshots, each pickled, restored and
+    run, sum to the uninterrupted run's states, census and error count.
+
+``--hypothesis-profile=deep`` (``tests/conftest.py``) raises the budget.
+"""
+
+import pickle
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import build_engine
+from repro.core.distributed import snapshot_assignment_tasks
+from repro.core.partition import partition_groups
+from repro.core.snapshot import EngineSnapshot
+
+from .test_property_equivalence import build, scenario_config
+from .test_resilience import _assert_reports_match
+
+
+def _budget(tier1: int) -> int:
+    """``tier1`` examples, or the ``deep`` profile's budget when loaded."""
+    if settings.get_current_profile_name() == "deep":
+        return settings.default.max_examples
+    return tier1
+
+
+PROPERTY = settings(
+    max_examples=_budget(25),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+ALGORITHMS = st.sampled_from(["cob", "cow", "sds"])
+
+
+def _cut(config, algorithm, data):
+    """The uninterrupted run's engine and report, and an engine stopped at
+    a drawn event boundary ``k`` of that run."""
+    baseline = build_engine(build(config), algorithm)
+    report = baseline.run()
+    k = data.draw(st.integers(0, report.events_executed), label="k")
+    engine = build_engine(build(config), algorithm)
+    engine.run_until(split_events=k)
+    return baseline, report, engine
+
+
+def _round_trip(snapshot):
+    return pickle.loads(pickle.dumps(snapshot)).restore()
+
+
+@PROPERTY
+@given(config=scenario_config(), algorithm=ALGORITHMS, data=st.data())
+def test_resume_at_any_boundary(config, algorithm, data):
+    baseline, report, engine = _cut(config, algorithm, data)
+    resumed = _round_trip(EngineSnapshot.capture(engine, with_counters=True))
+    _assert_reports_match(resumed.run(), report)
+    assert resumed.state_census() == baseline.state_census()
+
+
+@PROPERTY
+@given(config=scenario_config(), algorithm=ALGORITHMS, data=st.data())
+def test_any_cut_sums_to_the_uninterrupted_run(config, algorithm, data):
+    baseline, report, engine = _cut(config, algorithm, data)
+    bundles = [[partition] for partition in partition_groups(engine.mapper)]
+    total_states = 0
+    errors = 0
+    census = {node: 0 for node in baseline.state_census()}
+    for snapshot in snapshot_assignment_tasks(engine, bundles):
+        part = _round_trip(snapshot)
+        part_report = part.run()
+        total_states += part_report.total_states
+        errors += len(part_report.error_states)
+        for node, count in part.state_census().items():
+            census[node] += count
+    assert total_states == report.total_states
+    assert census == baseline.state_census()
+    assert errors == len(report.error_states)
