@@ -9,7 +9,13 @@ program with ``x == c`` branches.  Each entry is:
   (:func:`repro.obs.canonical_multiset`: semantic events, volatile
   fields dropped);
 - the deterministic report counters of :data:`COUNTERS`;
-- ``violations`` — the number of error states the run reported.
+- ``violations`` — the number of error states the run reported;
+- the growth series (Figure 10's raw data): ``samples`` (how many),
+  ``peak_accounted_bytes`` and ``samples_digest``, a SHA-256 over the
+  deterministic fields of every :class:`~repro.core.stats.Sample`
+  (:data:`SAMPLE_FIELDS`; wall time and RSS are left out).  Each cell
+  samples after every event (:data:`SAMPLE_EVERY_EVENTS`), so every
+  event's effect on the state and memory totals is pinned.
 
 The file is the oracle that every optimization stays invisible: it was
 cut while the interpreter and solver still had their reference paths,
@@ -89,6 +95,19 @@ COUNTERS = (
     "solver.unsat_results",
 )
 
+#: Deterministic :class:`~repro.core.stats.Sample` fields pinned per entry.
+SAMPLE_FIELDS = (
+    "events_executed",
+    "virtual_ms",
+    "live_states",
+    "total_states",
+    "accounted_bytes",
+    "groups",
+)
+
+#: Sampling period of every cell; sampling changes no trace or counter.
+SAMPLE_EVERY_EVENTS = 1
+
 
 def scenarios():
     """Workload name -> scenario, in matrix order."""
@@ -122,14 +141,24 @@ def trace_digest(events) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def samples_digest(samples) -> str:
+    """SHA-256 over the :data:`SAMPLE_FIELDS` of every sample, in order."""
+    rows = [[getattr(sample, name) for name in SAMPLE_FIELDS] for sample in samples]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def run(scenario, algorithm, **overrides):
     """Run one matrix cell; returns ``(entry, report)``."""
     trace = TraceEmitter()
+    overrides.setdefault("sample_every_events", SAMPLE_EVERY_EVENTS)
     report = build_engine(scenario, algorithm, trace=trace, **overrides).run()
     counters = report.metrics["counters"]
     entry = {"digest": trace_digest(trace.events)}
     entry.update((name, counters[name]) for name in COUNTERS)
     entry["violations"] = len(report.error_states)
+    entry["samples"] = len(report.samples)
+    entry["peak_accounted_bytes"] = report.peak_accounted_bytes()
+    entry["samples_digest"] = samples_digest(report.samples)
     return entry, report
 
 
