@@ -43,7 +43,7 @@ from ..vm.state import CellValue, Event, ExecutionState, Status
 from .config import EngineConfig
 from .mapping import StateMapper
 from .reduce import StateReducer
-from .stats import Sample, StatsRecorder, estimate_state_bytes
+from .stats import Sample, StatsRecorder
 
 __all__ = ["SDEEngine", "RunReport", "PresetValue"]
 
@@ -301,6 +301,7 @@ class SDEEngine:
                 pid=packet.pid,
             )
         for receiver in receivers:
+            self.stats.touch(receiver)
             receiver.record_received(packet.pid, sender.node)
             receiver.push_event(deliver_at, Event.RECV, packet)
             self._schedule(receiver)
@@ -425,6 +426,7 @@ class SDEEngine:
                 if self.clock.expired(event_time):
                     break  # simulation horizon reached
                 state = self.states[sid]
+                self.stats.touch(state)
                 event = state.pop_event()
                 self.clock.advance_to(event_time)
                 state.clock = event_time
@@ -518,6 +520,7 @@ class SDEEngine:
     def _register_state(self, state: ExecutionState) -> None:
         """Spawn callback for mappers and failure models."""
         self.states[state.sid] = state
+        self.stats.add(state)
         self._schedule(state)
         if self.reducer is not None:
             if self._mapping_active:
@@ -591,6 +594,7 @@ class SDEEngine:
     ) -> None:
         for child in children:
             self.states[child.sid] = child
+            self.stats.add(child)
             if self.trace is not None:
                 self.trace.emit(
                     "state.fork",
@@ -703,6 +707,8 @@ class SDEEngine:
             self.events_executed,
             self.mapper.group_count(),
         )
+        if self.check_invariants:
+            self._check_sample(sample)
         if self.aborted:
             return sample
         if self.max_states is not None and sample.total_states > self.max_states:
@@ -722,6 +728,16 @@ class SDEEngine:
         ):
             self._abort(f"wall-clock cap exceeded ({self.max_wall_seconds}s)")
         return sample
+
+    def _check_sample(self, sample: Sample) -> None:
+        """The running totals must equal a full recount of every state."""
+        live, accounted = self.stats.recount(self.states.values())
+        if (sample.live_states, sample.accounted_bytes) != (live, accounted):
+            raise AssertionError(
+                f"sample totals drifted: {sample.live_states} live /"
+                f" {sample.accounted_bytes} bytes, recount gives {live} /"
+                f" {accounted}"
+            )
 
     def _abort(self, reason: str) -> None:
         # Mirrors the paper's Table I: "COB ... aborted" at the memory cap.
@@ -743,6 +759,3 @@ class SDEEngine:
 
     def error_states(self) -> List[ExecutionState]:
         return [s for s in self.states.values() if s.status == Status.ERROR]
-
-    def total_accounted_bytes(self) -> int:
-        return sum(estimate_state_bytes(s) for s in self.states.values())

@@ -8,18 +8,26 @@ reported two ways:
   queue, constraints, history, plus the shared LLVM-bitcode-equivalent
   baseline).  This is the series benchmarks compare across algorithms,
   because Python RSS is noisy and dominated by interpreter overhead.
-- **process RSS** — read from ``/proc/self/status`` when available, as a
+- **process RSS** — read from ``/proc/self/statm`` when available, as a
   real-machine cross-check.
 
 The cost model intentionally mirrors what drives KleeNet's RSS: duplicate
 states pay full price for their private memory image even when their
 content is identical — that is exactly the waste COW/SDS remove.
+
+A sample costs O(states touched), not O(states alive): the recorder keeps
+the live count and the accounted bytes as running totals.  The engine
+calls :meth:`StatsRecorder.touch` on every state it is about to change
+and :meth:`StatsRecorder.add` on every state it creates; a sample
+re-prices only those.  The first sample of a recorder counts every state
+once, which covers the boot states and every restored snapshot.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from typing import Iterable, List, NamedTuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Tuple
 
 from ..vm.state import ExecutionState
 
@@ -64,20 +72,46 @@ def estimate_state_bytes(state: ExecutionState) -> int:
     )
 
 
+#: Bytes per page, for the resident page count ``/proc/self/statm`` reports.
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 0
+
+
 def process_rss_bytes() -> int:
-    """Resident set size of this process; 0 if unavailable."""
+    """Resident set size of this process; 0 if unavailable.
+
+    One read of ``/proc/self/statm``, whose second field is the resident
+    page count (the figure ``/proc/self/status`` shows as ``VmRSS``).
+    """
     try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1]) * 1024
+        fd = os.open("/proc/self/statm", os.O_RDONLY)
+        try:
+            fields = os.read(fd, 256).split()
+        finally:
+            os.close(fd)
     except OSError:
-        pass
-    return 0
+        return 0
+    return int(fields[1]) * _PAGE_SIZE
+
+
+def _price(states: Iterable[ExecutionState]) -> Tuple[int, int]:
+    """``(live states, accounted bytes)`` of ``states``, image cost excluded."""
+    live = 0
+    accounted = 0
+    for state in states:
+        accounted += estimate_state_bytes(state)
+        if state.is_active():
+            live += 1
+    return live, accounted
 
 
 class StatsRecorder:
-    """Collects the growth time series during an engine run."""
+    """Collects the growth time series during an engine run.
+
+    Between samples the running totals ``_live`` and ``_accounted`` leave
+    out every state in ``_dirty``: :meth:`touch` subtracts a state's cost
+    once per sampling window, :meth:`record` adds the state's new cost
+    back.  A state that is neither touched nor added must not change.
+    """
 
     def __init__(
         self,
@@ -89,43 +123,62 @@ class StatsRecorder:
         self._image_cost = (PROGRAM_IMAGE_COST_PER_INSTRUCTION * program_instructions)
         self._sample_every = max(1, sample_every_events)
         self._last_sampled_at = -1
+        self._live = 0
+        self._accounted = 0
+        self._dirty: Dict[int, ExecutionState] = {}
+        self._counted = False
 
     def should_sample(self, events_executed: int) -> bool:
         if self._last_sampled_at < 0:
             return True
         return events_executed - self._last_sampled_at >= self._sample_every
 
+    def touch(self, state: ExecutionState) -> None:
+        """``state`` is about to change: price it again at the next sample."""
+        dirty = self._dirty
+        if state.sid not in dirty:
+            dirty[state.sid] = state
+            self._accounted -= estimate_state_bytes(state)
+            if state.is_active():
+                self._live -= 1
+
+    def add(self, state: ExecutionState) -> None:
+        """``state`` is new: count it from the next sample on."""
+        self._dirty[state.sid] = state
+
+    def recount(self, states: Iterable[ExecutionState]) -> Tuple[int, int]:
+        """``(live states, accounted bytes)`` of ``states`` by a full pass."""
+        live, accounted = _price(states)
+        return live, self._image_cost + accounted
+
     def record(
         self,
-        states: Iterable[ExecutionState],
+        states: Collection[ExecutionState],
         virtual_ms: int,
         events_executed: int,
         groups: int,
     ) -> Sample:
-        # Single fused pass: the cost-model arithmetic is inlined (no
-        # per-state function call) and the live count shares the loop —
-        # sampling is a per-64-events hot path over every state alive.
-        accounted = self._image_cost
-        live = 0
-        total = 0
-        for state in states:
-            total += 1
-            status = state.status
-            if status == "idle" or status == "running":  # is_active, inlined
-                live += 1
-            accounted += (
-                STATE_BASE_COST
-                + CELL_COST * len(state.memory)
-                + EVENT_COST * len(state.events)
-                + CONSTRAINT_COST * state.constraints._size
-                + HISTORY_COST * len(state.history)
-            )
+        """Sample the run; ``states`` is every state the engine counts.
+
+        The first sample counts ``states`` in full; every later one prices
+        only the states touched or added since the sample before.
+        """
+        if self._counted:
+            live, accounted = _price(self._dirty.values())
+            live += self._live
+            accounted += self._accounted
+        else:
+            live, accounted = self.recount(states)
+            self._counted = True
+        self._live = live
+        self._accounted = accounted
+        self._dirty = {}
         sample = Sample(
             wall_seconds=time.perf_counter() - self._started,
             virtual_ms=virtual_ms,
             events_executed=events_executed,
             live_states=live,
-            total_states=total,
+            total_states=len(states),
             accounted_bytes=accounted,
             rss_bytes=process_rss_bytes(),
             groups=groups,

@@ -7,8 +7,9 @@ from repro.core import (
     partition_groups,
     speedup_bound,
 )
-from repro.core.stats import StatsRecorder, process_rss_bytes
-from repro.vm.state import ExecutionState
+from repro.core import stats
+from repro.core.stats import HISTORY_COST, StatsRecorder, process_rss_bytes
+from repro.vm.state import ExecutionState, Status
 from repro.workloads import grid_scenario
 
 from .helpers import MapperHarness
@@ -83,11 +84,61 @@ class TestMemoryAccounting:
         recorder = StatsRecorder(program_instructions=10)
         states = [ExecutionState(0, 4)]
         recorder.record(states, 0, 0, 1)
-        recorder.record(states * 3, 1, 1, 1)
+        for _ in range(2):
+            state = ExecutionState(0, 4)
+            recorder.add(state)
+            states.append(state)
+        recorder.record(states, 1, 1, 1)
         assert recorder.peak_states() == 3
+
+    def test_added_states_are_priced_at_the_next_sample(self):
+        recorder = StatsRecorder(program_instructions=10)
+        states = [ExecutionState(0, 4)]
+        first = recorder.record(states, 0, 0, 1)
+        child = ExecutionState(1, 4)
+        recorder.add(child)
+        states.append(child)
+        second = recorder.record(states, 1, 1, 1)
+        assert second.live_states == first.live_states + 1
+        assert second.accounted_bytes == (
+            first.accounted_bytes + estimate_state_bytes(child)
+        )
+
+    def test_touch_reprices_once_per_window(self):
+        recorder = StatsRecorder(program_instructions=10)
+        state = ExecutionState(0, 4)
+        first = recorder.record([state], 0, 0, 1)
+        recorder.touch(state)
+        state.record_sent(1, dest=1)
+        recorder.touch(state)  # already dirty: nothing is subtracted again
+        state.status = Status.PRUNED
+        second = recorder.record([state], 1, 1, 1)
+        assert second.accounted_bytes == first.accounted_bytes + HISTORY_COST
+        assert (first.live_states, second.live_states) == (1, 0)
+        # Untouched since: the next sample carries the totals over.
+        third = recorder.record([state], 2, 2, 1)
+        assert third.accounted_bytes == second.accounted_bytes
+        assert third.live_states == 0
 
     def test_rss_readable_on_linux(self):
         assert process_rss_bytes() > 0
+
+    def test_rss_agrees_with_vmrss(self):
+        rss = process_rss_bytes()
+        with open("/proc/self/status") as status:
+            vmrss = next(
+                int(line.split()[1]) * 1024
+                for line in status
+                if line.startswith("VmRSS:")
+            )
+        assert abs(rss - vmrss) <= 1 << 20
+
+    def test_rss_is_zero_without_proc(self, monkeypatch):
+        def unavailable(*args):
+            raise FileNotFoundError(args[0])
+
+        monkeypatch.setattr(stats.os, "open", unavailable)
+        assert process_rss_bytes() == 0
 
     def test_image_cost_shows_as_baseline(self):
         """Figure 10's memory plots start with the bytecode-load jump; the
