@@ -346,10 +346,10 @@ class JobManager:
                 # crash or exception: retry with seeded backoff, resuming
                 # from the job's checkpoint if one was written.
                 record.failure = detail
-                record.retries += 1
                 if record.attempts > policy.max_retries:
                     self.store.mark(record, "failed", failure=detail)
                     return
+                record.retries += 1
                 self.metrics.counter("service.retries").inc(1)
                 self._emit(
                     "service.job.retry", job=record.id, attempt=record.attempts

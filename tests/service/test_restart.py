@@ -62,6 +62,8 @@ def test_drain_restart_resume_is_pinned_equal(tmp_path, slow_reference):
         assert record["state"] == "done"
         assert record["interrupted"] is True
         assert record["result"]["resumed"] is True
+        # Attempts count across service lifetimes: one per life.
+        assert record["attempts"] == 2
 
         status, report = second.request("GET", f"/v1/runs/{job_id}/report")
         assert status == 200
