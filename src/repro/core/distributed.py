@@ -37,12 +37,12 @@ dissolves).  So the runner cuts only between components:
    ``ConstraintSet``), which is what makes the job self-contained.  Every
    worker builds its own :class:`~repro.solver.Solver`; interned
    expression nodes re-enter its interning table via ``__reduce__``.
-3. :class:`DistributedRunner` hands the jobs to a coordinator over a
-   pluggable :class:`Transport` (an in-process ``multiprocessing`` pool
-   now; a socket/queue backend only needs to move the same opaque
-   messages).  Stragglers are rebalanced by **work-stealing**: an idle
-   pool prompts a busy worker to re-partition its remaining frontier at
-   its next event boundary and hand half back as fresh jobs.
+3. :class:`DistributedRunner` hands the jobs to a :class:`Coordinator`
+   over a pluggable :class:`Transport` (a pool of subprocesses now; a
+   socket backend only needs to move the same opaque messages).
+   Stragglers are rebalanced by **work-stealing**: an idle pool prompts a
+   busy worker to re-partition its remaining frontier at its next event
+   boundary and hand half back as fresh jobs.
 
 Why the merged :class:`DistributedReport` is identical to the sequential
 run: partitions are disjoint in execution states and cover all of them,
@@ -59,14 +59,18 @@ run's values, for any worker count and any steal timing; only cache
 hit/miss ratios shift with the partitioning.  State ids remain volatile;
 semantic trace comparison is by canonical multiset, which ignores them.
 
+The coordinator is the one worker supervisor in the code base: the job
+service (:mod:`repro.service.jobs`) runs its attempts on it too, one
+non-blocking :meth:`Coordinator.step` per pass of its asyncio loop.
 Failures use the typed-failure machinery from
-:mod:`repro.core.resilience`: dead workers are detected by liveness
-scans, jobs are retried with a deterministic backoff policy, the final
-crash/exception attempt runs inline, and ``SDE_CHAOS_KILL_WORKER``
-kills every job's first subprocess attempt.  A donor that dies *after* a
-steal reply costs nothing extra — the reply carries the kept half as a
-fresh payload, so the retry resumes from the split, and a donor that
-dies *before* replying simply retries the original job.
+:mod:`repro.core.resilience`: every turn scans busy workers for death
+and overrun deadlines, failed jobs are requeued behind a deterministic
+per-job backoff, the runner's final crash/exception attempt runs
+inline, and ``SDE_CHAOS_KILL_WORKER`` kills every job's first
+subprocess attempt.  A donor that dies *after* a steal reply costs
+nothing extra — the reply carries the kept half as a fresh payload, so
+the retry resumes from the split, and a donor that dies *before*
+replying simply retries the original job.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ import queue as queue_module
 import time as _time
 from abc import ABC, abstractmethod
 from collections import deque
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import TraceEmitter
@@ -100,6 +105,7 @@ from .snapshot import EngineSnapshot
 from .stats import PROGRAM_IMAGE_COST_PER_INSTRUCTION, Sample, process_rss_bytes
 
 __all__ = [
+    "Coordinator",
     "DistributedReport",
     "DistributedRunner",
     "InlineTransport",
@@ -113,7 +119,7 @@ __all__ = [
 #: Events between a worker's steal-request polls.  Each poll is one
 #: non-blocking queue read; the value bounds steal latency (a donor can
 #: only hand work over at an event boundary it actually reaches).
-DEFAULT_STEAL_CHECK_EVENTS = 64
+STEAL_CHECK_EVENTS = 64
 
 #: Events per partitioner probe slice (adaptive mode).
 DEFAULT_PROBE_EVENTS = 32
@@ -122,6 +128,9 @@ DEFAULT_PROBE_EVENTS = 32
 #: this many events, distribute whatever components exist (possibly one —
 #: the run then degrades to supervised sequential execution).
 DEFAULT_PROBE_LIMIT_EVENTS = 4096
+
+#: Share of linear LPT-projected speedup an adaptive cut waits for.
+BALANCE_FRACTION = 0.8
 
 #: Seconds a worker that answered "nothing to steal" is left alone before
 #: the coordinator asks again (its component may fracture later).
@@ -230,7 +239,6 @@ def deepen_until_partitioned(
     probe_events: int = DEFAULT_PROBE_EVENTS,
     probe_limit_events: Optional[int] = DEFAULT_PROBE_LIMIT_EVENTS,
     balance_workers: Optional[int] = None,
-    balance_fraction: float = 0.8,
     trace: Optional[TraceEmitter] = None,
 ) -> List[Partition]:
     """Advance ``engine`` until its sharing graph has fractured.
@@ -240,7 +248,7 @@ def deepen_until_partitioned(
     frontier with at least ``min_partitions`` components that still have
     runnable states.  With ``balance_workers`` set, the cut additionally
     waits until the LPT-projected speedup on that many workers reaches
-    ``balance_fraction`` of linear — a frontier that has *just* fractured
+    :data:`BALANCE_FRACTION` of linear — a frontier that has *just* fractured
     is typically lopsided, and cutting there trades the whole run's
     balance for a few hundred saved prefix events.  Returns whatever
     exists once ``probe_limit_events`` is exhausted or the run completes —
@@ -263,7 +271,7 @@ def deepen_until_partitioned(
             )
         balanced = balance_workers is None or projected_speedup(
             live_partitions, balance_workers
-        ) >= balance_fraction * balance_workers
+        ) >= BALANCE_FRACTION * balance_workers
         if live >= min_partitions and balanced:
             return partitions
         if (
@@ -287,19 +295,19 @@ def deepen_until_partitioned(
 #   coordinator -> worker:
 #     ("job", job_id, payload_bytes, attempt)   run one job
 #     ("steal", )                               re-partition and hand half back
-#     ("stop", )                                exit the worker loop
 #
 #   worker -> coordinator:
-#     ("done", worker, job_id, RunReport)       terminal report for job_id
+#     ("done", worker, job_id, result)          terminal result for job_id
 #     ("steal_reply", worker, job_id, partial_report, kept_payload,
 #       [(payload, PathPrefix), ...])           donor split: flow-only slice
 #                                               report + its continuation +
 #                                               the stolen jobs
-#
-#   Every payload is a pickled EngineSnapshot; every RunReport carries the
-#   job_id, census and trace_events tags of _job_report.
 #     ("steal_deny", worker, job_id)            single component, can't split
 #     ("fail", worker, job_id, WorkerFailure)   worker survived an exception
+#
+#   In a distributed run every payload is a pickled EngineSnapshot and every
+#   result a RunReport carrying the job_id, census and trace_events tags of
+#   _job_report.  The job service sends its own payloads and summaries.
 
 
 class Transport(ABC):
@@ -328,7 +336,7 @@ class Transport(ABC):
 
     @abstractmethod
     def alive(self, worker: int) -> bool:
-        """Whether ``worker`` can still make progress."""
+        """Whether ``worker`` can still make progress or has unread replies."""
 
     @abstractmethod
     def restart(self, worker: int) -> None:
@@ -432,9 +440,9 @@ def _split_for_steal(
 
 
 def _job_worker_main(
-    worker_index: int, inbox, outbox, steal_check_events: int
+    worker_index: int, inbox, outbox
 ) -> None:  # pragma: no cover - subprocess
-    """Pool-worker entry: serve job messages until told to stop.
+    """Pool-worker entry: serve job messages until the process is stopped.
 
     ``SDE_CHAOS_KILL_WORKER`` makes job attempts die unreported (like an
     OOM kill): every first attempt when set plain-truthy, a seeded
@@ -456,20 +464,14 @@ def _job_worker_main(
             return False
         if message[0] == "steal":
             return True
-        pending.append(message)  # stop/unexpected: handle after this job
+        pending.append(message)  # unexpected: handle after this job
         return False
 
     while True:
-        if pending:
-            message = pending.popleft()
-        else:
-            message = inbox.get()
-        tag = message[0]
-        if tag == "stop":
-            return
-        if tag == "steal":
+        message = pending.popleft() if pending else inbox.get()
+        if message[0] == "steal":
             # Raced with our own completion: nothing running here.
-            outbox.put(("steal_deny", worker_index, -1))
+            outbox.send(("steal_deny", worker_index, -1))
             continue
         _, job_id, payload, attempt = message
         if chaos_kill_requested(attempt, token=f"job:{job_id}"):
@@ -479,101 +481,128 @@ def _job_worker_main(
                 worker_index,
                 job_id,
                 payload,
-                outbox.put,
+                outbox.send,
                 poll_steal,
-                steal_check_events,
+                STEAL_CHECK_EVENTS,
             )
         except BaseException as exc:
             failure = WorkerFailure.from_exception(job_id, exc)
-            outbox.put(("fail", worker_index, job_id, failure))
+            outbox.send(("fail", worker_index, job_id, failure))
 
 
 class MultiprocessTransport(Transport):
-    """The in-process pool backend: one subprocess per worker.
+    """The subprocess backend: one process per worker.
 
-    Per-worker inbox queues plus one shared outbox.  ``restart`` replaces
-    the process *and* its inbox, so queued messages for a dead worker are
-    dropped rather than replayed at a worker that never had the job.
+    Each worker has its own inbox queue and its own one-way reply pipe.
+    The parent holds no write end, so a pipe reads as end-of-file once its
+    worker is gone (or closes it): a reply cut off mid-write raises instead
+    of blocking, and no worker's death stalls another worker's replies.
+    ``restart`` drops the process and both channels, so neither queued
+    input nor a stale reply outlives it; the next message spawns the
+    replacement.  ``worker_main(worker, inbox, outbox)`` is the process
+    entry: the distributed runner's serves jobs until stopped, the job
+    service's runs one attempt and exits.
     """
 
-    def __init__(
-        self,
-        worker_count: int,
-        start_method: Optional[str] = None,
-        steal_check_events: int = DEFAULT_STEAL_CHECK_EVENTS,
-    ) -> None:
+    def __init__(self, worker_count: int, worker_main=_job_worker_main) -> None:
         if worker_count < 1:
             raise ValueError("need at least one worker")
         self.worker_count = worker_count
-        self.steal_check_events = steal_check_events
+        self.worker_main = worker_main
         import multiprocessing
 
-        if start_method is not None:
-            self._context = multiprocessing.get_context(start_method)
-        else:
-            try:
-                self._context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                self._context = multiprocessing.get_context("spawn")
-        self._inboxes: Dict[int, object] = {}
+        try:
+            self._context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            self._context = multiprocessing.get_context("spawn")
         self._processes: Dict[int, object] = {}
-        self._outbox = None
+        self._inboxes: Dict[int, object] = {}
+        self._replies: Dict[int, object] = {}
+        self._unread: Dict[int, deque] = {}
 
     def start(self) -> None:
-        self._outbox = self._context.Queue()
         for worker in range(self.worker_count):
             self._spawn(worker)
 
-    def _spawn(self, worker: int) -> None:
-        inbox = self._context.Queue()
-        process = self._context.Process(
-            target=_job_worker_main,
-            args=(worker, inbox, self._outbox, self.steal_check_events),
-        )
-        process.daemon = True
-        process.start()
-        self._inboxes[worker] = inbox
-        self._processes[worker] = process
-
     def send(self, worker: int, message: tuple) -> None:
+        if worker not in self._processes:
+            self._spawn(worker)
         self._inboxes[worker].put(message)
 
     def recv(self, timeout: float) -> Optional[tuple]:
+        for unread in self._unread.values():
+            if unread:
+                return unread.popleft()
+        deadline = _time.monotonic() + timeout
+        while True:
+            readers = {conn: worker for worker, conn in self._replies.items()}
+            remaining = max(0.0, deadline - _time.monotonic())
+            ready = wait(list(readers), remaining)
+            for conn in ready:
+                message = self._read(readers[conn])
+                if message is not None:
+                    return message
+            if not ready or remaining == 0.0:
+                return None
+
+    def _read(self, worker: int) -> Optional[tuple]:
+        """One reply from ``worker``; ``None`` once its pipe has closed."""
         try:
-            return self._outbox.get(timeout=timeout)
-        except queue_module.Empty:
+            return self._replies[worker].recv()
+        except (EOFError, OSError):
+            # A clean end, or a reply cut off by the worker's death.
+            self._replies.pop(worker).close()
             return None
 
     def alive(self, worker: int) -> bool:
-        process = self._processes.get(worker)
-        return process is not None and process.is_alive()
+        if worker not in self._processes:
+            return False
+        # Read what has arrived: a reply sent just before exit still
+        # counts, and a closed pipe means the worker is done.
+        while worker in self._replies and self._replies[worker].poll():
+            message = self._read(worker)
+            if message is not None:
+                self._unread[worker].append(message)
+        if self._unread[worker]:
+            return True
+        return worker in self._replies and self._processes[worker].is_alive()
 
     def restart(self, worker: int) -> None:
+        # Spawned lazily: an idle fork would hold the parent's descriptors
+        # (a server's client sockets, say) open until its next job.
+        self._close(worker)
+
+    def _spawn(self, worker: int) -> None:
+        inbox = self._context.Queue()
+        reader, writer = self._context.Pipe(duplex=False)
+        process = self._context.Process(
+            target=self.worker_main, args=(worker, inbox, writer), daemon=True
+        )
+        process.start()
+        writer.close()  # the worker holds the only write end
+        self._processes[worker] = process
+        self._inboxes[worker] = inbox
+        self._replies[worker] = reader
+        self._unread[worker] = deque()
+
+    def _close(self, worker: int) -> None:
         process = self._processes.pop(worker, None)
         if process is not None:
             if process.is_alive():
                 process.terminate()
             process.join()
-        old_inbox = self._inboxes.pop(worker, None)
-        if old_inbox is not None:
-            old_inbox.close()
-        self._spawn(worker)
+        inbox = self._inboxes.pop(worker, None)
+        if inbox is not None:
+            inbox.cancel_join_thread()  # the reader is gone
+            inbox.close()
+        reader = self._replies.pop(worker, None)
+        if reader is not None:
+            reader.close()
+        self._unread.pop(worker, None)
 
     def stop(self) -> None:
-        for worker, process in list(self._processes.items()):
-            if process.is_alive():
-                try:
-                    self._inboxes[worker].put(("stop",))
-                except Exception:  # pragma: no cover - queue already broken
-                    pass
-        deadline = _time.monotonic() + 2.0
-        for process in self._processes.values():
-            process.join(timeout=max(0.0, deadline - _time.monotonic()))
-            if process.is_alive():
-                process.terminate()
-                process.join()
-        self._processes.clear()
-        self._inboxes.clear()
+        for worker in list(self._processes):
+            self._close(worker)
 
 
 class InlineTransport(Transport):
@@ -595,10 +624,7 @@ class InlineTransport(Transport):
         self._replies.clear()
 
     def send(self, worker: int, message: tuple) -> None:
-        tag = message[0]
-        if tag in ("stop",):
-            return
-        if tag == "steal":
+        if message[0] == "steal":
             self._replies.append(("steal_deny", 0, -1))
             return
         _, job_id, payload, attempt = message
@@ -611,6 +637,7 @@ class InlineTransport(Transport):
     def recv(self, timeout: float) -> Optional[tuple]:
         if self._replies:
             return self._replies.popleft()
+        _time.sleep(timeout)  # nothing runs until the next send
         return None
 
     def alive(self, worker: int) -> bool:
@@ -650,56 +677,102 @@ class StealStats:
         self.denied = 0
 
 
-class _Coordinator:
+class Coordinator:
     """Drives jobs over a transport: dispatch, steal, supervise, retry.
 
-    The one in-process worker supervisor.  A bounded ``recv`` poll plus a
-    liveness scan replaces any blocking drain, so a worker that dies
-    without reporting is detected instead of hanging the run.  Every
-    failure becomes a typed :class:`WorkerFailure` that names the job's
-    initial-cut groups; retries use deterministic seeded backoff; the
-    final attempt for crash/exception failures runs in-process (timeouts
-    keep retrying in a subprocess); and ``allow_partial`` degrades
-    exhausted jobs to report entries instead of raising, keeping every
-    completed job's result.
+    The one worker supervisor, for the distributed runner and the job
+    service alike.  :meth:`step` takes one non-blocking turn: dispatch the
+    due jobs, maybe request a steal, handle the replies that arrive within
+    its timeout, then scan busy workers for death and overrun deadlines.
+    Every failure becomes a typed :class:`WorkerFailure` that names the
+    job's initial-cut groups; a failed job waits out a deterministic
+    backoff before its next dispatch; with ``run_inline`` set, the final
+    crash/exception attempt runs in-process (timeouts keep retrying in a
+    subprocess, which can be killed).  ``step`` returns the turn's events:
+    ``("start", job, attempt)``, ``("done", job, result)``, ``("partial",
+    job, report)`` for a steal donor's flow-only slice, ``("retry", job,
+    failure)`` and ``("failed", job, failure)``.  :meth:`run` is the
+    runner's blocking loop: it collects ``results`` and raises on a failed
+    job unless ``allow_partial`` reports it instead.
     """
 
     def __init__(
         self,
         transport: Transport,
-        jobs: List[Tuple[bytes, PathPrefix]],
+        jobs: Sequence[Tuple[bytes, Optional[PathPrefix]]],
         policy: RetryPolicy,
         steal: bool,
-        run_inline,
+        run_inline=None,
         trace: Optional[TraceEmitter] = None,
-        sleep=_time.sleep,
     ) -> None:
         self.transport = transport
         self.policy = policy
         self.steal_enabled = steal and transport.worker_count > 1
         self.run_inline = run_inline
         self.trace = trace
-        self.sleep = sleep
 
         self.payloads: Dict[int, bytes] = {}
-        self.prefixes: Dict[int, PathPrefix] = {}
-        self._next_job_id = 0
-        for payload, prefix in jobs:
-            self._enqueue_new(payload, prefix)
-        self.pending: deque = deque(sorted(self.payloads))
+        self.prefixes: Dict[int, Optional[PathPrefix]] = {}
+        self.pending: deque = deque()
         self.attempts: Dict[int, int] = {}
         self.results: List[RunReport] = []
         self.failed: List[WorkerFailure] = []
         self.retries = 0
         self.steal_stats = StealStats()
         self.jobs_dispatched = 0
-        self._outstanding = len(self.payloads)
+        self.idle = set(range(transport.worker_count))
+        self._next_job_id = 0
+        self._outstanding = 0
         self._resolved: set = set()
         self._busy: Dict[int, _RunningJob] = {}
+        self._not_before: Dict[int, float] = {}
         self._steal_pending: set = set()
         self._steal_cooldown: Dict[int, float] = {}
+        self._events: List[tuple] = []
+        for payload, prefix in jobs:
+            self.add(payload, prefix)
 
     # -- public ------------------------------------------------------------
+
+    def add(
+        self, payload: bytes, prefix: Optional[PathPrefix] = None, attempts: int = 0
+    ) -> int:
+        """Queue a job; ``attempts`` counts attempts made before this run."""
+        job_id = self._next_job_id
+        self._next_job_id += 1
+        self.payloads[job_id] = payload
+        self.prefixes[job_id] = prefix
+        self.attempts[job_id] = attempts
+        self.pending.append(job_id)
+        self._outstanding += 1
+        return job_id
+
+    def forget(self, job_id: int) -> None:
+        """Drop an ended job's payload and counters (for long-lived callers)."""
+        self.payloads.pop(job_id, None)
+        self.prefixes.pop(job_id, None)
+        self.attempts.pop(job_id, None)
+
+    def cancel(self, job_id: int) -> None:
+        """End ``job_id`` without a result, restarting its worker if busy."""
+        if job_id in self._resolved:
+            return
+        self._resolve(job_id)
+        for worker, running in list(self._busy.items()):
+            if running.job_id == job_id:
+                self._release(worker, restart=True)
+
+    def step(self, timeout: float) -> List[tuple]:
+        """One turn; returns its lifecycle events."""
+        self._dispatch()
+        self._maybe_steal()
+        message = self.transport.recv(timeout)
+        while message is not None:
+            self._handle(message)
+            message = self.transport.recv(0.0)
+        self._scan_workers()
+        events, self._events = self._events, []
+        return events
 
     def run(self) -> None:
         """Run every job (and every job stolen along the way) to an end."""
@@ -707,48 +780,57 @@ class _Coordinator:
             return
         self.transport.start()
         try:
-            idle = set(range(self.transport.worker_count))
             while self._outstanding > 0:
-                self._dispatch(idle)
-                self._maybe_steal(idle)
-                message = self.transport.recv(self.policy.poll_interval_seconds)
-                if message is None:
-                    self._scan_workers(idle)
-                    continue
-                self._handle(message, idle)
+                for kind, _job, detail in self.step(self.policy.poll_interval_seconds):
+                    if kind in ("done", "partial"):
+                        self.results.append(detail)
+                    elif kind == "failed" and not self.policy.allow_partial:
+                        raise_worker_failure(detail)
         finally:
             self.transport.stop()
 
     # -- internals ----------------------------------------------------------
 
-    def _enqueue_new(self, payload: bytes, prefix: PathPrefix) -> int:
-        job_id = self._next_job_id
-        self._next_job_id += 1
-        self.payloads[job_id] = payload
-        self.prefixes[job_id] = prefix
-        return job_id
+    def _resolve(self, job_id: int) -> None:
+        self._resolved.add(job_id)
+        self._outstanding -= 1
+        self._not_before.pop(job_id, None)
 
-    def _dispatch(self, idle: set) -> None:
-        while self.pending and idle:
-            worker = min(idle)
+    def _release(self, worker: int, restart: bool = False) -> None:
+        self._busy.pop(worker, None)
+        self._steal_pending.discard(worker)
+        if restart:
+            self.transport.restart(worker)
+        self.idle.add(worker)
+
+    def _dispatch(self) -> None:
+        now = _time.monotonic()
+        backing_off: deque = deque()
+        while self.pending and self.idle:
+            job_id = self.pending.popleft()
+            if job_id in self._resolved:
+                continue  # cancelled while queued
+            if self._not_before.get(job_id, 0.0) > now:
+                backing_off.append(job_id)
+                continue
+            worker = min(self.idle)
             if not self.transport.alive(worker):
                 self.transport.restart(worker)
-            job_id = self.pending.popleft()
-            if job_id in self._resolved:  # pragma: no cover - defensive
-                continue
-            idle.discard(worker)
-            attempt = self.attempts.get(job_id, 0)
+            self.idle.discard(worker)
+            attempt = self.attempts[job_id]
             deadline = None
             if self.policy.task_timeout_seconds is not None:
-                deadline = (_time.monotonic() + self.policy.task_timeout_seconds)
+                deadline = now + self.policy.task_timeout_seconds
             self._busy[worker] = _RunningJob(job_id, attempt, deadline)
             self.jobs_dispatched += 1
+            self._events.append(("start", job_id, attempt))
             if self.trace is not None:
                 self.trace.emit("worker.job.dispatch", job=job_id, attempt=attempt)
             self.transport.send(worker, ("job", job_id, self.payloads[job_id], attempt))
+        self.pending.extendleft(reversed(backing_off))
 
-    def _maybe_steal(self, idle: set) -> None:
-        if not self.steal_enabled or self.pending or not idle:
+    def _maybe_steal(self) -> None:
+        if not self.steal_enabled or self.pending or not self.idle:
             return
         now = _time.monotonic()
         for worker in sorted(self._busy):
@@ -763,29 +845,22 @@ class _Coordinator:
             self.transport.send(worker, ("steal",))
             return  # one request per loop turn
 
-    def _handle(self, message: tuple, idle: set) -> None:
+    def _handle(self, message: tuple) -> None:
         tag = message[0]
         if tag == "done":
             _, worker, job_id, result = message
             if job_id in self._resolved:
                 return  # stale duplicate after a presumed-death requeue
-            self._resolved.add(job_id)
-            self._outstanding -= 1
-            self.results.append(result)
-            self._busy.pop(worker, None)
-            self._steal_pending.discard(worker)
-            idle.add(worker)
+            self._resolve(job_id)
+            self._release(worker)
+            self._events.append(("done", job_id, result))
             if self.trace is not None:
                 self.trace.emit("worker.job.done", job=job_id)
         elif tag == "steal_reply":
             _, worker, job_id, partial, kept_payload, stolen_jobs = message
             self._steal_pending.discard(worker)
             running = self._busy.get(worker)
-            if (
-                job_id in self._resolved
-                or running is None
-                or running.job_id != job_id
-            ):
+            if job_id in self._resolved or running is None or running.job_id != job_id:
                 # The whole job was (or will be) re-run from its pre-split
                 # payload; the partial and the stolen half must be dropped
                 # together or states would be double-counted.
@@ -796,22 +871,18 @@ class _Coordinator:
             self._steal_cooldown[worker] = (
                 _time.monotonic() + STEAL_RETRY_COOLDOWN_SECONDS
             )
-            self.results.append(partial)
+            self._events.append(("partial", job_id, partial))
             # The donor continues from the kept half: a later crash must
             # retry only that half, not replay the reported slice.
             self.payloads[job_id] = kept_payload
             if running.deadline is not None:
-                running.deadline = (
-                    _time.monotonic() + self.policy.task_timeout_seconds
-                )
+                running.deadline = _time.monotonic() + self.policy.task_timeout_seconds
             moved = 0
             for payload, prefix in stolen_jobs:
                 # The donor's group indices are local to its restored
                 # engine; failure records name the initial cut's groups.
                 prefix.group_indices = self.prefixes[job_id].group_indices
-                self._enqueue_new(payload, prefix)
-                self.pending.append(self._next_job_id - 1)
-                self._outstanding += 1
+                self.add(payload, prefix)
                 moved += prefix.states
             if self.trace is not None:
                 self.trace.emit("worker.steal.grant", job=job_id, states=moved)
@@ -826,51 +897,33 @@ class _Coordinator:
                 self.trace.emit("worker.steal.deny", job=_job_id)
         elif tag == "fail":
             _, worker, job_id, failure = message
-            self._busy.pop(worker, None)
-            self._steal_pending.discard(worker)
-            idle.add(worker)
+            self._release(worker)
             if job_id not in self._resolved:
                 self._job_failed(job_id, failure)
 
-    def _scan_workers(self, idle: set) -> None:
+    def _scan_workers(self) -> None:
         now = _time.monotonic()
         for worker, running in list(self._busy.items()):
             if not self.transport.alive(worker):
-                # A flushed result may still be queued; prefer it over a
-                # crash record (the feeder thread flushes before exit).
-                message = self.transport.recv(self.policy.poll_interval_seconds)
-                if message is not None:
-                    self._handle(message, idle)
-                    return
-                self._busy.pop(worker, None)
-                self._steal_pending.discard(worker)
-                self.transport.restart(worker)
-                idle.add(worker)
-                self._job_failed(
-                    running.job_id,
-                    WorkerFailure(
-                        task_index=running.job_id,
-                        kind="crash",
-                        message="worker process died without reporting a result",
-                    ),
+                failure = WorkerFailure(
+                    task_index=running.job_id,
+                    kind="crash",
+                    message="worker process died without reporting a result",
                 )
             elif running.deadline is not None and now > running.deadline:
-                self._busy.pop(worker, None)
-                self._steal_pending.discard(worker)
-                self.transport.restart(worker)
-                idle.add(worker)
-                self._job_failed(
-                    running.job_id,
-                    WorkerFailure(
-                        task_index=running.job_id,
-                        kind="timeout",
-                        message="job exceeded its wall-clock budget of"
-                        f" {self.policy.task_timeout_seconds}s",
-                    ),
+                failure = WorkerFailure(
+                    task_index=running.job_id,
+                    kind="timeout",
+                    message="job exceeded its wall-clock budget of"
+                    f" {self.policy.task_timeout_seconds}s",
                 )
+            else:
+                continue
+            self._release(worker, restart=True)
+            self._job_failed(running.job_id, failure)
 
     def _job_failed(self, job_id: int, failure: WorkerFailure) -> None:
-        self.attempts[job_id] = self.attempts.get(job_id, 0) + 1
+        self.attempts[job_id] += 1
         failure.attempts = self.attempts[job_id]
         if self.trace is not None:
             self.trace.emit(
@@ -884,18 +937,18 @@ class _Coordinator:
             self._exhaust(job_id, failure)
             return
         self.retries += 1
-        delay = self.policy.backoff_seconds(job_id, failure.attempts)
-        if delay > 0:
-            self.sleep(delay)
+        self._events.append(("retry", job_id, failure))
         if self.trace is not None:
             self.trace.emit("worker.retry", task=job_id, attempt=failure.attempts)
         final = failure.attempts == self.policy.max_retries
-        if final and failure.kind != "timeout":
+        if final and failure.kind != "timeout" and self.run_inline is not None:
             # Last chance: run in the coordinator's process — immune to
             # worker loss.  Timeouts keep retrying in a subprocess; an
             # in-process attempt could not be killed.
             self._run_final_inline(job_id)
         else:
+            delay = self.policy.backoff_seconds(job_id, failure.attempts)
+            self._not_before[job_id] = _time.monotonic() + delay
             self.pending.append(job_id)
 
     def _run_final_inline(self, job_id: int) -> None:
@@ -908,21 +961,18 @@ class _Coordinator:
             )
             self._exhaust(job_id, failure)
             return
-        self._resolved.add(job_id)
-        self._outstanding -= 1
-        self.results.append(result)
+        self._resolve(job_id)
+        self._events.append(("done", job_id, result))
 
     def _exhaust(self, job_id: int, failure: WorkerFailure) -> None:
         # Enough to re-run the job later from the initial cut's snapshot.
         prefix = self.prefixes[job_id]
-        failure.group_indices = tuple(prefix.group_indices)
-        failure.state_count = prefix.states
-        self._resolved.add(job_id)
-        self._outstanding -= 1
-        if self.policy.allow_partial:
-            self.failed.append(failure)
-            return
-        raise_worker_failure(failure)
+        if prefix is not None:
+            failure.group_indices = tuple(prefix.group_indices)
+            failure.state_count = prefix.states
+        self._resolve(job_id)
+        self.failed.append(failure)
+        self._events.append(("failed", job_id, failure))
 
 
 def _run_job_inline(job_id: int, payload: bytes) -> RunReport:
@@ -1181,9 +1231,7 @@ class DistributedRunner:
         probe_events: int = DEFAULT_PROBE_EVENTS,
         probe_limit_events: Optional[int] = DEFAULT_PROBE_LIMIT_EVENTS,
         steal: bool = True,
-        steal_check_events: int = DEFAULT_STEAL_CHECK_EVENTS,
         transport: Optional[Transport] = None,
-        start_method: Optional[str] = None,
         trace: Optional[TraceEmitter] = None,
         retry_policy: Optional[RetryPolicy] = None,
         max_retries: Optional[int] = None,
@@ -1204,9 +1252,7 @@ class DistributedRunner:
         self.probe_events = probe_events
         self.probe_limit_events = probe_limit_events
         self.steal = steal
-        self.steal_check_events = steal_check_events
         self.transport = transport
-        self.start_method = start_method
         self.trace = trace
         policy = retry_policy if retry_policy is not None else RetryPolicy()
         replacements = {}
@@ -1275,12 +1321,8 @@ class DistributedRunner:
             if self.workers == 1 or len(jobs) <= 1:
                 transport = InlineTransport()
             else:
-                transport = MultiprocessTransport(
-                    self.workers,
-                    start_method=self.start_method,
-                    steal_check_events=self.steal_check_events,
-                )
-        coordinator = _Coordinator(
+                transport = MultiprocessTransport(self.workers)
+        coordinator = Coordinator(
             transport,
             jobs,
             policy=self.retry_policy,

@@ -5,16 +5,17 @@ The paper's headline experiments run for hours (Table I's COB run went
 modes dominate, and this module answers each:
 
 1. **Worker loss** — a partition worker OOM-killed or SIGKILL'd dies
-   without enqueueing a result.  The distributed runner's coordinator
-   (:mod:`repro.core.distributed`) polls with a bounded timeout, detects
-   dead workers by a liveness scan, enforces a per-job wall-clock
-   budget, and classifies every failure in a typed
-   :class:`WorkerFailure` that preserves the original traceback.
-2. **Transient failures** — failed partitions are requeued with
+   without sending a result.  The one worker supervisor, the
+   :class:`~repro.core.distributed.Coordinator` that both the
+   distributed runner and the job service run on, scans busy workers
+   for death every turn, enforces a per-job wall-clock budget, and
+   classifies every failure in a typed :class:`WorkerFailure` that
+   preserves the original traceback.
+2. **Transient failures** — failed partitions are requeued behind a
    deterministic seeded exponential backoff (:class:`RetryPolicy`; no
-   wall-clock reads feed any retry *decision*), and the final attempt for
-   crash/exception failures runs in-process, which is immune to process
-   loss.  With ``allow_partial`` the run degrades gracefully: exhausted
+   wall-clock reads feed any retry *decision*), and the distributed
+   runner's final attempt for crash/exception failures runs in-process,
+   which is immune to process loss.  With ``allow_partial`` the run degrades gracefully: exhausted
    partitions are reported (with enough information to rerun them)
    instead of aborting the whole run.
 3. **Run loss** — :func:`save_checkpoint` writes a mid-run
@@ -219,7 +220,7 @@ def chaos_kill_probability() -> float:
 def chaos_kill_requested(attempt: int = 0, token: str = "") -> bool:
     """Fault-injection hook: should this worker attempt die right now?
 
-    When triggered, the attempt dies via ``os._exit`` before enqueueing a
+    When triggered, the attempt dies via ``os._exit`` before sending a
     result — indistinguishable from an OOM-kill from the supervisor's
     point of view.  Three regimes, per :func:`chaos_kill_probability`:
 
@@ -256,8 +257,9 @@ class RetryPolicy:
 
     All retry *decisions* are pure functions of (seed, task, attempt) —
     no wall-clock reads — so a rerun makes identical choices.  The only
-    clock use is the optional per-partition wall budget, which is
-    explicitly a wall-clock cap, and the backoff *sleeps* themselves.
+    clock uses are the optional per-partition wall budget, which is
+    explicitly a wall-clock cap, and the not-before time each backoff
+    sets.
     """
 
     #: retries after the first attempt; total attempts = max_retries + 1
@@ -269,7 +271,7 @@ class RetryPolicy:
     backoff_jitter: float = 0.25
     #: seeds the jitter PRNG (never wall-clock)
     seed: int = 0
-    #: result-queue poll granularity; bounds worker-death detection latency
+    #: reply-wait granularity of a blocking run; bounds worker-death detection
     poll_interval_seconds: float = 0.05
     #: per-partition wall-clock budget; None disables timeout detection
     task_timeout_seconds: Optional[float] = None

@@ -1,22 +1,28 @@
-"""The job manager: admission control, supervision, retry, drain, recover.
+"""The job manager: admission control, retry, budgets, drain, recover.
 
-This is the long-lived coordinator the distributed-exploration line of
-work presumes — the part of the service where robustness lives:
+The long-lived front half of the service.  Attempts run on the
+distributed runner's :class:`~repro.core.distributed.Coordinator`, the
+one worker supervisor, over a
+:class:`~repro.core.distributed.MultiprocessTransport` of one-shot
+workers (:func:`~repro.service.worker.job_worker_main`), so every attempt
+starts in a fresh process.  What lives here:
 
 - **Backpressure** — a bounded admission queue (HTTP 429 once full, with
   a Retry-After hint) and a per-client live-job cap, so one hot client
   cannot starve the rest or balloon memory.
-- **Supervision** — each attempt runs in a subprocess polled for results,
-  death, and deadline (an asyncio counterpart of the distributed runner's
-  coordinator, :mod:`repro.core.distributed`); failures become typed
+- **Supervision** — one asyncio loop takes a non-blocking coordinator
+  step per pass and maps its lifecycle events onto store transitions,
+  metrics and ``service.job.*`` events.  The coordinator detects dead
+  workers and records failures as typed
   :class:`~repro.core.resilience.WorkerFailure` records on the job.
-- **Retry** — crashed/raising attempts are retried with the deterministic
-  seeded exponential backoff of :class:`~repro.core.resilience.RetryPolicy`
-  (seeded by the submission's ``seed``); retries *resume from the job's
-  latest checkpoint*, so work done before a crash is never redone and the
-  final report is pinned equal to a fault-free run.
+- **Retry** — the coordinator requeues crashed/raising attempts behind
+  the deterministic backoff of :class:`~repro.core.resilience.RetryPolicy`;
+  retries *resume from the job's latest checkpoint*, so work done before
+  a crash is never redone and the final report is pinned equal to a
+  fault-free run.
 - **Budgets** — an optional per-job wall budget spanning all attempts;
-  exceeding it is the terminal ``timeout`` state, not a retry.
+  exceeding it cancels the attempt and is the terminal ``timeout`` state,
+  not a retry.
 - **Graceful drain** — on SIGTERM the service stops admitting, kills the
   in-flight workers (their checkpoints are already on disk), marks their
   records back to ``queued``/interrupted, and exits; the next boot
@@ -34,21 +40,17 @@ from __future__ import annotations
 
 import asyncio
 import pickle
-import queue as queue_module
-import random
+import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
-from ..core.resilience import (
-    RetryPolicy,
-    WorkerFailure,
-    chaos_kill_requested,
-)
+from ..core.distributed import Coordinator, MultiprocessTransport
+from ..core.resilience import RetryPolicy, WorkerFailure
 from ..obs.metrics import MetricsRegistry
 from .spec import SubmissionSpec
 from .store import JobRecord, RunStore
-from .worker import job_entry
+from .worker import chaos_kill_after, job_worker_main
 
 __all__ = [
     "AdmissionError",
@@ -76,16 +78,15 @@ class ServiceLimits:
     max_retries: int = 2
     #: engine checkpoint cadence inside job workers, in executed events
     checkpoint_every_events: int = 25
-    #: subprocess poll granularity; bounds crash-detection latency
+    #: scheduler poll granularity; bounds crash-detection latency
     poll_interval_seconds: float = 0.02
     #: first-retry backoff (doubles per retry, seeded jitter on top)
     backoff_base_seconds: float = 0.05
 
-    def retry_policy(self, seed: int) -> RetryPolicy:
+    def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(
             max_retries=self.max_retries,
             backoff_base_seconds=self.backoff_base_seconds,
-            seed=seed,
         )
 
 
@@ -111,15 +112,15 @@ class Draining(AdmissionError):
 
 
 class _ActiveJob:
-    """Supervision state for one in-flight job."""
+    """A job handed to the coordinator: its record, its coordinator job
+    number, and its wall-budget deadline (``None`` when unbudgeted)."""
 
-    __slots__ = ("record", "task", "process", "cancelled")
+    __slots__ = ("record", "job", "deadline")
 
-    def __init__(self, record: JobRecord) -> None:
+    def __init__(self, record: JobRecord, job: int, deadline) -> None:
         self.record = record
-        self.task: Optional[asyncio.Task] = None
-        self.process = None
-        self.cancelled = False
+        self.job = job
+        self.deadline = deadline
 
 
 class JobManager:
@@ -131,23 +132,20 @@ class JobManager:
         limits: Optional[ServiceLimits] = None,
         metrics: Optional[MetricsRegistry] = None,
         trace=None,
-        context=None,
     ) -> None:
         self.store = store
         self.limits = limits or ServiceLimits()
         self.metrics = metrics or MetricsRegistry()
         self.trace = trace
-        if context is None:
-            import multiprocessing
-
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX fallback
-                context = multiprocessing.get_context("spawn")
-        self._context = context
+        # Workers are spawned on first dispatch, one per attempt.
+        self.transport = MultiprocessTransport(self.limits.max_active, job_worker_main)
+        self.coordinator = Coordinator(
+            self.transport, [], self.limits.retry_policy(), steal=False
+        )
         self.draining = False
         self.queue: Deque[str] = deque()
-        self.active: Dict[str, _ActiveJob] = {}
+        #: coordinator job number -> the job it runs
+        self.active: Dict[int, _ActiveJob] = {}
         #: digest -> live (queued or running) job id, for coalescing
         self._live_digests: Dict[str, str] = {}
         self._client_load: Dict[str, int] = {}
@@ -185,15 +183,6 @@ class JobManager:
         parked = len(self.active)
         self._emit("service.drain", active=parked, queued=len(self.queue))
         self.metrics.counter("service.drained").inc(1)
-        for active in list(self.active.values()):
-            process = active.process
-            if process is not None and process.is_alive():
-                process.terminate()
-        # The per-job supervision loops observe `draining`, park their
-        # records, and exit; wait for all of them.
-        tasks = [a.task for a in self.active.values() if a.task is not None]
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
         if self._scheduler_task is not None:
             self._scheduler_task.cancel()
             try:
@@ -201,6 +190,12 @@ class JobManager:
             except asyncio.CancelledError:
                 pass
             self._scheduler_task = None
+        self.transport.stop()
+        for active in self.active.values():
+            # Parked, not terminal: back to queued for the next service
+            # life, checkpoint already on disk.
+            self.store.mark(active.record, "queued", interrupted=True)
+        self.active.clear()
         return parked, len(self.queue)
 
     # -- admission -----------------------------------------------------------
@@ -270,14 +265,10 @@ class JobManager:
             return None
         if record.terminal:
             return record
-        active = self.active.get(job_id)
-        if active is not None:
-            # The supervision loop observes the flag, terminates the
-            # worker, and marks the record.
-            active.cancelled = True
-            if active.process is not None and active.process.is_alive():
-                active.process.terminate()
-            return record
+        for active in self.active.values():
+            if active.record.id == job_id:
+                self.coordinator.cancel(active.job)
+                return self._finish(active, "cancelled")
         if job_id in self.queue:
             self.queue.remove(job_id)
             record = self.store.mark(record, "cancelled")
@@ -292,191 +283,91 @@ class JobManager:
 
     async def _scheduler(self) -> None:
         while True:
-            while (
-                self.queue
-                and len(self.active) < self.limits.max_active
-                and not self.draining
-            ):
-                job_id = self.queue.popleft()
-                record = self.store.load(job_id)
-                if record is None or record.terminal:
-                    continue
-                active = _ActiveJob(record)
-                self.active[job_id] = active
-                active.task = asyncio.create_task(self._run_job(active))
+            # Cleared first, so a job that ends in this pass starts the
+            # next queued one at once rather than a poll later.
             self._wake.clear()
-            await self._wake.wait()
+            self._start_queued()
+            for kind, job, detail in self.coordinator.step(0.0):
+                self._on_event(kind, self.active[job], detail)
+            self._enforce_budgets()
+            poll = self.limits.poll_interval_seconds if self.active else None
+            try:
+                await asyncio.wait_for(self._wake.wait(), poll)
+            except asyncio.TimeoutError:
+                pass
 
-    # -- job execution --------------------------------------------------------
-
-    async def _run_job(self, active: _ActiveJob) -> None:
-        record = active.record
-        loop = asyncio.get_event_loop()
-        policy = self.limits.retry_policy(seed=record.spec.seed)
-        deadline = None
-        if self.limits.job_timeout_seconds is not None:
-            deadline = loop.time() + self.limits.job_timeout_seconds
-        try:
-            self.store.mark(record, "running")
-            while True:
-                attempt = record.attempts
-                record.attempts = attempt + 1
-                self.store.save(record)
-                self._emit("service.job.start", job=record.id, attempt=attempt)
-                kind, detail = await self._attempt(active, attempt, deadline)
-
-                if kind == "ok":
-                    self.store.mark(record, "done", result=detail)
-                    self.store.publish_digest(record.digest, record.id)
-                    return
-                if kind == "drained":
-                    # Parked, not terminal: back to queued for the next
-                    # service life, checkpoint already on disk.
-                    self.store.mark(
-                        record, "queued", interrupted=True
-                    )
-                    return
-                if kind == "cancelled":
-                    self.store.mark(record, "cancelled")
-                    return
-                if kind == "timeout":
-                    self.store.mark(record, "timeout", failure=detail)
-                    return
-
-                # crash or exception: retry with seeded backoff, resuming
-                # from the job's checkpoint if one was written.
-                record.failure = detail
-                if record.attempts > policy.max_retries:
-                    self.store.mark(record, "failed", failure=detail)
-                    return
-                record.retries += 1
-                self.metrics.counter("service.retries").inc(1)
-                self._emit(
-                    "service.job.retry", job=record.id, attempt=record.attempts
-                )
-                await asyncio.sleep(
-                    policy.backoff_seconds(0, record.attempts)
-                )
-        finally:
-            self.active.pop(record.id, None)
-            final = self.store.load(record.id) or record
-            if final.terminal:
-                self._settle_live(final)
-                self._finish_metrics(final)
-                self._emit(
-                    "service.job.done", job=final.id, state=final.state
-                )
-            self._kick()
-
-    async def _attempt(
-        self, active: _ActiveJob, attempt: int, deadline: Optional[float]
-    ) -> Tuple[str, Optional[dict]]:
-        """One subprocess attempt; returns ``(kind, detail)``.
-
-        ``kind``: ``ok`` / ``exception`` / ``crash`` / ``timeout`` /
-        ``cancelled`` / ``drained``.
-        """
-        record = active.record
-        loop = asyncio.get_event_loop()
-        kill_after = self._chaos_kill_after(record.id, attempt)
-        payload = pickle.dumps(
-            {
+    def _start_queued(self) -> None:
+        while (
+            self.queue
+            and len(self.active) < self.limits.max_active
+            and not self.draining
+        ):
+            record = self.store.load(self.queue.popleft())
+            if record is None or record.terminal:
+                continue
+            payload = {
+                "job": record.id,
                 "spec": record.spec.as_dict(),
                 "trace_path": self.store.trace_path(record.id),
                 "report_path": self.store.report_path(record.id),
                 "checkpoint_path": self.store.checkpoint_path(record.id),
                 "checkpoint_every": self.limits.checkpoint_every_events,
-                "kill_after": kill_after,
             }
-        )
-        result_queue = self._context.Queue()
-        process = self._context.Process(
-            target=job_entry, args=(payload, result_queue, attempt)
-        )
-        process.start()
-        active.process = process
-        poll = self.limits.poll_interval_seconds
-        try:
-            while True:
-                outcome = self._poll_queue(result_queue)
-                if outcome is not None:
-                    process.join()
-                    if isinstance(outcome, WorkerFailure):
-                        return "exception", outcome.as_dict()
-                    return "ok", outcome
-                if self.draining:
-                    return "drained", None
-                if active.cancelled:
-                    return "cancelled", None
-                if not process.is_alive():
-                    # The queue feeder flushes before exit: one last poll
-                    # before declaring the worker lost.
-                    await asyncio.sleep(poll)
-                    outcome = self._poll_queue(result_queue)
-                    if outcome is not None:
-                        process.join()
-                        if isinstance(outcome, WorkerFailure):
-                            return "exception", outcome.as_dict()
-                        return "ok", outcome
-                    process.join()
-                    return "crash", self._failure_dict(
-                        record,
-                        "crash",
-                        "job worker died without reporting a result"
-                        f" (exitcode {process.exitcode})",
-                        attempt,
-                        exitcode=process.exitcode,
-                    )
-                if deadline is not None and loop.time() > deadline:
-                    process.terminate()
-                    process.join()
-                    return "timeout", self._failure_dict(
-                        record,
-                        "timeout",
-                        "job exceeded its wall budget of"
-                        f" {self.limits.job_timeout_seconds}s",
-                        attempt,
-                    )
-                await asyncio.sleep(poll)
-        finally:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - SIGTERM sufficed so far
-                process.kill()
-                process.join(timeout=5.0)
-            active.process = None
+            # Attempts count across service lives: a recovered job keeps
+            # its retry budget and its chaos coins.
+            job = self.coordinator.add(pickle.dumps(payload), attempts=record.attempts)
+            deadline = None
+            if self.limits.job_timeout_seconds is not None:
+                deadline = time.monotonic() + self.limits.job_timeout_seconds
+            self.active[job] = _ActiveJob(record, job, deadline)
 
-    def _chaos_kill_after(self, job_id: str, attempt: int) -> Optional[int]:
-        """Chaos: should this attempt die mid-run, and after how many
-        trace events?  Deterministic per (job, attempt)."""
-        if not chaos_kill_requested(attempt, token=f"svc:{job_id}"):
-            return None
-        self.metrics.counter("service.chaos.kills_planned").inc(1)
-        # Spread across the whole run: early kills exercise the
-        # fresh-restart path, late kills (past the first checkpoint)
-        # exercise resume.  A kill point beyond the run's trace length
-        # simply never fires — chaos is best-effort by design.
-        return random.Random(f"svc-kill:{job_id}:{attempt}").randrange(0, 96)
+    def _on_event(self, kind: str, active: _ActiveJob, detail) -> None:
+        record = active.record
+        if kind == "start":
+            record.attempts = detail + 1
+            self.store.mark(record, "running")
+            if chaos_kill_after(record.id, detail) is not None:
+                self.metrics.counter("service.chaos.kills_planned").inc(1)
+            self._emit("service.job.start", job=record.id, attempt=detail)
+        elif kind == "retry":
+            # Crash or exception with retries left: the next attempt
+            # resumes from the job's checkpoint if one was written.
+            record.failure = detail.as_dict()
+            record.retries += 1
+            self.store.save(record)
+            self.metrics.counter("service.retries").inc(1)
+            self._emit("service.job.retry", job=record.id, attempt=record.attempts)
+        elif kind == "done":
+            self._finish(active, "done", result=detail)
+            self.store.publish_digest(record.digest, record.id)
+        elif kind == "failed":
+            self._finish(active, "failed", failure=detail.as_dict())
 
-    @staticmethod
-    def _poll_queue(result_queue):
-        try:
-            blob = result_queue.get_nowait()
-        except queue_module.Empty:
-            return None
-        return pickle.loads(blob)
+    def _enforce_budgets(self) -> None:
+        now = time.monotonic()
+        for active in list(self.active.values()):
+            if active.deadline is None or now <= active.deadline:
+                continue
+            self.coordinator.cancel(active.job)
+            failure = WorkerFailure(
+                task_index=active.job,
+                kind="timeout",
+                message="job exceeded its wall budget of"
+                f" {self.limits.job_timeout_seconds}s",
+                attempts=active.record.attempts,
+            )
+            self._finish(active, "timeout", failure=failure.as_dict())
 
-    def _failure_dict(
-        self, record: JobRecord, kind: str, message: str, attempt: int, **extra
-    ) -> dict:
-        return WorkerFailure(
-            task_index=0,
-            kind=kind,
-            message=message,
-            attempts=attempt + 1,
-            **extra,
-        ).as_dict()
+    def _finish(self, active: _ActiveJob, state: str, **fields) -> JobRecord:
+        """Move an active job to a terminal ``state`` and free its slot."""
+        del self.active[active.job]
+        self.coordinator.forget(active.job)
+        record = self.store.mark(active.record, state, **fields)
+        self._settle_live(record)
+        self._finish_metrics(record)
+        self._emit("service.job.done", job=record.id, state=state)
+        self._kick()
+        return record
 
     # -- bookkeeping -----------------------------------------------------------
 

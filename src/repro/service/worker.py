@@ -1,7 +1,10 @@
 """The job worker subprocess: one SDE run, streamed and checkpointed.
 
-Each attempt at a job runs here, in a child process supervised by the
-:class:`~repro.service.jobs.JobManager`.  The worker:
+Each attempt at a job runs here, in a fresh child process: the job
+manager hands attempts to the distributed runner's
+:class:`~repro.core.distributed.Coordinator`, whose
+:class:`~repro.core.distributed.MultiprocessTransport` starts one
+:func:`job_worker_main` per attempt.  The worker:
 
 - rebuilds the scenario from the submission spec (workload registry);
 - runs the engine with service-owned checkpointing into the job dir, so
@@ -15,17 +18,17 @@ Each attempt at a job runs here, in a child process supervised by the
   read (corrupt, or from a build with another checkpoint version) is
   discarded with a ``checkpoint.discarded`` event and the job starts
   fresh, which gives the same report because runs are deterministic;
-- writes ``report.json`` atomically and ships a small summary dict back
-  on the result queue (or a typed
+- writes ``report.json`` atomically and replies with a small summary
+  dict on its reply pipe (or a typed
   :class:`~repro.core.resilience.WorkerFailure` on error).
 
-**Chaos.**  The supervisor decides per attempt whether this worker dies
-(seeded coin over ``SDE_CHAOS_KILL_WORKER``, see
-:func:`repro.core.resilience.chaos_kill_requested`) and passes a
-deterministic ``kill_after`` trace-event count in the payload.  The
-worker then ``os._exit``\\ s mid-run once that many events have streamed
-— after data has hit the trace file and (usually) a checkpoint has hit
-disk, which is exactly the crash the resume path must survive.
+**Chaos.**  :func:`chaos_kill_after` decides per (job, attempt) whether
+this worker dies (seeded coin over ``SDE_CHAOS_KILL_WORKER``, see
+:func:`repro.core.resilience.chaos_kill_requested`) and after how many
+trace events.  The worker then ``os._exit``\\ s mid-run once that many
+events have streamed — after data has hit the trace file and (usually) a
+checkpoint has hit disk, which is exactly the crash the resume path must
+survive.
 """
 
 from __future__ import annotations
@@ -33,14 +36,25 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import random
 from typing import Optional
 
-from ..core.resilience import CheckpointError, WorkerFailure, resume_engine
+from ..core.resilience import (
+    CheckpointError,
+    WorkerFailure,
+    chaos_kill_requested,
+    resume_engine,
+)
 from ..core.scenario import build_engine
 from ..obs.events import TraceEmitter
 from .spec import SubmissionSpec
 
-__all__ = ["StreamingTraceEmitter", "execute_job", "job_entry"]
+__all__ = [
+    "StreamingTraceEmitter",
+    "chaos_kill_after",
+    "execute_job",
+    "job_worker_main",
+]
 
 
 class StreamingTraceEmitter(TraceEmitter):
@@ -150,12 +164,25 @@ def execute_job(payload: dict) -> dict:
         trace.close()
 
 
-def job_entry(payload_bytes: bytes, queue, attempt: int = 0) -> None:
-    """Subprocess target: run the attempt, ship a summary or a failure.
+def chaos_kill_after(job_id: str, attempt: int) -> Optional[int]:
+    """Chaos: should this attempt die mid-run, and after how many trace
+    events?  A pure function of (job, attempt), so the worker that dies
+    and the manager that counts planned kills always agree."""
+    if not chaos_kill_requested(attempt, token=f"svc:{job_id}"):
+        return None
+    # Spread across the whole run: early kills exercise the fresh-restart
+    # path, late kills (past the first checkpoint) exercise resume.  A
+    # kill point beyond the run's trace length simply never fires — chaos
+    # is best-effort by design.
+    return random.Random(f"svc-kill:{job_id}:{attempt}").randrange(0, 96)
 
-    Mirrors the distributed runner's worker contract: failures travel
-    as typed :class:`WorkerFailure` records (exception name, message,
-    full traceback), never bare pickled exceptions.
+
+def job_worker_main(worker_index: int, inbox, outbox) -> None:
+    """Transport worker entry: run one job attempt, reply, and exit.
+
+    One attempt per process, so no module state (the expression interning
+    table, for one) carries over from another job.  Failures travel as
+    typed :class:`WorkerFailure` records, never bare pickled exceptions.
     """
     # A fork()ed child inherits the service loop's signal plumbing: a
     # no-op C handler for SIGTERM/SIGINT plus the loop's wakeup fd.
@@ -169,9 +196,15 @@ def job_entry(payload_bytes: bytes, queue, attempt: int = 0) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
+    _, job_id, payload_bytes, attempt = inbox.get()
     payload = pickle.loads(payload_bytes)
+    payload["kill_after"] = chaos_kill_after(payload["job"], attempt)
     try:
-        queue.put(pickle.dumps(execute_job(payload)))
+        reply = ("done", worker_index, job_id, execute_job(payload))
     except BaseException as exc:  # noqa: BLE001 - classified for the parent
-        failure = WorkerFailure.from_exception(0, exc, attempts=attempt + 1)
-        queue.put(pickle.dumps(failure))
+        failure = WorkerFailure.from_exception(job_id, exc)
+        reply = ("fail", worker_index, job_id, failure)
+    outbox.send(reply)
+    # Closing at once marks this worker spent, so the next attempt gets a
+    # fresh process without waiting for this one's exit.
+    outbox.close()

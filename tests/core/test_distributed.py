@@ -19,11 +19,16 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
 5. The coordinator is the one worker supervisor: timeouts, crashes and
    worker exceptions are classified, the last attempt runs inline, and
    under ``allow_partial`` completed jobs survive another job's failure.
+6. Each subprocess worker replies on its own pipe: a worker killed in
+   the middle of a reply cannot block another worker's replies, and a
+   reply sent just before a worker exits is read, not taken for a crash.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+import os
 import pickle
 import time
 
@@ -33,9 +38,10 @@ from repro.api import Scenario, Topology, build_engine
 from repro.core.distributed import (
     DistributedRunner,
     InlineTransport,
+    MultiprocessTransport,
     PathPrefix,
+    Coordinator,
     Transport,
-    _Coordinator,
     _split_for_steal,
     deepen_until_partitioned,
     snapshot_assignment_tasks,
@@ -327,13 +333,12 @@ class ScriptedTransport(Transport):
 
 class TestCoordinatorProtocol:
     def _coordinator(self, transport, jobs, **kwargs):
-        return _Coordinator(
+        return Coordinator(
             transport,
             jobs,
             policy=kwargs.pop("policy", FAST),
             steal=kwargs.pop("steal", True),
             run_inline=kwargs.pop("run_inline", None),
-            sleep=lambda _s: None,
             **kwargs,
         )
 
@@ -418,8 +423,7 @@ class TestCoordinatorProtocol:
         jobs = [(b"j0", _Prefix(4))]
         coordinator = self._coordinator(transport, jobs, steal=False)
         coordinator.transport.start()
-        idle = {0, 1}
-        coordinator._dispatch(idle)
+        coordinator._dispatch()
         coordinator._busy.pop(0)  # presumed dead; job requeued elsewhere
         coordinator._handle(
             (
@@ -430,7 +434,6 @@ class TestCoordinatorProtocol:
                 b"stale-kept",
                 [(b"stale-stolen", _Prefix(2))],
             ),
-            idle,
         )
         assert coordinator.results == []
         assert coordinator.steal_stats.granted == 0
@@ -682,6 +685,73 @@ class TestCoordinatorProtocol:
         coordinator.run()
         assert coordinator.results == ["result-0"]
         assert [f.task_index for f in coordinator.failed] == [1]
+
+
+def _reply_on_request(worker, inbox, outbox):
+    """Test worker: a 16 MB reply to "big", a small one to anything else."""
+    message = inbox.get()
+    if message[0] == "big":
+        outbox.send(b"x" * (16 << 20))  # blocks: nobody reads the pipe
+    else:
+        outbox.send(("small", worker))
+    inbox.get()  # idle until stopped
+
+
+def _mid_reply_kill_probe():
+    transport = MultiprocessTransport(2, worker_main=_reply_on_request)
+    transport.start()
+    try:
+        transport.send(0, ("big",))
+        time.sleep(0.5)  # worker 0 is now stuck mid-reply on a full pipe
+        transport.restart(0)  # what a task-timeout expiry does
+        transport.send(1, ("small",))
+        message = transport.recv(5.0)
+    finally:
+        transport.stop()
+    os._exit(0 if message == ("small", 1) else 1)
+
+
+def _reply_then_exit(worker, inbox, outbox):
+    """Test worker: answer one job, then exit at once."""
+    _, job_id, _payload, _attempt = inbox.get()
+    outbox.send(("done", worker, job_id, f"result-{job_id}"))
+    os._exit(0)
+
+
+class TestMultiprocessTransport:
+    def test_worker_killed_mid_reply_does_not_block_another(self):
+        # The probe runs in its own process, so a regression fails here
+        # instead of hanging the suite.
+        probe = multiprocessing.get_context("fork").Process(
+            target=_mid_reply_kill_probe
+        )
+        probe.start()
+        probe.join(30)
+        if probe.is_alive():
+            probe.kill()
+            probe.join()
+            pytest.fail("recv hung after a worker was killed mid-reply")
+        assert probe.exitcode == 0
+
+    def test_reply_sent_just_before_exit_counts_as_done(self):
+        transport = MultiprocessTransport(1, worker_main=_reply_then_exit)
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        coordinator = Coordinator(
+            transport, [(b"j0", _Prefix(1))], policy=policy, steal=False
+        )
+        transport.start()
+        try:
+            coordinator._dispatch()
+            worker = transport._processes[0]
+            worker.join(10)  # replied and gone; the reply is still unread
+            assert not worker.is_alive()
+            coordinator._scan_workers()
+            events = coordinator.step(1.0)
+        finally:
+            transport.stop()
+        assert ("done", 0, "result-0") in events
+        assert coordinator.failed == []
+        assert coordinator.retries == 0
 
 
 class TestChaos:
