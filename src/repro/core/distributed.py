@@ -589,7 +589,9 @@ class MultiprocessTransport(Transport):
         process = self._processes.pop(worker, None)
         if process is not None:
             if process.is_alive():
-                process.terminate()
+                # SIGKILL: a just-forked child may still carry its parent's
+                # handler that ignores SIGTERM.
+                process.kill()
             process.join()
         inbox = self._inboxes.pop(worker, None)
         if inbox is not None:

@@ -186,7 +186,7 @@ def job_worker_main(worker_index: int, inbox, outbox) -> None:
     """
     # A fork()ed child inherits the service loop's signal plumbing: a
     # no-op C handler for SIGTERM/SIGINT plus the loop's wakeup fd.
-    # Left in place, terminate() would not kill the worker, and worse,
+    # Left in place, SIGTERM or SIGINT would not kill the worker, and worse,
     # the child's handler would write into the *shared* wakeup pipe and
     # convince the parent loop that *it* was signalled.  Restore default
     # handling before any real work.
