@@ -81,7 +81,6 @@ import queue as queue_module
 import time as _time
 from abc import ABC, abstractmethod
 from collections import deque
-from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import TraceEmitter
@@ -509,8 +508,11 @@ class MultiprocessTransport(Transport):
             raise ValueError("need at least one worker")
         self.worker_count = worker_count
         self.worker_main = worker_main
+        # Imported here: most runs never start a worker process.
         import multiprocessing
+        from multiprocessing.connection import wait
 
+        self._wait = wait
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -537,7 +539,7 @@ class MultiprocessTransport(Transport):
         while True:
             readers = {conn: worker for worker, conn in self._replies.items()}
             remaining = max(0.0, deadline - _time.monotonic())
-            ready = wait(list(readers), remaining)
+            ready = self._wait(list(readers), remaining)
             for conn in ready:
                 message = self._read(readers[conn])
                 if message is not None:
