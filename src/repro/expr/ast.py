@@ -124,7 +124,9 @@ def clear_intern_cache() -> None:
 class Expr:
     """Base class of all expression nodes."""
 
-    __slots__ = ("_hash", "_vars")
+    # ``_vars`` and ``_plan`` (see :mod:`repro.expr.evaluate`) are memos,
+    # filled on first use.
+    __slots__ = ("_hash", "_vars", "_plan")
 
     #: Distinguishes the boolean sort from the bitvector sort.
     is_bool = False

@@ -30,6 +30,7 @@ checkpoint by the resume-equality guarantee.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import re
@@ -162,11 +163,15 @@ class SDEService:
             except Exception:  # noqa: BLE001
                 pass
         finally:
-            try:
+            # Half-close first: the client reads EOF as soon as the reply
+            # is flushed, even while a forked job worker still holds a
+            # copy of this socket (closing our descriptor would not end
+            # the connection then).
+            with contextlib.suppress(Exception):
+                writer.write_eof()
+            with contextlib.suppress(Exception):
                 writer.close()
                 await writer.wait_closed()
-            except Exception:  # noqa: BLE001
-                pass
 
     async def _read_request(
         self, reader

@@ -289,6 +289,11 @@ class JobManager:
             self._start_queued()
             for kind, job, detail in self.coordinator.step(0.0):
                 self._on_event(kind, self.active[job], detail)
+            # A one-shot worker is spent once its reply is read, but its
+            # process may not have closed its pipe yet: drop it now, or the
+            # next dispatch could reach it and be retried as a crash.
+            for worker in self.coordinator.idle:
+                self.transport.restart(worker)
             self._enforce_budgets()
             poll = self.limits.poll_interval_seconds if self.active else None
             try:

@@ -13,7 +13,9 @@ cheapest first:
    query's variables are examined, with a hard scan bound.
 3. **model reuse** — a model stored for a *subset* key is evaluated
    against only the extra conjuncts (for unrelated keys: against the
-   whole query); satisfaction proves SAT without a search.
+   whole query); satisfaction proves SAT without a search.  Stored
+   models are indexed by variable set, so the scan visits only models
+   over the query's own variables, newest first.
 
 Stats use the metric names the observability layer exports
 (``solver.cache.hit.exact`` / ``hit.cex`` / ``hit.model`` / ``miss``);
@@ -22,8 +24,9 @@ Stats use the metric names the observability layer exports
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from ..expr import BoolExpr, BVVar
 from .model import Model
@@ -88,6 +91,23 @@ class CacheStats:
 _MISS = object()
 
 
+class _Entry:
+    """One stored model: its variable names, the key it was stored for,
+    and its store sequence number (larger = newer)."""
+
+    __slots__ = ("model", "names", "key", "seq")
+
+    def __init__(self, model: Model, key: Key, seq: int) -> None:
+        self.model = model
+        self.names: FrozenSet[str] = frozenset(model)
+        self.key = key
+        self.seq = seq
+
+
+def _newest(entry: _Entry) -> int:
+    return -entry.seq
+
+
 class SolverCache:
     """The tiered cache described in the module docstring.
 
@@ -95,9 +115,9 @@ class SolverCache:
     :class:`Model` for SAT and ``None`` for UNSAT; ``last_outcome``
     records which tier answered (``"exact"``, ``"cex"``, ``"model"`` or
     ``"miss"``) for trace events.  Every structure is bounded: exact
-    entries and UNSAT index keys are LRU-evicted, and the model / subset
-    scans have hard step limits so a lookup can never cost more than a
-    small constant multiple of a miss.
+    entries, stored models and UNSAT index keys are LRU-evicted, and the
+    model / subset scans have hard step limits so a lookup can never cost
+    more than a small constant multiple of a miss.
     """
 
     def __init__(
@@ -109,9 +129,14 @@ class SolverCache:
         max_subset_scan: int = 64,
     ) -> None:
         self._exact: "OrderedDict[Key, Optional[Model]]" = OrderedDict()
-        self._models: "OrderedDict[Model, None]" = OrderedDict()
-        self._model_vars: Dict[Model, FrozenSet[str]] = {}
-        self._model_keys: Dict[Model, Key] = {}
+        # Stored models, oldest first; an equal model stored again keeps
+        # its first entry (and object), which moves to the newest end.
+        self._entries: "OrderedDict[Model, _Entry]" = OrderedDict()
+        # The same entries grouped by variable set, each list oldest
+        # first: a query scans only the groups whose set is a subset of
+        # its own, so models with foreign variables cost nothing.
+        self._by_names: Dict[FrozenSet[str], List[_Entry]] = {}
+        self._seq = 0
         # UNSAT subset index: every remembered UNSAT key is filed under
         # ONE representative variable name (its smallest), so a query
         # only scans the buckets of its own variables.
@@ -159,7 +184,11 @@ class SolverCache:
             if variables is None
             else frozenset(v.name for v in variables)
         )
-        if query_names and self._unsat_subset(key, query_names):
+        if (
+            query_names
+            and self._unsat_keys
+            and self._unsat_subset(key, query_names)
+        ):
             self.stats.cex_hits += 1
             self.last_outcome = "cex"
             return True, None
@@ -190,28 +219,38 @@ class SolverCache:
         self.stats.subset_scan_steps += scanned
         return False
 
+    def _candidates(
+        self, query_names: Optional[FrozenSet[str]]
+    ) -> Iterator[_Entry]:
+        """Stored entries whose variables the query covers, newest first."""
+        if query_names is None:
+            return reversed(self._entries.values())
+        groups = [
+            group
+            for names, group in self._by_names.items()
+            if names <= query_names
+        ]
+        if len(groups) == 1:
+            return reversed(groups[0])
+        return heapq.merge(*map(reversed, groups), key=_newest)
+
     def _reusable_model(
         self, key: Key, query_names: Optional[FrozenSet[str]]
     ) -> Optional[Model]:
         """Tier 3: most recently stored models first, bounded evaluations."""
         evaluated = 0
-        for model in reversed(self._models):
+        for entry in self._candidates(query_names):
             if evaluated >= self._max_model_scan:
                 break
-            if query_names is not None and not (
-                self._model_vars[model] <= query_names
-            ):
-                continue
             evaluated += 1
-            probe: Iterable[BoolExpr] = key
-            stored_key = self._model_keys.get(model)
-            if stored_key is not None and stored_key <= key:
-                probe = key - stored_key  # evaluate only the extras
+            stored_key = entry.key
+            # Evaluate only the extras when the stored key is a subset.
+            probe = key - stored_key if stored_key <= key else key
             # Verdicts are memoized on the model: iterations of the same
             # loop probe the same models with mostly the same conjuncts.
-            if model.satisfies(probe):
+            if entry.model.satisfies(probe):
                 self.stats.model_scan_steps += evaluated
-                return model
+                return entry.model
         self.stats.model_scan_steps += evaluated
         return None
 
@@ -224,16 +263,29 @@ class SolverCache:
         while len(self._exact) > self._max_entries:
             self._exact.popitem(last=False)
         if result is not None:
-            self._models[result] = None
-            self._model_vars[result] = frozenset(result)
-            self._model_keys[result] = key
-            self._models.move_to_end(result)
-            while len(self._models) > self._max_models:
-                evicted, _ = self._models.popitem(last=False)
-                self._model_vars.pop(evicted, None)
-                self._model_keys.pop(evicted, None)
+            self._store_model(key, result)
         else:
             self._remember_unsat(key)
+
+    def _store_model(self, key: Key, model: Model) -> None:
+        self._seq += 1
+        entry = self._entries.get(model)
+        if entry is None:
+            entry = self._entries[model] = _Entry(model, key, self._seq)
+            self._by_names.setdefault(entry.names, []).append(entry)
+        else:
+            entry.key = key
+            entry.seq = self._seq
+            self._entries.move_to_end(model)
+            group = self._by_names[entry.names]
+            group.remove(entry)
+            group.append(entry)
+        while len(self._entries) > self._max_models:
+            _, evicted = self._entries.popitem(last=False)
+            group = self._by_names[evicted.names]
+            del group[0]  # the oldest entry of its group, too
+            if not group:
+                del self._by_names[evicted.names]
 
     def _remember_unsat(self, key: Key) -> None:
         if key in self._unsat_keys:
@@ -260,9 +312,8 @@ class SolverCache:
 
     def clear(self) -> None:
         self._exact.clear()
-        self._models.clear()
-        self._model_vars.clear()
-        self._model_keys.clear()
+        self._entries.clear()
+        self._by_names.clear()
         self._unsat_keys.clear()
         self._unsat_by_rep.clear()
 

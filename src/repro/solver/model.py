@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from ..expr import BoolExpr, BVVar, evaluate
 
 __all__ = ["Model"]
+
+
+class _Values(dict):
+    """A model's assignment: an unassigned variable reads as 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, name: str) -> int:
+        return 0
 
 
 class Model:
@@ -23,16 +32,17 @@ class Model:
     cache (checking whether an old model also satisfies a new query).
     """
 
-    __slots__ = ("_values", "_memo")
+    __slots__ = ("_values", "_memo", "_hash")
 
     def __init__(self, values: Dict[str, int]) -> None:
-        self._values = dict(values)
+        self._values = _Values(values)
         # Lazy per-conjunct verdict memo: constraint expr -> bool.  Sound
         # because the assignment is immutable and expressions interned.
         self._memo: Dict[BoolExpr, bool] = {}
+        self._hash: Optional[int] = None
 
     def __getitem__(self, name: str) -> int:
-        return self._values.get(name, 0)
+        return self._values[name]
 
     def get(self, name: str, default: int = 0) -> int:
         return self._values.get(name, default)
@@ -65,19 +75,11 @@ class Model:
         conjuncts (the loop-increment-reuse path).
         """
         env = self._values
-        cache = self._memo
+        memo = self._memo
         for constraint in constraints:
-            cached = cache.get(constraint)
-            if cached is not None:
-                if not cached:
-                    return False
-                continue
-            missing = {
-                v.name: 0 for v in constraint.variables() if v.name not in env
-            }
-            scope = {**env, **missing} if missing else env
-            verdict = bool(evaluate(constraint, scope))
-            cache[constraint] = verdict
+            verdict = memo.get(constraint)
+            if verdict is None:
+                verdict = memo[constraint] = bool(evaluate(constraint, env))
             if not verdict:
                 return False
         return True
@@ -92,8 +94,8 @@ class Model:
         return Model(merged)
 
     def __reduce__(self):
-        # Drop the verdict memo from snapshots; it is recomputable.
-        return (Model, (self._values,))
+        # Drop the memos from snapshots; they are recomputable.
+        return (Model, (dict(self._values),))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
@@ -105,4 +107,7 @@ class Model:
         return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._values.items()))
+        # Cached: the assignment never changes.
+        if self._hash is None:
+            self._hash = hash(frozenset(self._values.items()))
+        return self._hash

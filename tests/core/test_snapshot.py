@@ -22,19 +22,13 @@ from repro.core.distributed import snapshot_assignment_tasks
 from repro.core.partition import partition_groups
 from repro.core.snapshot import EngineSnapshot
 
+from ..conftest import budget
 from .test_property_equivalence import build, scenario_config
 from .test_resilience import _assert_reports_match
 
 
-def _budget(tier1: int) -> int:
-    """``tier1`` examples, or the ``deep`` profile's budget when loaded."""
-    if settings.get_current_profile_name() == "deep":
-        return settings.default.max_examples
-    return tier1
-
-
 PROPERTY = settings(
-    max_examples=_budget(25),
+    max_examples=budget(25),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )

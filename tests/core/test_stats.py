@@ -36,12 +36,12 @@ from repro.core.stats import (
     STATE_BASE_COST,
 )
 
+from ..conftest import budget
 from .test_property_equivalence import build, scenario_config
 from .test_reduce import _guard_scenario
-from .test_snapshot import _budget
 
 PROPERTY = settings(
-    max_examples=_budget(25),
+    max_examples=budget(25),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )

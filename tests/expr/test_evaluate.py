@@ -2,10 +2,26 @@
 constructors never change an expression's meaning."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import (
+    BV_BINARY_OPS,
+    BV_UNARY_OPS,
+    CMP_OPS,
+    BoolAnd,
+    BoolConst,
+    BoolNot,
+    BoolOr,
+    BVBinary,
+    BVConcat,
+    BVConst,
+    BVExtend,
+    BVExtract,
+    BVIte,
+    BVUnary,
+    BVVar,
+    Cmp,
     EvalError,
     add,
     ashr,
@@ -39,6 +55,10 @@ from repro.expr import (
     var,
     zext,
 )
+from repro.expr.evaluate import plan_of
+from repro.solver import Model
+
+from ..conftest import budget
 
 X = var("x")
 Y = var("y")
@@ -225,3 +245,144 @@ class TestBuilderSoundness:
         env = {"h": hi, "l": lo}
         assert evaluate(extract(joined, 8, 8), env) == hi
         assert evaluate(extract(joined, 0, 8), env) == lo
+
+
+# ---------------------------------------------------------------------------
+# Property: the memoized evaluation plan equals a direct recursive walk.
+# ---------------------------------------------------------------------------
+
+_P, _Q, _R = var("p", 8), var("q", 8), var("r", 8)
+_BINARY_BY_OP = {fn.__name__: fn for fn in _BINARY_FNS}
+
+
+def _reference(expr, env):
+    """Evaluate by recursion over the tree (no plan, no sharing)."""
+    if isinstance(expr, (BVConst, BoolConst)):
+        return expr.value
+    if isinstance(expr, BVVar):
+        return env[expr.name] & mask(expr.width)
+    if isinstance(expr, BVBinary):
+        a, b, w = _reference(expr.left, env), _reference(expr.right, env), expr.width
+        if expr.op == "shl":
+            return 0 if b >= w else (a << b) & mask(w)
+        if expr.op == "lshr":
+            return 0 if b >= w else a >> b
+        if expr.op == "ashr":
+            return (to_signed(a, w) >> min(b, w - 1)) & mask(w)
+        return _reference_binary(_BINARY_BY_OP[expr.op], a, b, w)
+    if isinstance(expr, Cmp):
+        a, b = _reference(expr.left, env), _reference(expr.right, env)
+        w = expr.left.width
+        sa, sb = to_signed(a, w), to_signed(b, w)
+        return {
+            "eq": a == b,
+            "ne": a != b,
+            "ult": a < b,
+            "ule": a <= b,
+            "slt": sa < sb,
+            "sle": sa <= sb,
+        }[expr.op]
+    if isinstance(expr, BVUnary):
+        a = _reference(expr.operand, env)
+        return (-a if expr.op == "neg" else ~a) & mask(expr.width)
+    if isinstance(expr, BVIte):
+        if _reference(expr.cond, env):
+            return _reference(expr.then, env)
+        return _reference(expr.orelse, env)
+    if isinstance(expr, BVExtract):
+        return (_reference(expr.operand, env) >> expr.low) & mask(expr.width)
+    if isinstance(expr, BVExtend):
+        a = _reference(expr.operand, env)
+        return to_signed(a, expr.operand.width) & mask(expr.width) if expr.signed else a
+    if isinstance(expr, BVConcat):
+        low = expr.low_part
+        return (_reference(expr.high, env) << low.width) | _reference(low, env)
+    if isinstance(expr, BoolNot):
+        return not _reference(expr.operand, env)
+    if isinstance(expr, BoolAnd):
+        return all(_reference(op, env) for op in expr.operands)
+    if isinstance(expr, BoolOr):
+        return any(_reference(op, env) for op in expr.operands)
+    raise AssertionError(type(expr))
+
+
+# Raw node constructors, not the folding builders: every node kind (all
+# operators, extend, extract, concat, ite, n-ary and/or) reaches the plan.
+_BV_LEAVES = st.one_of(st.sampled_from([_P, _Q, _R]), _val8.map(lambda v: bv(v, 8)))
+
+
+def _cmp_of(children):
+    return st.builds(Cmp, st.sampled_from(CMP_OPS), children, children)
+
+
+def _bv_nodes(children):
+    nibble = st.builds(BVExtract, children, st.integers(0, 4), st.just(4))
+    return st.one_of(
+        st.builds(BVBinary, st.sampled_from(BV_BINARY_OPS), children, children),
+        st.builds(BVUnary, st.sampled_from(BV_UNARY_OPS), children),
+        st.builds(BVExtend, nibble, st.just(8), st.booleans()),
+        st.builds(BVConcat, nibble, nibble),
+        st.builds(BVIte, _cmp_of(children), children, children),
+    )
+
+
+_BV_EXPRS = st.recursive(_BV_LEAVES, _bv_nodes, max_leaves=10)
+
+
+def _bool_nodes(children):
+    operands = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        st.builds(BoolNot, children),
+        st.builds(BoolAnd, operands),
+        st.builds(BoolOr, operands),
+    )
+
+
+_BOOL_EXPRS = st.recursive(
+    st.one_of(_cmp_of(_BV_EXPRS), st.booleans().map(BoolConst)),
+    _bool_nodes,
+    max_leaves=4,
+)
+_FULL_ENV = st.fixed_dictionaries({"p": _val8, "q": _val8, "r": _val8})
+PROPERTY = settings(
+    max_examples=budget(100),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestEvaluationPlan:
+    @PROPERTY
+    @given(st.one_of(_BV_EXPRS, _BOOL_EXPRS), _FULL_ENV, _FULL_ENV)
+    def test_plan_matches_reference(self, expr, env, other_env):
+        # The second call runs the plan memoized by the first.
+        assert evaluate(expr, env) == _reference(expr, env)
+        assert evaluate(expr, other_env) == _reference(expr, other_env)
+
+    @PROPERTY
+    @given(_BOOL_EXPRS, st.dictionaries(st.sampled_from("pqr"), _val8))
+    def test_model_satisfies_with_zero_completion(self, expr, partial):
+        completed = {v.name: 0 for v in expr.variables()}
+        completed.update(partial)
+        expected = bool(evaluate(expr, completed))
+        assert Model(partial).satisfies([expr]) is expected
+
+    def test_missing_var_raises_after_plan_is_memoized(self):
+        expr = ult(add(X, Y), bv(9))
+        assert evaluate(expr, {"x": 1, "y": 2}) is True
+        with pytest.raises(EvalError, match="'y'"):
+            evaluate(expr, {"x": 1})
+
+    def test_shared_dag_evaluates_once_per_node(self):
+        # Each level uses the previous one twice: 2**k root-to-leaf paths,
+        # 3k + 1 distinct nodes, one plan step per node.  (Never let such
+        # an expression reach an assertion message: its repr is a tree.)
+        k = 64
+        expr, expected = X, 3
+        for level in range(k):
+            expr = BVBinary("bvxor", BVBinary("add", expr, expr), bv(level))
+            expected = ((expected + expected) & mask(32)) ^ level
+        steps, nodes = len(plan_of(expr)), expr.size()
+        assert steps == nodes == 3 * k + 1
+        value = evaluate(expr, {"x": 3})
+        assert value == expected

@@ -1,12 +1,15 @@
 """The job lifecycle's terminal paths: budget expiry, exhausted retries,
-and a raising attempt.
+and a raising attempt; and a spent worker that lingers after its reply.
 
 Each path ends a job in one terminal state with a typed failure record,
 and the record's attempt and retry counts say what actually ran: an
 attempt is counted when it starts, a retry only when one is scheduled.
 """
 
+import time
+
 from repro.service import ServiceLimits
+from repro.service import jobs as jobs_module
 from repro.service import worker as worker_module
 
 from .test_service import FAST_SPEC, SLOW_SPEC, ServiceThread
@@ -76,5 +79,45 @@ def test_raising_attempt_keeps_its_origin(tmp_path, monkeypatch):
         assert "job function exploded" in failure["message"]
         assert "Traceback (most recent call last)" in failure["traceback"]
         assert "_raise_in_job" in failure["traceback"]
+    finally:
+        service.stop()
+
+
+class _LingeringPipe:
+    """A reply pipe whose worker pauses between its reply and closing."""
+
+    def __init__(self, connection):
+        self._connection = connection
+
+    def send(self, message):
+        self._connection.send(message)
+
+    def close(self):
+        time.sleep(1.0)
+        self._connection.close()
+
+
+def _lingering_worker_main(worker_index, inbox, outbox):
+    worker_module.job_worker_main(worker_index, inbox, _LingeringPipe(outbox))
+
+
+def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
+    # One worker slot and two queued jobs: the second is dispatched right
+    # after the first job's reply is read, while its worker still lingers.
+    # It must get a fresh worker, not be sent to the spent one and then be
+    # retried as a crash when that one exits.
+    monkeypatch.setattr(jobs_module, "job_worker_main", _lingering_worker_main)
+    service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_active=1))
+    try:
+        _, first = service.submit(FAST_SPEC)
+        _, second = service.submit(dict(FAST_SPEC, seed=8))
+        for job in (first, second):
+            record = service.wait_terminal(job["id"])
+            assert record["state"] == "done"
+            assert record["attempts"] == 1
+            assert record["retries"] == 0
+            assert record["failure"] is None
+        _, stats = service.request("GET", "/v1/stats")
+        assert stats["counters"].get("service.retries", 0) == 0
     finally:
         service.stop()

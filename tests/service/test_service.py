@@ -11,6 +11,8 @@ mid-flight, or drain with a checkpoint on disk.
 
 import http.client
 import json
+import multiprocessing
+import socket
 import threading
 import time
 
@@ -343,3 +345,43 @@ class TestChaos:
             assert stats["counters"]["service.retries"] >= 1
         finally:
             service.stop()
+
+
+class TestConnections:
+    def test_reply_ends_while_a_child_holds_the_socket(
+        self, service, monkeypatch
+    ):
+        # A job worker forked while a request is open inherits the
+        # client's socket.  The server must still end the connection when
+        # it has answered, not when the last copy of the socket closes.
+        children = []
+        route = service.service._route
+
+        async def route_with_fork(*args):
+            child = multiprocessing.get_context("fork").Process(
+                target=time.sleep, args=(30,), daemon=True
+            )
+            child.start()
+            children.append(child)
+            await route(*args)
+
+        monkeypatch.setattr(service.service, "_route", route_with_fork)
+        started = time.monotonic()
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", service.service.port), timeout=10
+            ) as client:
+                client.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+                reply = b""
+                while True:
+                    chunk = client.recv(4096)  # b"" only at end-of-file
+                    if not chunk:
+                        break
+                    reply += chunk
+        finally:
+            for child in children:
+                child.kill()
+                child.join(timeout=10)
+        assert reply.startswith(b"HTTP/1.1 200")
+        assert len(children) == 1
+        assert time.monotonic() - started < 5

@@ -2,8 +2,11 @@
 propagation details."""
 
 import gc
+from collections import OrderedDict
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from repro.expr import Interval, add, bv, bvand, eq, mul, ne, ule, ult, var
 from repro.solver import (
@@ -18,6 +21,8 @@ from repro.solver import (
     propagate,
     search,
 )
+
+from ..conftest import budget
 
 A, B, C, D = (var(n) for n in "abcd")
 
@@ -142,6 +147,23 @@ class TestCacheTierAccounting:
         hit, _ = cache.lookup(SolverCache.key([ult(A, bv(10))]), frozenset([A]))
         assert not hit
 
+    def test_restored_model_keeps_first_object_and_takes_new_key(self):
+        cache = SolverCache()
+        first = Model({"a": 0})
+        cache.store(SolverCache.key([eq(A, bv(0))]), first)
+        cache.store(SolverCache.key([eq(A, bv(1))]), Model({"a": 1}))
+        # An equal model stored again (the cache trusts its key as given).
+        cache.store(SolverCache.key([eq(A, bv(5))]), Model({"a": 0}))
+        # It is now the newest, and answers as the first object.
+        hit, model = cache.lookup(SolverCache.key([ult(A, bv(2))]), frozenset([A]))
+        assert hit and model is first
+        assert cache.stats.model_scan_steps == 1
+        # Under the new key a query extending it probes only its extras.
+        extended = SolverCache.key([eq(A, bv(5)), ult(B, bv(1))])
+        hit, model = cache.lookup(extended, frozenset([A, B]))
+        assert hit and model is first
+        assert cache.stats.model_scan_steps == 2
+
     def test_stats_restore_round_trip(self):
         cache = SolverCache()
         cache.store(SolverCache.key([eq(A, bv(1)), eq(A, bv(2))]), None)
@@ -152,6 +174,142 @@ class TestCacheTierAccounting:
         snapshot = cache.stats.as_dict()
         restored = CacheStats.restore(snapshot)
         assert restored.as_dict() == snapshot
+
+
+class _LinearCache:
+    """Reference for :class:`SolverCache`: the same tiers, with tier 3 as
+    one newest-first scan over every stored model that skips (without
+    counting) the models assigning variables outside the query."""
+
+    def __init__(self, **bounds):
+        self.bounds = bounds
+        self.exact = OrderedDict()
+        self.models = []  # [model, its names, its key], oldest first
+        self.unsat = OrderedDict()  # UNSAT key -> smallest variable name
+        self.stats = CacheStats()
+
+    def lookup(self, key, variables=None):
+        if key in self.exact:
+            self.exact.move_to_end(key)
+            self.stats.exact_hits += 1
+            return True, self.exact[key]
+        names = None if variables is None else frozenset(v.name for v in variables)
+        if names and self._unsat_subset(key, names):
+            self.stats.cex_hits += 1
+            return True, None
+        evaluated = 0
+        for model, model_names, stored in reversed(self.models):
+            if evaluated >= self.bounds["max_model_scan"]:
+                break
+            if names is not None and not model_names <= names:
+                continue
+            evaluated += 1
+            probe = key - stored if stored <= key else key
+            if model.satisfies(probe):
+                self.stats.model_scan_steps += evaluated
+                self.stats.model_reuse_hits += 1
+                return True, model
+        self.stats.model_scan_steps += evaluated
+        self.stats.misses += 1
+        return False, None
+
+    def _unsat_subset(self, key, names):
+        scanned = 0
+        for name in sorted(names):
+            for candidate in reversed([k for k, r in self.unsat.items() if r == name]):
+                scanned += 1
+                if candidate <= key or scanned >= self.bounds["max_subset_scan"]:
+                    self.stats.subset_scan_steps += scanned
+                    return candidate <= key
+        self.stats.subset_scan_steps += scanned
+        return False
+
+    def store(self, key, result):
+        self.stats.stores += 1
+        self.exact[key] = result
+        self.exact.move_to_end(key)
+        while len(self.exact) > self.bounds["max_entries"]:
+            self.exact.popitem(last=False)
+        if result is not None:
+            for index, (model, _, _) in enumerate(self.models):
+                if model == result:
+                    # An equal model keeps its first object, moves to the
+                    # newest end and takes the new key.
+                    del self.models[index]
+                    result = model
+                    break
+            self.models.append([result, frozenset(result), key])
+            del self.models[: -self.bounds["max_models"]]
+            return
+        rep = min((v.name for c in key for v in c.variables()), default="")
+        if rep and key not in self.unsat:
+            self.unsat[key] = rep
+            while len(self.unsat) > self.bounds["max_unsat_entries"]:
+                self.unsat.popitem(last=False)
+
+
+_CONJUNCTS = [
+    ult(A, bv(4)),
+    ult(A, bv(2)),
+    eq(A, bv(1)),
+    ne(A, bv(0)),
+    ult(B, bv(3)),
+    eq(B, bv(0)),
+    ult(A, B),
+    eq(bvand(add(A, C), bv(1)), bv(0)),
+    ne(C, bv(2)),
+    eq(D, bv(1)),
+]
+_KEYS = st.frozensets(st.sampled_from(_CONJUNCTS), min_size=1, max_size=3)
+# Few variables and values, so equal models are stored again and models
+# share variable sets often.
+_ASSIGNMENTS = st.dictionaries(
+    st.sampled_from("abcd"), st.integers(0, 1), max_size=2
+)
+_STORE = st.tuples(st.just("store"), _KEYS, st.one_of(st.none(), _ASSIGNMENTS))
+_LOOKUP = st.tuples(
+    st.just("lookup"),
+    _KEYS,
+    st.one_of(st.none(), st.frozensets(st.sampled_from([A, B, C, D]))),
+)
+
+
+class TestCacheMatchesLinearScan:
+    """The entry/variable-set index answers exactly as the linear scan:
+    same hit or miss, the same model object, identical statistics."""
+
+    # No shrink phase: shrinking a failing sequence takes minutes, so a
+    # failure is reported as generated.
+    @settings(
+        max_examples=budget(60),
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate],
+    )
+    @given(st.lists(st.one_of(_STORE, _LOOKUP), min_size=20, max_size=60))
+    def test_operation_sequence(self, operations):
+        bounds = dict(
+            max_entries=6,
+            max_models=4,
+            max_model_scan=3,
+            max_unsat_entries=3,
+            max_subset_scan=2,
+        )
+        cache, reference = SolverCache(**bounds), _LinearCache(**bounds)
+        for op, key, argument in operations:
+            if op == "store":
+                result = None if argument is None else Model(argument)
+                cache.store(key, result)
+                reference.store(key, result)
+                continue
+            # A query's variables cover its key's, as the solver passes them.
+            variables = None
+            if argument is not None:
+                variables = argument | {v for c in key for v in c.variables()}
+            hit, model = cache.lookup(key, variables)
+            expected_hit, expected = reference.lookup(key, variables)
+            assert hit == expected_hit
+            assert model is expected
+            assert cache.stats.as_dict() == reference.stats.as_dict()
 
 
 class TestSearchBudget:
