@@ -41,30 +41,36 @@ func main(n) {
 """
 
 
-def _dispatch_rate(executor: Executor, arg: int = 20_000) -> float:
-    """Instructions per second of one hot-loop event (per-round delta:
-    the executor counter is cumulative across rounds)."""
+def _interpret_once(program, arg: int = 20_000):
+    """One hot-loop event on a fresh executor: ``(executor, seconds)``.
+
+    A fresh executor has no event summaries, so the event is
+    interpreted, never replayed; the assertion keeps it that way.
+    """
+    executor = Executor(program)
     state = executor.make_initial_state(0)
-    before = executor.instructions_executed
     start = time.perf_counter()
     executor.run_event(state, "main", [arg])
     elapsed = time.perf_counter() - start
-    return (executor.instructions_executed - before) / max(elapsed, 1e-9)
+    assert executor.summary_hits == 0
+    return executor, elapsed
+
+
+def _dispatch_rate(program, arg: int = 20_000) -> float:
+    """Instructions per second of one interpreted hot-loop event."""
+    executor, elapsed = _interpret_once(program, arg)
+    return executor.instructions_executed / max(elapsed, 1e-9)
 
 
 def test_concrete_dispatch_rate(benchmark):
     program = compile_source(HOT_LOOP)
-    executor = Executor(program)
 
     def run_loop():
-        state = executor.make_initial_state(0)
-        before = executor.instructions_executed
-        executor.run_event(state, "main", [20_000])
-        return executor.instructions_executed - before
+        return _interpret_once(program)[0]
 
-    instructions = benchmark(run_loop)
-    assert instructions > 0
-    benchmark.extra_info["instructions_per_round"] = instructions
+    executor = benchmark(run_loop)
+    assert executor.instructions_executed > 0
+    benchmark.extra_info["instructions_per_round"] = executor.instructions_executed
     benchmark.extra_info["superinstructions"] = executor.decoded.fused
 
 
@@ -74,14 +80,16 @@ def test_dispatch_rate_gate(once):
     Each round is scaled by the calibration loop timed just before and
     just after it (the ladder's scaling of ``explore_s``); the gate takes
     the best round, so it tracks the peak rate, not scheduler noise.
+    Every round runs on a fresh executor: a repeat on one executor would
+    be a summary hit, which measures no dispatch at all.
     """
-    executor = Executor(compile_source(HOT_LOOP))
+    program = compile_source(HOT_LOOP)
 
     def measure():
         best = (0.0, 0.0)
         before = calibrate()
         for _ in range(5):
-            rate = _dispatch_rate(executor)
+            rate = _dispatch_rate(program)
             after = calibrate()
             scale = (before + after) / (2 * CALIBRATION_REFERENCE_S)
             best = max(best, (rate * scale, rate))

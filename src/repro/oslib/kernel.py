@@ -14,6 +14,11 @@ as the syscall host between guest NSL code and the SDE engine:
 
 The OS is stateless per se — all per-node state lives in the execution
 state, so forking a state forks "the OS" with it for free.
+
+For event summaries (docs/VM.md, "Summaries") the OS names what a handler
+reads through it (the packet being handled) and records and replays its
+effectful calls: a send with the payload it read, a timer call with its
+id and delay.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ def _concrete(value: CellValue, what: str) -> int:
 class NodeOS(SyscallHost):
     """Per-run OS instance shared by all states (it holds no node state)."""
 
+    effects = frozenset(["timer_set", "timer_stop", "uc_send", "bc_send"])
+
     def __init__(self, engine: EngineServices) -> None:
         # The SDE engine passes a weakref.proxy of itself: the engine owns
         # this OS through its executor, and a strong reference back would
@@ -68,6 +75,38 @@ class NodeOS(SyscallHost):
         if handler is None:
             raise SyscallAbort(f"unknown syscall {name!r}")
         return handler(state, args)
+
+    # -- event summaries ------------------------------------------------------
+
+    def event_input(self, state: ExecutionState):
+        # recv_* expose the packet's source and payload; node_count is
+        # fixed per run.  A symbolic payload cell rules a summary out.
+        packet = state.current_packet
+        if packet is None:
+            return ()
+        for cell in packet.payload:
+            if type(cell) is not int:
+                return None
+        return (packet.src, packet.payload)
+
+    def resolve(self, state: ExecutionState, name: str, args) -> tuple:
+        if name == "bc_send":
+            return (name, tuple(self._read_buffer(state, args[0], args[1])))
+        if name == "uc_send":
+            payload = self._read_buffer(state, args[1], args[2])
+            return (name, args[0], tuple(payload))
+        return (name,) + tuple(args)  # timer_set(id, delay), timer_stop(id)
+
+    def replay(self, state: ExecutionState, effects) -> None:
+        engine = self._engine
+        for effect in effects:
+            name = effect[0]
+            if name == "bc_send":
+                engine.guest_broadcast(state, effect[1])
+            elif name == "uc_send":
+                engine.guest_unicast(state, effect[1], effect[2])
+            else:
+                self.syscall(state, name, effect[1:])
 
     # -- identity / time --------------------------------------------------------
 

@@ -15,6 +15,12 @@ Fork notifications are delivered through the ``on_fork`` callback — this is
 the hook the COB state-mapping algorithm attaches to ("mapping on local
 branch"), while COW/SDS react to transmissions via the syscall host instead.
 
+An event whose input is fully concrete is run once and then *replayed*:
+the executor keeps a bounded table of event summaries (final memory and
+stacks, counts, ``log`` output and the host effects in order), and a
+repeated event installs the summary instead of re-interpreting the
+handler (docs/VM.md, "Summaries").
+
 The executor is deliberately ignorant of networking: everything beyond pure
 computation goes through a :class:`SyscallHost`.
 
@@ -33,7 +39,7 @@ instructions later.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from ..expr import (
     as_bv,
@@ -82,6 +88,9 @@ _RETURN_SENTINEL = -1
 _BV_ONE = bv(1)
 _BV_ZERO = bv(0)
 
+#: Most event summaries an executor keeps; the oldest entry makes room.
+SUMMARY_LIMIT = 4096
+
 ForkCallback = Callable[[ExecutionState, List[ExecutionState]], None]
 
 
@@ -91,16 +100,55 @@ class SyscallHost:
     The executor resolves pure builtins itself; everything touching node
     identity, time, timers or the network lands here.  Implementations must
     return the syscall's result value (int or expression).
+
+    Event summaries need three more things from a host: what a handler
+    can read through it (:meth:`event_input`), which syscalls have an
+    effect beyond the calling state's memory (:attr:`effects`), and a way
+    to record such a call with its arguments resolved (:meth:`resolve`)
+    and to perform the recorded calls again (:meth:`replay`).  The base
+    class opts out of summaries.
     """
+
+    #: Names of the syscalls whose effect outlives the handler run; a
+    #: summary records each call of one and replays it on a hit.
+    effects: frozenset = frozenset()
 
     def syscall(
         self, state: ExecutionState, name: str, args: List[CellValue]
     ) -> CellValue:
         raise NotImplementedError(name)
 
+    def event_input(self, state: ExecutionState) -> Optional[Hashable]:
+        """Everything a handler of ``state`` can read through this host
+        besides its node id and the clock, as a hashable key part.
+
+        ``None`` means the event must not be summarized: the host exposes
+        symbolic data, or does not support summaries at all.
+        """
+        return None
+
+    def resolve(
+        self, state: ExecutionState, name: str, args: List[CellValue]
+    ) -> tuple:
+        """The replayable record of a call of an :attr:`effects` syscall
+        that just succeeded: its name and concrete arguments, with every
+        memory operand read now (a send records its payload, not its
+        buffer address)."""
+        raise NotImplementedError(name)
+
+    def replay(self, state: ExecutionState, effects: Sequence[tuple]) -> None:
+        """Perform recorded :meth:`resolve` records on ``state``, in order."""
+        raise NotImplementedError
+
 
 class NullHost(SyscallHost):
-    """Host for single-node, network-less execution (tests, quickstart)."""
+    """Host for single-node, network-less execution (tests, quickstart).
+
+    Its timer syscalls do nothing, so it has no effects to replay.
+    """
+
+    def event_input(self, state):
+        return ()
 
     def syscall(self, state, name, args):
         if name == "node_id":
@@ -149,6 +197,16 @@ class Executor:
         self._threaded = tuple(
             self._bind(op, arg, line) for op, arg, line in self.decoded.code
         )
+        #: event key -> _Summary; a cache, never part of a snapshot.
+        self._summaries: Dict[tuple, _Summary] = {}
+        #: events answered from a summary instead of the interpreter
+        self.summary_hits = 0
+        # The host effects of the event being recorded, else None.
+        self._effects: Optional[List[tuple]] = None
+        # The clock is a handler input only where the program reads it.
+        self._reads_clock = any(
+            op == Op.SYS and arg[0] == "time" for op, arg, _ in self.decoded.code
+        )
 
     # -- state construction ---------------------------------------------------
 
@@ -191,9 +249,22 @@ class Executor:
 
         Returns every resulting state: completed ones are ``IDLE``; defective
         ones are ``ERROR``; contradicted ones are ``INFEASIBLE``.
+
+        A repeat of a summarized event is replayed, not interpreted; a
+        first run of an event with concrete input is recorded.
         """
+        key = self._summary_key(state, func_name, args)
+        if key is not None:
+            summary = self._summaries.get(key)
+            if summary is not None:
+                self._replay_summary(state, summary)
+                return [state]
+            if not _all_concrete(key[2]) or not _all_concrete(key[3]):
+                key = None
         self.start_event(state, func_name, args)
-        return self.resume_event(state, on_fork)
+        if key is None:
+            return self.resume_event(state, on_fork)
+        return self._record_summary(state, key, on_fork)
 
     def resume_event(
         self,
@@ -218,6 +289,69 @@ class Executor:
                 else:
                     done.append(successor)
         return done
+
+    # -- event summaries --------------------------------------------------------------
+
+    def _summary_key(
+        self, state: ExecutionState, func_name: str, args: Sequence[int]
+    ) -> Optional[tuple]:
+        """Everything the handler can read, or None if the host opts out.
+
+        The key may still hold symbolic cells; only a concrete key is
+        ever stored, and no expression equals an int, so a lookup can
+        only hit on concrete input.
+        """
+        event_input = self.host.event_input(state)
+        if event_input is None:
+            return None
+        key = (state.node, func_name, tuple(args), tuple(state.memory), event_input)
+        if self._reads_clock:
+            key += (state.clock,)
+        return key
+
+    def _record_summary(
+        self, state: ExecutionState, key: tuple, on_fork: Optional[ForkCallback]
+    ) -> List[ExecutionState]:
+        """Run a concrete-input event and keep its summary if it
+        stayed concrete: no ``symbolic()``, no constraint, no fork, and
+        the one successor ended ``IDLE``."""
+        forks = self.forks
+        instructions = self.instructions_executed
+        constraints = state.constraints
+        symbolics = len(state.symbolics)
+        trace = len(state.trace)
+        self._effects = effects = []
+        try:
+            done = self.resume_event(state, on_fork)
+        finally:
+            self._effects = None
+        if (
+            self.forks == forks
+            and state.status == Status.IDLE
+            and state.constraints is constraints
+            and len(state.symbolics) == symbolics
+        ):
+            summaries = self._summaries
+            if len(summaries) >= SUMMARY_LIMIT:
+                del summaries[next(iter(summaries))]
+            summaries[key] = _Summary(
+                state,
+                self.instructions_executed - instructions,
+                state.trace[trace:],
+                tuple(effects),
+            )
+        return done
+
+    def _replay_summary(self, state: ExecutionState, summary: "_Summary") -> None:
+        """Finish the event on ``state`` as the recorded run did.
+
+        The pcs the run visited are already in ``visited_pcs``.
+        """
+        summary.install(state)
+        if summary.effects:
+            self.host.replay(state, summary.effects)
+        self.instructions_executed += summary.instructions
+        self.summary_hits += 1
 
     # -- the interpreter loop --------------------------------------------------------
 
@@ -814,8 +948,11 @@ class Executor:
         args.reverse()
 
         if name not in _PURE_SYSCALLS:
+            host = self.host
             try:
-                result = self.host.syscall(state, name, args)
+                result = host.syscall(state, name, args)
+                if self._effects is not None and name in host.effects:
+                    self._effects.append(host.resolve(state, name, args))
             except SyscallAbort as abort:
                 abort.error.line = line
                 return [self._die(state, abort.error)]
@@ -983,6 +1120,56 @@ class Executor:
         state.add_constraint(holds)
         state.opstack.append(0)
         return [state, error_twin]
+
+
+class _Summary:
+    """What one concrete run of an event did to its state, and the host
+    effects it had, in order."""
+
+    __slots__ = (
+        "memory",
+        "pc",
+        "call_stack",
+        "opstack",
+        "steps",
+        "instructions",
+        "trace",
+        "effects",
+    )
+
+    def __init__(
+        self,
+        state: ExecutionState,
+        instructions: int,
+        trace: tuple,
+        effects: tuple,
+    ) -> None:
+        self.memory = tuple(state.memory)
+        self.pc = state.pc
+        self.call_stack = tuple(state.call_stack)
+        self.opstack = tuple(state.opstack)
+        self.steps = state.steps
+        self.instructions = instructions
+        self.trace = trace
+        self.effects = effects
+
+    def install(self, state: ExecutionState) -> None:
+        """Leave ``state`` as the recorded run left it, host effects aside."""
+        state.memory = list(self.memory)
+        state.pc = self.pc
+        state.call_stack = list(self.call_stack)
+        state.opstack = list(self.opstack)
+        state.steps = self.steps
+        state.status = Status.IDLE
+        if self.trace:
+            state.trace = state.trace + self.trace
+
+
+def _all_concrete(cells: tuple) -> bool:
+    for cell in cells:
+        if type(cell) is not int:
+            return False
+    return True
 
 
 def _mask_cell(value: CellValue) -> CellValue:
