@@ -31,7 +31,7 @@ def _scenario():
 
 
 def _fast_policy():
-    return RetryPolicy(backoff_base_seconds=0.01, poll_interval_seconds=0.02)
+    return RetryPolicy(backoff_base_seconds=0.01)
 
 
 def test_chaos_recovery_overhead(once, benchmark, monkeypatch):

@@ -292,7 +292,7 @@ def deepen_until_partitioned(
 # inspects them beyond delivery):
 #
 #   coordinator -> worker:
-#     ("job", job_id, payload_bytes, attempt)   run one job
+#     ("job", job_id, payload, attempt)         run one job
 #     ("steal", )                               re-partition and hand half back
 #
 #   worker -> coordinator:
@@ -323,15 +323,16 @@ class Transport(ABC):
 
     @abstractmethod
     def start(self) -> None:
-        """Bring up ``worker_count`` workers."""
+        """Prepare for a run; workers start with the first message they get."""
 
     @abstractmethod
     def send(self, worker: int, message: tuple) -> None:
-        """Deliver ``message`` to ``worker``."""
+        """Deliver ``message`` to ``worker``, starting it if it is not running."""
 
     @abstractmethod
-    def recv(self, timeout: float) -> Optional[tuple]:
-        """Next worker message, or ``None`` after ``timeout`` seconds."""
+    def recv(self, timeout: Optional[float]) -> Optional[tuple]:
+        """Next worker message, or ``None`` after ``timeout`` seconds
+        (``None``: no limit) or as soon as a worker is found gone."""
 
     @abstractmethod
     def alive(self, worker: int) -> bool:
@@ -439,9 +440,9 @@ def _split_for_steal(
 
 
 def _job_worker_main(
-    worker_index: int, inbox, outbox
+    worker_index: int, inbox, outbox, message: tuple
 ) -> None:  # pragma: no cover - subprocess
-    """Pool-worker entry: serve job messages until the process is stopped.
+    """Pool-worker entry: run ``message``, then serve the inbox until stopped.
 
     ``SDE_CHAOS_KILL_WORKER`` makes job attempts die unreported (like an
     OOM kill): every first attempt when set plain-truthy, a seeded
@@ -454,7 +455,7 @@ def _job_worker_main(
     # pages — without this, a large parent heap multiplies across workers
     # and the run degrades to slower than sequential.
     gc.freeze()
-    pending: deque = deque()
+    pending: deque = deque([message])
 
     def poll_steal() -> bool:
         try:
@@ -492,15 +493,19 @@ def _job_worker_main(
 class MultiprocessTransport(Transport):
     """The subprocess backend: one process per worker.
 
-    Each worker has its own inbox queue and its own one-way reply pipe.
-    The parent holds no write end, so a pipe reads as end-of-file once its
-    worker is gone (or closes it): a reply cut off mid-write raises instead
-    of blocking, and no worker's death stalls another worker's replies.
-    ``restart`` drops the process and both channels, so neither queued
-    input nor a stale reply outlives it; the next message spawns the
-    replacement.  ``worker_main(worker, inbox, outbox)`` is the process
-    entry: the distributed runner's serves jobs until stopped, the job
-    service's runs one attempt and exits.
+    A worker is forked by the :meth:`send` that first needs it, and that
+    message is its fork argument: nothing is pickled and no queue feeder
+    thread starts for it.  Later messages (more jobs, steal requests) go
+    through the worker's inbox queue.  Each worker has its own one-way
+    reply pipe.  The parent holds no write end, so a pipe reads as
+    end-of-file once its worker is gone (or closes it): a reply cut off
+    mid-write raises instead of blocking, no worker's death stalls another
+    worker's replies, and :meth:`recv` returns at once so the caller can
+    notice the death.  ``restart`` drops the process and both channels, so
+    neither queued input nor a stale reply outlives it; the next message
+    forks the replacement.  ``worker_main(worker, inbox, outbox, message)``
+    is the process entry: the distributed runner's serves jobs until
+    stopped, the job service's runs one attempt and exits.
     """
 
     def __init__(self, worker_count: int, worker_main=_job_worker_main) -> None:
@@ -523,29 +528,31 @@ class MultiprocessTransport(Transport):
         self._unread: Dict[int, deque] = {}
 
     def start(self) -> None:
-        for worker in range(self.worker_count):
-            self._spawn(worker)
+        pass  # each worker is forked by the first message it gets
 
     def send(self, worker: int, message: tuple) -> None:
-        if worker not in self._processes:
-            self._spawn(worker)
-        self._inboxes[worker].put(message)
+        if worker in self._processes:
+            self._inboxes[worker].put(message)
+        else:
+            self._spawn(worker, message)
 
-    def recv(self, timeout: float) -> Optional[tuple]:
+    def recv(self, timeout: Optional[float]) -> Optional[tuple]:
         for unread in self._unread.values():
             if unread:
                 return unread.popleft()
-        deadline = _time.monotonic() + timeout
-        while True:
-            readers = {conn: worker for worker, conn in self._replies.items()}
-            remaining = max(0.0, deadline - _time.monotonic())
-            ready = self._wait(list(readers), remaining)
-            for conn in ready:
-                message = self._read(readers[conn])
-                if message is not None:
-                    return message
-            if not ready or remaining == 0.0:
-                return None
+        readers = {conn: worker for worker, conn in self._replies.items()}
+        if not readers and timeout is None:
+            return None  # nothing could ever arrive
+        for conn in self._wait(list(readers), timeout):
+            # A closed pipe reads as None: return it at once, so the
+            # caller scans for the dead worker instead of waiting on.
+            return self._read(readers[conn])
+        return None
+
+    def reply_fd(self, worker: int) -> Optional[int]:
+        """The descriptor ``worker``'s replies arrive on; ``None`` once closed."""
+        conn = self._replies.get(worker)
+        return None if conn is None else conn.fileno()
 
     def _read(self, worker: int) -> Optional[tuple]:
         """One reply from ``worker``; ``None`` once its pipe has closed."""
@@ -570,15 +577,17 @@ class MultiprocessTransport(Transport):
         return worker in self._replies and self._processes[worker].is_alive()
 
     def restart(self, worker: int) -> None:
-        # Spawned lazily: an idle fork would hold the parent's descriptors
+        # Forked lazily: an idle fork would hold the parent's descriptors
         # (a server's client sockets, say) open until its next job.
         self._close(worker)
 
-    def _spawn(self, worker: int) -> None:
+    def _spawn(self, worker: int, message: tuple) -> None:
         inbox = self._context.Queue()
         reader, writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
-            target=self.worker_main, args=(worker, inbox, writer), daemon=True
+            target=self.worker_main,
+            args=(worker, inbox, writer, message),
+            daemon=True,
         )
         process.start()
         writer.close()  # the worker holds the only write end
@@ -638,10 +647,11 @@ class InlineTransport(Transport):
             failure = WorkerFailure.from_exception(job_id, exc)
             self._replies.append(("fail", 0, job_id, failure))
 
-    def recv(self, timeout: float) -> Optional[tuple]:
+    def recv(self, timeout: Optional[float]) -> Optional[tuple]:
         if self._replies:
             return self._replies.popleft()
-        _time.sleep(timeout)  # nothing runs until the next send
+        if timeout:
+            _time.sleep(timeout)  # nothing runs until the next send
         return None
 
     def alive(self, worker: int) -> bool:
@@ -685,9 +695,10 @@ class Coordinator:
     """Drives jobs over a transport: dispatch, steal, supervise, retry.
 
     The one worker supervisor, for the distributed runner and the job
-    service alike.  :meth:`step` takes one non-blocking turn: dispatch the
-    due jobs, maybe request a steal, handle the replies that arrive within
-    its timeout, then scan busy workers for death and overrun deadlines.
+    service alike.  :meth:`step` takes one turn: dispatch the due jobs,
+    maybe request a steal, handle the replies that arrive within its
+    timeout (cut short at :meth:`next_deadline`), then scan busy workers
+    for death and overrun deadlines.
     Every failure becomes a typed :class:`WorkerFailure` that names the
     job's initial-cut groups; a failed job waits out a deterministic
     backoff before its next dispatch; with ``run_inline`` set, the final
@@ -697,7 +708,9 @@ class Coordinator:
     job, report)`` for a steal donor's flow-only slice, ``("retry", job,
     failure)`` and ``("failed", job, failure)``.  :meth:`run` is the
     runner's blocking loop: it collects ``results`` and raises on a failed
-    job unless ``allow_partial`` reports it instead.
+    job unless ``allow_partial`` reports it instead; it sleeps in the
+    transport until a reply, a worker's death or the next deadline, so
+    there is no poll interval.
     """
 
     def __init__(
@@ -715,7 +728,7 @@ class Coordinator:
         self.run_inline = run_inline
         self.trace = trace
 
-        self.payloads: Dict[int, bytes] = {}
+        self.payloads: Dict[int, object] = {}
         self.prefixes: Dict[int, Optional[PathPrefix]] = {}
         self.pending: deque = deque()
         self.attempts: Dict[int, int] = {}
@@ -739,9 +752,13 @@ class Coordinator:
     # -- public ------------------------------------------------------------
 
     def add(
-        self, payload: bytes, prefix: Optional[PathPrefix] = None, attempts: int = 0
+        self, payload, prefix: Optional[PathPrefix] = None, attempts: int = 0
     ) -> int:
-        """Queue a job; ``attempts`` counts attempts made before this run."""
+        """Queue a job; ``attempts`` counts attempts made before this run.
+
+        ``payload`` is opaque here: the distributed runner's are pickled
+        snapshots, the job service's are dicts.
+        """
         job_id = self._next_job_id
         self._next_job_id += 1
         self.payloads[job_id] = payload
@@ -766,10 +783,18 @@ class Coordinator:
             if running.job_id == job_id:
                 self._release(worker, restart=True)
 
-    def step(self, timeout: float) -> List[tuple]:
-        """One turn; returns its lifecycle events."""
+    def step(self, timeout: Optional[float]) -> List[tuple]:
+        """One turn; returns its lifecycle events.
+
+        It waits for a reply for at most ``timeout`` seconds (``None``: no
+        limit), and never past :meth:`next_deadline`.
+        """
         self._dispatch()
         self._maybe_steal()
+        deadline = self.next_deadline()
+        if deadline is not None:
+            remaining = max(0.0, deadline - _time.monotonic())
+            timeout = remaining if timeout is None else min(timeout, remaining)
         message = self.transport.recv(timeout)
         while message is not None:
             self._handle(message)
@@ -778,6 +803,29 @@ class Coordinator:
         events, self._events = self._events, []
         return events
 
+    def next_deadline(self) -> Optional[float]:
+        """When the next turn is due without a reply (``time.monotonic``).
+
+        The earliest of: a queued job's retry backoff while a worker is
+        free to take it, a running job's wall-clock deadline, and a steal
+        cooldown while an idle worker waits for work.  ``None`` when only
+        a worker's reply (or its death) can move the run.
+        """
+        due: List[float] = [
+            running.deadline
+            for running in self._busy.values()
+            if running.deadline is not None
+        ]
+        if self.idle:
+            due.extend(self._not_before.get(job_id, 0.0) for job_id in self.pending)
+            if self.steal_enabled and not self.pending:
+                due.extend(
+                    self._steal_cooldown.get(worker, 0.0)
+                    for worker in self._busy
+                    if worker not in self._steal_pending
+                )
+        return min(due, default=None)
+
     def run(self) -> None:
         """Run every job (and every job stolen along the way) to an end."""
         if self._outstanding == 0:
@@ -785,7 +833,7 @@ class Coordinator:
         self.transport.start()
         try:
             while self._outstanding > 0:
-                for kind, _job, detail in self.step(self.policy.poll_interval_seconds):
+                for kind, _job, detail in self.step(None):
                     if kind in ("done", "partial"):
                         self.results.append(detail)
                     elif kind == "failed" and not self.policy.allow_partial:

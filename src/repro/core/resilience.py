@@ -271,8 +271,6 @@ class RetryPolicy:
     backoff_jitter: float = 0.25
     #: seeds the jitter PRNG (never wall-clock)
     seed: int = 0
-    #: reply-wait granularity of a blocking run; bounds worker-death detection
-    poll_interval_seconds: float = 0.05
     #: per-partition wall-clock budget; None disables timeout detection
     task_timeout_seconds: Optional[float] = None
     #: report exhausted partitions instead of raising

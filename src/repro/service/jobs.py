@@ -12,7 +12,11 @@ starts in a fresh process.  What lives here:
   cannot starve the rest or balloon memory.
 - **Supervision** — one asyncio loop takes a non-blocking coordinator
   step per pass and maps its lifecycle events onto store transitions,
-  metrics and ``service.job.*`` events.  The coordinator detects dead
+  metrics and ``service.job.*`` events.  Between passes it sleeps until
+  something happens: a busy worker's reply pipe turns readable (a reply,
+  or end-of-file when the worker dies), a submission or cancellation
+  kicks it, or the next deadline comes — a retry's backoff or a job's
+  wall budget.  There is no poll interval.  The coordinator detects dead
   workers and records failures as typed
   :class:`~repro.core.resilience.WorkerFailure` records on the job.
 - **Retry** — the coordinator requeues crashed/raising attempts behind
@@ -39,13 +43,14 @@ concurrency is worker subprocesses and the store's atomic file writes.
 from __future__ import annotations
 
 import asyncio
-import pickle
+import json
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.distributed import Coordinator, MultiprocessTransport
+from ..core.scenario import Scenario
 from ..core.resilience import RetryPolicy, WorkerFailure
 from ..obs.metrics import MetricsRegistry
 from .spec import SubmissionSpec
@@ -60,6 +65,14 @@ __all__ = [
     "QueueFull",
     "ServiceLimits",
 ]
+
+#: compiled scenarios the job manager keeps for its workers
+SCENARIO_MEMO_LIMIT = 32
+#: the largest spec size whose scenario the job manager builds itself.
+#: It builds on the service's own loop, so this bounds how long a
+#: submission can stall it (grid:16, 256 nodes, takes about 10 ms); a
+#: larger scenario is built by its worker.
+SCENARIO_MEMO_MAX_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,6 @@ class ServiceLimits:
     max_retries: int = 2
     #: engine checkpoint cadence inside job workers, in executed events
     checkpoint_every_events: int = 25
-    #: scheduler poll granularity; bounds crash-detection latency
-    poll_interval_seconds: float = 0.02
     #: first-retry backoff (doubles per retry, seeded jitter on top)
     backoff_base_seconds: float = 0.05
 
@@ -149,7 +160,11 @@ class JobManager:
         #: digest -> live (queued or running) job id, for coalescing
         self._live_digests: Dict[str, str] = {}
         self._client_load: Dict[str, int] = {}
+        #: (workload, size, args) -> compiled scenario, handed over at fork
+        self._scenarios: Dict[tuple, Scenario] = {}
         self._wake = asyncio.Event()
+        #: reply descriptors the scheduler's sleep is watching
+        self._watched: List[int] = []
         self._scheduler_task: Optional[asyncio.Task] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -267,6 +282,9 @@ class JobManager:
             return record
         for active in self.active.values():
             if active.record.id == job_id:
+                # The cancel closes the worker's reply pipe: stop watching
+                # it first (the scheduler re-arms on the kick that follows).
+                self._unwatch()
                 self.coordinator.cancel(active.job)
                 return self._finish(active, "cancelled")
         if job_id in self.queue:
@@ -282,9 +300,10 @@ class JobManager:
         self._wake.set()
 
     async def _scheduler(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
             # Cleared first, so a job that ends in this pass starts the
-            # next queued one at once rather than a poll later.
+            # next queued one at once rather than after a sleep.
             self._wake.clear()
             self._start_queued()
             for kind, job, detail in self.coordinator.step(0.0):
@@ -295,11 +314,49 @@ class JobManager:
             for worker in self.coordinator.idle:
                 self.transport.restart(worker)
             self._enforce_budgets()
-            poll = self.limits.poll_interval_seconds if self.active else None
+            self._watch()
+            deadline = self._next_deadline()
+            timer = None
+            if deadline is not None:
+                delay = max(0.0, deadline - time.monotonic())
+                timer = loop.call_later(delay, self._wake.set)
             try:
-                await asyncio.wait_for(self._wake.wait(), poll)
-            except asyncio.TimeoutError:
-                pass
+                await self._wake.wait()
+            finally:
+                if timer is not None:
+                    timer.cancel()
+                self._unwatch()
+
+    def _watch(self) -> None:
+        """Wake on every busy worker's reply pipe: a reply or its death.
+
+        Only busy workers are watched: a spent worker has been dropped and
+        a closed pipe has no descriptor, so nothing stays readable once
+        the next pass has read it.
+        """
+        loop = asyncio.get_running_loop()
+        for worker in range(self.transport.worker_count):
+            if worker in self.coordinator.idle:
+                continue
+            fd = self.transport.reply_fd(worker)
+            if fd is not None:
+                loop.add_reader(fd, self._wake.set)
+                self._watched.append(fd)
+
+    def _unwatch(self) -> None:
+        if self._watched:
+            loop = asyncio.get_running_loop()
+            for fd in self._watched:
+                loop.remove_reader(fd)
+            self._watched = []
+
+    def _next_deadline(self) -> Optional[float]:
+        """The coordinator's next deadline or the nearest job wall budget."""
+        due = [a.deadline for a in self.active.values() if a.deadline is not None]
+        coordinator_due = self.coordinator.next_deadline()
+        if coordinator_due is not None:
+            due.append(coordinator_due)
+        return min(due, default=None)
 
     def _start_queued(self) -> None:
         while (
@@ -317,19 +374,49 @@ class JobManager:
                 "report_path": self.store.report_path(record.id),
                 "checkpoint_path": self.store.checkpoint_path(record.id),
                 "checkpoint_every": self.limits.checkpoint_every_events,
+                "scenario": self._scenario(record.spec),
             }
             # Attempts count across service lives: a recovered job keeps
             # its retry budget and its chaos coins.
-            job = self.coordinator.add(pickle.dumps(payload), attempts=record.attempts)
+            job = self.coordinator.add(payload, attempts=record.attempts)
             deadline = None
             if self.limits.job_timeout_seconds is not None:
                 deadline = time.monotonic() + self.limits.job_timeout_seconds
             self.active[job] = _ActiveJob(record, job, deadline)
 
+    def _scenario(self, spec: SubmissionSpec) -> Optional[Scenario]:
+        """The spec's scenario, compiled, for a worker to inherit at fork.
+
+        Built once per (workload, size, args) and kept, so a fresh worker
+        neither re-parses nor re-compiles the program; the spec's seed and
+        config do not change the scenario.  ``None`` for a spec over
+        :data:`SCENARIO_MEMO_MAX_SIZE` and when building fails: the worker
+        then builds it itself, and reports a build error as a typed
+        failure, as before.
+        """
+        if spec.size > SCENARIO_MEMO_MAX_SIZE:
+            return None
+        key = (spec.workload, spec.size, json.dumps(spec.workload_args, sort_keys=True))
+        scenario = self._scenarios.pop(key, None)
+        if scenario is None:
+            try:
+                scenario = spec.build_scenario()
+                scenario.compiled()
+            except Exception:  # noqa: BLE001 - the worker reports it
+                return None
+        self._scenarios[key] = scenario
+        if len(self._scenarios) > SCENARIO_MEMO_LIMIT:
+            del self._scenarios[next(iter(self._scenarios))]
+        return scenario
+
     def _on_event(self, kind: str, active: _ActiveJob, detail) -> None:
         record = active.record
         if kind == "start":
             record.attempts = detail + 1
+            if record.started_at is None:
+                # Queue wait is started_at - submitted_at: the first
+                # attempt's start, kept across retries and restarts.
+                record.started_at = time.time()
             self.store.mark(record, "running")
             if chaos_kill_after(record.id, detail) is not None:
                 self.metrics.counter("service.chaos.kills_planned").inc(1)

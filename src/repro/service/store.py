@@ -75,6 +75,8 @@ class JobRecord:
     result: Optional[dict] = None
     #: wall-clock bookkeeping (informational; never feeds decisions)
     submitted_at: float = field(default_factory=time.time)
+    #: when the first attempt started; queue wait = started_at - submitted_at
+    started_at: Optional[float] = None
     finished_at: Optional[float] = None
 
     @property
@@ -94,6 +96,7 @@ class JobRecord:
             "failure": self.failure,
             "result": self.result,
             "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
 
@@ -113,6 +116,7 @@ class JobRecord:
             failure=data.get("failure"),
             result=data.get("result"),
             submitted_at=data.get("submitted_at", 0.0),
+            started_at=data.get("started_at"),
             finished_at=data.get("finished_at"),
         )
 

@@ -3,8 +3,9 @@
 Each attempt at a job runs here, in a fresh child process: the job
 manager hands attempts to the distributed runner's
 :class:`~repro.core.distributed.Coordinator`, whose
-:class:`~repro.core.distributed.MultiprocessTransport` starts one
-:func:`job_worker_main` per attempt.  The worker:
+:class:`~repro.core.distributed.MultiprocessTransport` forks one
+:func:`job_worker_main` per attempt, with the attempt as its fork
+argument.  The worker:
 
 - rebuilds the scenario from the submission spec (workload registry);
 - runs the engine with service-owned checkpointing into the job dir, so
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import random
 from typing import Optional
 
@@ -109,7 +109,11 @@ def execute_job(payload: dict) -> dict:
 
         {"spec": {...}, "trace_path": ..., "report_path": ...,
          "checkpoint_path": ..., "checkpoint_every": 25,
-         "kill_after": None | int}
+         "kill_after": None | int, "scenario": None | Scenario}
+
+    ``scenario``, when present, is the spec's scenario with its program
+    already compiled (the job manager builds it once and hands it over
+    at fork); without it the worker builds its own.
 
     Returns the summary dict the job manager stores on the record.
     """
@@ -136,7 +140,7 @@ def execute_job(payload: dict) -> dict:
                 trace.emit("checkpoint.discarded", reason=str(exc))
         resumed = engine is not None
         if engine is None:
-            scenario = spec.build_scenario()
+            scenario = payload.get("scenario") or spec.build_scenario()
             engine = build_engine(
                 scenario,
                 spec.algorithm,
@@ -177,12 +181,14 @@ def chaos_kill_after(job_id: str, attempt: int) -> Optional[int]:
     return random.Random(f"svc-kill:{job_id}:{attempt}").randrange(0, 96)
 
 
-def job_worker_main(worker_index: int, inbox, outbox) -> None:
-    """Transport worker entry: run one job attempt, reply, and exit.
+def job_worker_main(worker_index: int, inbox, outbox, message: tuple) -> None:
+    """Transport worker entry: run the attempt it was forked with, reply, exit.
 
     One attempt per process, so no module state (the expression interning
-    table, for one) carries over from another job.  Failures travel as
-    typed :class:`WorkerFailure` records, never bare pickled exceptions.
+    table, for one) carries over from another job.  The attempt arrives as
+    the fork argument ``message``; the inbox is never read.  Failures
+    travel as typed :class:`WorkerFailure` records, never bare pickled
+    exceptions.
     """
     # A fork()ed child inherits the service loop's signal plumbing: a
     # no-op C handler for SIGTERM/SIGINT plus the loop's wakeup fd.
@@ -196,9 +202,8 @@ def job_worker_main(worker_index: int, inbox, outbox) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
 
-    _, job_id, payload_bytes, attempt = inbox.get()
-    payload = pickle.loads(payload_bytes)
-    payload["kill_after"] = chaos_kill_after(payload["job"], attempt)
+    _, job_id, payload, attempt = message
+    payload = dict(payload, kill_after=chaos_kill_after(payload["job"], attempt))
     try:
         reply = ("done", worker_index, job_id, execute_job(payload))
     except BaseException as exc:  # noqa: BLE001 - classified for the parent

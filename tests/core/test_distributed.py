@@ -22,6 +22,10 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
 6. Each subprocess worker replies on its own pipe: a worker killed in
    the middle of a reply cannot block another worker's replies, and a
    reply sent just before a worker exits is read, not taken for a crash.
+7. ``Coordinator.run`` sleeps until a reply, a worker's death or its next
+   deadline, with no poll: a hung job times out, a killed worker is
+   retried at once, and a steal denial's cooldown ends and the run goes
+   on.  Each of these runs under a watchdog, so a hang fails the test.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import signal
 import time
+import traceback
 
 import pytest
 
@@ -69,7 +75,6 @@ func on_recv(src, len) {
 FAST = RetryPolicy(
     max_retries=2,
     backoff_base_seconds=0.001,
-    poll_interval_seconds=0.02,
 )
 
 
@@ -687,9 +692,8 @@ class TestCoordinatorProtocol:
         assert [f.task_index for f in coordinator.failed] == [1]
 
 
-def _reply_on_request(worker, inbox, outbox):
+def _reply_on_request(worker, inbox, outbox, message):
     """Test worker: a 16 MB reply to "big", a small one to anything else."""
-    message = inbox.get()
     if message[0] == "big":
         outbox.send(b"x" * (16 << 20))  # blocks: nobody reads the pipe
     else:
@@ -711,9 +715,9 @@ def _mid_reply_kill_probe():
     os._exit(0 if message == ("small", 1) else 1)
 
 
-def _reply_then_exit(worker, inbox, outbox):
+def _reply_then_exit(worker, inbox, outbox, message):
     """Test worker: answer one job, then exit at once."""
-    _, job_id, _payload, _attempt = inbox.get()
+    _, job_id, _payload, _attempt = message
     outbox.send(("done", worker, job_id, f"result-{job_id}"))
     os._exit(0)
 
@@ -752,6 +756,129 @@ class TestMultiprocessTransport:
         assert ("done", 0, "result-0") in events
         assert coordinator.failed == []
         assert coordinator.retries == 0
+
+
+def _under_watchdog(build, seconds=30.0):
+    """Run ``build()``'s coordinator in a forked child and summarize it.
+
+    A hang kills the child with the workers it forked (it leads its own
+    process group) and fails the test instead of stalling the suite.
+    Returns ``(results, [(kind, attempts)], retries, steal
+    (requested, denied), seconds run)``.
+    """
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+
+    def child():
+        os.setpgrp()
+        try:
+            coordinator = build()
+            started = time.monotonic()
+            coordinator.run()
+            stats = coordinator.steal_stats
+            writer.send(
+                (
+                    sorted(coordinator.results),
+                    [(f.kind, f.attempts) for f in coordinator.failed],
+                    coordinator.retries,
+                    (stats.requested, stats.denied),
+                    time.monotonic() - started,
+                )
+            )
+        except BaseException:
+            writer.send(traceback.format_exc())
+        os._exit(0)
+
+    process = context.Process(target=child)
+    process.start()
+    writer.close()
+    try:
+        if not reader.poll(seconds):
+            os.killpg(process.pid, signal.SIGKILL)
+            pytest.fail(f"Coordinator.run still running after {seconds}s")
+        summary = reader.recv()
+    finally:
+        process.kill()
+        process.join()
+        reader.close()
+    assert not isinstance(summary, str), summary
+    return summary
+
+
+def _hang(worker, inbox, outbox, message):
+    """Test worker: never answer."""
+    time.sleep(30)
+
+
+def _die_on_first_attempt(worker, inbox, outbox, message):
+    """Test worker: SIGKILLed on attempt 0, answers on any later one."""
+    _, job_id, _payload, attempt = message
+    if attempt == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    outbox.send(("done", worker, job_id, f"result-{job_id}"))
+    inbox.get()  # idle until stopped
+
+
+def _deny_first_steal(worker, inbox, outbox, message):
+    """Test worker: b"quick" answers at once; b"long" denies the first
+    steal request and finishes on the second."""
+    _, job_id, payload, _attempt = message
+    if payload == b"long":
+        assert inbox.get() == ("steal",)
+        outbox.send(("steal_deny", worker, job_id))
+        assert inbox.get() == ("steal",)
+    outbox.send(("done", worker, job_id, f"result-{job_id}"))
+    inbox.get()  # idle until stopped
+
+
+class TestCoordinatorWakes:
+    def test_hung_worker_times_out(self):
+        policy = dataclasses.replace(
+            FAST, max_retries=0, task_timeout_seconds=0.3, allow_partial=True
+        )
+        results, failed, retries, _steals, seconds = _under_watchdog(
+            lambda: Coordinator(
+                MultiprocessTransport(1, worker_main=_hang),
+                [(b"j0", _Prefix(1))],
+                policy=policy,
+                steal=False,
+            )
+        )
+        assert results == []
+        assert failed == [("timeout", 1)]
+        assert retries == 0
+        assert 0.3 <= seconds < 10.0
+
+    def test_killed_worker_is_retried_at_once(self):
+        results, failed, retries, _steals, seconds = _under_watchdog(
+            lambda: Coordinator(
+                MultiprocessTransport(1, worker_main=_die_on_first_attempt),
+                [(b"j0", _Prefix(1))],
+                policy=FAST,
+                steal=False,
+            )
+        )
+        assert results == ["result-0"]
+        assert failed == []
+        assert retries == 1
+        assert seconds < 5.0
+
+    def test_steal_cooldown_expires_and_the_run_completes(self):
+        from repro.core.distributed import STEAL_RETRY_COOLDOWN_SECONDS
+
+        results, failed, retries, steals, seconds = _under_watchdog(
+            lambda: Coordinator(
+                MultiprocessTransport(2, worker_main=_deny_first_steal),
+                [(b"long", _Prefix(4)), (b"quick", _Prefix(1))],
+                policy=FAST,
+                steal=True,
+            )
+        )
+        assert results == ["result-0", "result-1"]
+        assert failed == []
+        assert retries == 0
+        assert steals == (2, 1)  # asked, denied, asked again after the cooldown
+        assert seconds >= STEAL_RETRY_COOLDOWN_SECONDS
 
 
 class TestChaos:

@@ -233,9 +233,7 @@ class TestChaosEquivalence:
             split_ms=scenario.horizon_ms * 3 // 10,
             steal=False,
             trace=parallel_trace,
-            retry_policy=RetryPolicy(
-                backoff_base_seconds=0.001, poll_interval_seconds=0.02
-            ),
+            retry_policy=RetryPolicy(backoff_base_seconds=0.001),
         ).run()
 
         assert parallel.retries >= 2  # both workers were killed once

@@ -1,5 +1,6 @@
 """The job lifecycle's terminal paths: budget expiry, exhausted retries,
-and a raising attempt; and a spent worker that lingers after its reply.
+a raising attempt, a spec whose scenario cannot be built; and a spent
+worker that lingers after its reply.
 
 Each path ends a job in one terminal state with a typed failure record,
 and the record's attempt and retry counts say what actually ran: an
@@ -97,8 +98,10 @@ class _LingeringPipe:
         self._connection.close()
 
 
-def _lingering_worker_main(worker_index, inbox, outbox):
-    worker_module.job_worker_main(worker_index, inbox, _LingeringPipe(outbox))
+def _lingering_worker_main(worker_index, inbox, outbox, message):
+    worker_module.job_worker_main(
+        worker_index, inbox, _LingeringPipe(outbox), message
+    )
 
 
 def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
@@ -119,5 +122,23 @@ def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
             assert record["failure"] is None
         _, stats = service.request("GET", "/v1/stats")
         assert stats["counters"].get("service.retries", 0) == 0
+    finally:
+        service.stop()
+
+
+def test_a_spec_that_cannot_build_fails_in_its_worker(tmp_path):
+    # flood:1 passes validation, but the workload needs two nodes.  The
+    # job manager's scenario build fails quietly and the worker raises the
+    # error as the job's typed failure.
+    service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_retries=0))
+    try:
+        _, out = service.submit(dict(FAST_SPEC, size=1))
+        record = service.wait_terminal(out["id"])
+        assert record["state"] == "failed"
+        assert record["attempts"] == 1
+        failure = record["failure"]
+        assert failure["kind"] == "exception"
+        assert failure["exc_type"] == "ValueError"
+        assert "at least 2 nodes" in failure["message"]
     finally:
         service.stop()

@@ -41,6 +41,21 @@ class TestRecords:
         with pytest.raises(ValueError):
             store.mark(record, "exploded")
 
+    def test_started_at_round_trips_and_defaults_for_old_records(self, tmp_path):
+        store = RunStore(tmp_path)
+        record = store.allocate(make_spec(), client="c1")
+        assert store.load(record.id).started_at is None
+        store.mark(record, "running", started_at=record.submitted_at + 1.5)
+        loaded = store.load(record.id)
+        assert loaded.started_at - loaded.submitted_at == 1.5
+        # A record written before the field existed loads without it.
+        with open(store.record_path(record.id)) as handle:
+            stored = json.load(handle)
+        del stored["started_at"]
+        with open(store.record_path(record.id), "w") as handle:
+            json.dump(stored, handle)
+        assert store.load(record.id).started_at is None
+
     def test_corrupt_record_reads_as_missing(self, tmp_path):
         store = RunStore(tmp_path)
         record = store.allocate(make_spec(), client="c1")

@@ -6,6 +6,10 @@ another checkpoint version (a job parked by ``drain`` across an upgrade),
 would raise the same ``CheckpointError`` on every retry.  The worker
 discards it instead, says so in the trace, and runs the job from the
 start; runs are deterministic, so the report equals a fresh run's.
+
+A worker may also get its scenario from the job manager, built once per
+(workload, size, args) and handed over at fork; the report is the same
+as when the worker builds it.
 """
 
 import json
@@ -16,7 +20,9 @@ from repro.core.reporting import load_report_dict
 from repro.core.resilience import save_checkpoint
 from repro.core.scenario import build_engine
 from repro.obs import load_trace
+from repro.service.jobs import SCENARIO_MEMO_MAX_SIZE, JobManager
 from repro.service.spec import SubmissionSpec
+from repro.service.store import RunStore
 from repro.service.worker import execute_job
 
 from .test_service import FAST_SPEC, PINNED_FIELDS
@@ -107,5 +113,25 @@ def test_readable_checkpoint_still_resumes(tmp_path):
     assert summary["ok"] and summary["resumed"] is True
     report = load_report_dict(payload["report_path"])
     reference = load_report_dict(fresh_payload["report_path"])
+    for field in COMPARED_FIELDS:
+        assert report[field] == reference[field], field
+
+
+def test_a_handed_over_scenario_gives_the_same_report(tmp_path):
+    manager = JobManager(RunStore(tmp_path / "data"))
+    scenario = manager._scenario(SubmissionSpec.from_dict(FAST_SPEC))
+    # Kept per (workload, size, args): another seed reuses it, and a spec
+    # over the size bound is left to its worker.
+    again = SubmissionSpec.from_dict(dict(FAST_SPEC, seed=8))
+    assert manager._scenario(again) is scenario
+    big = dict(FAST_SPEC, size=SCENARIO_MEMO_MAX_SIZE + 1)
+    assert manager._scenario(SubmissionSpec.from_dict(big)) is None
+
+    built = _payload(tmp_path / "built")
+    execute_job(built)
+    handed = dict(_payload(tmp_path / "handed"), scenario=scenario)
+    execute_job(handed)
+    report = load_report_dict(handed["report_path"])
+    reference = load_report_dict(built["report_path"])
     for field in COMPARED_FIELDS:
         assert report[field] == reference[field], field
