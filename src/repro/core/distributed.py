@@ -525,7 +525,6 @@ class MultiprocessTransport(Transport):
         self._processes: Dict[int, object] = {}
         self._inboxes: Dict[int, object] = {}
         self._replies: Dict[int, object] = {}
-        self._unread: Dict[int, deque] = {}
 
     def start(self) -> None:
         pass  # each worker is forked by the first message it gets
@@ -537,16 +536,15 @@ class MultiprocessTransport(Transport):
             self._spawn(worker, message)
 
     def recv(self, timeout: Optional[float]) -> Optional[tuple]:
-        for unread in self._unread.values():
-            if unread:
-                return unread.popleft()
         readers = {conn: worker for worker, conn in self._replies.items()}
         if not readers and timeout is None:
             return None  # nothing could ever arrive
         for conn in self._wait(list(readers), timeout):
-            # A closed pipe reads as None: return it at once, so the
-            # caller scans for the dead worker instead of waiting on.
-            return self._read(readers[conn])
+            message = self._read(readers[conn])
+            if message is not None:
+                return message
+            # A closed pipe: read on through the other ready pipes, then
+            # return, so the caller scans for the dead worker at once.
         return None
 
     def reply_fd(self, worker: int) -> Optional[int]:
@@ -564,17 +562,13 @@ class MultiprocessTransport(Transport):
             return None
 
     def alive(self, worker: int) -> bool:
-        if worker not in self._processes:
-            return False
-        # Read what has arrived: a reply sent just before exit still
-        # counts, and a closed pipe means the worker is done.
-        while worker in self._replies and self._replies[worker].poll():
-            message = self._read(worker)
-            if message is not None:
-                self._unread[worker].append(message)
-        if self._unread[worker]:
-            return True
-        return worker in self._replies and self._processes[worker].is_alive()
+        conn = self._replies.get(worker)
+        if conn is None:
+            return False  # never started, or its pipe read end-of-file
+        # Anything readable (a reply sent just before exit, or the
+        # end-of-file after it) is left for recv: the pipe stays open and
+        # readable, so the caller's next wait returns at once.
+        return conn.poll() or self._processes[worker].is_alive()
 
     def restart(self, worker: int) -> None:
         # Forked lazily: an idle fork would hold the parent's descriptors
@@ -594,7 +588,6 @@ class MultiprocessTransport(Transport):
         self._processes[worker] = process
         self._inboxes[worker] = inbox
         self._replies[worker] = reader
-        self._unread[worker] = deque()
 
     def _close(self, worker: int) -> None:
         process = self._processes.pop(worker, None)
@@ -611,7 +604,6 @@ class MultiprocessTransport(Transport):
         reader = self._replies.pop(worker, None)
         if reader is not None:
             reader.close()
-        self._unread.pop(worker, None)
 
     def stop(self) -> None:
         for worker in list(self._processes):

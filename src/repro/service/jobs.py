@@ -43,15 +43,15 @@ concurrency is worker subprocesses and the store's atomic file writes.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.distributed import Coordinator, MultiprocessTransport
-from ..core.scenario import Scenario
 from ..core.resilience import RetryPolicy, WorkerFailure
+from ..lang.bytecode import CompiledProgram
+from ..lang.compiler import compile_source
 from ..obs.metrics import MetricsRegistry
 from .spec import SubmissionSpec
 from .store import JobRecord, RunStore
@@ -65,14 +65,6 @@ __all__ = [
     "QueueFull",
     "ServiceLimits",
 ]
-
-#: compiled scenarios the job manager keeps for its workers
-SCENARIO_MEMO_LIMIT = 32
-#: the largest spec size whose scenario the job manager builds itself.
-#: It builds on the service's own loop, so this bounds how long a
-#: submission can stall it (grid:16, 256 nodes, takes about 10 ms); a
-#: larger scenario is built by its worker.
-SCENARIO_MEMO_MAX_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -160,8 +152,8 @@ class JobManager:
         #: digest -> live (queued or running) job id, for coalescing
         self._live_digests: Dict[str, str] = {}
         self._client_load: Dict[str, int] = {}
-        #: (workload, size, args) -> compiled scenario, handed over at fork
-        self._scenarios: Dict[tuple, Scenario] = {}
+        #: program source -> compiled program, handed over at fork
+        self._programs: Dict[str, CompiledProgram] = {}
         self._wake = asyncio.Event()
         #: reply descriptors the scheduler's sleep is watching
         self._watched: List[int] = []
@@ -374,7 +366,7 @@ class JobManager:
                 "report_path": self.store.report_path(record.id),
                 "checkpoint_path": self.store.checkpoint_path(record.id),
                 "checkpoint_every": self.limits.checkpoint_every_events,
-                "scenario": self._scenario(record.spec),
+                "program": self._program(record.spec.workload),
             }
             # Attempts count across service lives: a recovered job keeps
             # its retry budget and its chaos coins.
@@ -384,30 +376,24 @@ class JobManager:
                 deadline = time.monotonic() + self.limits.job_timeout_seconds
             self.active[job] = _ActiveJob(record, job, deadline)
 
-    def _scenario(self, spec: SubmissionSpec) -> Optional[Scenario]:
-        """The spec's scenario, compiled, for a worker to inherit at fork.
+    def _program(self, workload: str) -> Optional[CompiledProgram]:
+        """The workload's guest program, compiled, for a worker to inherit.
 
-        Built once per (workload, size, args) and kept, so a fresh worker
-        neither re-parses nor re-compiles the program; the spec's seed and
-        config do not change the scenario.  ``None`` for a spec over
-        :data:`SCENARIO_MEMO_MAX_SIZE` and when building fails: the worker
-        then builds it itself, and reports a build error as a typed
-        failure, as before.
+        Compiled once per distinct program (one per built-in workload at
+        most), so a fresh worker neither re-parses nor re-compiles it; the
+        worker still builds the scenario's topology.  ``None`` for a
+        workload whose program is not known up front (an out-of-tree
+        registration): its worker compiles the program itself.
         """
-        if spec.size > SCENARIO_MEMO_MAX_SIZE:
+        from ..workloads import WORKLOAD_PROGRAMS
+
+        source = WORKLOAD_PROGRAMS.get(workload)
+        if source is None:
             return None
-        key = (spec.workload, spec.size, json.dumps(spec.workload_args, sort_keys=True))
-        scenario = self._scenarios.pop(key, None)
-        if scenario is None:
-            try:
-                scenario = spec.build_scenario()
-                scenario.compiled()
-            except Exception:  # noqa: BLE001 - the worker reports it
-                return None
-        self._scenarios[key] = scenario
-        if len(self._scenarios) > SCENARIO_MEMO_LIMIT:
-            del self._scenarios[next(iter(self._scenarios))]
-        return scenario
+        program = self._programs.get(source)
+        if program is None:
+            program = self._programs[source] = compile_source(source)
+        return program
 
     def _on_event(self, kind: str, active: _ActiveJob, detail) -> None:
         record = active.record

@@ -109,11 +109,12 @@ def execute_job(payload: dict) -> dict:
 
         {"spec": {...}, "trace_path": ..., "report_path": ...,
          "checkpoint_path": ..., "checkpoint_every": 25,
-         "kill_after": None | int, "scenario": None | Scenario}
+         "kill_after": None | int, "program": None | CompiledProgram}
 
-    ``scenario``, when present, is the spec's scenario with its program
-    already compiled (the job manager builds it once and hands it over
-    at fork); without it the worker builds its own.
+    ``program``, when present, is the workload's guest program already
+    compiled (the job manager compiles it once and hands it over at
+    fork); the worker uses it if it is the program the spec's scenario
+    runs, and compiles the scenario's own program otherwise.
 
     Returns the summary dict the job manager stores on the record.
     """
@@ -140,7 +141,10 @@ def execute_job(payload: dict) -> dict:
                 trace.emit("checkpoint.discarded", reason=str(exc))
         resumed = engine is not None
         if engine is None:
-            scenario = payload.get("scenario") or spec.build_scenario()
+            scenario = spec.build_scenario()
+            program = payload.get("program")
+            if program is not None and scenario.program == program.source:
+                scenario.program = program
             engine = build_engine(
                 scenario,
                 spec.algorithm,

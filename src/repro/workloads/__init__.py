@@ -22,6 +22,7 @@ from .election import (  # noqa: F401
 from .flood import flood_scenario  # noqa: F401
 from .grid import PAPER_SIZES, grid_scenario, paper_grid_scenario  # noqa: F401
 from .line import line_scenario  # noqa: F401
+from .programs import collect_program, flood_program
 from .quorum import QUORUM_APP, quorum_scenario, write_packet  # noqa: F401
 
 #: built-in workload name -> scenario factory.  Factories take the
@@ -36,10 +37,23 @@ WORKLOADS: Dict[str, Callable] = {
     "quorum": quorum_scenario,
 }
 
+#: built-in workload name -> the source of the guest program its scenarios
+#: run, which no size or factory argument changes (the job service
+#: compiles each program once and hands it to its workers)
+WORKLOAD_PROGRAMS: Dict[str, str] = {
+    "grid": collect_program(),
+    "line": collect_program(),
+    "flood": flood_program(),
+    "dissemination": DISSEMINATION_APP,
+    "election": ELECTION_APP,
+    "quorum": QUORUM_APP,
+}
+
 
 def register_workload(name: str, factory: Callable) -> None:
     """Register (or replace) a workload factory under ``name``."""
     WORKLOADS[name] = factory
+    WORKLOAD_PROGRAMS.pop(name, None)  # its program is no longer known
 
 
 def available_workloads() -> tuple:
@@ -63,7 +77,5 @@ from .programs import (  # noqa: F401
     PING_PONG_APP,
     branch_storm_program,
     buggy_dedup_program,
-    collect_program,
     first_collect_packet,
-    flood_program,
 )

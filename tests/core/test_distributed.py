@@ -37,6 +37,7 @@ import pickle
 import signal
 import time
 import traceback
+from multiprocessing.connection import wait
 
 import pytest
 
@@ -693,7 +694,10 @@ class TestCoordinatorProtocol:
 
 
 def _reply_on_request(worker, inbox, outbox, message):
-    """Test worker: a 16 MB reply to "big", a small one to anything else."""
+    """Test worker: a 16 MB reply to "big", none to "die" (it exits at
+    once), a small one to anything else."""
+    if message[0] == "die":
+        os._exit(0)
     if message[0] == "big":
         outbox.send(b"x" * (16 << 20))  # blocks: nobody reads the pipe
     else:
@@ -736,6 +740,44 @@ class TestMultiprocessTransport:
             probe.join()
             pytest.fail("recv hung after a worker was killed mid-reply")
         assert probe.exitcode == 0
+
+    def test_recv_reads_past_a_closed_pipe(self):
+        transport = MultiprocessTransport(2, worker_main=_reply_on_request)
+        transport.start()
+        try:
+            transport.send(0, ("die",))
+            transport.send(1, ("small",))
+            transport._processes[0].join(10)
+            assert transport._replies[1].poll(10)
+            # Worker 0's end-of-file comes first; worker 1's reply is read
+            # in the same call, not left for a wake that may never come.
+            assert transport.recv(0.0) == ("small", 1)
+            assert transport.reply_fd(0) is None
+            assert not transport.alive(0)
+        finally:
+            transport.stop()
+
+    def test_a_reply_the_scan_finds_stays_readable(self):
+        # A reply that lands between a step's last read and its scan stays
+        # on an open pipe: the job service sleeps on that pipe, so a reply
+        # read into a buffer there would never wake it.
+        transport = MultiprocessTransport(1, worker_main=_reply_then_exit)
+        coordinator = Coordinator(
+            transport, [(b"j0", _Prefix(1))], policy=FAST, steal=False
+        )
+        transport.start()
+        try:
+            coordinator._dispatch()
+            transport._processes[0].join(10)
+            coordinator._scan_workers()
+            assert coordinator.failed == [] and coordinator.retries == 0
+            fd = transport.reply_fd(0)
+            assert fd is not None
+            assert wait([fd], 0)
+            events = coordinator.step(0.0)
+        finally:
+            transport.stop()
+        assert ("done", 0, "result-0") in events
 
     def test_reply_sent_just_before_exit_counts_as_done(self):
         transport = MultiprocessTransport(1, worker_main=_reply_then_exit)

@@ -128,8 +128,8 @@ def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
 
 def test_a_spec_that_cannot_build_fails_in_its_worker(tmp_path):
     # flood:1 passes validation, but the workload needs two nodes.  The
-    # job manager's scenario build fails quietly and the worker raises the
-    # error as the job's typed failure.
+    # worker builds the scenario and raises the error as the job's typed
+    # failure.
     service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_retries=0))
     try:
         _, out = service.submit(dict(FAST_SPEC, size=1))

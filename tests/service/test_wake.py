@@ -9,6 +9,7 @@ constant: a fixed 20 ms poll would take about 15 steps per 0.3 s of
 waiting.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -142,5 +143,32 @@ def test_a_job_over_its_wall_budget_times_out(tmp_path, monkeypatch):
         assert record["attempts"] == 1
         assert record["failure"]["kind"] == "timeout"
         assert len(steps) <= 6, steps
+    finally:
+        service.stop()
+
+
+def test_two_workers_that_reply_and_exit_together_both_end_done(
+    tmp_path, monkeypatch
+):
+    # Both replies and both end-of-files land before the scheduler's next
+    # pass: no reply may be left unread on a pipe nothing watches.
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+
+    def reply_together(worker_index, inbox, outbox, message):
+        barrier.wait(10)
+        _, job_id, _payload, _attempt = message
+        outbox.send(("done", worker_index, job_id, {"ok": True}))
+        os._exit(0)
+
+    monkeypatch.setattr(jobs_module, "job_worker_main", reply_together)
+    service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_active=2))
+    try:
+        steps = _count_steps(service)
+        jobs = [service.submit(dict(FAST_SPEC, seed=seed))[1] for seed in (7, 8)]
+        for job in jobs:
+            record = service.wait_terminal(job["id"], timeout=10)
+            assert record["state"] == "done"
+            assert record["result"] == {"ok": True}
+        assert len(steps) <= 10, steps
     finally:
         service.stop()

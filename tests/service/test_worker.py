@@ -7,9 +7,9 @@ would raise the same ``CheckpointError`` on every retry.  The worker
 discards it instead, says so in the trace, and runs the job from the
 start; runs are deterministic, so the report equals a fresh run's.
 
-A worker may also get its scenario from the job manager, built once per
-(workload, size, args) and handed over at fork; the report is the same
-as when the worker builds it.
+A worker may also get its workload's program from the job manager,
+compiled once per program and handed over at fork; the report is the
+same as when the worker compiles it.
 """
 
 import json
@@ -20,10 +20,17 @@ from repro.core.reporting import load_report_dict
 from repro.core.resilience import save_checkpoint
 from repro.core.scenario import build_engine
 from repro.obs import load_trace
-from repro.service.jobs import SCENARIO_MEMO_MAX_SIZE, JobManager
+from repro.net.topology import Topology
+from repro.service.jobs import JobManager
 from repro.service.spec import SubmissionSpec
 from repro.service.store import RunStore
 from repro.service.worker import execute_job
+from repro.workloads import (
+    WORKLOAD_PROGRAMS,
+    WORKLOADS,
+    make_workload,
+    register_workload,
+)
 
 from .test_service import FAST_SPEC, PINNED_FIELDS
 
@@ -117,21 +124,40 @@ def test_readable_checkpoint_still_resumes(tmp_path):
         assert report[field] == reference[field], field
 
 
-def test_a_handed_over_scenario_gives_the_same_report(tmp_path):
+def test_a_handed_over_program_gives_the_same_report(tmp_path):
     manager = JobManager(RunStore(tmp_path / "data"))
-    scenario = manager._scenario(SubmissionSpec.from_dict(FAST_SPEC))
-    # Kept per (workload, size, args): another seed reuses it, and a spec
-    # over the size bound is left to its worker.
-    again = SubmissionSpec.from_dict(dict(FAST_SPEC, seed=8))
-    assert manager._scenario(again) is scenario
-    big = dict(FAST_SPEC, size=SCENARIO_MEMO_MAX_SIZE + 1)
-    assert manager._scenario(SubmissionSpec.from_dict(big)) is None
+    spec = SubmissionSpec.from_dict(FAST_SPEC)
+    program = manager._program(spec.workload)
+    # Compiled once per program: every later job of the workload gets the
+    # same object.
+    assert program is manager._program(spec.workload)
+    assert program.source == spec.build_scenario().program
 
     built = _payload(tmp_path / "built")
     execute_job(built)
-    handed = dict(_payload(tmp_path / "handed"), scenario=scenario)
-    execute_job(handed)
-    report = load_report_dict(handed["report_path"])
     reference = load_report_dict(built["report_path"])
-    for field in COMPARED_FIELDS:
-        assert report[field] == reference[field], field
+    # A program the scenario does not run is ignored: the worker compiles
+    # the scenario's own.
+    other = manager._program("grid")
+    assert other.source != program.source
+    for name, handed_program in (("handed", program), ("other", other)):
+        handed = dict(_payload(tmp_path / name), program=handed_program)
+        execute_job(handed)
+        report = load_report_dict(handed["report_path"])
+        for field in COMPARED_FIELDS:
+            assert report[field] == reference[field], (name, field)
+
+
+def test_every_built_in_program_is_known_up_front():
+    for name, source in WORKLOAD_PROGRAMS.items():
+        size = Topology.line(3) if name == "dissemination" else 3
+        assert make_workload(name, size).program == source, name
+
+
+def test_a_replaced_workload_compiles_its_own_program(tmp_path, monkeypatch):
+    # Restored after the test: register_workload edits both tables.
+    monkeypatch.setitem(WORKLOADS, "flood", WORKLOADS["flood"])
+    monkeypatch.setitem(WORKLOAD_PROGRAMS, "flood", WORKLOAD_PROGRAMS["flood"])
+    register_workload("flood", lambda size: WORKLOADS["grid"](size))
+    manager = JobManager(RunStore(tmp_path / "data"))
+    assert manager._program("flood") is None
