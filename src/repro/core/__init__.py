@@ -32,7 +32,7 @@ from .explode import (  # noqa: F401
     logical_state_config,
 )
 from .history import conflict_free, find_conflicts, in_direct_conflict  # noqa: F401
-from .mapping import MappingError, MappingStats, StateMapper  # noqa: F401
+from .mapping import MappingError, StateMapper  # noqa: F401
 from .optimize import (  # noqa: F401
     MergeGroup,
     OptimizationReport,

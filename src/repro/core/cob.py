@@ -89,8 +89,8 @@ class COBMapper(StateMapper):
                     copy = member.fork()
                     members[node] = copy
                     self.spawn(copy)
-                    self.stats.local_forks += 1
-                    self.stats.bystander_duplicates += 1
+                    self.local_forks.value += 1
+                    self.bystander_duplicates.value += 1
                     if self.trace is not None:
                         self.trace.emit(
                             "mapper.copy",
@@ -109,7 +109,7 @@ class COBMapper(StateMapper):
         self, sender: ExecutionState, dest_node: int
     ) -> List[ExecutionState]:
         """Constant-time lookup: the dscenario's state of the destination."""
-        self.stats.transmissions += 1
+        self.transmissions.value += 1
         scenario = self._owner[sender.sid]
         receiver = scenario.members.get(dest_node)
         if receiver is None:

@@ -82,7 +82,7 @@ class COWMapper(StateMapper):
     def map_transmission(
         self, sender: ExecutionState, dest_node: int
     ) -> List[ExecutionState]:
-        self.stats.transmissions += 1
+        self.transmissions.value += 1
         dstate = self._owner[sender.sid]
         targets = dstate.members.get(dest_node)
         if not targets:
@@ -106,9 +106,9 @@ class COWMapper(StateMapper):
                 copy = original.fork()
                 copies.append(copy)
                 self.spawn(copy)
-                self.stats.mapping_forks += 1
+                self.mapping_forks.value += 1
                 if node != dest_node:
-                    self.stats.bystander_duplicates += 1
+                    self.bystander_duplicates.value += 1
                 if self.trace is not None:
                     self.trace.emit(
                         "mapper.copy",

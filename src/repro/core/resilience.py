@@ -291,14 +291,17 @@ class RetryPolicy:
 
 CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 2: construction parameters travel as one EngineConfig under
-# "config", and solver counters as the solver's stats_dict under
-# "solver_stats" (version-1 checkpoints carried both exploded).
+# "config", and solver counters as one dict under "solver_stats"
+# (version-1 checkpoints carried both exploded).
 # Version 3: EngineConfig gained medium/medium_params and ExecutionState
 # gained the link_busy slot — version-2 pickles would deserialize into
 # objects silently missing both, so they are rejected at the header.
 # Version 4: the body is one EngineSnapshot (the object every distributed
 # cut ships too) instead of a flat dict.
-CHECKPOINT_VERSION = 4
+# Version 5: the snapshot's counters are one metrics-registry snapshot
+# (every subsystem's counters, the reducer's included) instead of one
+# dict per subsystem.
+CHECKPOINT_VERSION = 5
 
 
 class CheckpointError(RuntimeError):

@@ -128,7 +128,7 @@ class SDSMapper(StateMapper):
                 virtual = VirtualState(child, dstate)
                 dstate.members[parent.node].append(virtual)
                 child_virtuals.append(virtual)
-                self.stats.virtual_forks += 1
+                self.virtual_forks.value += 1
                 if self.trace is not None:
                     self.trace.emit(
                         "mapper.copy",
@@ -143,7 +143,7 @@ class SDSMapper(StateMapper):
     def map_transmission(
         self, sender: ExecutionState, dest_node: int
     ) -> List[ExecutionState]:
-        self.stats.transmissions += 1
+        self.transmissions.value += 1
         sender_virtuals = list(self._virtuals[sender.sid])
         sender_dstate_ids: Set[int] = {vs.dstate.id for vs in sender_virtuals}
 
@@ -179,7 +179,7 @@ class SDSMapper(StateMapper):
                 twin = target.fork()
                 twins[target.sid] = twin
                 self.spawn(twin)
-                self.stats.mapping_forks += 1
+                self.mapping_forks.value += 1
                 if self.trace is not None:
                     self.trace.emit(
                         "mapper.copy",
@@ -222,7 +222,7 @@ class SDSMapper(StateMapper):
                         fresh = VirtualState(old.actual, new_dstate)
                         self._virtuals[old.actual.sid].append(fresh)
                     fresh_list.append(fresh)
-                    self.stats.virtual_forks += 1
+                    self.virtual_forks.value += 1
                     if self.trace is not None:
                         self.trace.emit(
                             "mapper.copy",

@@ -119,54 +119,32 @@ class EngineSnapshot:
         ensure_state_ids_above(self.state_watermark)
         ensure_packet_ids_above(self.packet_watermark)
         engine._broadcast_ids = itertools.count(self.broadcast_watermark + 1)
-        if self.counters is not None:
-            _restore_counters(engine, self.counters)
+        counters = self.counters
+        if counters is not None:
+            # Reinstall the counter baselines so the final report matches.
+            engine.metrics.install(counters["registry"])
+            engine.events_executed = counters["events_executed"]
+            engine.executor.instructions_executed = counters["instructions"]
+            engine.checkpoints_written = counters["checkpoints_written"]
+            for name, data in counters["phases"].items():
+                phase = engine.profiler.phase(name)
+                phase.count = data["count"]
+                phase.seconds = data["seconds"]
+            engine.stats.samples = list(counters["samples"])
+            engine.stats._last_sampled_at = counters["events_executed"]
         if trace is not None and self.trace:
             trace.extend(self.trace)
         return engine
 
 
 def _capture_counters(engine: SDEEngine) -> dict:
-    solver = engine.solver
+    """The engine registry's snapshot plus the run totals, phase timings
+    and growth samples that ride beside it."""
     return {
+        "registry": engine.metrics.snapshot(),
         "events_executed": engine.events_executed,
         "instructions": engine.executor.instructions_executed,
-        "solver_queries": solver.queries,
-        "solver_stats": solver.stats_dict(),
-        "conjunct_histogram": solver.conjunct_histogram.data(),
-        "mapping_stats": engine.mapper.stats.as_dict(),
-        "net_stats": engine.medium.stats_dict(),
-        "cache_stats": solver.cache_stats(),
+        "checkpoints_written": engine.checkpoints_written,
         "phases": engine.profiler.snapshot(),
         "samples": list(engine.stats.samples),
-        "checkpoints_written": engine.checkpoints_written,
     }
-
-
-def _restore_counters(engine: SDEEngine, counters: dict) -> None:
-    """Reinstall the counter baselines so the final report matches."""
-    engine.events_executed = counters["events_executed"]
-    engine.executor.instructions_executed = counters["instructions"]
-    solver = engine.solver
-    solver.queries = counters["solver_queries"]
-    solver.restore_stats(counters["solver_stats"])
-    histogram = solver.conjunct_histogram
-    data = counters["conjunct_histogram"]
-    if tuple(data["bounds"]) != histogram.bounds:
-        raise ValueError("snapshot histogram bounds do not match this build")
-    for slot in ("buckets", "count", "total", "min", "max"):
-        setattr(histogram, slot, data[slot])
-    for slot, value in counters["mapping_stats"].items():
-        setattr(engine.mapper.stats, slot, value)
-    engine.medium.restore_stats(counters["net_stats"])
-    if counters["cache_stats"] and solver._cache is not None:
-        from ..solver import CacheStats
-
-        solver._cache.stats = CacheStats.restore(counters["cache_stats"])
-    for name, data in counters["phases"].items():
-        phase = engine.profiler.phase(name)
-        phase.count = data["count"]
-        phase.seconds = data["seconds"]
-    engine.stats.samples = list(counters["samples"])
-    engine.stats._last_sampled_at = counters["events_executed"]
-    engine.checkpoints_written = counters["checkpoints_written"]

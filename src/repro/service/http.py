@@ -357,14 +357,10 @@ class SDEService:
     # -- stats -----------------------------------------------------------------
 
     def _stats(self) -> dict:
-        counters = {
-            name: counter.value
-            for name, counter in sorted(self.metrics._counters.items())
-        }
         return {
             "service": self.manager.snapshot(),
             "jobs": self.store.stats(),
-            "counters": counters,
+            "counters": self.metrics.snapshot()["counters"],
         }
 
 

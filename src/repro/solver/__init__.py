@@ -6,7 +6,7 @@ independence partitioning, complete splitting search, and KLEE-style query
 caching.
 """
 
-from .cache import CacheStats, SolverCache  # noqa: F401
+from .cache import SolverCache  # noqa: F401
 from .constraints import EMPTY, ConstraintSet, as_constraint_set  # noqa: F401
 from .core import (  # noqa: F401
     SearchBudgetExceeded,

@@ -222,8 +222,8 @@ class ConstraintSet:
         """The simplified conjunct tuple; ``None`` = provably UNSAT.
 
         Computed once per node by extending the parent's canonical form
-        (see module docstring); ``stats`` is an optional mutable mapping
-        collecting ``simplify.*`` counter increments.
+        (see module docstring); ``stats`` is an optional owner of the
+        ``simplify_*`` counters (the :class:`~repro.solver.core.Solver`).
 
         When the new conjunct introduces an implied equality, only the
         inherited conjuncts sharing variables with it are re-simplified
@@ -255,7 +255,7 @@ class ConstraintSet:
             self._digest = frozenset()
             return
         if stats is not None:
-            stats["runs"] = stats.get("runs", 0) + 1
+            stats.simplify_runs.value += 1
         eqs = parent._eqs
         conjunct = self.conjunct
         if eqs:
@@ -300,16 +300,16 @@ class ConstraintSet:
         self._digest = frozenset()
         self._groups = []
         if stats is not None:
-            stats["contradictions"] = stats.get("contradictions", 0) + 1
+            stats.simplify_contradictions.value += 1
 
     def _resimplify(self, conjuncts: Tuple[BoolExpr, ...], stats) -> None:
         simplified = simplify_conjuncts(conjuncts)
         if stats is not None:
-            stats["resimplify"] = stats.get("resimplify", 0) + 1
+            stats.simplify_resimplify.value += 1
             if simplified is not None:
                 removed = len(conjuncts) - len(simplified)
                 if removed > 0:
-                    stats["removed"] = stats.get("removed", 0) + removed
+                    stats.simplify_removed.value += removed
         if simplified is None:
             self._mark_unsat(stats)
             return
@@ -334,11 +334,11 @@ class ConstraintSet:
         touched.append(conjunct)
         simplified = simplify_conjuncts(tuple(touched))
         if stats is not None:
-            stats["delta"] = stats.get("delta", 0) + 1
+            stats.simplify_delta.value += 1
             if simplified is not None:
                 removed = len(touched) - len(simplified)
                 if removed > 0:
-                    stats["removed"] = stats.get("removed", 0) + removed
+                    stats.simplify_removed.value += removed
         if simplified is None:
             self._mark_unsat(stats)
             return

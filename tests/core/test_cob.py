@@ -62,9 +62,9 @@ class TestFigure3:
 
     def test_branch_statistics(self, harness):
         harness.branch(harness.initial[0])
-        stats = harness.mapper.stats
-        assert stats.local_forks == 2
-        assert stats.bystander_duplicates == 2
+        mapper = harness.mapper
+        assert mapper.local_forks.value == 2
+        assert mapper.bystander_duplicates.value == 2
 
 
 class TestTransmission:

@@ -28,7 +28,7 @@ class TestBranching:
         harness.branch(harness.initial[0])
         harness.branch(harness.initial[2], ways=3)
         assert harness.duplicate_configs() == []
-        assert harness.mapper.stats.mapping_forks == 0
+        assert harness.mapper.mapping_forks.value == 0
 
     def test_network_without_communication_stays_one_dstate(self, harness):
         """Section III-B: without communication, the complete symbolic
@@ -98,7 +98,7 @@ class TestFigure4:
         # Node 0 is a bystander: its copy has an identical configuration.
         duplicates = harness.duplicate_configs()
         assert len(duplicates) == 1
-        assert harness.mapper.stats.bystander_duplicates == 1
+        assert harness.mapper.bystander_duplicates.value == 1
 
     def test_histories_stay_conflict_free(self, harness):
         node1 = harness.initial[1]

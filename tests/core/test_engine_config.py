@@ -67,7 +67,7 @@ class TestConfigObject:
         solver = EngineConfig(
             horizon_ms=1, solver_cache=False, solver_max_nodes=99
         ).make_solver()
-        assert solver.cache_stats() is None
+        assert solver._cache is None
         assert solver._max_nodes == 99
 
 
@@ -89,7 +89,8 @@ class TestOverrideSplitting:
             flood_scenario(3), "sds", max_states=123, solver_cache=False
         )
         assert engine.config.max_states == 123
-        assert engine.solver.cache_stats() is None
+        counters = engine.metrics.snapshot()["counters"]
+        assert not any(name.startswith("solver.cache.") for name in counters)
 
     def test_build_engine_rejects_unknown_override(self):
         with pytest.raises(TypeError, match="unknown"):

@@ -87,7 +87,7 @@ class TestUndeliverable:
         scenario = simple_scenario(program=source, topology=Topology.line(3))
         engine = build_engine(scenario, "sds")
         engine.run()
-        assert engine.medium.undeliverable == 1
+        assert engine.medium.undeliverable.value == 1
         for node in (1, 2):
             (state,) = engine.states_of_node(node)
             assert state.memory[engine.program.global_address("got")] == 0

@@ -330,7 +330,8 @@ class TestCheckpointResume:
 
         def with_foreign_bounds(engine, **kwargs):
             snapshot = capture(engine, **kwargs)
-            snapshot.counters["conjunct_histogram"]["bounds"] = [1, 2, 3]
+            histograms = snapshot.counters["registry"]["histograms"]
+            histograms["solver.query.conjuncts"]["bounds"] = [1, 2, 3]
             return snapshot
 
         monkeypatch.setattr(
@@ -454,6 +455,22 @@ class TestCheckpointResume:
             magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + body
         )
         with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+    def test_version_4_checkpoint_rejected(self, tmp_path):
+        # Version 4 kept one counter dict per subsystem and no reducer
+        # counters; its body cannot restore into a version-5 engine.
+        engine = build_engine(_scenario(), "sds")
+        engine.run_until(split_ms=3000)
+        path = tmp_path / "v4.sdeckpt"
+        save_checkpoint(engine, path)
+        magic, header_bytes, body = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header_bytes)
+        header["version"] = 4
+        path.write_bytes(
+            magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + body
+        )
+        with pytest.raises(CheckpointError, match="version 4 is not supported"):
             load_checkpoint(path)
 
 

@@ -61,7 +61,7 @@ class TestNoRivals:
             id(children[0]),
         }
         # No forking: targets had no rivals in their super-dstates.
-        assert harness.mapper.stats.mapping_forks == 0
+        assert harness.mapper.mapping_forks.value == 0
         harness.check()
 
 
@@ -76,8 +76,8 @@ class TestDirectRivals:
         # Exactly one new execution state: the target's non-receiving twin.
         assert harness.total_states() == before + 1
         assert receivers == [harness.initial[2]]
-        assert harness.mapper.stats.mapping_forks == 1
-        assert harness.mapper.stats.bystander_duplicates == 0
+        assert harness.mapper.mapping_forks.value == 1
+        assert harness.mapper.bystander_duplicates.value == 0
         harness.check()
 
     def test_bystanders_fork_only_virtually(self, harness):
@@ -149,10 +149,10 @@ class TestFigure7SuperRivals:
         # no direct rivals.  But node 3's state appears in both dstates,
         # and... node 2's virtuals are both of the SAME state, so there is
         # no rival at all: no fork.
-        before_forks = harness.mapper.stats.mapping_forks
+        before_forks = harness.mapper.mapping_forks.value
         receivers = harness.transmit(harness.initial[2], 3)
         assert receivers == [harness.initial[3]]
-        assert harness.mapper.stats.mapping_forks == before_forks
+        assert harness.mapper.mapping_forks.value == before_forks
         harness.check()
 
     def test_figure7_shape(self, harness):

@@ -86,8 +86,8 @@ class TestPaper25:
 
     def test_solver_cache_effective_when_used(self, runs_25):
         engine, _ = runs_25["sds"]
-        stats = engine.solver.cache_stats()
-        assert stats is not None  # cache enabled by default
+        counters = engine.metrics.snapshot()["counters"]
+        assert "solver.cache.hit.exact" in counters  # cache enabled by default
 
 
 class TestMapperStatsConsistency:

@@ -42,7 +42,7 @@ class TestIdealMedium:
     def test_unicast_out_of_range_lost(self):
         medium = IdealMedium(Topology.line(3))
         assert medium.unicast_targets(0, 2) == []
-        assert medium.undeliverable == 1
+        assert medium.undeliverable.value == 1
 
     def test_broadcast_reaches_all_neighbors(self):
         medium = IdealMedium(Topology.grid(3))
@@ -65,10 +65,9 @@ class TestIdealMedium:
         medium = IdealMedium(Topology.line(3))
         medium.unicast_targets(0, 1)
         medium.broadcast_targets(1)
-        stats = medium.stats_dict()
-        assert stats["unicasts_sent"] == 1
-        assert stats["broadcasts_sent"] == 1
-        assert stats["undeliverable"] == 0
+        assert medium.unicasts_sent.value == 1
+        assert medium.broadcasts_sent.value == 1
+        assert medium.undeliverable.value == 0
 
     def test_node_symmetric(self):
         assert IdealMedium(Topology.line(3)).node_symmetric()

@@ -85,7 +85,7 @@ class TestRouting:
         assert medium.route(0, 1) == [0, 1]
         sender = _Sender(0)
         assert medium.plan_unicast(sender, 7, 1) == []
-        assert medium.stats_dict()["undeliverable"] == 1
+        assert medium.undeliverable.value == 1
 
     def test_multi_hop_delivery_time_scales_with_hops(self):
         medium = RealisticMedium(Topology.ring(6), latency_ms=2)
@@ -149,7 +149,7 @@ class TestQueues:
         results = [medium.plan_unicast(sender, 1, 4) for _ in range(4)]
         assert results[0] and results[1]
         assert results[2] == [] and results[3] == []
-        assert medium.stats_dict()["queue_drops"] == 2
+        assert medium.queue_drops.value == 2
 
     def test_queue_state_is_per_sender_state(self):
         medium = RealisticMedium(Topology.line(2), bandwidth_cells_per_ms=1)

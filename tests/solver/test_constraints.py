@@ -120,18 +120,18 @@ class TestVerdictMemo:
         cs = as_constraint_set([ult(X, bv(10))])
         impossible = eq(X, bv(200))
         assert not solver.may_be_true(cs, impossible)
-        before = solver.verdict_shortcuts
+        before = solver.verdict_shortcuts.value
         assert not solver.may_be_true(cs, impossible)
-        assert solver.verdict_shortcuts == before + 1
+        assert solver.verdict_shortcuts.value == before + 1
         # The semantic counters never notice the shortcut.
-        assert solver.queries == 2 and solver.unsat_results == 2
+        assert solver.queries.value == 2 and solver.unsat_results.value == 2
 
     def test_empty_singleton_never_memoizes(self):
         solver = Solver()
         condition = eq(var("fresh_empty_probe"), bv(1))
         solver.may_be_true(EMPTY, condition)
         solver.may_be_true(EMPTY, condition)
-        assert solver.verdict_shortcuts == 0
+        assert solver.verdict_shortcuts.value == 0
         assert EMPTY.cached_verdict(condition) == (False, None)
 
 
@@ -227,7 +227,7 @@ class TestDeltaCanonicalization:
         )
         model = solver.check(cs)
         assert model is not None and model.satisfies(cs.raw())
-        assert solver.stats_dict()["simplify.delta"] == 1
+        assert solver.simplify_delta.value == 1
         assert disjoint in cs.canonical()
 
     @settings(max_examples=150, deadline=None)

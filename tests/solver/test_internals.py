@@ -9,8 +9,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import Interval, add, bv, bvand, eq, mul, ne, ule, ult, var
+from repro.obs import MetricsRegistry
 from repro.solver import (
-    CacheStats,
     Infeasible,
     Model,
     SearchBudgetExceeded,
@@ -25,6 +25,28 @@ from repro.solver import (
 from ..conftest import budget
 
 A, B, C, D = (var(n) for n in "abcd")
+
+#: The cache's counters, as metric names without the ``solver.cache.``
+#: prefix.
+CACHE_COUNTERS = (
+    "hit.exact",
+    "hit.cex",
+    "hit.model",
+    "miss",
+    "stores",
+    "model_scan_steps",
+    "subset_scan_steps",
+)
+
+
+def _cache_counters(cache) -> dict:
+    """The cache's counters by short name, read through a registry."""
+    registry = MetricsRegistry()
+    registry.adopt(cache)
+    return {
+        name[len("solver.cache."):]: value
+        for name, value in registry.snapshot()["counters"].items()
+    }
 
 
 class TestPartition:
@@ -73,7 +95,7 @@ class TestCacheDirect:
         cache.store(key, Model({"a": 1}))
         hit, result = cache.lookup(key)
         assert hit and result["a"] == 1
-        assert cache.stats.exact_hits == 1
+        assert cache.exact_hits.value == 1
 
     def test_unsat_entry(self):
         cache = SolverCache()
@@ -87,13 +109,13 @@ class TestCacheDirect:
         cache.store(SolverCache.key([ult(A, bv(10))]), Model({"a": 3}))
         hit, result = cache.lookup(SolverCache.key([ult(A, bv(100))]))
         assert hit and result["a"] == 3
-        assert cache.stats.model_reuse_hits == 1
+        assert cache.model_reuse_hits.value == 1
 
     def test_miss(self):
         cache = SolverCache()
         hit, _ = cache.lookup(SolverCache.key([eq(A, bv(5))]))
         assert not hit
-        assert cache.stats.misses == 1
+        assert cache.misses.value == 1
 
     def test_lru_eviction(self):
         cache = SolverCache(max_entries=2)
@@ -122,7 +144,7 @@ class TestCacheTierAccounting:
         superset = SolverCache.key([eq(A, bv(1)), eq(A, bv(2)), ult(B, bv(9))])
         hit, result = cache.lookup(superset, frozenset([A, B]))
         assert hit and result is None
-        assert cache.stats.cex_hits == 1 and cache.last_outcome == "cex"
+        assert cache.cex_hits.value == 1 and cache.last_outcome == "cex"
 
     def test_each_tier_books_exactly_one_counter(self):
         cache = SolverCache()
@@ -132,7 +154,7 @@ class TestCacheTierAccounting:
         cache.lookup(key, frozenset([A]))  # exact
         wider = SolverCache.key([ult(A, bv(100))])
         cache.lookup(wider, frozenset([A]))  # model reuse
-        stats = cache.stats.as_dict()
+        stats = _cache_counters(cache)
         assert stats["miss"] == 1
         assert stats["hit.exact"] == 1
         assert stats["hit.model"] == 1
@@ -157,12 +179,12 @@ class TestCacheTierAccounting:
         # It is now the newest, and answers as the first object.
         hit, model = cache.lookup(SolverCache.key([ult(A, bv(2))]), frozenset([A]))
         assert hit and model is first
-        assert cache.stats.model_scan_steps == 1
+        assert cache.model_scan_steps.value == 1
         # Under the new key a query extending it probes only its extras.
         extended = SolverCache.key([eq(A, bv(5)), ult(B, bv(1))])
         hit, model = cache.lookup(extended, frozenset([A, B]))
         assert hit and model is first
-        assert cache.stats.model_scan_steps == 2
+        assert cache.model_scan_steps.value == 2
 
     def test_stats_restore_round_trip(self):
         cache = SolverCache()
@@ -171,9 +193,17 @@ class TestCacheTierAccounting:
             SolverCache.key([eq(A, bv(1)), eq(A, bv(2)), ult(B, bv(9))]),
             frozenset([A, B]),
         )
-        snapshot = cache.stats.as_dict()
-        restored = CacheStats.restore(snapshot)
-        assert restored.as_dict() == snapshot
+        registry = MetricsRegistry()
+        registry.adopt(cache)
+        snapshot = registry.snapshot()
+        fresh = SolverCache()
+        restored = MetricsRegistry()
+        restored.adopt(fresh)
+        restored.install(snapshot)
+        assert restored.snapshot() == snapshot
+        # The install reaches the fresh cache's own handles.
+        assert _cache_counters(fresh) == _cache_counters(cache)
+        assert fresh.cex_hits.value == 1
 
 
 class _LinearCache:
@@ -186,16 +216,16 @@ class _LinearCache:
         self.exact = OrderedDict()
         self.models = []  # [model, its names, its key], oldest first
         self.unsat = OrderedDict()  # UNSAT key -> smallest variable name
-        self.stats = CacheStats()
+        self.stats = dict.fromkeys(CACHE_COUNTERS, 0)
 
     def lookup(self, key, variables=None):
         if key in self.exact:
             self.exact.move_to_end(key)
-            self.stats.exact_hits += 1
+            self.stats["hit.exact"] += 1
             return True, self.exact[key]
         names = None if variables is None else frozenset(v.name for v in variables)
         if names and self._unsat_subset(key, names):
-            self.stats.cex_hits += 1
+            self.stats["hit.cex"] += 1
             return True, None
         evaluated = 0
         for model, model_names, stored in reversed(self.models):
@@ -206,11 +236,11 @@ class _LinearCache:
             evaluated += 1
             probe = key - stored if stored <= key else key
             if model.satisfies(probe):
-                self.stats.model_scan_steps += evaluated
-                self.stats.model_reuse_hits += 1
+                self.stats["model_scan_steps"] += evaluated
+                self.stats["hit.model"] += 1
                 return True, model
-        self.stats.model_scan_steps += evaluated
-        self.stats.misses += 1
+        self.stats["model_scan_steps"] += evaluated
+        self.stats["miss"] += 1
         return False, None
 
     def _unsat_subset(self, key, names):
@@ -219,13 +249,13 @@ class _LinearCache:
             for candidate in reversed([k for k, r in self.unsat.items() if r == name]):
                 scanned += 1
                 if candidate <= key or scanned >= self.bounds["max_subset_scan"]:
-                    self.stats.subset_scan_steps += scanned
+                    self.stats["subset_scan_steps"] += scanned
                     return candidate <= key
-        self.stats.subset_scan_steps += scanned
+        self.stats["subset_scan_steps"] += scanned
         return False
 
     def store(self, key, result):
-        self.stats.stores += 1
+        self.stats["stores"] += 1
         self.exact[key] = result
         self.exact.move_to_end(key)
         while len(self.exact) > self.bounds["max_entries"]:
@@ -309,7 +339,7 @@ class TestCacheMatchesLinearScan:
             expected_hit, expected = reference.lookup(key, variables)
             assert hit == expected_hit
             assert model is expected
-            assert cache.stats.as_dict() == reference.stats.as_dict()
+            assert _cache_counters(cache) == reference.stats
 
 
 class TestSearchBudget:
@@ -394,9 +424,9 @@ class TestSolverStatistics:
         solver = Solver()
         solver.check([eq(A, bv(1))])
         solver.check([eq(A, bv(1)), ne(A, bv(1))])
-        assert solver.queries == 2
-        assert solver.sat_results == 1
-        assert solver.unsat_results == 1
+        assert solver.queries.value == 2
+        assert solver.sat_results.value == 1
+        assert solver.unsat_results.value == 1
 
     def test_entailment_uses_negation(self):
         solver = Solver()

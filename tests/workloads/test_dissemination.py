@@ -43,7 +43,7 @@ class TestProtocolBehaviour:
         scenario = dissemination_scenario(topology, rounds=4, drop_nodes=())
         engine = build_engine(scenario, "sds")
         engine.run()
-        broadcasts = engine.medium.broadcasts_sent
+        broadcasts = engine.medium.broadcasts_sent.value
         assert broadcasts < 4 * 3  # suppression kicked in
 
     def test_drop_delays_but_does_not_prevent_dissemination(self):
