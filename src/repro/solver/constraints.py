@@ -20,6 +20,15 @@ with its parent and, crucially, shares the parent's *memoized analysis*:
   parent's model already satisfies the new conjunct (this is what makes
   one arm of every branch-feasibility pair free).
 
+Nodes are hash-consed: :meth:`ConstraintSet.extended` returns the
+parent's live child for the same (interned) conjunct instead of a copy,
+so states whose path conditions were built by the same extensions hold
+one node and share every memo above, verdicts included.  A parent holds
+its children weakly and a child holds its parent strongly, with no
+cycle between them: a node dies by refcount as soon as no state or
+descendant holds it.  :func:`_restore` (unpickling) and
+:func:`as_constraint_set` build fresh chains that are not looked up.
+
 Identity: two sets are equal iff their *raw* conjunct tuples are equal
 (expressions are interned, so this is cheap), which keeps cross-run
 duplicate detection (``config_key`` / ``logical_state_config``) working
@@ -29,6 +38,7 @@ memos are per-process and rebuilt lazily after transport.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from ..expr.ast import BoolAnd, BoolConst, BoolExpr, BVVar
@@ -70,6 +80,8 @@ class ConstraintSet:
         "_model",
         "_verdicts",
         "_hash",
+        "_children",
+        "__weakref__",
     )
 
     def __init__(
@@ -95,21 +107,36 @@ class ConstraintSet:
         self._model: Optional[Model] = None
         self._verdicts: Optional[Dict[object, Optional[Model]]] = None
         self._hash: Optional[int] = None
+        self._children: Optional[Dict[BoolExpr, _ChildRef]] = None
 
     # -- construction --------------------------------------------------------
 
     def extended(self, conjunct: BoolExpr) -> "ConstraintSet":
-        """The set plus one conjunct; propagates a still-valid model.
+        """The set plus one conjunct: this node's live child for the
+        (interned) ``conjunct`` if there is one, else a new child that
+        inherits a still-valid model.
 
-        The satisfaction check memoizes per-conjunct verdicts on the
-        model: loop iterations re-extend with structurally repeating
-        conjuncts, and sibling forks re-test the same conjunct against
-        the same inherited model.
+        Equal path conditions forked off one node are therefore one
+        object and share every memo below.  The parent holds its
+        children weakly, so a child lives exactly as long as some state
+        (or descendant) refers to it.  The satisfaction check memoizes
+        per-conjunct verdicts on the model: sibling forks re-test the
+        same conjunct against the same inherited model.
         """
+        children = self._children
+        if children is None:
+            children = self._children = {}
+        else:
+            ref = children.get(conjunct)
+            if ref is not None:
+                child = ref()
+                if child is not None:
+                    return child
         child = ConstraintSet(self, conjunct)
         model = self._model
         if model is not None and model.satisfies((conjunct,)):
             child._model = model
+        children[conjunct] = _ChildRef(child, self, conjunct)
         return child
 
     # -- tuple-compatible raw view -------------------------------------------
@@ -452,6 +479,33 @@ def merge_into_groups(groups: List[Group], conjunct: BoolExpr) -> List[Group]:
         combined_variables |= group[1]
     merged[slot] = (combined_conjuncts + (conjunct,), combined_variables)
     return merged
+
+
+class _ChildRef(weakref.ref):
+    """A parent's weak entry for one child; the child's death removes it.
+
+    The entry reaches its parent through a weak reference, so the child
+    table holds no strong edge back up the chain: parent, table, entry
+    and child form no cycle, and every node dies by refcount.
+    """
+
+    __slots__ = ("parent", "conjunct")
+
+    def __new__(cls, child, parent, conjunct):
+        return super().__new__(cls, child, _forget)
+
+    def __init__(self, child, parent, conjunct):
+        super().__init__(child, _forget)
+        self.parent = weakref.ref(parent)
+        self.conjunct = conjunct
+
+
+def _forget(entry: _ChildRef) -> None:
+    parent = entry.parent()
+    if parent is not None:
+        children = parent._children
+        if children.get(entry.conjunct) is entry:
+            del children[entry.conjunct]
 
 
 def _restore(raw: Tuple[BoolExpr, ...]) -> "ConstraintSet":

@@ -3,8 +3,9 @@
 - ``run_until`` and ``run`` pause automatic collection and restore the
   collector's previous state, also when an exception escapes the loop;
 - exploration allocates no cyclic garbage;
-- a finished COB or COW engine is freed by refcount alone: its graph has
-  no cycles.  SDS keeps one cycle on purpose and needs one collection.
+- a finished COB or COW engine frees its states, and their path
+  conditions, by refcount alone (a parent holds its interned children
+  weakly).  SDS keeps one cycle on purpose and needs one collection.
 """
 
 import gc
@@ -12,7 +13,9 @@ import weakref
 
 import pytest
 
+from benchmarks.ladder.workloads import SYMBOLIC_FLOOD
 from repro import build_engine
+from repro.api import Scenario, Topology
 from repro.core import MappingError
 from repro.core.engine import gc_paused
 from repro.net.failures import (
@@ -26,6 +29,14 @@ SCENARIOS = {
     "flood": lambda: flood_scenario(3, rounds=1),
     "grid": lambda: grid_scenario(3, sim_seconds=3),
     "election": lambda: election_scenario(4),
+    # Every reception branches on symbolic data: builds and queries path
+    # conditions, so the interned ConstraintSet children are exercised.
+    "symflood": lambda: Scenario(
+        name="symbolic-flood-line3",
+        program=SYMBOLIC_FLOOD,
+        topology=Topology.line(3),
+        horizon_ms=300,
+    ),
 }
 FAILURES = {
     "drop": SymbolicPacketDrop,
@@ -121,10 +132,14 @@ def test_exploration_allocates_no_cyclic_garbage(algorithm, scenario, failure):
 
 @pytest.mark.usefixtures("collector")
 class TestTeardown:
-    def _finished(self, algorithm):
-        engine = build(algorithm)
+    def _finished(self, algorithm, scenario="grid"):
+        # Path-condition nodes are shared by every live holder in the
+        # process: collect earlier tests' SDS cycles so none holds ours.
+        gc.collect()
+        engine = build(algorithm, scenario)
         report = engine.run()
-        state = next(s for s in engine.states.values() if s not in report.error_states)
+        live = [s for s in engine.states.values() if s not in report.error_states]
+        state = max(live, key=lambda s: len(s.constraints))  # first if none has one
         return engine, weakref.ref(state)
 
     @pytest.mark.parametrize("algorithm", ["cob", "cow"])
@@ -133,6 +148,16 @@ class TestTeardown:
         gc.disable()
         del engine
         assert state() is None
+
+    @pytest.mark.parametrize("algorithm", ["cob", "cow"])
+    def test_dropped_state_frees_its_path_condition_by_refcount(self, algorithm):
+        engine, state = self._finished(algorithm, "symflood")
+        constraints = weakref.ref(state().constraints)
+        assert len(constraints()) > 0  # a non-root node, not EMPTY
+        gc.disable()
+        del engine
+        assert state() is None
+        assert constraints() is None
 
     def test_sds_virtual_layer_is_freed_by_one_collection(self):
         engine, state = self._finished("sds")

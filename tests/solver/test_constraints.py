@@ -1,9 +1,11 @@
-"""ConstraintSet: structural sharing, memoized analysis, identity,
-pickling, and the no-per-query-materialization guarantee."""
+"""ConstraintSet: structural sharing, hash-consing, memoized analysis,
+identity, pickling, and the no-per-query-materialization guarantee."""
 
+import gc
 import itertools
 import pickle
 import tracemalloc
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,38 @@ class TestStructuralSharing:
         assert as_constraint_set(cs) is cs
         adapted = as_constraint_set([eq(X, bv(1))])
         assert isinstance(adapted, ConstraintSet) and adapted == cs
+
+
+class TestHashConsing:
+    def test_extending_twice_with_one_conjunct_returns_one_node(self):
+        parent = EMPTY.extended(ult(X, bv(10)))
+        child = parent.extended(ult(Y, bv(5)))
+        assert parent.extended(ult(Y, bv(5))) is child
+        assert parent.extended(ult(Y, bv(6))) is not child
+
+    def test_unreferenced_child_is_freed_by_refcount(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            parent = EMPTY.extended(ult(X, bv(11)))
+            child = weakref.ref(parent.extended(ult(Y, bv(3))))
+            assert child() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_child_table_never_keeps_a_child_alive(self):
+        parent = EMPTY.extended(ult(X, bv(12)))
+        held = parent.extended(eq(Y, bv(1)))
+        dropped = weakref.ref(parent.extended(eq(Y, bv(2))))
+        grandchild = weakref.ref(held.extended(ult(X, bv(4))))
+        assert dropped() is None and grandchild() is None
+        assert parent.extended(eq(Y, bv(1))) is held
+        # A dead child's entry leaves its parent's table with it.
+        assert list(parent._children) == [eq(Y, bv(1))]
+        assert not held._children
+        del held
+        assert not parent._children
 
 
 class TestIdentity:
@@ -242,3 +276,100 @@ class TestDeltaCanonicalization:
             assert (model is not None) == expected[length], node.raw()
             if model is not None:
                 assert model.satisfies(node.raw())
+
+
+# A 64-bit variable whose constants 0 and 2**61 - 1 hash alike (CPython
+# hashes ints modulo 2**61 - 1), so the conjunct pairs below differ but
+# collide in hash: a child table keyed by anything but the interned
+# conjunct itself hands back the wrong child.
+W64 = var("w", 64)
+_COLLIDING = 2**61 - 1
+
+#: The alphabet of the generated trees.
+_TREE_CONJUNCTS = (
+    eq(X3, bv(2, 3)),
+    ult(X3, bv(5, 3)),
+    eq(Y3, bv(3, 3)),
+    ne(Y3, bv(3, 3)),
+    ult(add(X3, Y3), bv(4, 3)),
+    eq(W64, bv(0, 64)),
+    eq(W64, bv(_COLLIDING, 64)),
+    ne(W64, bv(0, 64)),
+    ne(W64, bv(_COLLIDING, 64)),
+    ult(W64, bv(_COLLIDING, 64)),
+)
+
+
+def _truth_masks():
+    """Per assignment, the bit set of alphabet conjuncts it satisfies.
+
+    ``w`` only meets 0 and 2**61 - 1, so one value from each region
+    (below, at and above them) decides every conjunct on it.
+    """
+    masks = []
+    for x, y, w in itertools.product(
+        range(8), range(8), (0, 1, _COLLIDING, _COLLIDING + 1)
+    ):
+        env = {"x3": x, "y3": y, "w": w}
+        masks.append(
+            sum(
+                1 << index
+                for index, conjunct in enumerate(_TREE_CONJUNCTS)
+                if evaluate(conjunct, env)
+            )
+        )
+    return masks
+
+
+_TRUTH = _truth_masks()
+
+
+def _brute_sat(chain, refuted=None):
+    """Brute force: does some assignment satisfy every conjunct of
+    ``chain`` (alphabet indices) and, if given, falsify ``refuted``?"""
+    need = 0
+    for index in chain:
+        need |= 1 << index
+    veto = 0 if refuted is None else 1 << refuted
+    return any(mask & need == need and not mask & veto for mask in _TRUTH)
+
+
+@st.composite
+def _trees(draw):
+    """Chains of alphabet indices, each extending an earlier chain, so
+    prefixes are shared and some chains repeat outright."""
+    chains = [()]
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        base = draw(st.sampled_from(chains))
+        index = draw(st.integers(min_value=0, max_value=len(_TREE_CONJUNCTS) - 1))
+        chains.append(base + (index,))
+    return chains[1:]
+
+
+class TestSharedNodes:
+    """Hash-consed nodes are shared by every chain that builds them, and
+    with them every memo: verdicts on them must still match brute force."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _trees(),
+        st.integers(min_value=0, max_value=len(_TREE_CONJUNCTS) - 1),
+    )
+    def test_verdicts_on_shared_nodes_match_brute_force(self, chains, probe):
+        solver = Solver()
+        condition = _TREE_CONJUNCTS[probe]
+        nodes = {}  # keeps every node alive, so later chains share them
+        for chain in chains:
+            node = EMPTY
+            for index in chain:
+                node = node.extended(_TREE_CONJUNCTS[index])
+            assert nodes.setdefault(chain, node) is node
+            assert node.raw() == tuple(_TREE_CONJUNCTS[i] for i in chain)
+            model = solver.check(node)
+            assert (model is not None) == _brute_sat(chain), node.raw()
+            if model is not None:
+                assert model.satisfies(node.raw())
+            assert solver.branch_feasibility(node, condition) == (
+                _brute_sat(chain + (probe,)),
+                _brute_sat(chain, refuted=probe),
+            ), (node.raw(), condition)
