@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from .bench.report import render_table1
 from .bench.runner import BenchRow, run_one
+from .core.config import DEFAULT_CHECKPOINT_EVERY_EVENTS, check_checkpoint_cadence
 from .core.scenario import ALGORITHMS, Scenario, build_engine
 from .core.testcase import generate_incrementally
 from .obs import TraceEmitter, save_metrics
@@ -99,6 +100,23 @@ def _medium_overrides(args) -> dict:
     return {"medium": medium or "realistic", "medium_params": params}
 
 
+def _checkpoint_cadence(parse, trigger: str):
+    """An argparse type: ``parse`` the text, then refuse a cadence no run
+    can keep (``check_checkpoint_cadence``) as a usage error."""
+
+    def convert(text: str):
+        value = parse(text)
+        try:
+            check_checkpoint_cadence(**{trigger: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    # argparse names the type in its "invalid int value: 'x'" message.
+    convert.__name__ = parse.__name__
+    return convert
+
+
 def _checkpoint_overrides(args) -> dict:
     """Engine overrides for ``--checkpoint-out`` / ``--checkpoint-every``."""
     checkpoint_out = getattr(args, "checkpoint_out", None)
@@ -106,10 +124,8 @@ def _checkpoint_overrides(args) -> dict:
         return {}
     return dict(
         checkpoint_path=checkpoint_out,
-        checkpoint_every_events=getattr(args, "checkpoint_every", None) or 500,
-        checkpoint_every_seconds=getattr(
-            args, "checkpoint_every_seconds", None
-        ),
+        checkpoint_every_events=args.checkpoint_every,
+        checkpoint_every_seconds=args.checkpoint_every_seconds,
     )
 
 
@@ -357,7 +373,7 @@ def _cmd_serve(args) -> int:
         per_client=args.per_client,
         job_timeout_seconds=args.job_timeout,
         max_retries=args.job_retries,
-        checkpoint_every_events=args.checkpoint_every or 25,
+        checkpoint_every_events=args.checkpoint_every,
     )
     serve_main(args.data_dir, host=args.host, port=args.port, limits=limits)
     return 0
@@ -440,14 +456,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--checkpoint-every",
-        type=int,
-        default=None,
-        help="checkpoint every N executed events (default 500 with"
+        type=_checkpoint_cadence(int, "every_events"),
+        default=DEFAULT_CHECKPOINT_EVERY_EVENTS,
+        help="checkpoint every N executed events (default %(default)s with"
         " --checkpoint-out)",
     )
     run_parser.add_argument(
         "--checkpoint-every-seconds",
-        type=float,
+        type=_checkpoint_cadence(float, "every_seconds"),
         default=None,
         help="also checkpoint every T wall-clock seconds",
     )
@@ -640,10 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--checkpoint-every",
-        type=int,
-        default=25,
-        help="worker checkpoint cadence in executed events (what drain"
-        " and retry resume from)",
+        type=_checkpoint_cadence(int, "every_events"),
+        default=DEFAULT_CHECKPOINT_EVERY_EVENTS,
+        help="worker checkpoint cadence in executed events (default"
+        " %(default)s; what drain and retry resume from, so a job shorter"
+        " than this restarts fresh)",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
 

@@ -20,7 +20,21 @@ from typing import Dict, Optional, Tuple, Union
 
 from ..net.failures import FailureModel
 
-__all__ = ["EngineConfig", "ENGINE_CONFIG_FIELDS", "split_config_overrides"]
+__all__ = [
+    "DEFAULT_CHECKPOINT_EVERY_EVENTS",
+    "EngineConfig",
+    "ENGINE_CONFIG_FIELDS",
+    "check_checkpoint_cadence",
+    "split_config_overrides",
+]
+
+#: checkpoint cadence, in executed events, of every entry point that
+#: checkpoints (``repro run --checkpoint-out``, ``repro serve``'s job
+#: workers) unless told otherwise.  One checkpoint costs about as much
+#: as 60-110 events of execution (docs/RESILIENCE.md, "Choosing the
+#: cadence"), so a much shorter interval spends more on checkpoints than
+#: a kill could lose.
+DEFAULT_CHECKPOINT_EVERY_EVENTS = 500
 
 # One value for all nodes, or an explicit per-node mapping (mirrors
 # engine.PresetValue; redefined here to keep config.py import-light).
@@ -88,6 +102,9 @@ class EngineConfig:
     por: bool = False
 
     def __post_init__(self) -> None:
+        check_checkpoint_cadence(
+            self.checkpoint_every_events, self.checkpoint_every_seconds
+        )
         # Accept lists for convenience; store tuples so the config stays
         # hashable-by-parts and safely shareable.
         if not isinstance(self.failure_models, tuple):
@@ -118,6 +135,25 @@ class EngineConfig:
         from ..solver import Solver
 
         return Solver(use_cache=self.solver_cache, max_nodes=self.solver_max_nodes)
+
+
+def check_checkpoint_cadence(
+    every_events: Optional[int] = None, every_seconds: Optional[float] = None
+) -> None:
+    """Raise ``ValueError`` for a checkpoint cadence no run can keep.
+
+    ``None`` means "not on this trigger".  A cadence below one event
+    would checkpoint after every event, and a non-positive interval in
+    seconds after every event too.
+    """
+    if every_events is not None and every_events < 1:
+        raise ValueError(
+            f"checkpoint_every_events must be at least 1, got {every_events!r}"
+        )
+    if every_seconds is not None and not every_seconds > 0:
+        raise ValueError(
+            f"checkpoint_every_seconds must be positive, got {every_seconds!r}"
+        )
 
 
 #: every field name of :class:`EngineConfig` — the override-splitting

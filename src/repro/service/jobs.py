@@ -48,6 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..core.config import DEFAULT_CHECKPOINT_EVERY_EVENTS, check_checkpoint_cadence
 from ..core.distributed import Coordinator, MultiprocessTransport
 from ..core.resilience import RetryPolicy, WorkerFailure
 from ..lang.bytecode import CompiledProgram
@@ -82,9 +83,13 @@ class ServiceLimits:
     #: retries after the first attempt (total attempts = max_retries + 1)
     max_retries: int = 2
     #: engine checkpoint cadence inside job workers, in executed events
-    checkpoint_every_events: int = 25
+    checkpoint_every_events: int = DEFAULT_CHECKPOINT_EVERY_EVENTS
     #: first-retry backoff (doubles per retry, seeded jitter on top)
     backoff_base_seconds: float = 0.05
+
+    def __post_init__(self) -> None:
+        # Refuse a cadence at boot, not in every job's worker.
+        check_checkpoint_cadence(self.checkpoint_every_events)
 
     def retry_policy(self) -> RetryPolicy:
         return RetryPolicy(

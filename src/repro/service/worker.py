@@ -108,8 +108,13 @@ def execute_job(payload: dict) -> dict:
     cadence::
 
         {"spec": {...}, "trace_path": ..., "report_path": ...,
-         "checkpoint_path": ..., "checkpoint_every": 25,
+         "checkpoint_path": ..., "checkpoint_every": 500,
          "kill_after": None | int, "program": None | CompiledProgram}
+
+    ``checkpoint_every`` is ``ServiceLimits.checkpoint_every_events``
+    (default ``DEFAULT_CHECKPOINT_EVERY_EVENTS``, 500): a job shorter
+    than that writes no checkpoint, so a killed or drained attempt of it
+    runs again from the start.
 
     ``program``, when present, is the workload's guest program already
     compiled (the job manager compiles it once and hands it over at

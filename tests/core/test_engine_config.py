@@ -46,6 +46,27 @@ class TestConfigObject:
         assert worker.checkpoint_every_seconds is None
         assert worker.horizon_ms == 1000
 
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_rejects_a_cadence_below_one_event(self, every):
+        # Either used to checkpoint after every event.
+        with pytest.raises(ValueError, match="checkpoint_every_events"):
+            EngineConfig(horizon_ms=1000, checkpoint_every_events=every)
+
+    @pytest.mark.parametrize("seconds", [0, 0.0, -0.5])
+    def test_rejects_a_non_positive_interval(self, seconds):
+        with pytest.raises(ValueError, match="checkpoint_every_seconds"):
+            EngineConfig(horizon_ms=1000, checkpoint_every_seconds=seconds)
+
+    def test_accepts_a_fractional_interval(self):
+        config = EngineConfig(
+            horizon_ms=1000,
+            checkpoint_every_events=1,
+            checkpoint_every_seconds=0.25,
+        )
+        assert config.checkpoint_every_seconds == 0.25
+        with pytest.raises(ValueError):
+            config.replace(checkpoint_every_events=0)
+
     def test_picklable(self):
         config = EngineConfig(horizon_ms=1000, boot_times=(1, 2))
         assert pickle.loads(pickle.dumps(config)) == config

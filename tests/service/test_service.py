@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import make_workload, report_to_dict, run_scenario
 from repro.service import SDEService, ServiceLimits
+from repro.service import worker as service_worker
 
 FAST_SPEC = {"workload": "flood", "size": 3, "algorithm": "sds", "seed": 7}
 SLOW_SPEC = {"workload": "flood", "size": 9, "algorithm": "sds", "seed": 7}
@@ -327,13 +328,30 @@ class TestChaos:
         self, tmp_path, monkeypatch, fast_reference
     ):
         monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
-        service = ServiceThread(tmp_path / "data")
+        # FAST_SPEC (89 events, 174 trace events) is shorter than the
+        # default cadence, so at the default it writes no checkpoint and
+        # the retry starts fresh.  At cadence 25, a kill at trace event 95
+        # (the latest point chaos picks) falls after the first checkpoint,
+        # so the retry must resume from it.  The job id, and with it the
+        # seeded kill point, is random per submission.
+        planned = service_worker.chaos_kill_after
+        monkeypatch.setattr(
+            service_worker,
+            "chaos_kill_after",
+            lambda job_id, attempt: (
+                None if planned(job_id, attempt) is None else 95
+            ),
+        )
+        service = ServiceThread(
+            tmp_path / "data", ServiceLimits(checkpoint_every_events=25)
+        )
         try:
             _, out = service.submit(FAST_SPEC)
             record = service.wait_terminal(out["id"])
             assert record["state"] == "done"
             assert record["attempts"] >= 2
             assert record["retries"] >= 1
+            assert record["result"]["resumed"] is True
             status, report = service.request(
                 "GET", f"/v1/runs/{out['id']}/report"
             )

@@ -10,18 +10,24 @@ start; runs are deterministic, so the report equals a fresh run's.
 A worker may also get its workload's program from the job manager,
 compiled once per program and handed over at fork; the report is the
 same as when the worker compiles it.
+
+Every entry point that checkpoints defaults to one cadence,
+``DEFAULT_CHECKPOINT_EVERY_EVENTS``; the shipped default is exercised
+here on a job long enough to checkpoint at it.
 """
 
 import json
 
 import pytest
 
+from repro.cli import _checkpoint_overrides, build_parser
+from repro.core.config import DEFAULT_CHECKPOINT_EVERY_EVENTS
 from repro.core.reporting import load_report_dict
 from repro.core.resilience import save_checkpoint
 from repro.core.scenario import build_engine
 from repro.obs import load_trace
 from repro.net.topology import Topology
-from repro.service.jobs import JobManager
+from repro.service.jobs import JobManager, ServiceLimits
 from repro.service.spec import SubmissionSpec
 from repro.service.store import RunStore
 from repro.service.worker import execute_job
@@ -43,14 +49,18 @@ COMPARED_FIELDS = PINNED_FIELDS + (
 )
 
 
-def _payload(job_dir):
+#: 2,594 events: five intervals of the default cadence
+LONG_SPEC = {"workload": "flood", "size": 6, "algorithm": "sds", "seed": 7}
+
+
+def _payload(job_dir, spec=FAST_SPEC, checkpoint_every=25):
     job_dir.mkdir()
     return {
-        "spec": SubmissionSpec.from_dict(FAST_SPEC).as_dict(),
+        "spec": SubmissionSpec.from_dict(spec).as_dict(),
         "trace_path": str(job_dir / "trace.jsonl"),
         "report_path": str(job_dir / "report.json"),
         "checkpoint_path": str(job_dir / "checkpoint.sdeckpt"),
-        "checkpoint_every": 25,
+        "checkpoint_every": checkpoint_every,
         "kill_after": None,
     }
 
@@ -161,3 +171,41 @@ def test_a_replaced_workload_compiles_its_own_program(tmp_path, monkeypatch):
     register_workload("flood", lambda size: WORKLOADS["grid"](size))
     manager = JobManager(RunStore(tmp_path / "data"))
     assert manager._program("flood") is None
+
+
+def test_the_default_cadence_checkpoints_and_resumes(tmp_path):
+    payload = _payload(
+        tmp_path / "job", LONG_SPEC, DEFAULT_CHECKPOINT_EVERY_EVENTS
+    )
+    fresh = execute_job(payload)
+    assert fresh["ok"] and fresh["resumed"] is False
+    assert fresh["events_executed"] > 2 * DEFAULT_CHECKPOINT_EVERY_EVENTS
+    assert fresh["checkpoints_written"] >= 2
+    reference = load_report_dict(payload["report_path"])
+
+    # The finished attempt left its last checkpoint in the job dir: a
+    # second attempt there continues from it, to the same report.
+    resumed = execute_job(payload)
+    assert resumed["ok"] and resumed["resumed"] is True
+    report = load_report_dict(payload["report_path"])
+    for field in PINNED_FIELDS:
+        assert report[field] == reference[field], field
+
+
+def test_every_entry_point_defaults_to_one_cadence():
+    parser = build_parser()
+    serve = parser.parse_args(["serve"])
+    run = parser.parse_args(["run", "flood:3", "--checkpoint-out", "x.ckpt"])
+    assert ServiceLimits().checkpoint_every_events == (
+        DEFAULT_CHECKPOINT_EVERY_EVENTS
+    )
+    assert serve.checkpoint_every == DEFAULT_CHECKPOINT_EVERY_EVENTS
+    assert _checkpoint_overrides(run)["checkpoint_every_events"] == (
+        DEFAULT_CHECKPOINT_EVERY_EVENTS
+    )
+
+
+@pytest.mark.parametrize("every", [0, -5])
+def test_service_limits_refuse_a_cadence_below_one_event(every):
+    with pytest.raises(ValueError, match="checkpoint_every_events"):
+        ServiceLimits(checkpoint_every_events=every)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestRun:
@@ -113,6 +113,45 @@ class TestResilienceCLI:
         ckpt.write_bytes(b"not a checkpoint at all")
         with pytest.raises(SystemExit):
             main(["run", "--resume", str(ckpt)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "flood:3", "--checkpoint-out", "c.sdeckpt",
+             "--checkpoint-every", "0"],
+            ["run", "flood:3", "--checkpoint-out", "c.sdeckpt",
+             "--checkpoint-every", "-5"],
+            ["run", "flood:3", "--checkpoint-out", "c.sdeckpt",
+             "--checkpoint-every-seconds", "0"],
+            ["run", "flood:3", "--checkpoint-out", "c.sdeckpt",
+             "--checkpoint-every-seconds", "-0.5"],
+            ["serve", "--checkpoint-every", "0"],
+            ["serve", "--checkpoint-every", "-5"],
+        ],
+    )
+    def test_invalid_cadence_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # Before, 0 fell back to the default and a negative cadence
+        # checkpointed after every event.  Parsing fails before any run;
+        # should it not, fail rather than serve forever.
+        monkeypatch.setattr(
+            "repro.service.serve_main", lambda *a, **k: pytest.fail("served")
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+    def test_fractional_cadence_in_seconds_is_accepted(self, tmp_path):
+        flags = [
+            "--checkpoint-out",
+            str(tmp_path / "run.sdeckpt"),
+            "--checkpoint-every-seconds",
+            "0.5",
+        ]
+        args = build_parser().parse_args(["run", "grid:3"] + flags)
+        assert args.checkpoint_every_seconds == 0.5
+        report = self._report(tmp_path, "fractional.json", flags)
+        assert not report["aborted"]
 
     def test_scenario_required_without_resume(self):
         with pytest.raises(SystemExit, match="scenario"):
