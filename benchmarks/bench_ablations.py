@@ -99,12 +99,12 @@ class TestDropSemanticsAblation:
             return first, any_packet
 
         first, any_packet = once(measure)
-        assert any_packet.states > 2 * first.states, (
-            first.states,
-            any_packet.states,
+        assert any_packet.total_states > 2 * first.total_states, (
+            first.total_states,
+            any_packet.total_states,
         )
-        benchmark.extra_info["first_packet_states"] = first.states
-        benchmark.extra_info["any_packet_states"] = any_packet.states
+        benchmark.extra_info["first_packet_states"] = first.total_states
+        benchmark.extra_info["any_packet_states"] = any_packet.total_states
         benchmark.extra_info["blowup"] = round(
-            any_packet.states / first.states, 1
+            any_packet.total_states / first.total_states, 1
         )

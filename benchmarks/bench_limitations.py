@@ -20,7 +20,7 @@ def _ratio(scenario_factory, cob_caps=None):
         caps = cob_caps if (algorithm == "cob" and cob_caps) else {}
         rows[algorithm] = run_one(scenario_factory(), algorithm, **caps)
     assert not rows["sds"].aborted
-    return rows["sds"].states / rows["cob"].states, rows
+    return rows["sds"].total_states / rows["cob"].total_states, rows
 
 
 def test_flooding_erases_sds_advantage(once, benchmark):
@@ -41,8 +41,8 @@ def test_flooding_erases_sds_advantage(once, benchmark):
     )
     benchmark.extra_info["sds_over_cob_flood"] = round(flood_ratio, 4)
     benchmark.extra_info["sds_over_cob_grid"] = round(grid_ratio, 4)
-    benchmark.extra_info["flood_cob_states"] = flood_rows["cob"].states
-    benchmark.extra_info["flood_sds_states"] = flood_rows["sds"].states
+    benchmark.extra_info["flood_cob_states"] = flood_rows["cob"].total_states
+    benchmark.extra_info["flood_sds_states"] = flood_rows["sds"].total_states
 
 
 def test_flooding_cow_and_sds_converge(once, benchmark):
@@ -55,7 +55,7 @@ def test_flooding_cow_and_sds_converge(once, benchmark):
     rows = once(measure)
     # With every node a sender/target/rival, SDS has no bystanders left to
     # spare: COW and SDS end up with (nearly) identical state sets.
-    assert rows["sds"].states <= rows["cow"].states
-    assert rows["sds"].states >= int(0.8 * rows["cow"].states)
-    benchmark.extra_info["cow_states"] = rows["cow"].states
-    benchmark.extra_info["sds_states"] = rows["sds"].states
+    assert rows["sds"].total_states <= rows["cow"].total_states
+    assert rows["sds"].total_states >= int(0.8 * rows["cow"].total_states)
+    benchmark.extra_info["cow_states"] = rows["cow"].total_states
+    benchmark.extra_info["sds_states"] = rows["sds"].total_states

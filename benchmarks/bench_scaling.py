@@ -23,7 +23,7 @@ def test_cow_over_sds_factor_grows_with_network_size(once, benchmark):
                     grid_scenario(side, sim_seconds=6), algorithm
                 )
                 assert not row.aborted
-                states[algorithm] = row.states
+                states[algorithm] = row.total_states
             factors[side * side] = states["cow"] / states["sds"]
         return factors
 
@@ -42,7 +42,7 @@ def test_sds_growth_is_subexponential_in_size(once, benchmark):
         counts = {}
         for side in (3, 4, 5, 6):
             row = run_one(grid_scenario(side, sim_seconds=6), "sds")
-            counts[side * side] = row.states
+            counts[side * side] = row.total_states
         return counts
 
     counts = once(sweep)

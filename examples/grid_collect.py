@@ -18,7 +18,6 @@ from collections import Counter
 
 from repro.api import build_engine
 from repro.bench import render_table1
-from repro.bench.runner import BenchRow
 from repro.workloads import grid_scenario
 
 
@@ -39,7 +38,7 @@ def main() -> int:
         f" neighbours, {len(bystanders)} bystander nodes\n"
     )
 
-    rows = []
+    reports = []
     engines = {}
     for algorithm in ("cob", "cow", "sds"):
         engine = build_engine(
@@ -48,11 +47,10 @@ def main() -> int:
             max_states=200_000 if algorithm == "cob" else None,
             max_wall_seconds=60.0 if algorithm == "cob" else None,
         )
-        report = engine.run()
-        rows.append(BenchRow(scenario.name, report))
+        reports.append(engine.run())
         engines[algorithm] = engine
 
-    print(render_table1(rows, f"{nodes}-node grid with symbolic packet drops"))
+    print(render_table1(reports, f"{nodes}-node grid with symbolic packet drops"))
     print()
 
     # What did SDE find?  Every distinct delivery outcome at the sink.

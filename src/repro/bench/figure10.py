@@ -16,9 +16,10 @@ import pathlib
 import sys
 from typing import List
 
+from ..core.engine import RunReport
 from ..workloads.grid import PAPER_SIZES, paper_grid_scenario
 from .report import render_series, series_csv
-from .runner import BenchRow, full_scale, run_algorithms
+from .runner import full_scale, run_algorithms
 
 __all__ = ["figure10_rows", "main"]
 
@@ -28,7 +29,7 @@ COB_STATE_CAP = 400_000
 COB_WALL_CAP_SECONDS = 120.0
 
 
-def figure10_rows(nodes: int) -> List[BenchRow]:
+def figure10_rows(nodes: int) -> List[RunReport]:
     """Growth series for one scenario size, all three algorithms."""
     if full_scale():
         sim_seconds, cob_wall, cob_cap = 10, 3600.0, 1_200_000

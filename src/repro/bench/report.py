@@ -12,10 +12,17 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, TextIO
 
+from ..core.engine import RunReport
 from ..core.stats import Sample
-from .runner import BenchRow
 
-__all__ = ["render_table1", "render_series", "series_csv", "log_sparkline"]
+__all__ = [
+    "log_sparkline",
+    "memory_label",
+    "render_series",
+    "render_table1",
+    "runtime_label",
+    "series_csv",
+]
 
 _ALGO_LABELS = {
     "cob": "Copy On Branch (COB)",
@@ -24,20 +31,41 @@ _ALGO_LABELS = {
 }
 
 
-def render_table1(rows: Sequence[BenchRow], title: str) -> str:
-    """Render rows in the shape of the paper's Table I."""
+def runtime_label(seconds: float) -> str:
+    """Table I's runtime cell: ``19m:02s``, ``9h:39m`` or ``0.73s``."""
+    if seconds >= 3600:
+        return f"{int(seconds // 3600)}h:{int(seconds % 3600 // 60):02d}m"
+    if seconds >= 60:
+        return f"{int(seconds // 60)}m:{int(seconds % 60):02d}s"
+    return f"{seconds:.2f}s"
+
+
+def memory_label(accounted_bytes: int) -> str:
+    """Table I's RAM cell: ``38.1 GB`` or ``3.4 MB``."""
+    mb = accounted_bytes / 1e6
+    if mb >= 1000:
+        return f"{mb / 1000:.1f} GB"
+    return f"{mb:.1f} MB"
+
+
+def render_table1(reports: Sequence[RunReport], title: str) -> str:
+    """Render reports in the shape of the paper's Table I.
+
+    The RAM column is each run's *peak* accounted memory, as in the paper.
+    """
     header = (
         f"{'State mapping algorithm':<26} {'Runtime':>12} {'States':>10}"
         f" {'RAM':>10}"
     )
     lines = [title, "=" * len(header), header, "-" * len(header)]
-    for row in rows:
-        runtime = row.runtime_label()
-        if row.aborted:
+    for report in reports:
+        runtime = runtime_label(report.runtime_seconds)
+        if report.aborted:
             runtime += " (aborted)"
+        memory = memory_label(report.peak_accounted_bytes())
         lines.append(
-            f"{_ALGO_LABELS.get(row.algorithm, row.algorithm):<26}"
-            f" {runtime:>12} {row.states:>10,} {row.memory_label():>10}"
+            f"{_ALGO_LABELS.get(report.algorithm, report.algorithm):<26}"
+            f" {runtime:>12} {report.total_states:>10,} {memory:>10}"
         )
     lines.append("-" * len(header))
     return "\n".join(lines)
@@ -72,24 +100,24 @@ def log_sparkline(values: Sequence[int], width: int = 40) -> str:
     return "".join(out)
 
 
-def render_series(rows: Sequence[BenchRow], metric: str, title: str) -> str:
+def render_series(reports: Sequence[RunReport], metric: str, title: str) -> str:
     """Figure-10-style text rendering of a growth series.
 
     ``metric`` is 'states' or 'memory'.  Each algorithm gets a downsampled
     (wall-time, value) listing plus a log sparkline.
     """
     lines = [title, "=" * len(title)]
-    for row in rows:
-        samples = _downsample(row.samples)
+    for report in reports:
+        samples = _downsample(report.samples)
         if metric == "states":
             values = [s.total_states for s in samples]
             unit = "states"
         else:
             values = [s.accounted_bytes // 1024 for s in samples]
             unit = "KiB"
-        suffix = " [ABORTED]" if row.aborted else ""
+        suffix = " [ABORTED]" if report.aborted else ""
         lines.append(
-            f"{row.algorithm.upper():>4}{suffix}  "
+            f"{report.algorithm.upper():>4}{suffix}  "
             f"final={values[-1] if values else 0:,} {unit}"
         )
         lines.append(f"      |{log_sparkline([max(v, 1) for v in values])}|")
@@ -100,16 +128,16 @@ def render_series(rows: Sequence[BenchRow], metric: str, title: str) -> str:
     return "\n".join(lines)
 
 
-def series_csv(rows: Sequence[BenchRow], stream: TextIO) -> None:
+def series_csv(reports: Sequence[RunReport], stream: TextIO) -> None:
     """Write the full raw series (all algorithms) as CSV for replotting."""
     stream.write(
         "algorithm,wall_seconds,virtual_ms,events,states,accounted_bytes,"
         "rss_bytes,groups\n"
     )
-    for row in rows:
-        for sample in row.samples:
+    for report in reports:
+        for sample in report.samples:
             stream.write(
-                f"{row.algorithm},{sample.wall_seconds:.4f},"
+                f"{report.algorithm},{sample.wall_seconds:.4f},"
                 f"{sample.virtual_ms},{sample.events_executed},"
                 f"{sample.total_states},{sample.accounted_bytes},"
                 f"{sample.rss_bytes},{sample.groups}\n"

@@ -2,8 +2,9 @@
 
 All paper-reproduction benchmarks funnel through :func:`run_algorithms`:
 one scenario, the three mapping algorithms, uniform caps, and a
-:class:`BenchRow` per run mirroring Table I's columns (runtime / states /
-RAM) plus the growth series behind Figure 10.
+:class:`~repro.core.engine.RunReport` per run, which carries Table I's
+columns (runtime / states / peak RAM) and the growth series behind
+Figure 10.
 
 Scale control: benchmarks default to parameters sized for a laptop run
 (minutes, not the paper's 9h39m); setting the environment variable
@@ -15,13 +16,12 @@ by what factor, where COB gets aborted — is preserved at either scale.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.engine import RunReport
 from ..core.scenario import Scenario, build_engine
-from ..core.stats import Sample
 
-__all__ = ["BenchRow", "full_scale", "run_algorithms", "run_one"]
+__all__ = ["full_scale", "run_algorithms", "run_one"]
 
 
 def full_scale() -> bool:
@@ -29,67 +29,19 @@ def full_scale() -> bool:
     return os.environ.get("SDE_FULL", "") == "1"
 
 
-class BenchRow:
-    """One (scenario, algorithm) result in Table-I shape."""
-
-    def __init__(self, scenario_name: str, report: RunReport) -> None:
-        self.scenario = scenario_name
-        self.algorithm = report.algorithm
-        self.runtime_seconds = report.runtime_seconds
-        self.states = report.total_states
-        self.groups = report.group_count
-        self.accounted_bytes = report.peak_accounted_bytes()
-        self.aborted = report.aborted
-        self.abort_reason = report.abort_reason
-        self.error_states = len(report.error_states)
-        self.events = report.events_executed
-        self.instructions = report.instructions
-        self.samples: List[Sample] = report.samples
-        self.mapping_stats = report.mapping_stats
-
-    def runtime_label(self) -> str:
-        seconds = self.runtime_seconds
-        if seconds >= 3600:
-            return f"{int(seconds // 3600)}h:{int(seconds % 3600 // 60):02d}m"
-        if seconds >= 60:
-            return f"{int(seconds // 60)}m:{int(seconds % 60):02d}s"
-        return f"{seconds:.2f}s"
-
-    def memory_label(self) -> str:
-        mb = self.accounted_bytes / 1e6
-        if mb >= 1000:
-            return f"{mb / 1000:.1f} GB"
-        return f"{mb:.1f} MB"
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "scenario": self.scenario,
-            "algorithm": self.algorithm,
-            "runtime_s": round(self.runtime_seconds, 3),
-            "states": self.states,
-            "groups": self.groups,
-            "accounted_bytes": self.accounted_bytes,
-            "aborted": self.aborted,
-            "events": self.events,
-            "instructions": self.instructions,
-        }
-
-
 def run_one(
     scenario: Scenario,
     algorithm: str,
     max_states: Optional[int] = None,
     max_wall_seconds: Optional[float] = None,
-) -> BenchRow:
-    """Run one scenario under one algorithm and wrap the result."""
+) -> RunReport:
+    """Run one scenario under one algorithm and return its report."""
     overrides = {}
     if max_states is not None:
         overrides["max_states"] = max_states
     if max_wall_seconds is not None:
         overrides["max_wall_seconds"] = max_wall_seconds
-    engine = build_engine(scenario, algorithm, **overrides)
-    report = engine.run()
-    return BenchRow(scenario.name, report)
+    return build_engine(scenario, algorithm, **overrides).run()
 
 
 def run_algorithms(
@@ -97,20 +49,20 @@ def run_algorithms(
     algorithms: Sequence[str] = ("cob", "cow", "sds"),
     cob_max_states: Optional[int] = None,
     cob_max_wall_seconds: Optional[float] = None,
-) -> List[BenchRow]:
+) -> List[RunReport]:
     """Run a fresh scenario instance per algorithm (caps apply to COB only,
     mirroring the paper's aborted COB run)."""
-    rows = []
+    reports = []
     for algorithm in algorithms:
         scenario = scenario_factory()
         if algorithm == "cob":
-            row = run_one(
+            report = run_one(
                 scenario,
                 algorithm,
                 max_states=cob_max_states,
                 max_wall_seconds=cob_max_wall_seconds,
             )
         else:
-            row = run_one(scenario, algorithm)
-        rows.append(row)
-    return rows
+            report = run_one(scenario, algorithm)
+        reports.append(report)
+    return reports

@@ -15,9 +15,10 @@ from __future__ import annotations
 import sys
 from typing import List
 
+from ..core.engine import RunReport
 from ..workloads.grid import paper_grid_scenario
 from .report import render_table1
-from .runner import BenchRow, full_scale, run_algorithms
+from .runner import full_scale, run_algorithms
 
 __all__ = ["table1_rows", "main"]
 
@@ -28,8 +29,8 @@ COB_WALL_CAP_SECONDS = 180.0
 FULL_COB_WALL_CAP_SECONDS = 3600.0
 
 
-def table1_rows(nodes: int = 100) -> List[BenchRow]:
-    """Run the Table I experiment and return one row per algorithm."""
+def table1_rows(nodes: int = 100) -> List[RunReport]:
+    """Run the Table I experiment and return one report per algorithm."""
     if full_scale():
         sim_seconds = 10
         cob_wall = FULL_COB_WALL_CAP_SECONDS

@@ -29,7 +29,7 @@ import sys
 from typing import List, Optional
 
 from .bench.report import render_table1
-from .bench.runner import BenchRow, run_one
+from .bench.runner import run_one
 from .core.config import DEFAULT_CHECKPOINT_EVERY_EVENTS, check_checkpoint_cadence
 from .core.scenario import ALGORITHMS, Scenario, build_engine
 from .core.testcase import generate_incrementally
@@ -229,39 +229,13 @@ def _cmd_run(args) -> int:
             max_wall_seconds=args.max_wall_seconds,
         )
         name = scenario.name
-    row = BenchRow(name, report)
-    print(render_table1([row], f"{name} under {report.algorithm}"))
-    print(f"\nevents={row.events} instructions={row.instructions}"
-          f" error-states={row.error_states}")
-    if hasattr(report, "partition_count"):
-        print(
-            f"workers={report.workers} partitions={report.partition_count}"
-            f" prefix-events={report.prefix_events}"
-            f" projected-speedup=x{report.projected:.2f}"
-        )
-        if report.retries:
-            print(f"worker-retries={report.retries}")
-    if getattr(args, "distributed", False):
-        print(
-            f"distributed: depth={report.partition_depth}"
-            f" jobs={report.jobs_dispatched}"
-            f" steals={report.steals_granted}/{report.steals_requested}"
-            f" ({report.transport_name})"
-        )
-    if getattr(report, "partial", False):
-        print(
-            f"PARTIAL: {len(report.failed_partitions)} partition(s) failed"
-            " after retries"
-        )
-        for failure in report.failed_partitions:
-            print(f"  - {failure.describe()}")
-    if getattr(report, "checkpoints_written", 0) and args.checkpoint_out:
+    print(render_table1([report], f"{name} under {report.algorithm}"))
+    print(f"\n{report.summary()}")
+    if report.checkpoints_written and args.checkpoint_out:
         print(
             f"checkpoints written: {report.checkpoints_written}"
             f" (latest: {args.checkpoint_out})"
         )
-    if row.aborted:
-        print(f"ABORTED: {row.abort_reason}")
     if args.json:
         from .core.reporting import save_report
 
@@ -271,7 +245,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows: List[BenchRow] = []
+    reports = []
     for algorithm in ALGORITHMS:
         scenario = _parse_scenario(args.scenario, args.sim_seconds)
         caps = {}
@@ -281,12 +255,11 @@ def _cmd_compare(args) -> int:
                 max_wall_seconds=args.max_wall_seconds or 120.0,
             )
         if args.workers is not None:
-            report = _run_report(scenario, algorithm, args, **caps)
-            rows.append(BenchRow(scenario.name, report))
+            reports.append(_run_report(scenario, algorithm, args, **caps))
         else:
-            rows.append(run_one(scenario, algorithm, **caps))
+            reports.append(run_one(scenario, algorithm, **caps))
     suffix = f" ({args.workers} workers)" if args.workers is not None else ""
-    print(render_table1(rows, f"{args.scenario} — algorithm comparison{suffix}"))
+    print(render_table1(reports, f"{args.scenario} — algorithm comparison{suffix}"))
     return 0
 
 

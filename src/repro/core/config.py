@@ -130,6 +130,19 @@ class EngineConfig:
             checkpoint_every_seconds=None,
         )
 
+    def make_medium(self, topology):
+        """The medium these fields describe, built on ``topology``.
+
+        ``latency_ms`` seeds the medium's ``latency_ms`` parameter unless
+        ``medium_params`` names one.  The medium's constructor raises
+        ``TypeError``/``ValueError`` for parameters it refuses.
+        """
+        from ..net.medium import make_medium
+
+        params = dict(self.medium_params or {})
+        params.setdefault("latency_ms", self.latency_ms)
+        return make_medium(self.medium, topology, **params)
+
     def make_solver(self):
         """A fresh :class:`~repro.solver.Solver` per the solver fields."""
         from ..solver import Solver

@@ -84,7 +84,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import TraceEmitter
-from ..obs.metrics import Counter, CounterViews, merge_snapshots, report_snapshot
+from ..obs.metrics import Counter, merge_snapshots, report_snapshot
 from ..obs.profile import merge_phase_snapshots
 from .engine import RunReport, SDEEngine
 from .partition import (
@@ -1025,20 +1025,21 @@ def _run_job_inline(job_id: int, payload: bytes) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-class DistributedReport(CounterViews):
-    """Merged report of a distributed run; duck-types :class:`RunReport`.
+class DistributedReport(RunReport):
+    """Merged report of a distributed run: a :class:`RunReport` of the
+    whole run, built by merging the prefix's and every job's reports.
 
-    All `RunReport` consumers (``BenchRow``, ``render_table1``,
-    ``report_to_dict``/``save_report``) work unchanged on instances of
-    this class.  The semantic totals are identical to the sequential run
-    for any worker count and any steal timing (see the module docstring).
-    The extras are ``workers``, ``worker_results`` (every job's tagged
+    The semantic totals are identical to the sequential run for any
+    worker count and any steal timing (see the module docstring).  The
+    extras are ``workers``, ``worker_results`` (every job's tagged
     :class:`RunReport`, steal partials included), ``prefix_events`` (=
     ``partition_depth``, the cut in events), ``split_ms`` (the cut's
     virtual time, ``None`` for an event-count cut), ``partition_count``,
-    ``projected`` (the LPT-projected speedup), and from the
-    ``coordinator``: ``jobs_dispatched``, the ``steals_*`` counts,
-    ``retries`` and ``failed_partitions``; plus ``transport_name``.
+    ``projected`` (the LPT-projected speedup), ``census`` (per-node state
+    counts, from the jobs' census tags), and from the ``coordinator``:
+    ``jobs_dispatched``, the ``steals_*`` counts, ``retries`` and
+    ``failed_partitions``; plus ``transport_name``.  ``metrics`` carries
+    the extras as ``parallel.*`` and ``distributed.*`` metrics.
     """
 
     def __init__(
@@ -1143,42 +1144,39 @@ class DistributedReport(CounterViews):
         self.phases = merge_phase_snapshots(
             [prefix.phases] + [w.phases for w in results] + [merge_phase]
         )
-        self.metrics = report_snapshot(self)
-
-    # -- RunReport duck-typing ------------------------------------------------
-
-    def peak_states(self) -> int:
-        return max((s.total_states for s in self.samples), default=self.total_states)
-
-    def peak_accounted_bytes(self) -> int:
-        return max((s.accounted_bytes for s in self.samples), default=0)
+        self.metrics = report_snapshot(
+            self,
+            counters={
+                "parallel.workers": self.workers,
+                "parallel.partitions": self.partition_count,
+                "parallel.prefix_events": self.prefix_events,
+                "parallel.retries": self.retries,
+                "parallel.failed_partitions": len(self.failed_partitions),
+                "distributed.partition_depth": self.partition_depth,
+                "distributed.jobs": self.jobs_dispatched,
+                "distributed.steals.requested": self.steals_requested,
+                "distributed.steals.granted": self.steals_granted,
+                "distributed.steals.denied": self.steals_denied,
+            },
+            gauges={"parallel.projected_speedup": round(self.projected, 4)},
+        )
 
     def state_census(self) -> Dict[int, int]:
         return dict(self.census)
 
     def summary(self) -> str:
-        status = "ABORTED" if self.aborted else "completed"
         split = (
             f"{self.split_ms} ms"
             if self.split_ms is not None
             else f"{self.partition_depth} events"
         )
         lines = [
-            f"[{self.algorithm}] {status} after {self.runtime_seconds:.2f}s"
-            f" on {self.workers} workers"
-            + (f" ({self.abort_reason})" if self.aborted else ""),
+            super().summary(),
+            f"  workers          : {self.workers}",
             f"  split point      : {split}"
             f" ({self.prefix_events} prefix events)",
             f"  partitions       : {self.partition_count}"
             f" (projected speedup x{self.projected:.2f})",
-            f"  virtual time     : {self.virtual_ms} ms",
-            f"  events executed  : {self.events_executed}",
-            f"  instructions     : {self.instructions}",
-            f"  states (total)   : {self.total_states}",
-            f"  dscenarios/dstates: {self.group_count}",
-            f"  accounted memory : {self.accounted_bytes / 1e6:.2f} MB",
-            f"  error states     : {len(self.error_states)}",
-            f"  solver queries   : {self.solver_queries}",
             f"  jobs dispatched  : {self.jobs_dispatched}"
             f" ({self.transport_name} transport)",
             f"  steals           : {self.steals_granted} granted"

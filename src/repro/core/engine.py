@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..lang.bytecode import CompiledProgram
 from ..lang.compiler import compile_source
-from ..net.medium import make_medium
 from ..net.packet import Packet
 from ..net.topology import Topology
 from ..obs.events import TraceEmitter
@@ -83,7 +82,14 @@ class RunReport(CounterViews):
     counter and histogram); ``solver_queries`` and the ``mapping_stats``,
     ``solver_stats``, ``cache_stats``, ``net_stats`` and ``reduce_stats``
     dicts are views over it (:class:`~repro.obs.metrics.CounterViews`).
+    A sequential run is never partial and never retries; a
+    :class:`~repro.core.distributed.DistributedReport` overrides the
+    three resilience fields below.
     """
+
+    partial = False
+    retries = 0
+    failed_partitions = ()
 
     def __init__(self, engine: "SDEEngine") -> None:
         self.algorithm = engine.mapper.name
@@ -105,8 +111,8 @@ class RunReport(CounterViews):
         # -- observability extras (the metrics-snapshot contract) ----------
         self.phases = engine.profiler.snapshot()
         # -- resilience extras ---------------------------------------------
-        self.checkpoints_written = getattr(engine, "checkpoints_written", 0)
-        self.resumed = getattr(engine, "resumed", False)
+        self.checkpoints_written = engine.checkpoints_written
+        self.resumed = engine.resumed
         self.metrics = report_snapshot(self)
 
     def peak_states(self) -> int:
@@ -162,9 +168,7 @@ class SDEEngine:
         self.program = program
         self.topology = topology
         self.mapper = mapper
-        medium_params = dict(config.medium_params or {})
-        medium_params.setdefault("latency_ms", config.latency_ms)
-        self.medium = make_medium(config.medium, topology, **medium_params)
+        self.medium = config.make_medium(topology)
         self.clock = VirtualClock(config.horizon_ms)
         self.solver = solver if solver is not None else config.make_solver()
         # The OS and the mapper's spawn callback reach the engine through

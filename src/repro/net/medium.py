@@ -9,12 +9,12 @@ jittered, bandwidth-limited routed links) plug into the engine through a
 registry, mirroring the workload and mapper registries:
 
 - :class:`Medium` — the abstract base: reachability primitives
-  (``unicast_targets`` / ``broadcast_targets``), ``delivery_time``, the
-  engine-facing ``plan_unicast`` / ``plan_broadcast`` (which a medium may
-  override wholesale), the ``net.*`` counter handles the engine's metrics
-  registry adopts, the ``trace`` hook, and the ``node_symmetric``
-  predicate the symmetry/POR reducer consults before trusting
-  automorphism-canonical fingerprints.
+  (``unicast_targets`` / ``broadcast_targets``) and ``delivery_time``,
+  which the engine-facing ``plan_unicast`` / ``plan_broadcast`` compose
+  (a medium implements the primitives or overrides both plans), the
+  ``net.*`` counter handles the engine's metrics registry adopts, the
+  ``trace`` hook, and the ``node_symmetric`` predicate the symmetry/POR
+  reducer consults before trusting automorphism-canonical fingerprints.
 - :class:`IdealMedium` — the paper's medium, registered as ``"ideal"``:
   a unicast reaches its destination iff destination is a neighbour; a
   broadcast is a series of unicasts to every neighbour (paper,
@@ -49,10 +49,11 @@ __all__ = [
 class Medium:
     """Abstract medium: who can hear whom, when, and at what cost.
 
-    Subclasses implement the three primitives (``unicast_targets``,
-    ``broadcast_targets``, ``delivery_time``) and may override the
-    ``plan_*`` pair when delivery involves more than "reachable targets
-    at a constant delay" (routing, loss, queueing).  Every counter is a
+    A subclass implements either the three primitives
+    (``unicast_targets``, ``broadcast_targets``, ``delivery_time``),
+    which the default ``plan_*`` methods compose, or both ``plan_*``
+    methods, when delivery involves more than "reachable targets at a
+    constant delay" (routing, loss, queueing).  Every counter is a
     :class:`~repro.obs.metrics.Counter` attribute named ``net.<name>``,
     listed in ``handles``; the engine's metrics registry adopts them all,
     which is how they reach the run report and survive checkpoint resume.

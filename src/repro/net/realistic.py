@@ -291,23 +291,6 @@ class RealisticMedium(Medium):
             self.hops_traversed.value += 1
         return plans
 
-    # -- primitives (reachability / nominal-delay views) --------------------
-
-    def unicast_targets(self, src: int, dest: int) -> List[int]:
-        """Reachability only — counters and draws live in ``plan_unicast``."""
-        return [dest] if self.route(src, dest) is not None else []
-
-    def broadcast_targets(self, src: int) -> List[int]:
-        return list(self.topology.neighbors(src))
-
-    def delivery_time(self, sent_at: int, **context) -> int:
-        """Nominal (loss- and jitter-free) delivery time for the route."""
-        src = context.get("src", 0)
-        dest = context.get("dest", src)
-        path = self.route(src, dest)
-        hops = len(path) - 1 if path else 1
-        return sent_at + max(1, hops) * self.latency_ms
-
     # -- reduction ---------------------------------------------------
 
     def node_symmetric(self) -> bool:

@@ -328,21 +328,24 @@ class CounterViews:
         return self._family("reduce.")
 
 
-def report_snapshot(report) -> dict:
-    """The metrics snapshot of one run report (sequential or distributed).
+def report_snapshot(
+    report,
+    counters: Optional[Dict[str, int]] = None,
+    gauges: Optional[Dict[str, float]] = None,
+) -> dict:
+    """The metrics snapshot of one :class:`~repro.core.engine.RunReport`.
 
-    ``report`` duck-types :class:`~repro.core.engine.RunReport`: its
-    ``registry`` snapshot (merged over the prefix and every job for a
-    distributed report) plus the values derived per report: the run
-    totals, the state census, groups, phase counts, gauges and labels,
-    and a distributed report's ``parallel.*``/``distributed.*`` extras.
+    Its ``registry`` snapshot plus the values derived per report: the run
+    totals, the state census, groups, phase counts, gauges and labels.
+    ``counters`` and ``gauges`` add the values a report subclass derives
+    itself.
     """
     registry = MetricsRegistry()
     registry.install(report.registry)
     registry.set_label("algorithm", report.algorithm)
     registry.set_label("aborted", str(bool(report.aborted)).lower())
 
-    counters = {
+    run_counters = {
         "run.events_executed": report.events_executed,
         "run.instructions": report.instructions,
         "run.checkpoints_written": report.checkpoints_written,
@@ -352,22 +355,12 @@ def report_snapshot(report) -> dict:
         "mapping.groups": report.group_count,
     }
     for name, data in report.phases.items():
-        counters[f"phase.{name}.count"] = data["count"]
-    if hasattr(report, "workers"):
-        counters["parallel.workers"] = report.workers
-        counters["parallel.partitions"] = report.partition_count
-        counters["parallel.prefix_events"] = report.prefix_events
-        counters["parallel.retries"] = report.retries
-        counters["parallel.failed_partitions"] = len(report.failed_partitions)
-        counters["distributed.partition_depth"] = report.partition_depth
-        counters["distributed.jobs"] = report.jobs_dispatched
-        counters["distributed.steals.requested"] = report.steals_requested
-        counters["distributed.steals.granted"] = report.steals_granted
-        counters["distributed.steals.denied"] = report.steals_denied
-    for name, value in counters.items():
+        run_counters[f"phase.{name}.count"] = data["count"]
+    run_counters.update(counters or {})
+    for name, value in run_counters.items():
         registry.counter(name).value = int(value)
 
-    gauges = {
+    run_gauges = {
         "run.runtime_seconds": round(report.runtime_seconds, 6),
         "run.virtual_ms": report.virtual_ms,
         "run.accounted_bytes": report.accounted_bytes,
@@ -376,14 +369,13 @@ def report_snapshot(report) -> dict:
         # Abort status as a gauge so dashboards can alert on it directly
         # (the "aborted" label carries the same bit as a string).
         "run.aborted": 1 if report.aborted else 0,
-        "run.partial": 1 if getattr(report, "partial", False) else 0,
+        "run.partial": 1 if report.partial else 0,
         "run.resumed": 1 if report.resumed else 0,
     }
     for name, data in report.phases.items():
-        gauges[f"phase.{name}.seconds"] = round(data["seconds"], 6)
-    if hasattr(report, "projected"):
-        gauges["parallel.projected_speedup"] = round(report.projected, 4)
-    for name, value in gauges.items():
+        run_gauges[f"phase.{name}.seconds"] = round(data["seconds"], 6)
+    run_gauges.update(gauges or {})
+    for name, value in run_gauges.items():
         registry.gauge(name).set(value)
     return registry.snapshot()
 

@@ -170,7 +170,7 @@ def execute_job(payload: dict) -> dict:
             "aborted": report.aborted,
             "abort_reason": report.abort_reason,
             "resumed": resumed,
-            "checkpoints_written": getattr(report, "checkpoints_written", 0),
+            "checkpoints_written": report.checkpoints_written,
             "trace_events": len(trace),
         }
     finally:

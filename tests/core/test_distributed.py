@@ -31,6 +31,7 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
 from __future__ import annotations
 
 import dataclasses
+import io
 import multiprocessing
 import os
 import pickle
@@ -42,6 +43,8 @@ from multiprocessing.connection import wait
 import pytest
 
 from repro.api import Scenario, Topology, build_engine
+from repro.bench import render_series, render_table1, series_csv
+from repro.bench.report import memory_label
 from repro.core.distributed import (
     DistributedRunner,
     InlineTransport,
@@ -52,6 +55,7 @@ from repro.core.distributed import (
     deepen_until_partitioned,
     snapshot_assignment_tasks,
 )
+from repro.core.engine import RunReport
 from repro.core.partition import steal_split
 from repro.core.resilience import RetryPolicy, WorkerFailure, WorkerTaskError
 from repro.obs import TraceEmitter, diff_traces, validate_trace
@@ -224,6 +228,79 @@ class TestDistributedEqualsSequential:
         assert counters["distributed.jobs"] == 1
         assert counters["distributed.partition_depth"] == report.partition_depth
         assert "distributed.steals.granted" in counters
+
+
+def _summary_line(summary, label):
+    [line] = [line for line in summary.splitlines() if line.startswith(label)]
+    return line
+
+
+class TestReportRendering:
+    """A distributed report renders like the sequential one, plus its
+    own lines (README.md and docs/DISTRIBUTED.md print ``summary()``)."""
+
+    def test_inline_summary_extends_the_sequential_summary(self):
+        _, seq_report = _sequential()
+        report = DistributedRunner(
+            _scenario(), "sds", workers=1, probe_events=2
+        ).run()
+        assert isinstance(report, RunReport)
+        summary = report.summary()
+        for label in (
+            "  workers          : 1",
+            "  partitions       : ",
+            "  jobs dispatched  : 1 (InlineTransport transport)",
+            "  steals           : 0 granted",
+        ):
+            assert _summary_line(summary, label)
+        assert f"({report.prefix_events} prefix events)" in summary
+        assert "PARTIAL" not in summary
+        for label in (
+            "  states (total)",
+            "  dscenarios/dstates",
+            "  events executed",
+            "  instructions",
+            "  solver queries",
+        ):
+            assert _summary_line(summary, label) == _summary_line(
+                seq_report.summary(), label
+            )
+
+    def test_partial_summary_names_the_failed_partitions(self, monkeypatch):
+        monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        report = DistributedRunner(
+            _scenario(),
+            "sds",
+            workers=2,
+            partition_depth=10,
+            steal=False,
+            retry_policy=policy,
+        ).run()
+        assert report.partial
+        lines = report.summary().splitlines()
+        failed = len(report.failed_partitions)
+        assert f"  PARTIAL: {failed} partition(s) failed after retries" in lines
+        described = [line for line in lines if line.startswith("    - ")]
+        assert described == [
+            f"    - {failure.describe()}" for failure in report.failed_partitions
+        ]
+
+    def test_bench_renderers_take_a_distributed_report(self):
+        report = DistributedRunner(
+            _scenario(), "sds", workers=1, probe_events=2
+        ).run()
+        table = render_table1([report], "t")
+        assert "Super DStates (SDS)" in table
+        assert f"{report.total_states:>10,}" in table
+        assert memory_label(report.peak_accounted_bytes()) in table
+        series = render_series([report], "states", "s")
+        assert f"final={report.total_states:,} states" in series
+        buffer = io.StringIO()
+        series_csv([report], buffer)
+        rows = buffer.getvalue().splitlines()[1:]
+        assert len(rows) == len(report.samples)
+        assert rows[-1].split(",")[4] == str(report.total_states)
 
 
 class TestStealSplit:
@@ -1012,7 +1089,7 @@ class TestCLI:
             == 0
         )
         captured = capsys.readouterr().out
-        assert "distributed:" in captured
+        assert "jobs dispatched  :" in captured
         import json
 
         report = json.loads(out.read_text())

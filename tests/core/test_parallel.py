@@ -354,4 +354,4 @@ class TestParallelCLI:
         ):
             assert one[key] == two[key], key
         out = capsys.readouterr().out
-        assert "projected-speedup" in out
+        assert "(projected speedup x" in out

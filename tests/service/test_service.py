@@ -24,6 +24,8 @@ from repro.api import make_workload, report_to_dict, run_scenario
 from repro.service import SDEService, ServiceLimits
 from repro.service import worker as service_worker
 
+from .test_spec import ENGINE_REFUSED_CONFIGS
+
 FAST_SPEC = {"workload": "flood", "size": 3, "algorithm": "sds", "seed": 7}
 SLOW_SPEC = {"workload": "flood", "size": 9, "algorithm": "sds", "seed": 7}
 
@@ -213,6 +215,17 @@ class TestRejections:
         status, out = service.request("POST", "/v1/runs", body=None)
         assert status == 400
         assert "JSON" in out["error"] or "object" in out["error"]
+
+    def test_configs_the_engine_refuses_are_400(self, service):
+        for config in ENGINE_REFUSED_CONFIGS:
+            status, out = service.submit(dict(FAST_SPEC, config=config))
+            assert status == 400, (config, out)
+            assert "error" in out
+        # Refused before admission: no job exists, so no attempt started.
+        _, stats = service.request("GET", "/v1/stats")
+        assert "service.submitted" not in stats["counters"]
+        assert sum(stats["jobs"].values()) == 0
+        assert stats["service"]["active"] == 0
 
     def test_retired_config_fields_are_400(self, service):
         for key in ("solver_optimize", "loop_reuse"):

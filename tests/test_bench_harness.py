@@ -11,6 +11,8 @@ from repro.bench import (
     run_one,
     series_csv,
 )
+from repro.bench.report import memory_label, runtime_label
+from repro.core.engine import RunReport
 from repro.workloads import line_scenario
 
 
@@ -20,15 +22,13 @@ def rows_for(factory=lambda: line_scenario(3, sim_seconds=2)):
 
 class TestRunner:
     def test_run_one_row_fields(self):
-        row = run_one(line_scenario(3, sim_seconds=2), "sds")
-        assert row.algorithm == "sds"
-        assert row.states > 0
-        assert row.groups >= 1
-        assert not row.aborted
-        assert row.samples
-        data = row.as_dict()
-        assert data["scenario"] == "line-3"
-        assert data["states"] == row.states
+        report = run_one(line_scenario(3, sim_seconds=2), "sds")
+        assert isinstance(report, RunReport)
+        assert report.algorithm == "sds"
+        assert report.total_states > 0
+        assert report.group_count >= 1
+        assert not report.aborted
+        assert report.samples
 
     def test_run_algorithms_order(self):
         rows = rows_for()
@@ -49,19 +49,13 @@ class TestRunner:
         assert full_scale()
 
     def test_runtime_labels(self):
-        row = run_one(line_scenario(3, sim_seconds=2), "sds")
-        assert row.runtime_label().endswith("s")
-        row.runtime_seconds = 75
-        assert row.runtime_label() == "1m:15s"
-        row.runtime_seconds = 2 * 3600 + 600
-        assert row.runtime_label() == "2h:10m"
+        assert runtime_label(0.731) == "0.73s"
+        assert runtime_label(75) == "1m:15s"
+        assert runtime_label(2 * 3600 + 600) == "2h:10m"
 
     def test_memory_labels(self):
-        row = run_one(line_scenario(3, sim_seconds=2), "sds")
-        row.accounted_bytes = 5_000_000
-        assert row.memory_label() == "5.0 MB"
-        row.accounted_bytes = 2_500_000_000
-        assert row.memory_label() == "2.5 GB"
+        assert memory_label(5_000_000) == "5.0 MB"
+        assert memory_label(2_500_000_000) == "2.5 GB"
 
 
 class TestReport:
@@ -71,6 +65,14 @@ class TestReport:
         assert "Copy On Branch (COB)" in text
         assert "Super DStates (SDS)" in text
         assert "test table" in text
+
+    def test_ram_column_is_the_peak(self):
+        # The paper's RAM column is peak memory, not the final accounting.
+        report = run_one(line_scenario(3, sim_seconds=2), "sds")
+        report.samples.append(report.samples[-1]._replace(accounted_bytes=7_000_000))
+        text = render_table1([report], "t")
+        assert "7.0 MB" in text
+        assert memory_label(report.accounted_bytes) not in text
 
     def test_aborted_marker(self):
         rows = run_algorithms(

@@ -181,7 +181,7 @@ class TestResilienceCLI:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "worker-retries=" in out
+        assert "worker retries   :" in out
         baseline = json.loads(baseline_path.read_text())
         chaos = json.loads(chaos_path.read_text())
         assert chaos["retries"] >= 2
