@@ -8,7 +8,8 @@ Not a paper artifact — these keep an eye on the substrate itself:
   reference host by the calibration loop of
   ``benchmarks.ladder.child`` (timed before and after the measurement,
   exactly as the ladder scales ``explore_s``);
-- state fork cost;
+- state fork cost: time, and bytes allocated per fork of an idle state
+  (``fork_bytes_idle``, gated);
 - solver query rate;
 - SDS end-to-end instruction rate (read from the metrics snapshot).
 
@@ -20,10 +21,11 @@ against ``benchmarks/baselines/BENCH_engine.json``.
 """
 
 import time
+import tracemalloc
 
 from repro.api import Solver, build_engine
 from repro.lang import compile_source
-from repro.vm import Executor
+from repro.vm import Executor, Status
 from repro.workloads import grid_scenario
 
 from benchmarks.ladder.child import CALIBRATION_REFERENCE_S, calibrate
@@ -104,17 +106,42 @@ def test_dispatch_rate_gate(once):
     assert calibrated > 0
 
 
+def _idle_state():
+    """A state between events of a running engine: the kind a mapper forks."""
+    engine = build_engine(grid_scenario(5, sim_seconds=2), "sds")
+    engine.run_until(split_events=50)
+    idle = [s for s in engine.states.values() if s.status == Status.IDLE]
+    assert idle and all(type(s.memory) is tuple for s in idle)
+    return idle[-1]
+
+
+def _fork_bytes(state, count: int = 1000) -> int:
+    """Bytes allocated per fork of ``state`` (tracemalloc; deterministic)."""
+    twins = [None] * count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for position in range(count):
+            twins[position] = state.fork()
+        allocated = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return round(allocated / count)
+
+
 def test_state_fork_cost(benchmark):
-    scenario = grid_scenario(5, sim_seconds=2)
-    engine = build_engine(scenario, "sds")
-    engine.setup()
-    state = next(iter(engine.states.values()))
+    state = _idle_state()
 
     def fork_many():
         return [state.fork() for _ in range(1000)]
 
     twins = benchmark(fork_many)
     assert len(twins) == 1000
+    # An idle fork copies slots and shares every field: it allocates the
+    # state object and its sid only.
+    fork_bytes = _fork_bytes(state)
+    benchmark.extra_info["fork_bytes_idle"] = fork_bytes
+    record_bench(fork_bytes_idle=fork_bytes)
 
 
 def test_solver_query_rate(benchmark):

@@ -968,7 +968,7 @@ class Coordinator:
                 exitcode=failure.exitcode,
                 attempt=failure.attempts,
             )
-        if failure.attempts > self.policy.max_retries:
+        if failure.attempts > self.policy.max_retries or not failure.retryable:
             self._exhaust(job_id, failure)
             return
         self.retries += 1

@@ -38,7 +38,7 @@ from ..sim.clock import VirtualClock
 from ..sim.queue import EventQueue
 from ..solver import Solver
 from ..vm.executor import Executor
-from ..vm.state import CellValue, Event, ExecutionState, Status
+from ..vm.state import CellValue, Event, ExecutionState, FrozenMap, Status
 from .config import EngineConfig
 from .mapping import StateMapper
 from .reduce import StateReducer
@@ -369,6 +369,7 @@ class SDEEngine:
         for node in self.topology.nodes():
             state = self.executor.make_initial_state(node)
             self._apply_presets(state)
+            state.freeze()
             state.push_event(self.boot_times[node], Event.BOOT, None)
             initial.append(state)
             self.states[state.sid] = state
@@ -673,8 +674,11 @@ class SDEEngine:
         for address, value in self.program.initializers:
             state.memory[address] = value & 0xFFFFFFFF
         self._apply_presets(state)
-        for timer_id in list(state.timer_generations):
-            state.timer_generations[timer_id] += 1
+        state.freeze()
+        state.timer_generations = FrozenMap(
+            (timer_id, generation + 1)
+            for timer_id, generation in state.timer_generations.items()
+        )
         state.push_event(state.clock, Event.BOOT, None)
         self._schedule(state)
 

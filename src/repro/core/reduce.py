@@ -316,7 +316,7 @@ def permute_state(state: ExecutionState, perm: Tuple[int, ...]) -> ExecutionStat
             )
         else:
             relabelled.append(event)
-    twin.events = relabelled
+    twin.events = tuple(relabelled)
     return twin
 
 

@@ -78,7 +78,9 @@ class WorkerFailure:
     (worker raised; ``exc_type``/``traceback`` carry the original), or
     ``"timeout"`` (per-partition wall-clock budget exceeded).  The record
     keeps the partition's group indices and state count so an exhausted
-    partition can be re-run later from the same snapshot.
+    partition can be re-run later from the same snapshot.  A failure that
+    every retry would repeat is not ``retryable``: the coordinator gives
+    its job up on the first attempt.
     """
 
     __slots__ = (
@@ -91,6 +93,7 @@ class WorkerFailure:
         "attempts",
         "group_indices",
         "state_count",
+        "retryable",
     )
 
     def __init__(
@@ -104,6 +107,7 @@ class WorkerFailure:
         attempts: int = 0,
         group_indices: Tuple[int, ...] = (),
         state_count: int = 0,
+        retryable: bool = True,
     ) -> None:
         if kind not in FAILURE_KINDS:
             raise ValueError(f"unknown failure kind {kind!r}")
@@ -116,10 +120,15 @@ class WorkerFailure:
         self.attempts = attempts
         self.group_indices = tuple(group_indices)
         self.state_count = state_count
+        self.retryable = retryable
 
     @classmethod
     def from_exception(
-        cls, task_index: int, exc: BaseException, attempts: int = 0
+        cls,
+        task_index: int,
+        exc: BaseException,
+        attempts: int = 0,
+        retryable: bool = True,
     ) -> "WorkerFailure":
         """An ``exception`` failure that keeps ``exc``'s type and traceback."""
         return cls(
@@ -131,6 +140,7 @@ class WorkerFailure:
                 traceback.format_exception(type(exc), exc, exc.__traceback__)
             ),
             attempts=attempts,
+            retryable=retryable,
         )
 
     def __getstate__(self):
@@ -152,6 +162,7 @@ class WorkerFailure:
             "attempts": self.attempts,
             "group_indices": list(self.group_indices),
             "state_count": self.state_count,
+            "retryable": self.retryable,
         }
 
     def describe(self) -> str:
@@ -301,7 +312,10 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 5: the snapshot's counters are one metrics-registry snapshot
 # (every subsystem's counters, the reducer's included) instead of one
 # dict per subsystem.
-CHECKPOINT_VERSION = 5
+# Version 6: idle states are values — memory, stacks, event queue and
+# symbolics pickle as tuples and the three maps as FrozenMaps; a version-5
+# state would come back with lists and dicts that forks must not share.
+CHECKPOINT_VERSION = 6
 
 
 class CheckpointError(RuntimeError):

@@ -101,8 +101,8 @@ class FailureModel:
         name = state.fresh_symbol_name(self.tag)
         decision = var(name, 1)
         twin = state.fork()
-        state.symbolics.append((name, 1))
-        twin.symbolics.append((name, 1))
+        state.add_symbolic(name, 1)
+        twin.add_symbolic(name, 1)
         state.add_constraint(eq(decision, bv(0, 1)))
         twin.add_constraint(eq(decision, bv(1, 1)))
         return twin

@@ -62,10 +62,10 @@ class SymbolicLinkFailure(FailureModel):
             name = f"n{state.node}.{tag}"
             decision = var(name, 1)
             twin = state.fork()
-            state.sym_counters[tag] = _ALIVE
-            twin.sym_counters[tag] = _DEAD
-            state.symbolics.append((name, 1))
-            twin.symbolics.append((name, 1))
+            state.sym_counters = state.sym_counters.with_item(tag, _ALIVE)
+            twin.sym_counters = twin.sym_counters.with_item(tag, _DEAD)
+            state.add_symbolic(name, 1)
+            twin.add_symbolic(name, 1)
             state.add_constraint(eq(decision, bv(0, 1)))
             twin.add_constraint(eq(decision, bv(1, 1)))
             forks.append((state, twin))

@@ -218,7 +218,7 @@ class RealisticMedium(Medium):
         if self.queue_capacity and backlog > self.queue_capacity * service:
             return None
         start = max(sender.clock, busy_until)
-        sender.link_busy[link] = start + service
+        sender.link_busy = sender.link_busy.with_item(link, start + service)
         return start + service
 
     # -- planning -------------------------------------------------------------

@@ -127,7 +127,9 @@ class NodeOS(SyscallHost):
         if delay < 0 or delay > 0x7FFFFFFF:
             raise SyscallAbort(f"timer delay {delay} out of range")
         generation = state.timer_generations.get(timer_id, 0) + 1
-        state.timer_generations[timer_id] = generation
+        state.timer_generations = state.timer_generations.with_item(
+            timer_id, generation
+        )
         state.push_event(
             state.clock + delay, Event.TIMER, timer_id, generation
         )
@@ -136,8 +138,9 @@ class NodeOS(SyscallHost):
     def _sys_timer_stop(self, state, args):
         timer_id = _concrete(args[0], "timer id")
         # Bumping the generation invalidates any pending expiry event.
-        state.timer_generations[timer_id] = (
-            state.timer_generations.get(timer_id, 0) + 1
+        generations = state.timer_generations
+        state.timer_generations = generations.with_item(
+            timer_id, generations.get(timer_id, 0) + 1
         )
         return 0
 

@@ -50,6 +50,7 @@ from ..obs.events import TraceEmitter
 from .spec import SubmissionSpec
 
 __all__ = [
+    "ScenarioBuildError",
     "StreamingTraceEmitter",
     "chaos_kill_after",
     "execute_job",
@@ -101,6 +102,13 @@ class StreamingTraceEmitter(TraceEmitter):
             pass
 
 
+class ScenarioBuildError(Exception):
+    """The spec's scenario does not build; ``__cause__`` is the error.
+
+    The spec is the same on every attempt, so the job fails on the first.
+    """
+
+
 def execute_job(payload: dict) -> dict:
     """Run one job attempt to completion in this process.
 
@@ -146,7 +154,10 @@ def execute_job(payload: dict) -> dict:
                 trace.emit("checkpoint.discarded", reason=str(exc))
         resumed = engine is not None
         if engine is None:
-            scenario = spec.build_scenario()
+            try:
+                scenario = spec.build_scenario()
+            except Exception as exc:
+                raise ScenarioBuildError() from exc
             program = payload.get("program")
             if program is not None and scenario.program == program.source:
                 scenario.program = program
@@ -215,6 +226,11 @@ def job_worker_main(worker_index: int, inbox, outbox, message: tuple) -> None:
     payload = dict(payload, kill_after=chaos_kill_after(payload["job"], attempt))
     try:
         reply = ("done", worker_index, job_id, execute_job(payload))
+    except ScenarioBuildError as exc:
+        failure = WorkerFailure.from_exception(
+            job_id, exc.__cause__, retryable=False
+        )
+        reply = ("fail", worker_index, job_id, failure)
     except BaseException as exc:  # noqa: BLE001 - classified for the parent
         failure = WorkerFailure.from_exception(job_id, exc)
         reply = ("fail", worker_index, job_id, failure)

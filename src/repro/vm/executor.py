@@ -230,8 +230,10 @@ class Executor:
             raise ValueError(
                 f"{func_name} expects {len(func.params)} args, got {len(args)}"
             )
+        # The event runs on private lists; resume_event freezes them.
+        state.memory = memory = list(state.memory)
         for offset, value in enumerate(args):
-            state.memory[func.param_base + offset] = _mask_cell(value)
+            memory[func.param_base + offset] = _mask_cell(value)
         state.pc = func.entry
         state.call_stack = [_RETURN_SENTINEL]
         state.opstack = []
@@ -271,7 +273,10 @@ class Executor:
         state: ExecutionState,
         on_fork: Optional[ForkCallback] = None,
     ) -> List[ExecutionState]:
-        """Drive an already-positioned RUNNING state to event completion."""
+        """Drive an already-positioned RUNNING state to event completion.
+
+        Every state it returns is frozen (:meth:`ExecutionState.freeze`).
+        """
         active = [state]
         done: List[ExecutionState] = []
         while active:
@@ -287,6 +292,7 @@ class Executor:
                 if successor.status == Status.RUNNING:
                     active.append(successor)
                 else:
+                    successor.freeze()
                     done.append(successor)
         return done
 
@@ -1061,7 +1067,7 @@ class Executor:
         tag = self.program.strings[tag_index]
         name = state.fresh_symbol_name(tag)
         symbol = var(name, width)
-        state.symbolics.append((name, width))
+        state.add_symbolic(name, width)
         state.opstack.append(zext(symbol, 32) if width < 32 else symbol)
         return None
 
@@ -1124,7 +1130,8 @@ class Executor:
 
 class _Summary:
     """What one concrete run of an event did to its state, and the host
-    effects it had, in order."""
+    effects it had, in order.  It holds the run's frozen memory and
+    stacks, which every replay shares."""
 
     __slots__ = (
         "memory",
@@ -1144,10 +1151,10 @@ class _Summary:
         trace: tuple,
         effects: tuple,
     ) -> None:
-        self.memory = tuple(state.memory)
+        self.memory = state.memory
         self.pc = state.pc
-        self.call_stack = tuple(state.call_stack)
-        self.opstack = tuple(state.opstack)
+        self.call_stack = state.call_stack
+        self.opstack = state.opstack
         self.steps = state.steps
         self.instructions = instructions
         self.trace = trace
@@ -1155,10 +1162,10 @@ class _Summary:
 
     def install(self, state: ExecutionState) -> None:
         """Leave ``state`` as the recorded run left it, host effects aside."""
-        state.memory = list(self.memory)
+        state.memory = self.memory
         state.pc = self.pc
-        state.call_stack = list(self.call_stack)
-        state.opstack = list(self.opstack)
+        state.call_stack = self.call_stack
+        state.opstack = self.opstack
         state.steps = self.steps
         state.status = Status.IDLE
         if self.trace:

@@ -7,17 +7,26 @@ pending event queue, current packet).  In the paper's terms these are
 exactly the objects that state-mapping algorithms fork, group into
 dstates/dscenarios and deliver packets to.
 
-States are cheap to clone (:meth:`fork`): guest memory cells are immutable
-values (ints or interned expressions), so cloning copies flat lists only.
-The *communication history* is tracked as an immutable tuple — the paper
-notes it need not be stored; we keep it because the invariant checks in the
+Between events a state is a value: every field holds an immutable object
+(memory, stacks, event queue and symbolics are tuples, the three maps
+:class:`FrozenMap` instances), so :meth:`~ExecutionState.fork` copies
+slots and shares everything, as KLEE shares a state's memory objects
+copy-on-write.  Writers replace a field, never change it in place.  The
+executor gives a running state private memory and stack lists for the
+length of one event and freezes them when the event ends; a fork in the
+middle of an event copies those lists.  A state fresh from the
+constructor holds a private memory list until it is frozen (the engine
+does so at boot).
+
+The *communication history* is an immutable tuple too — the paper notes
+it need not be stored; we keep it because the invariant checks in the
 test-suite use it (dstates must be conflict-free).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from ..expr import BoolExpr, BVExpr
 from ..solver.constraints import EMPTY, ConstraintSet
@@ -26,6 +35,7 @@ from .errors import GuestError
 __all__ = [
     "ExecutionState",
     "Event",
+    "FrozenMap",
     "Status",
     "CellValue",
     "ensure_state_ids_above",
@@ -58,6 +68,36 @@ def state_id_watermark() -> int:
     return next(_state_ids)
 
 
+class FrozenMap(dict):
+    """A dict that refuses every in-place write.
+
+    Forks share their maps, so a writer assigns a new map built by
+    :meth:`with_item`; an in-place write raises instead of silently
+    changing a twin.
+    """
+
+    __slots__ = ()
+
+    def _immutable(self, *args, **kwargs):
+        raise TypeError("FrozenMap is immutable: assign with_item() instead")
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def with_item(self, key, value) -> "FrozenMap":
+        """A copy of this map with ``key`` set to ``value``."""
+        items = dict(self)
+        items[key] = value
+        return FrozenMap(items)
+
+    def __reduce__(self):
+        # Unpickling must not go through the refused __setitem__.
+        return (FrozenMap, (dict(self),))
+
+
+_NO_ITEMS = FrozenMap()
+
+
 class Status:
     IDLE = "idle"            # between events, waiting in the scheduler
     RUNNING = "running"      # mid-event (only while the executor drives it)
@@ -73,7 +113,8 @@ class Event:
     """One pending node-local event (timer expiry, packet reception, boot).
 
     ``seq`` makes the ordering deterministic; ``generation`` lets timers be
-    cancelled without removing heap entries.
+    cancelled without removing heap entries.  An event never changes once
+    queued, so forks share it.
     """
 
     __slots__ = ("time", "seq", "kind", "data", "generation")
@@ -91,9 +132,6 @@ class Event:
 
     def sort_key(self) -> Tuple[int, int]:
         return (self.time, self.seq)
-
-    def copy(self) -> "Event":
-        return Event(self.time, self.seq, self.kind, self.data, self.generation)
 
     def config_key(self) -> tuple:
         return (self.time, self.seq, self.kind, self.data, self.generation)
@@ -135,10 +173,12 @@ class ExecutionState:
     def __init__(self, node: int, memory_size: int) -> None:
         self.sid: int = next(_state_ids)
         self.node = node
-        self.memory: List[CellValue] = [0] * memory_size
+        # A list until frozen: a tuple between events, a private list
+        # while an event runs.
+        self.memory: Sequence[CellValue] = [0] * memory_size
         self.pc: int = 0
-        self.call_stack: List[int] = []
-        self.opstack: List[CellValue] = []
+        self.call_stack: Sequence[int] = ()
+        self.opstack: Sequence[CellValue] = ()
         # The path condition: a persistent parent-sharing ConstraintSet.
         # Forks alias the same node; add_constraint appends a child node,
         # so all analysis memos (canonical form, partition, model) are
@@ -147,59 +187,70 @@ class ExecutionState:
         self.status: str = Status.IDLE
         self.error: Optional[GuestError] = None
         self.steps: int = 0
-        self.sym_counters: Dict[str, int] = {}
-        self.symbolics: List[Tuple[str, int]] = []  # (var name, width)
+        self.sym_counters: FrozenMap = _NO_ITEMS
+        self.symbolics: Tuple[Tuple[str, int], ...] = ()  # (var name, width)
         # -- node-level simulation context --
         self.clock: int = 0
-        self.events: List[Event] = []  # kept sorted by sort_key
+        self.events: Tuple[Event, ...] = ()  # sorted by sort_key
         self.event_seq: int = 0
-        self.timer_generations: Dict[int, int] = {}
+        self.timer_generations: FrozenMap = _NO_ITEMS
         self.current_packet = None  # set while an on_recv handler runs
         self.history: tuple = ()  # communication history (packet log)
         # Per-egress-link busy-until times, written only by media with
         # finite bandwidth (repro.net.realistic); empty on the ideal path.
-        self.link_busy: Dict[int, int] = {}
+        self.link_busy: FrozenMap = _NO_ITEMS
         self.forked_from: Optional[int] = None
         self.trace: Tuple[int, ...] = ()  # log() outputs, for tests
 
     # -- forking -------------------------------------------------------------
 
     def fork(self) -> "ExecutionState":
-        """A deep-enough copy sharing all immutable substructure."""
+        """A copy of every slot; only a running state's lists are copied.
+
+        A tuple's full slice is the tuple itself and a list's is a copy,
+        so an idle fork shares every field and allocates one object.
+        """
         twin = object.__new__(ExecutionState)
         twin.sid = next(_state_ids)
         twin.node = self.node
-        twin.memory = list(self.memory)
+        twin.memory = self.memory[:]
         twin.pc = self.pc
-        twin.call_stack = list(self.call_stack)
-        twin.opstack = list(self.opstack)
+        twin.call_stack = self.call_stack[:]
+        twin.opstack = self.opstack[:]
         twin.constraints = self.constraints
         twin.status = self.status
         twin.error = self.error
         twin.steps = self.steps
-        twin.sym_counters = dict(self.sym_counters)
-        twin.symbolics = list(self.symbolics)
+        twin.sym_counters = self.sym_counters
+        twin.symbolics = self.symbolics
         twin.clock = self.clock
-        # Event objects are immutable once constructed (only the queue
-        # list mutates), so forks share them and copy the list alone.
-        twin.events = list(self.events)
+        twin.events = self.events
         twin.event_seq = self.event_seq
-        twin.timer_generations = dict(self.timer_generations)
+        twin.timer_generations = self.timer_generations
         twin.current_packet = self.current_packet
         twin.history = self.history
-        twin.link_busy = dict(self.link_busy)
+        twin.link_busy = self.link_busy
         twin.forked_from = self.sid
         twin.trace = self.trace
         return twin
+
+    def freeze(self) -> None:
+        """Make memory and stacks tuples, as they are between events."""
+        self.memory = tuple(self.memory)
+        self.call_stack = tuple(self.call_stack)
+        self.opstack = tuple(self.opstack)
 
     # -- path constraints ------------------------------------------------------
 
     def add_constraint(self, constraint: BoolExpr) -> None:
         self.constraints = self.constraints.extended(constraint)
 
+    def add_symbolic(self, name: str, width: int) -> None:
+        self.symbolics = self.symbolics + ((name, width),)
+
     def fresh_symbol_name(self, tag: str) -> str:
         count = self.sym_counters.get(tag, 0)
-        self.sym_counters[tag] = count + 1
+        self.sym_counters = self.sym_counters.with_item(tag, count + 1)
         suffix = str(count) if count else ""
         return f"n{self.node}.{tag}{suffix}"
 
@@ -208,14 +259,22 @@ class ExecutionState:
     def push_event(self, time: int, kind: str, data, generation: int = 0) -> Event:
         event = Event(time, self.event_seq, kind, data, generation)
         self.event_seq += 1
-        self.events.append(event)
-        self.events.sort(key=Event.sort_key)
+        events = self.events
+        # Insert after every event that sorts at or before it (the queue
+        # is short, and a new event is usually the last).
+        key = event.sort_key()
+        at = len(events)
+        while at and events[at - 1].sort_key() > key:
+            at -= 1
+        self.events = events[:at] + (event,) + events[at:]
         return event
 
     def pop_event(self) -> Optional[Event]:
-        if not self.events:
+        events = self.events
+        if not events:
             return None
-        return self.events.pop(0)
+        self.events = events[1:]
+        return events[0]
 
     def peek_event_time(self) -> Optional[int]:
         return self.events[0].time if self.events else None

@@ -24,6 +24,7 @@ from repro.core.distributed import snapshot_assignment_tasks
 from repro.core.engine import RunReport
 from repro.core.partition import partition_groups
 from repro.core.snapshot import EngineSnapshot
+from repro.workloads import grid_scenario
 
 from benchmarks.ladder.workloads import runs_for
 
@@ -109,3 +110,21 @@ def test_reducer_counters_survive_a_snapshot():
     assert {name: counts[name] for name in flow} == {
         name: captured[name] for name in flow
     }
+
+
+def test_bystander_copies_share_memory_after_a_restore():
+    # COB forks the whole dscenario on every local branch; the bystander
+    # copies share their idle memory tuple, and so must the restored ones,
+    # or a restore would bring back the memory that sharing saved.
+    engine = build_engine(grid_scenario(4, sim_seconds=3, drop_budget=2), "cob")
+    engine.run_until(split_events=400)
+    restored = _round_trip(EngineSnapshot.capture(engine, with_counters=True))
+
+    def memories(states):
+        return len({id(state.memory) for state in states})
+
+    before = list(engine.states.values())
+    after = list(restored.states.values())
+    assert len(after) == len(before)
+    assert all(type(state.memory) is tuple for state in after)
+    assert memories(after) == memories(before) < len(before) // 4

@@ -288,7 +288,7 @@ def test_two_sends_of_a_mutated_buffer(audit, monkeypatch):
     assert _census(summarized) == _census(interpreted)
     (sink,) = [s for s in summarized.states.values() if s.node == 0]
     got = summarized.program.global_address("got")
-    assert sink.memory[got : got + 6] == [72, 91, 72, 91, 72, 91]
+    assert sink.memory[got : got + 6] == (72, 91, 72, 91, 72, 91)
 
 
 TIMERS = """

@@ -12,6 +12,7 @@ from repro.net import (
     register_medium,
 )
 from repro.net.medium import _MEDIA
+from repro.vm.state import FrozenMap
 
 
 class _Sender:
@@ -21,7 +22,7 @@ class _Sender:
         self.node = node
         self.clock = clock
         self.history = list(history)
-        self.link_busy = {}
+        self.link_busy = FrozenMap()
 
 
 class TestRegistry:

@@ -129,16 +129,21 @@ def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
 def test_a_spec_that_cannot_build_fails_in_its_worker(tmp_path):
     # flood:1 passes validation, but the workload needs two nodes.  The
     # worker builds the scenario and raises the error as the job's typed
-    # failure.
-    service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_retries=0))
+    # failure.  Every retry would build the same spec, so the job fails on
+    # its first attempt at the default max_retries.
+    limits = ServiceLimits()
+    assert limits.max_retries == 2
+    service = ServiceThread(tmp_path / "data", limits=limits)
     try:
         _, out = service.submit(dict(FAST_SPEC, size=1))
         record = service.wait_terminal(out["id"])
         assert record["state"] == "failed"
         assert record["attempts"] == 1
+        assert record["retries"] == 0
         failure = record["failure"]
         assert failure["kind"] == "exception"
         assert failure["exc_type"] == "ValueError"
         assert "at least 2 nodes" in failure["message"]
+        assert failure["retryable"] is False
     finally:
         service.stop()

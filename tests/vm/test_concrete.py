@@ -234,8 +234,10 @@ class TestEventCompletion:
     def test_state_idle_after_event(self):
         state = run_single("func main() { }")
         assert state.status == Status.IDLE
-        assert state.call_stack == []
-        assert state.opstack == []
+        # Between events a state is a value: empty tuple stacks, frozen memory.
+        assert state.call_stack == ()
+        assert state.opstack == ()
+        assert type(state.memory) is tuple
 
     def test_steps_counted(self):
         state = run_single("func main() { var x = 1 + 2; }")

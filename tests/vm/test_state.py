@@ -26,9 +26,13 @@ class TestForkIsolation:
         assert state.memory[3] == 7
 
     def test_stacks_isolated(self):
+        # Idle stacks are the shared empty tuple; a running state's stacks
+        # are private lists, and a fork in the middle of an event copies them.
         state = make_state()
-        state.opstack.append(1)
-        state.call_stack.append(10)
+        assert state.opstack == () and state.call_stack == ()
+        assert state.fork().opstack is state.opstack
+        state.opstack = [1]
+        state.call_stack = [10]
         twin = state.fork()
         twin.opstack.append(2)
         twin.call_stack.append(20)
@@ -46,7 +50,7 @@ class TestForkIsolation:
 
     def test_event_queues_isolated_but_events_shared(self):
         # Event objects are immutable once queued, so forks share them;
-        # only the queue *list* must be private to each state.
+        # push and pop replace the queue tuple of the state they act on.
         state = make_state()
         state.push_event(10, Event.TIMER, 0, generation=1)
         twin = state.fork()
@@ -57,11 +61,14 @@ class TestForkIsolation:
         assert [e.time for e in twin.events] == [20]
 
     def test_timer_generations_isolated(self):
+        # The map is shared by forks and replaced on write.
         state = make_state()
-        state.timer_generations[0] = 1
+        state.timer_generations = state.timer_generations.with_item(0, 1)
         twin = state.fork()
-        twin.timer_generations[0] = 2
+        assert twin.timer_generations is state.timer_generations
+        twin.timer_generations = twin.timer_generations.with_item(0, 2)
         assert state.timer_generations[0] == 1
+        assert twin.timer_generations[0] == 2
 
     def test_history_shared_immutably(self):
         state = make_state()

@@ -149,7 +149,7 @@ class TestSymbolicData:
         """
         states, _, _ = run(src)
         state = states[0]
-        assert state.symbolics == [("n0.d", 1)]
+        assert state.symbolics == (("n0.d", 1),)
 
     def test_symbolic_names_are_sequenced(self):
         src = """
