@@ -80,14 +80,11 @@ class NodeOS(SyscallHost):
 
     def event_input(self, state: ExecutionState):
         # recv_* expose the packet's source and payload; node_count is
-        # fixed per run.  A symbolic payload cell rules a summary out.
+        # fixed per run.
         packet = state.current_packet
         if packet is None:
             return ()
-        for cell in packet.payload:
-            if type(cell) is not int:
-                return None
-        return (packet.src, packet.payload)
+        return (packet.src,) + packet.payload
 
     def resolve(self, state: ExecutionState, name: str, args) -> tuple:
         if name == "bc_send":

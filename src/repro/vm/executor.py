@@ -15,11 +15,11 @@ Fork notifications are delivered through the ``on_fork`` callback — this is
 the hook the COB state-mapping algorithm attaches to ("mapping on local
 branch"), while COW/SDS react to transmissions via the syscall host instead.
 
-An event whose input is fully concrete is run once and then *replayed*:
-the executor keeps a bounded table of event summaries (final memory and
-stacks, counts, ``log`` output and the host effects in order), and a
-repeated event installs the summary instead of re-interpreting the
-handler (docs/VM.md, "Summaries").
+A handler run is recorded once and then *replayed*: the executor keeps
+a bounded table of event summaries (the run's branch decisions and
+forks, each leaf's final memory and stacks, counts, ``log`` output and
+the host effects in order), and a repeated event replays the summary
+instead of re-interpreting the handler (docs/VM.md, "Summaries").
 
 The executor is deliberately ignorant of networking: everything beyond pure
 computation goes through a :class:`SyscallHost`.
@@ -39,7 +39,7 @@ instructions later.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..expr import (
     as_bv,
@@ -91,6 +91,11 @@ _BV_ZERO = bv(0)
 #: Most event summaries an executor keeps; the oldest entry makes room.
 SUMMARY_LIMIT = 4096
 
+#: The steps of a summary's script.
+_QUERY = 0  # (_QUERY, condition, (may hold, may not hold)): a jump's solver call
+_FORK = 1  # (_FORK, the twin's conjunct, the state's own conjunct)
+_LEAF = 2  # (_LEAF, _Leaf): a path that ended; the next path starts
+
 ForkCallback = Callable[[ExecutionState, List[ExecutionState]], None]
 
 
@@ -118,12 +123,11 @@ class SyscallHost:
     ) -> CellValue:
         raise NotImplementedError(name)
 
-    def event_input(self, state: ExecutionState) -> Optional[Hashable]:
+    def event_input(self, state: ExecutionState) -> Optional[Tuple[CellValue, ...]]:
         """Everything a handler of ``state`` can read through this host
-        besides its node id and the clock, as a hashable key part.
+        besides its node id and the clock, as a flat tuple of cells.
 
-        ``None`` means the event must not be summarized: the host exposes
-        symbolic data, or does not support summaries at all.
+        ``None`` means the host does not support summaries.
         """
         return None
 
@@ -193,7 +197,9 @@ class Executor:
         self.decoded: DecodedProgram = program.decoded(fuse=fuse_ops)
         # The bound handlers point back at this executor: a deliberate
         # cycle (the threaded loop needs no attribute lookups), freed by
-        # one collection after the run.  It holds no execution state.
+        # one collection after the run.  It holds no execution state; the
+        # summary keys hold path-condition nodes (docs/VM.md, "Memory
+        # management").
         self._threaded = tuple(
             self._bind(op, arg, line) for op, arg, line in self.decoded.code
         )
@@ -201,8 +207,8 @@ class Executor:
         self._summaries: Dict[tuple, _Summary] = {}
         #: events answered from a summary instead of the interpreter
         self.summary_hits = 0
-        # The host effects of the event being recorded, else None.
-        self._effects: Optional[List[tuple]] = None
+        # What the event being recorded did so far, else None.
+        self._recording: Optional[_Recording] = None
         # The clock is a handler input only where the program reads it.
         self._reads_clock = any(
             op == Op.SYS and arg[0] == "time" for op, arg, _ in self.decoded.code
@@ -253,16 +259,11 @@ class Executor:
         ones are ``ERROR``; contradicted ones are ``INFEASIBLE``.
 
         A repeat of a summarized event is replayed, not interpreted; a
-        first run of an event with concrete input is recorded.
+        first run is recorded.
         """
-        key = self._summary_key(state, func_name, args)
-        if key is not None:
-            summary = self._summaries.get(key)
-            if summary is not None:
-                self._replay_summary(state, summary)
-                return [state]
-            if not _all_concrete(key[2]) or not _all_concrete(key[3]):
-                key = None
+        key, summary = self._lookup(state, func_name, args)
+        if summary is not None:
+            return self._replay_summary(state, summary, on_fork)
         self.start_event(state, func_name, args)
         if key is None:
             return self.resume_event(state, on_fork)
@@ -277,6 +278,7 @@ class Executor:
 
         Every state it returns is frozen (:meth:`ExecutionState.freeze`).
         """
+        recording = self._recording
         active = [state]
         done: List[ExecutionState] = []
         while active:
@@ -294,70 +296,138 @@ class Executor:
                 else:
                     successor.freeze()
                     done.append(successor)
+                    if recording is not None:
+                        recording.script.append(
+                            (_LEAF, _Leaf(successor, recording.trace))
+                        )
         return done
 
     # -- event summaries --------------------------------------------------------------
 
-    def _summary_key(
+    def _lookup(
         self, state: ExecutionState, func_name: str, args: Sequence[int]
-    ) -> Optional[tuple]:
-        """Everything the handler can read, or None if the host opts out.
+    ) -> Tuple[Optional[tuple], Optional["_Summary"]]:
+        """The event's summary key and the summary stored under it.
 
-        The key may still hold symbolic cells; only a concrete key is
-        ever stored, and no expression equals an int, so a lookup can
-        only hit on concrete input.
+        The key is everything the handler can read; ``(None, None)``
+        means the host opts out.  A key with a symbolic cell also holds
+        the path condition, which the handler's jump decisions read
+        through the solver.  The key without it is looked up first: a
+        stored key of that length is concrete (no expression equals an
+        int), so a concrete hit costs one lookup and no scan.
         """
         event_input = self.host.event_input(state)
         if event_input is None:
-            return None
-        key = (state.node, func_name, tuple(args), tuple(state.memory), event_input)
+            return None, None
+        args = tuple(args)
+        memory = tuple(state.memory)
+        key = (state.node, func_name, args, memory, event_input)
         if self._reads_clock:
             key += (state.clock,)
-        return key
+        summaries = self._summaries
+        summary = summaries.get(key)
+        if summary is not None or _all_concrete(memory, args, event_input):
+            return key, summary
+        key += (state.constraints,)
+        return key, summaries.get(key)
 
     def _record_summary(
         self, state: ExecutionState, key: tuple, on_fork: Optional[ForkCallback]
     ) -> List[ExecutionState]:
-        """Run a concrete-input event and keep its summary if it
-        stayed concrete: no ``symbolic()``, no constraint, no fork, and
-        the one successor ended ``IDLE``."""
-        forks = self.forks
+        """Run an event and keep its summary if the run qualifies: it
+        used the solver for jump decisions only, every leaf ended
+        ``IDLE``, and a run on symbolic input had no host effect and no
+        ``log`` output (docs/VM.md, "Summaries")."""
+        symbolic = key[-1] is state.constraints  # as _lookup ends such a key
         instructions = self.instructions_executed
-        constraints = state.constraints
-        symbolics = len(state.symbolics)
-        trace = len(state.trace)
-        self._effects = effects = []
+        self._recording = recording = _Recording(len(state.trace))
         try:
             done = self.resume_event(state, on_fork)
         finally:
-            self._effects = None
-        if (
-            self.forks == forks
-            and state.status == Status.IDLE
-            and state.constraints is constraints
-            and len(state.symbolics) == symbolics
+            self._recording = None
+        if recording.spoiled:
+            return done
+        for successor in done:
+            if successor.status != Status.IDLE:
+                return done
+        if symbolic and (
+            recording.effects
+            or any(step[1].trace for step in recording.script if step[0] == _LEAF)
         ):
-            summaries = self._summaries
-            if len(summaries) >= SUMMARY_LIMIT:
-                del summaries[next(iter(summaries))]
-            summaries[key] = _Summary(
-                state,
-                self.instructions_executed - instructions,
-                state.trace[trace:],
-                tuple(effects),
-            )
+            return done
+        summaries = self._summaries
+        if len(summaries) >= SUMMARY_LIMIT:
+            del summaries[next(iter(summaries))]
+        summaries[key] = _Summary(
+            tuple(recording.script),
+            self.instructions_executed - instructions,
+            tuple(recording.effects),
+        )
         return done
 
-    def _replay_summary(self, state: ExecutionState, summary: "_Summary") -> None:
-        """Finish the event on ``state`` as the recorded run did.
-
-        The pcs the run visited are already in ``visited_pcs``.
-        """
-        summary.install(state)
+    def _replay_summary(
+        self,
+        state: ExecutionState,
+        summary: "_Summary",
+        on_fork: Optional[ForkCallback],
+    ) -> List[ExecutionState]:
+        """Finish the event as the recorded run did: its paths, then its
+        host effects.  The pcs the run visited are already in
+        ``visited_pcs``."""
+        done = self._replay_paths(state, summary, on_fork)
         if summary.effects:
             self.host.replay(state, summary.effects)
         self.instructions_executed += summary.instructions
         self.summary_hits += 1
+        return done
+
+    def _replay_paths(
+        self,
+        state: ExecutionState,
+        summary: "_Summary",
+        on_fork: Optional[ForkCallback],
+    ) -> List[ExecutionState]:
+        """Fork ``state`` and install the leaves as the recorded run did;
+        return the leaves in the interpreter's order.
+
+        Each recorded branch decision is asked again on the replaying
+        state's own path condition, so the solver's counters and memos
+        move exactly as under interpretation.
+        """
+        script = summary.script
+        if len(script) == 1:  # one path, no decision: all concrete runs
+            script[0][1].install(state)
+            return [state]
+        solver = self.solver
+        steps = iter(script)
+        active = [state]
+        done: List[ExecutionState] = []
+        while active:
+            current = active.pop()
+            for step in steps:
+                kind = step[0]
+                if kind == _QUERY:
+                    answer = solver.branch_feasibility(current.constraints, step[1])
+                    if answer != step[2]:
+                        raise AssertionError(
+                            f"summary replay: {step[1]} decided {answer},"
+                            f" recorded {step[2]}"
+                        )
+                elif kind == _FORK:
+                    twin = current.fork()
+                    twin.add_constraint(step[1])
+                    current.add_constraint(step[2])
+                    self.forks += 1
+                    if on_fork is not None:
+                        on_fork(current, [twin])
+                    active.append(current)
+                    active.append(twin)
+                    break
+                else:
+                    step[1].install(current)
+                    done.append(current)
+                    break
+        return done
 
     # -- the interpreter loop --------------------------------------------------------
 
@@ -778,15 +848,23 @@ class Executor:
         state.error = error
         return state
 
+    def _spoil_recording(self) -> None:
+        """The event being recorded did what a summary cannot replay."""
+        if self._recording is not None:
+            self._recording.spoiled = True
+
     def _feasible(self, state: ExecutionState, condition) -> bool:
+        self._spoil_recording()
         return self.solver.may_be_true(state.constraints, condition)
 
     def _branch_feasible(self, state: ExecutionState, condition):
-        """``(may_hold, may_not_hold)`` for a two-way branch decision.
+        """``(may_hold, may_not_hold)`` for a two-way decision that is
+        not a jump (a divisor, an assertion).
 
         One batched solver call instead of the back-to-back may/must
         pair: the state's memoized model decides one arm for free.
         """
+        self._spoil_recording()
         return self.solver.branch_feasibility(state.constraints, condition)
 
     # .. division ....................................................................
@@ -853,18 +931,23 @@ class Executor:
                 state.pc = target
             return None
         zero_cond = eq(value, bv(0))
-        feasible_zero, feasible_nonzero = self._branch_feasible(state, zero_cond)
+        answer = self.solver.branch_feasibility(state.constraints, zero_cond)
+        recording = self._recording
+        if recording is not None:
+            recording.script.append((_QUERY, zero_cond, answer))
+        feasible_zero, feasible_nonzero = answer
         if feasible_zero and feasible_nonzero:
-            # Fork: the original takes the fall-through; the twin jumps...
-            # conditions depend on which of JZ/JNZ we are executing.
+            # Fork: the original takes the fall-through; the twin jumps.
             twin = state.fork()
             twin.pc = target
             if jump_on_zero:
-                twin.add_constraint(zero_cond)
-                state.add_constraint(not_(zero_cond))
+                taken, fall_through = zero_cond, not_(zero_cond)
             else:
-                twin.add_constraint(not_(zero_cond))
-                state.add_constraint(zero_cond)
+                taken, fall_through = not_(zero_cond), zero_cond
+            twin.add_constraint(taken)
+            state.add_constraint(fall_through)
+            if recording is not None:
+                recording.script.append((_FORK, taken, fall_through))
             return [state, twin]
         if not feasible_zero and not feasible_nonzero:
             state.status = Status.INFEASIBLE
@@ -957,8 +1040,8 @@ class Executor:
             host = self.host
             try:
                 result = host.syscall(state, name, args)
-                if self._effects is not None and name in host.effects:
-                    self._effects.append(host.resolve(state, name, args))
+                if self._recording is not None and name in host.effects:
+                    self._recording.effects.append(host.resolve(state, name, args))
             except SyscallAbort as abort:
                 abort.error.line = line
                 return [self._die(state, abort.error)]
@@ -1064,6 +1147,7 @@ class Executor:
                     ),
                 )
             ]
+        self._spoil_recording()
         tag = self.program.strings[tag_index]
         name = state.fresh_symbol_name(tag)
         symbol = var(name, width)
@@ -1128,40 +1212,36 @@ class Executor:
         return [state, error_twin]
 
 
-class _Summary:
-    """What one concrete run of an event did to its state, and the host
-    effects it had, in order.  It holds the run's frozen memory and
-    stacks, which every replay shares."""
+class _Recording:
+    """What the event being recorded did so far, in the interpreter's
+    order: the script of branch decisions, forks and leaves, and the
+    host effects.  ``trace`` is the ``log`` length the event started at."""
 
-    __slots__ = (
-        "memory",
-        "pc",
-        "call_stack",
-        "opstack",
-        "steps",
-        "instructions",
-        "trace",
-        "effects",
-    )
+    __slots__ = ("script", "effects", "trace", "spoiled")
 
-    def __init__(
-        self,
-        state: ExecutionState,
-        instructions: int,
-        trace: tuple,
-        effects: tuple,
-    ) -> None:
+    def __init__(self, trace: int) -> None:
+        self.script: List[tuple] = []
+        self.effects: List[tuple] = []
+        self.trace = trace
+        self.spoiled = False
+
+
+class _Leaf:
+    """How one path of a recorded run left its state: the frozen memory
+    and stacks, which every replay shares, and the ``log`` output."""
+
+    __slots__ = ("memory", "pc", "call_stack", "opstack", "steps", "trace")
+
+    def __init__(self, state: ExecutionState, trace: int) -> None:
         self.memory = state.memory
         self.pc = state.pc
         self.call_stack = state.call_stack
         self.opstack = state.opstack
         self.steps = state.steps
-        self.instructions = instructions
-        self.trace = trace
-        self.effects = effects
+        self.trace = state.trace[trace:]
 
     def install(self, state: ExecutionState) -> None:
-        """Leave ``state`` as the recorded run left it, host effects aside."""
+        """Leave ``state`` as the recorded path left it, host effects aside."""
         state.memory = self.memory
         state.pc = self.pc
         state.call_stack = self.call_stack
@@ -1172,10 +1252,24 @@ class _Summary:
             state.trace = state.trace + self.trace
 
 
-def _all_concrete(cells: tuple) -> bool:
-    for cell in cells:
-        if type(cell) is not int:
-            return False
+class _Summary:
+    """One recorded run of an event: its script (``_QUERY``, ``_FORK``
+    and ``_LEAF`` steps in the interpreter's depth-first order), its
+    instruction count and, for a run with one leaf, its host effects."""
+
+    __slots__ = ("script", "instructions", "effects")
+
+    def __init__(self, script: tuple, instructions: int, effects: tuple) -> None:
+        self.script = script
+        self.instructions = instructions
+        self.effects = effects
+
+
+def _all_concrete(*parts: tuple) -> bool:
+    for cells in parts:
+        for cell in cells:
+            if type(cell) is not int:
+                return False
     return True
 
 

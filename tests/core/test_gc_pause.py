@@ -5,7 +5,11 @@
 - exploration allocates no cyclic garbage;
 - a finished COB or COW engine frees its states, and their path
   conditions, by refcount alone (a parent holds its interned children
-  weakly).  SDS keeps one cycle on purpose and needs one collection.
+  weakly).  SDS keeps one cycle on purpose and needs one collection;
+- the executor's event summaries key symbolic input on its path
+  condition, so the summary table holds path-condition nodes.  The
+  table lives inside the executor's documented ``_threaded`` cycle:
+  one collection after the engine is dropped frees every such node.
 """
 
 import gc
@@ -18,6 +22,7 @@ from repro import build_engine
 from repro.api import Scenario, Topology
 from repro.core import MappingError
 from repro.core.engine import gc_paused
+from repro.solver import EMPTY, ConstraintSet
 from repro.net.failures import (
     SymbolicDuplication,
     SymbolicNodeReboot,
@@ -166,3 +171,17 @@ class TestTeardown:
         assert state() is not None  # the documented VirtualState cycle
         gc.collect()
         assert state() is None
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_summary_path_conditions_are_freed_by_one_collection(self, algorithm):
+        engine, _ = self._finished(algorithm, "symflood")
+        held = [
+            weakref.ref(key[-1])
+            for key in engine.executor._summaries
+            if isinstance(key[-1], ConstraintSet) and key[-1] is not EMPTY
+        ]
+        assert held
+        gc.disable()
+        del engine
+        gc.collect()
+        assert [ref for ref in held if ref() is not None] == []

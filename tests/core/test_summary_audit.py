@@ -1,19 +1,25 @@
 """Event summaries are invisible: every hit is re-interpreted and compared.
 
 :class:`AuditingExecutor` is an :class:`Executor` that, on every summary
-hit, first runs the event for real on a copy of the state with a host
-that records effects instead of performing them, then compares the
-copy's ``config_key()``, ``log`` output, instruction count and effect
-list with what the summary installs and replays.  The engine is built
-with it in place of the plain executor.
+hit, first replays the summary's paths, then runs the event for real on
+a copy of the state it had before, with a reference executor that never
+summarizes, its own solver and a host that records effects instead of
+performing them.  It compares, in order, the resulting states'
+``config_key()``, steps and ``log`` output, the (condition, answer)
+pairs of the solver calls, the fork callbacks, the instruction count
+and the effect list.  The reference runs second and on its own solver:
+the replay's calls leave the shared path-condition memos as
+interpretation would, and the reference's calls move no counter of the
+engine.  The engine is built with it in place of the plain executor.
 
 It runs on every golden-matrix cell (which must still reproduce its
 committed entry), the property-equivalence scenarios, symmetry + POR
-floods and a realistic-medium grid and ring.  The engine-level tests
-below pin the replay itself: two sends of one buffer mutated in
-between, ``log`` output and timer generations after ``timer_stop`` and
-``timer_set``, symbolic payloads, and checkpoint resume and the
-distributed cut, whose reports equal the uninterrupted run's.
+floods, a realistic-medium grid and ring and the ladder's ``symflood``
+scenario.  The engine-level tests below pin the replay itself: two
+sends of one buffer mutated in between, ``log`` output and timer
+generations after ``timer_stop`` and ``timer_set``, symbolic payloads,
+and checkpoint resume and the distributed cut, whose reports equal the
+uninterrupted run's.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from benchmarks.ladder.workloads import SYMBOLIC_FLOOD
 from repro.api import Scenario, Topology, build_engine
 from repro.core import engine as engine_module
 from repro.core.distributed import DistributedRunner
@@ -28,6 +35,7 @@ from repro.core.resilience import resume_engine, save_checkpoint
 from repro.expr import var
 from repro.net.packet import Packet
 from repro.oslib import NodeOS
+from repro.solver import Solver
 from repro.vm import ExecutionState, Executor, SyscallHost
 from repro.workloads import election_scenario, flood_scenario, grid_scenario
 
@@ -51,19 +59,45 @@ class _EffectLog(SyscallHost):
         return self.host.syscall(state, name, args)
 
 
+class _SolverLog:
+    """A solver that records the branch decisions it answers."""
+
+    def __init__(self, solver):
+        self.solver = solver
+        self.calls = []
+
+    def branch_feasibility(self, constraints, condition):
+        answer = self.solver.branch_feasibility(constraints, condition)
+        self.calls.append((condition, answer))
+        return answer
+
+    def __getattr__(self, name):
+        return getattr(self.solver, name)
+
+
+def _fork_view(parent, children):
+    return (parent.node, parent.constraints, [c.constraints for c in children])
+
+
+def _views(states):
+    return [(s.config_key(), s.steps, s.trace) for s in states]
+
+
 class AuditingExecutor(Executor):
-    """Re-interprets every summary hit on a copy before replaying it."""
+    """Re-interprets every summary hit on a copy after replaying it."""
 
     instances = []
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.audited = 0
+        #: audited hits whose summary made branch decisions
+        self.audited_symbolic = 0
         self.mismatches = []
         self._effect_log = _EffectLog(self.host)
         self._reference = Executor(
             self.program,
-            self.solver,
+            _SolverLog(Solver()),
             host=self._effect_log,
             max_steps_per_event=self.max_steps_per_event,
             fuse_ops=self.fuse_ops,
@@ -74,30 +108,56 @@ class AuditingExecutor(Executor):
         self._event = (func_name, args)
         return super().run_event(state, func_name, args, on_fork)
 
-    def _replay_summary(self, state, summary):
+    def _replay_paths(self, state, summary, on_fork):
         func_name, args = self._event
-        twin = state.fork()
-        self._effect_log.log = []
-        before = self._reference.instructions_executed
-        done = self._reference.run_event(twin, func_name, args)
-        probe = state.fork()
-        summary.install(probe)
-        expected = (
-            [s.config_key() for s in done],
-            twin.trace,
-            self._reference.instructions_executed - before,
-            tuple(self._effect_log.log),
-        )
-        installed = (
-            [probe.config_key()],
-            probe.trace,
+        copy = state.fork()
+        forks = []
+
+        def log_fork(parent, children):
+            forks.append(_fork_view(parent, children))
+            if on_fork is not None:
+                on_fork(parent, children)
+
+        solver = self.solver
+        self.solver = calls = _SolverLog(solver)
+        try:
+            done = super()._replay_paths(state, summary, log_fork)
+        finally:
+            self.solver = solver
+        replayed = (
+            _views(done),
+            calls.calls,
+            forks,
             summary.instructions,
             summary.effects,
         )
-        if expected != installed:
+
+        reference = self._reference
+        reference.solver.calls = []
+        self._effect_log.log = []
+        reference_forks = []
+        before = reference.instructions_executed
+        reference_done = reference.run_event(
+            copy,
+            func_name,
+            args,
+            lambda parent, children: reference_forks.append(
+                _fork_view(parent, children)
+            ),
+        )
+        interpreted = (
+            _views(reference_done),
+            reference.solver.calls,
+            reference_forks,
+            reference.instructions_executed - before,
+            tuple(self._effect_log.log),
+        )
+        if interpreted != replayed:
             self.mismatches.append((state.node, func_name, args))
         self.audited += 1
-        super()._replay_summary(state, summary)
+        if calls.calls:
+            self.audited_symbolic += 1
+        return done
 
 
 @pytest.fixture
@@ -115,8 +175,8 @@ def audit(monkeypatch):
 class _Interpreting(Executor):
     """An executor that never summarizes: the reference run."""
 
-    def _summary_key(self, state, func_name, args):
-        return None
+    def _lookup(self, state, func_name, args):
+        return None, None
 
 
 def _entry(scenario, algorithm, **overrides):
@@ -197,6 +257,18 @@ def test_symmetry_and_por_audited(audit, monkeypatch, scenario):
     reduced = dict(symmetry=True, por=True)
     entry = _entry(scenario, "sds", **reduced)
     assert entry == _interpreted_entry(monkeypatch, scenario, "sds", **reduced)
+
+
+def test_ladder_symflood_audited(audit, monkeypatch):
+    scenario = Scenario(
+        name="symbolic-flood-line4",
+        program=SYMBOLIC_FLOOD,
+        topology=Topology.line(4),
+        horizon_ms=300,
+    )
+    entry = _entry(scenario, "sds")
+    assert entry == _interpreted_entry(monkeypatch, scenario, "sds")
+    assert sum(executor.audited_symbolic for executor in audit) > 0
 
 
 @pytest.mark.parametrize(
@@ -322,20 +394,26 @@ def test_timer_generations_after_stop_and_set(audit, monkeypatch):
         assert state.timer_generations[1] == 3 * 10
 
 
-def test_symbolic_payload_is_no_input():
+def test_symbolic_payload_is_input():
     host = NodeOS(engine=None)
     state = ExecutionState(0, 4)
     assert host.event_input(state) == ()
     state.current_packet = Packet(1, 0, (2, 3), 0)
-    assert host.event_input(state) == (1, (2, 3))
-    state.current_packet = Packet(1, 0, (2, var("x")), 0)
-    assert host.event_input(state) is None
+    assert host.event_input(state) == (1, 2, 3)
+    x = var("x")
+    state.current_packet = Packet(1, 0, (2, x), 0)
+    assert host.event_input(state) == (1, 2, x)
 
 
-def test_symbolic_receptions_are_never_summarized(audit):
+def test_symbolic_receptions_are_summarized_per_path_condition(audit):
     engine = build_engine(golden.scenarios()["symbolic"], "sds")
     engine.run()
-    assert all(key[1] != "on_recv" for key in engine.executor._summaries)
+    receptions = [key for key in engine.executor._summaries if key[1] == "on_recv"]
+    assert receptions
+    # a symbolic payload puts the path condition into the key
+    assert all(key[-1] is not None and len(key) == 6 for key in receptions)
+    assert _audited(audit) > 0
+    assert sum(executor.audited_symbolic for executor in audit) > 0
 
 
 # ---------------------------------------------------------------------------
