@@ -9,8 +9,7 @@
    space grows combinatorially.  This quantifies how much.
 """
 
-from repro.api import Scenario, Topology, build_engine
-from repro.bench.runner import run_one
+from repro.api import Scenario, Topology, build_engine, run_scenario
 from repro.workloads import grid_scenario
 
 # Guest code that *branches on symbolic data* at every hop: this is what
@@ -90,10 +89,10 @@ class TestSolverCacheAblation:
 class TestDropSemanticsAblation:
     def test_drop_any_packet_explodes_scenario_space(self, once, benchmark):
         def measure():
-            first = run_one(
+            first = run_scenario(
                 grid_scenario(4, sim_seconds=6), "sds"
             )
-            any_packet = run_one(
+            any_packet = run_scenario(
                 grid_scenario(4, sim_seconds=6, drop_any_packet=True), "sds"
             )
             return first, any_packet

@@ -124,7 +124,7 @@ def test_distributed_speedup(once, benchmark):
     benchmark.extra_info["sequential_s"] = round(sequential_s, 3)
     benchmark.extra_info["distributed_s"] = round(distributed_s, 3)
     benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.extra_info["partition_depth"] = distributed.partition_depth
+    benchmark.extra_info["partition_depth"] = distributed.prefix_events
     benchmark.extra_info["jobs"] = distributed.jobs_dispatched
     record_bench(
         distributed_sequential_s=round(sequential_s, 3),

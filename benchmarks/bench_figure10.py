@@ -13,7 +13,8 @@ Checked shape properties per subfigure pair:
 
 import pytest
 
-from repro.bench.runner import full_scale, run_one
+from repro.api import run_scenario
+from repro.bench.runner import full_scale
 from repro.workloads import paper_grid_scenario
 
 if full_scale():
@@ -45,7 +46,7 @@ def _run_size(nodes):
                 max_states=params["cob_states"],
                 max_wall_seconds=params["cob_wall"],
             )
-        rows[algorithm] = run_one(scenario, algorithm, **caps)
+        rows[algorithm] = run_scenario(scenario, algorithm, **caps)
     return rows
 
 

@@ -10,7 +10,7 @@ vanish when there are no bystanders.
 """
 
 
-from repro.bench.runner import run_one
+from repro.api import run_scenario
 from repro.workloads import flood_scenario, grid_scenario
 
 
@@ -18,7 +18,7 @@ def _ratio(scenario_factory, cob_caps=None):
     rows = {}
     for algorithm in ("cob", "sds"):
         caps = cob_caps if (algorithm == "cob" and cob_caps) else {}
-        rows[algorithm] = run_one(scenario_factory(), algorithm, **caps)
+        rows[algorithm] = run_scenario(scenario_factory(), algorithm, **caps)
     assert not rows["sds"].aborted
     return rows["sds"].total_states / rows["cob"].total_states, rows
 
@@ -49,7 +49,7 @@ def test_flooding_cow_and_sds_converge(once, benchmark):
     def measure():
         rows = {}
         for algorithm in ("cow", "sds"):
-            rows[algorithm] = run_one(flood_scenario(4, rounds=1), algorithm)
+            rows[algorithm] = run_scenario(flood_scenario(4, rounds=1), algorithm)
         return rows
 
     rows = once(measure)

@@ -10,7 +10,8 @@ the medium's semantics changed, not that the machine got slower.
 
 The determinism half of the gate re-runs the identical scenario and
 requires bit-identical counters, and runs it once more under
-``DistributedRunner`` (a static cut, stealing off) to hold the merged
+``DistributedRunner`` (a fixed cut after 40 events, stealing off) to
+hold the merged
 report to the sequential one.
 
 Headline numbers are persisted to the ``SDE_BENCH_JSON`` artifact (see

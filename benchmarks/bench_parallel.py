@@ -3,15 +3,16 @@
 ``bench_partition.py`` reports the *ideal* speedup the partition
 decomposition allows; this benchmark actually runs the partitions on
 worker processes via :class:`repro.core.distributed.DistributedRunner`
-(one static cut at a virtual time, stealing off — what ``repro run
---workers N`` runs) and compares measured wall-clock speedup against
+(one fixed cut after ``PREFIX_EVENTS`` events, stealing off) and
+compares measured wall-clock speedup against
 :func:`~repro.core.partition.projected_speedup`.
 
 Configuration: the paper's 5x5 grid collection scenario under COW with a
 drop budget of 2 — heavy enough (~seconds of sequential work, >100
 independent partitions) that process spawn + snapshot shipping amortizes.
-The split point at 3000 ms leaves ~94% of the events to the parallel
-phase, so with 2 workers Amdahl caps the speedup just below x2.
+The cut after 2,629 events (the events run before virtual time 3000 ms)
+leaves ~94% of the events to the parallel phase, so with 2 workers
+Amdahl caps the speedup just below x2.
 
 The >1.2x wall-clock assertion only applies when the machine actually
 has 2+ cores available to this process (cgroup-capped CI boxes often
@@ -40,7 +41,7 @@ def _heavy_grid():
     return grid_scenario(5, sim_seconds=10, drop_budget=2)
 
 
-SPLIT_MS = 3000
+PREFIX_EVENTS = 2629
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -52,7 +53,11 @@ def test_parallel_speedup_grid5_cow(once, benchmark, workers):
 
         t1 = time.perf_counter()
         parallel = DistributedRunner(
-            _heavy_grid(), "cow", workers=workers, split_ms=SPLIT_MS, steal=False
+            _heavy_grid(),
+            "cow",
+            workers=workers,
+            partition_depth=PREFIX_EVENTS,
+            steal=False,
         ).run()
         parallel_s = time.perf_counter() - t1
         return sequential, sequential_s, parallel, parallel_s

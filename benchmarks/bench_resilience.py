@@ -23,7 +23,8 @@ from repro.api import DistributedRunner, build_engine, resume_engine
 from repro.core.resilience import RetryPolicy, save_checkpoint
 from repro.workloads import grid_scenario
 
-SPLIT_MS = 3000
+#: Events the 5x5 grid (10 s) runs before virtual time 3000 ms.
+PREFIX_EVENTS = {"cow": 281, "sds": 196}
 
 
 def _scenario():
@@ -41,7 +42,7 @@ def test_chaos_recovery_overhead(once, benchmark, monkeypatch):
             _scenario(),
             "cow",
             workers=2,
-            split_ms=SPLIT_MS,
+            partition_depth=PREFIX_EVENTS["cow"],
             steal=False,
             retry_policy=_fast_policy(),
         ).run()
@@ -53,7 +54,7 @@ def test_chaos_recovery_overhead(once, benchmark, monkeypatch):
             _scenario(),
             "cow",
             workers=2,
-            split_ms=SPLIT_MS,
+            partition_depth=PREFIX_EVENTS["cow"],
             steal=False,
             retry_policy=_fast_policy(),
         ).run()
@@ -90,7 +91,7 @@ def test_checkpoint_write_and_resume_cost(once, benchmark, tmp_path):
     def measure():
         engine = build_engine(_scenario(), "sds")
         t_prefix = time.perf_counter()
-        engine.run_until(split_ms=SPLIT_MS)
+        engine.run_until(split_events=PREFIX_EVENTS["sds"])
         prefix_s = time.perf_counter() - t_prefix
         prefix_events = engine.events_executed
         t0 = time.perf_counter()

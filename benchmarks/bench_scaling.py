@@ -7,7 +7,7 @@ states per algorithm; asserts the COW/SDS factor is monotone-ish in k.
 """
 
 
-from repro.bench.runner import run_one
+from repro.api import run_scenario
 from repro.workloads import grid_scenario
 
 
@@ -19,7 +19,7 @@ def test_cow_over_sds_factor_grows_with_network_size(once, benchmark):
         for side in sides:
             states = {}
             for algorithm in ("cow", "sds"):
-                row = run_one(
+                row = run_scenario(
                     grid_scenario(side, sim_seconds=6), algorithm
                 )
                 assert not row.aborted
@@ -41,7 +41,7 @@ def test_sds_growth_is_subexponential_in_size(once, benchmark):
     def sweep():
         counts = {}
         for side in (3, 4, 5, 6):
-            row = run_one(grid_scenario(side, sim_seconds=6), "sds")
+            row = run_scenario(grid_scenario(side, sim_seconds=6), "sds")
             counts[side * side] = row.total_states
         return counts
 

@@ -14,7 +14,8 @@ the paper's 10 seconds.
 
 import pytest
 
-from repro.bench.runner import full_scale, run_one
+from repro.api import run_scenario
+from repro.bench.runner import full_scale
 from repro.workloads import paper_grid_scenario
 
 NODES = 100
@@ -39,7 +40,7 @@ def test_table1_row(once, benchmark, algorithm):
             max_states=COB_STATE_CAP, max_wall_seconds=COB_WALL_CAP
         )
     scenario = _scenario()
-    row = once(run_one, scenario, algorithm, **caps)
+    row = once(run_scenario, scenario, algorithm, **caps)
     _rows[algorithm] = row
     benchmark.extra_info.update(
         scenario=scenario.name,

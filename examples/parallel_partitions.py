@@ -8,7 +8,7 @@ Dstates that share no execution state never interact, so each connected
 component of the dstate/state graph can run on its own core.  This script
 runs the grid scenario under COW and SDS twice — sequentially, then with
 :class:`repro.core.distributed.DistributedRunner` on worker processes
-(one static cut at a virtual time, stealing off) — and shows (1) the
+(one fixed cut after an event count, stealing off) — and shows (1) the
 partition structure and ideal speedup it allows, (2) the measured
 wall-clock of the real parallel run, and (3) that the merged parallel
 report is *identical* to the sequential one.
@@ -27,7 +27,8 @@ from repro.core import partition_groups, speedup_bound
 from repro.workloads import grid_scenario
 
 SIM_SECONDS = 6
-SPLIT_MS = 2000
+#: Events each algorithm runs on the 5x5 grid before virtual time 2000 ms.
+PREFIX_EVENTS = {"cow": 62, "sds": 49}
 
 
 def main() -> int:
@@ -52,7 +53,7 @@ def main() -> int:
             grid_scenario(side, sim_seconds=SIM_SECONDS),
             algorithm,
             workers=workers,
-            split_ms=SPLIT_MS,
+            partition_depth=PREFIX_EVENTS[algorithm],
             steal=False,
         ).run()
         parallel_s = time.perf_counter() - t1

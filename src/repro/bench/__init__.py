@@ -13,4 +13,4 @@ parameters.
 # `python -m` entry points, and importing them from the package would make
 # runpy re-execute an already-imported module (RuntimeWarning).
 from .report import log_sparkline, render_series, render_table1, series_csv  # noqa: F401
-from .runner import full_scale, run_algorithms, run_one  # noqa: F401
+from .runner import full_scale, run_algorithms  # noqa: F401

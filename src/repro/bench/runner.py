@@ -19,29 +19,14 @@ import os
 from typing import List, Optional, Sequence
 
 from ..core.engine import RunReport
-from ..core.scenario import Scenario, build_engine
+from ..core.scenario import run_scenario
 
-__all__ = ["full_scale", "run_algorithms", "run_one"]
+__all__ = ["full_scale", "run_algorithms"]
 
 
 def full_scale() -> bool:
     """True when SDE_FULL=1: run the paper's full-size configurations."""
     return os.environ.get("SDE_FULL", "") == "1"
-
-
-def run_one(
-    scenario: Scenario,
-    algorithm: str,
-    max_states: Optional[int] = None,
-    max_wall_seconds: Optional[float] = None,
-) -> RunReport:
-    """Run one scenario under one algorithm and return its report."""
-    overrides = {}
-    if max_states is not None:
-        overrides["max_states"] = max_states
-    if max_wall_seconds is not None:
-        overrides["max_wall_seconds"] = max_wall_seconds
-    return build_engine(scenario, algorithm, **overrides).run()
 
 
 def run_algorithms(
@@ -52,17 +37,17 @@ def run_algorithms(
 ) -> List[RunReport]:
     """Run a fresh scenario instance per algorithm (caps apply to COB only,
     mirroring the paper's aborted COB run)."""
-    reports = []
-    for algorithm in algorithms:
-        scenario = scenario_factory()
-        if algorithm == "cob":
-            report = run_one(
-                scenario,
-                algorithm,
-                max_states=cob_max_states,
-                max_wall_seconds=cob_max_wall_seconds,
-            )
-        else:
-            report = run_one(scenario, algorithm)
-        reports.append(report)
-    return reports
+    caps = {
+        name: value
+        for name, value in (
+            ("max_states", cob_max_states),
+            ("max_wall_seconds", cob_max_wall_seconds),
+        )
+        if value is not None
+    }
+    return [
+        run_scenario(
+            scenario_factory(), algorithm, **(caps if algorithm == "cob" else {})
+        )
+        for algorithm in algorithms
+    ]

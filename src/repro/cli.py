@@ -15,22 +15,23 @@ Scenario selectors for run/compare/testcases: ``grid:<side>``,
 ``line:<k>``, ``flood:<k>``, ``election:<k>``, ``quorum:<k>``
 (e.g. ``grid:5`` is the paper's 25-node grid).  ``run`` accepts
 ``--trace-out events.jsonl`` and ``--metrics-out metrics.json`` to capture
-the structured observability artifacts, ``--no-fuse`` (or ``SDE_NO_FUSE=1``)
-to run on the unfused base ISA, and the network-medium flags
-(``--medium``, ``--link-loss``, ``--link-jitter-ms``, ``--link-bandwidth``,
-``--link-queue``, ``--net-seed``; docs/NETWORK.md).
+the structured observability artifacts, ``--no-fuse`` to run on the
+unfused base ISA, and the network-medium flags (``--medium``,
+``--link-loss``, ``--link-jitter-ms``, ``--link-bandwidth``,
+``--link-queue``, ``--net-seed``; docs/NETWORK.md).  ``run`` and
+``compare`` take ``--workers N`` to run on a worker pool
+(docs/DISTRIBUTED.md).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from .bench.report import render_table1
-from .bench.runner import run_one
 from .core.config import DEFAULT_CHECKPOINT_EVERY_EVENTS, check_checkpoint_cadence
+from .core.resilience import RetryPolicy
 from .core.scenario import ALGORITHMS, Scenario, build_engine
 from .core.testcase import generate_incrementally
 from .obs import TraceEmitter, save_metrics
@@ -141,49 +142,39 @@ def _emit_artifacts(report, trace, args):
         print(f"metrics written to {metrics_out}")
 
 
-def _fusion_disabled(args) -> bool:
-    """``--no-fuse`` or ``SDE_NO_FUSE=<anything but 0/empty>``."""
-    if getattr(args, "no_fuse", False):
-        return True
-    return os.environ.get("SDE_NO_FUSE", "") not in ("", "0")
+def _retry_policy(args) -> RetryPolicy:
+    """The policy ``run``'s retry flags set (``compare`` has none of them)."""
+    if not hasattr(args, "max_retries"):
+        return RetryPolicy()
+    return RetryPolicy(
+        max_retries=args.max_retries,
+        allow_partial=args.allow_partial,
+        task_timeout_seconds=args.task_timeout,
+    )
 
 
 def _run_report(scenario, algorithm, args, **caps):
-    """One run — on a worker pool per the worker flags, else sequential."""
+    """One run: on a worker pool with ``--workers N``, else sequential."""
     trace = TraceEmitter() if getattr(args, "trace_out", None) else None
     caps.update(_checkpoint_overrides(args))
     caps.update(_medium_overrides(args))
-    if _fusion_disabled(args):
+    if getattr(args, "no_fuse", False):
         caps["fuse_ops"] = False
     if getattr(args, "symmetry", False):
         caps["symmetry"] = True
     if getattr(args, "por", False):
         caps["por"] = True
-    distributed = getattr(args, "distributed", False)
-    if distributed or args.workers is not None:
+    if args.workers is not None:
         from .core.distributed import DistributedRunner
 
-        if distributed:
-            # Adaptive test-depth cut (or --partition-depth), stealing on.
-            cut = dict(
-                partition_depth=getattr(args, "partition_depth", None),
-                steal=getattr(args, "steal", True),
-            )
-        else:
-            # One static cut at a virtual time, stealing off.
-            split_ms = args.split_ms
-            if split_ms is None:
-                split_ms = scenario.horizon_ms * 3 // 10
-            cut = dict(split_ms=split_ms, steal=False)
         report = DistributedRunner(
             scenario,
             algorithm,
-            workers=args.workers if args.workers is not None else 4,
+            workers=args.workers,
+            partition_depth=getattr(args, "partition_depth", None),
+            steal=getattr(args, "steal", True),
             trace=trace,
-            max_retries=getattr(args, "max_retries", None),
-            allow_partial=getattr(args, "allow_partial", None),
-            task_timeout_seconds=getattr(args, "task_timeout", None),
-            **cut,
+            retry_policy=_retry_policy(args),
             **caps,
         ).run()
     else:
@@ -254,10 +245,7 @@ def _cmd_compare(args) -> int:
                 max_states=args.max_states or 500_000,
                 max_wall_seconds=args.max_wall_seconds or 120.0,
             )
-        if args.workers is not None:
-            reports.append(_run_report(scenario, algorithm, args, **caps))
-        else:
-            reports.append(run_one(scenario, algorithm, **caps))
+        reports.append(_run_report(scenario, algorithm, args, **caps))
     suffix = f" ({args.workers} workers)" if args.workers is not None else ""
     print(render_table1(reports, f"{args.scenario} — algorithm comparison{suffix}"))
     return 0
@@ -352,6 +340,12 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+_WORKERS_HELP = (
+    "split one exploration tree by test depth across N worker processes"
+    " (adaptive cut, work-stealing coordinator)"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The full ``repro`` argument parser.
 
@@ -393,34 +387,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run independent dstate partitions on N worker processes",
-    )
-    run_parser.add_argument(
-        "--split-ms",
-        type=int,
-        default=None,
-        help="virtual-time split point for --workers (default: 30%% of horizon)",
-    )
-    run_parser.add_argument(
-        "--distributed",
-        action="store_true",
-        default=False,
-        help="split one exploration tree by test depth across a worker pool"
-        " (work-stealing coordinator; --workers sets the pool size,"
-        " default 4)",
+        help=_WORKERS_HELP,
     )
     run_parser.add_argument(
         "--partition-depth",
         type=int,
         default=None,
-        help="explicit frontier cut for --distributed, in executed events"
+        help="fixed frontier cut for --workers, in executed events"
         " (default: adaptive — deepen until the sharing graph fractures)",
     )
     run_parser.add_argument(
         "--steal",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="work-stealing for --distributed (--no-steal disables)",
+        help="work-stealing for --workers (--no-steal disables)",
     )
     run_parser.add_argument(
         "--checkpoint-out",
@@ -448,13 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--max-retries",
         type=int,
-        default=None,
-        help="retries per failed worker partition (default 2)",
+        default=RetryPolicy.max_retries,
+        help="retries per failed worker partition (default %(default)s)",
     )
     run_parser.add_argument(
         "--allow-partial",
         action="store_true",
-        default=None,
+        default=False,
         help="report partitions that exhaust retries instead of aborting",
     )
     run_parser.add_argument(
@@ -467,8 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-fuse",
         action="store_true",
         default=False,
-        help="disable opcode fusion (superinstructions); also honoured as"
-        " the SDE_NO_FUSE environment variable",
+        help="disable opcode fusion (superinstructions)",
     )
     run_parser.add_argument(
         "--symmetry",
@@ -541,13 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run independent dstate partitions on N worker processes",
-    )
-    compare_parser.add_argument(
-        "--split-ms",
-        type=int,
-        default=None,
-        help="virtual-time split point for --workers (default: 30%% of horizon)",
+        help=_WORKERS_HELP,
     )
     compare_parser.set_defaults(handler=_cmd_compare)
 

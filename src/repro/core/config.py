@@ -87,8 +87,8 @@ class EngineConfig:
     solver_max_nodes: int = 200_000
     # -- interpreter (repro.vm) ---------------------------------------------
     #: fuse hot opcode pairs into superinstructions at decode time
-    #: (``repro run --no-fuse`` / ``SDE_NO_FUSE=1`` turn this off for
-    #: debugging miscompiled superinstructions).  Trace-invisible.
+    #: (``repro run --no-fuse`` turns this off for debugging
+    #: miscompiled superinstructions).  Trace-invisible.
     fuse_ops: bool = True
     # -- state-space reduction (repro.core.reduce) --------------------------
     #: symmetry reduction: park states whose canonical configuration

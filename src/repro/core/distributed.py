@@ -23,9 +23,9 @@ dissolves).  So the runner cuts only between components:
    are at least ``min_partitions`` components with runnable states (or
    the run completes first — the degenerate sequential case).  A fixed
    cut is the same with probing off: ``partition_depth`` cuts after that
-   many events, ``split_ms`` at that virtual time (``repro run --workers
-   N`` without ``--distributed`` cuts at 30% of the horizon, stealing
-   off).
+   many events.  A cut is always an event count: the scheduler pops
+   events in time order, so a cut at a virtual time is the cut at the
+   number of events executed before it.
 2. Every cut lands on an **event boundary**: all states are quiescent,
    ``scheduler_snapshot`` is exact, and each job is a pickled
    :class:`~repro.core.snapshot.EngineSnapshot` — the same object a
@@ -1032,9 +1032,8 @@ class DistributedReport(RunReport):
     The semantic totals are identical to the sequential run for any
     worker count and any steal timing (see the module docstring).  The
     extras are ``workers``, ``worker_results`` (every job's tagged
-    :class:`RunReport`, steal partials included), ``prefix_events`` (=
-    ``partition_depth``, the cut in events), ``split_ms`` (the cut's
-    virtual time, ``None`` for an event-count cut), ``partition_count``,
+    :class:`RunReport`, steal partials included), ``prefix_events`` (the
+    cut in events), ``partition_count``,
     ``projected`` (the LPT-projected speedup), ``census`` (per-node state
     counts, from the jobs' census tags), and from the ``coordinator``:
     ``jobs_dispatched``, the ``steals_*`` counts, ``retries`` and
@@ -1051,7 +1050,6 @@ class DistributedReport(RunReport):
         image_cost: int,
         partitions: List[Partition],
         workers: int,
-        split_ms: Optional[int],
         runtime_seconds: float,
         coordinator: "Coordinator",
         transport_name: str,
@@ -1060,8 +1058,7 @@ class DistributedReport(RunReport):
         self.algorithm = prefix.algorithm
         self.workers = workers
         self.worker_results = list(worker_results)
-        self.prefix_events = self.partition_depth = prefix.events_executed
-        self.split_ms = split_ms
+        self.prefix_events = prefix.events_executed
         self.partition_count = len(partitions)
         self.projected = (projected_speedup(partitions, workers) if partitions else 1.0)
         self.runtime_seconds = runtime_seconds
@@ -1152,7 +1149,7 @@ class DistributedReport(RunReport):
                 "parallel.prefix_events": self.prefix_events,
                 "parallel.retries": self.retries,
                 "parallel.failed_partitions": len(self.failed_partitions),
-                "distributed.partition_depth": self.partition_depth,
+                "distributed.partition_depth": self.prefix_events,
                 "distributed.jobs": self.jobs_dispatched,
                 "distributed.steals.requested": self.steals_requested,
                 "distributed.steals.granted": self.steals_granted,
@@ -1165,16 +1162,10 @@ class DistributedReport(RunReport):
         return dict(self.census)
 
     def summary(self) -> str:
-        split = (
-            f"{self.split_ms} ms"
-            if self.split_ms is not None
-            else f"{self.partition_depth} events"
-        )
         lines = [
             super().summary(),
             f"  workers          : {self.workers}",
-            f"  split point      : {split}"
-            f" ({self.prefix_events} prefix events)",
+            f"  split point      : {self.prefix_events} events",
             f"  partitions       : {self.partition_count}"
             f" (projected speedup x{self.projected:.2f})",
             f"  jobs dispatched  : {self.jobs_dispatched}"
@@ -1209,9 +1200,10 @@ class DistributedRunner:
     a self-contained job, and let the coordinator drive the jobs over the
     transport with supervised retries and (unless ``steal=False``)
     work-stealing.  The cut is adaptive by default; ``partition_depth``
-    fixes it at an executed-event count and ``split_ms`` at a virtual
-    time.  With ``workers=1`` (or a single job) the run degrades to
-    supervised sequential execution over the same pickle round-trip.
+    fixes it at an executed-event count.  Retries, timeouts and partial
+    results are set by one :class:`RetryPolicy`.  With ``workers=1`` (or
+    a single job) the run degrades to supervised sequential execution
+    over the same pickle round-trip.
     """
 
     def __init__(
@@ -1220,7 +1212,6 @@ class DistributedRunner:
         algorithm: str = "sds",
         workers: int = 4,
         partition_depth: Optional[int] = None,
-        split_ms: Optional[int] = None,
         min_partitions: Optional[int] = None,
         probe_events: int = DEFAULT_PROBE_EVENTS,
         probe_limit_events: Optional[int] = DEFAULT_PROBE_LIMIT_EVENTS,
@@ -1228,9 +1219,6 @@ class DistributedRunner:
         transport: Optional[Transport] = None,
         trace: Optional[TraceEmitter] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        max_retries: Optional[int] = None,
-        allow_partial: Optional[bool] = None,
-        task_timeout_seconds: Optional[float] = None,
         **engine_overrides,
     ) -> None:
         if workers < 1:
@@ -1239,7 +1227,6 @@ class DistributedRunner:
         self.algorithm = algorithm
         self.workers = workers
         self.partition_depth = partition_depth
-        self.split_ms = split_ms
         self.min_partitions = (
             min_partitions if min_partitions is not None else 2 * workers
         )
@@ -1248,19 +1235,7 @@ class DistributedRunner:
         self.steal = steal
         self.transport = transport
         self.trace = trace
-        policy = retry_policy if retry_policy is not None else RetryPolicy()
-        replacements = {}
-        if max_retries is not None:
-            replacements["max_retries"] = max_retries
-        if allow_partial is not None:
-            replacements["allow_partial"] = allow_partial
-        if task_timeout_seconds is not None:
-            replacements["task_timeout_seconds"] = task_timeout_seconds
-        if replacements:
-            import dataclasses
-
-            policy = dataclasses.replace(policy, **replacements)
-        self.retry_policy = policy
+        self.retry_policy = retry_policy or RetryPolicy()
         self.engine_overrides = engine_overrides
 
     def run(self) -> DistributedReport:
@@ -1273,7 +1248,7 @@ class DistributedRunner:
             trace=self.trace,
             **self.engine_overrides,
         )
-        if self.partition_depth is None and self.split_ms is None:
+        if self.partition_depth is None:
             partitions = deepen_until_partitioned(
                 engine,
                 min_partitions=self.min_partitions,
@@ -1283,7 +1258,7 @@ class DistributedRunner:
                 trace=self.trace,
             )
         else:
-            engine.run_until(split_ms=self.split_ms, split_events=self.partition_depth)
+            engine.run_until(split_events=self.partition_depth)
             partitions = partition_groups(engine.mapper)
         engine._sample_and_check_caps(force=True)
         prefix = RunReport(engine)
@@ -1341,7 +1316,6 @@ class DistributedRunner:
             ),
             partitions=partitions,
             workers=self.workers,
-            split_ms=self.split_ms,
             runtime_seconds=_time.perf_counter() - started,
             coordinator=coordinator,
             transport_name=type(transport).__name__,

@@ -403,19 +403,14 @@ class SDEEngine:
                 )
             return RunReport(self)
 
-    def run_until(
-        self,
-        split_ms: Optional[int] = None,
-        split_events: Optional[int] = None,
-    ) -> None:
+    def run_until(self, split_events: Optional[int] = None) -> None:
         """Drive the event loop, optionally stopping at a split point.
 
-        With ``split_ms`` set, no event scheduled after that virtual time is
-        consumed — the pending entries stay queued, so the run can be
+        With ``split_events`` set, the loop stops once that many events
+        have executed; the pending entries stay queued, so the run can be
         snapshotted (:meth:`scheduler_snapshot`) and resumed elsewhere.
-        ``split_events`` bounds the number of events executed the same way.
-        With neither bound this is the complete run loop.  The cyclic
-        collector is paused throughout (:class:`gc_paused`).
+        Without it this is the complete run loop.  The cyclic collector is
+        paused throughout (:class:`gc_paused`).
         """
         with gc_paused():
             if not self._started:
@@ -427,9 +422,9 @@ class SDEEngine:
             while True:
                 if split_events is not None and self.events_executed >= split_events:
                     break  # event-count split point reached
-                entry = self.scheduler.pop(self._entry_valid, max_time=split_ms)
+                entry = self.scheduler.pop(self._entry_valid)
                 if entry is None:
-                    break  # no runnable state left (or virtual-time split hit)
+                    break  # no runnable state left
                 event_time, sid = entry
                 if self.clock.expired(event_time):
                     break  # simulation horizon reached

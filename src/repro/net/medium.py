@@ -27,7 +27,7 @@ registry, mirroring the workload and mapper registries:
 Every medium must be **deterministic**: two engines built from the same
 config must plan identical deliveries regardless of process, worker
 count, or exploration order — reports are pinned bit-identical across
-sequential, ``--workers``, ``--distributed`` and checkpoint-resume runs.
+sequential, ``--workers`` and checkpoint-resume runs.
 """
 
 from __future__ import annotations

@@ -29,30 +29,16 @@ class EventQueue(Generic[T]):
     def push(self, time: int, item: T) -> None:
         heapq.heappush(self._heap, (time, next(self._sequence), item))
 
-    def pop(
-        self,
-        is_valid: Optional[Callable[[int, T], bool]] = None,
-        max_time: Optional[int] = None,
-    ):
+    def pop(self, is_valid: Optional[Callable[[int, T], bool]] = None):
         """Pop the earliest valid ``(time, item)``; None when exhausted.
 
         ``is_valid(time, item)`` filters stale entries (e.g. an execution
         state that died or rescheduled since being enqueued).
-
-        With ``max_time`` set, a valid head entry whose time exceeds it is
-        left in place and None is returned — the virtual-time cut of the
-        distributed runner, which must not consume work past the cut.
-        Invalid heads are still discarded while probing.
         """
         while self._heap:
-            time, _, item = self._heap[0]
-            if is_valid is not None and not is_valid(time, item):
-                heapq.heappop(self._heap)
-                continue
-            if max_time is not None and time > max_time:
-                return None
-            heapq.heappop(self._heap)
-            return time, item
+            time, _, item = heapq.heappop(self._heap)
+            if is_valid is None or is_valid(time, item):
+                return time, item
         return None
 
     def entries(self) -> List[Tuple[int, int, T]]:

@@ -226,7 +226,7 @@ class TestDistributedEqualsSequential:
         ).run()
         counters = report.metrics["counters"]
         assert counters["distributed.jobs"] == 1
-        assert counters["distributed.partition_depth"] == report.partition_depth
+        assert counters["distributed.partition_depth"] == report.prefix_events
         assert "distributed.steals.granted" in counters
 
 
@@ -253,7 +253,9 @@ class TestReportRendering:
             "  steals           : 0 granted",
         ):
             assert _summary_line(summary, label)
-        assert f"({report.prefix_events} prefix events)" in summary
+        assert _summary_line(
+            summary, f"  split point      : {report.prefix_events} events"
+        )
         assert "PARTIAL" not in summary
         for label in (
             "  states (total)",
@@ -1068,7 +1070,7 @@ class TestChaos:
 
 
 class TestCLI:
-    def test_run_distributed_flag(self, tmp_path, capsys):
+    def test_run_workers_flag(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "report.json"
@@ -1079,7 +1081,6 @@ class TestCLI:
                     "flood:3",
                     "--sim-seconds",
                     "2",
-                    "--distributed",
                     "--workers",
                     "2",
                     "--json",
@@ -1094,3 +1095,58 @@ class TestCLI:
 
         report = json.loads(out.read_text())
         assert report["total_states"] > 0
+
+    def test_retry_flags_build_the_policy(self):
+        from repro.cli import _retry_policy, build_parser
+
+        args = build_parser().parse_args(
+            [
+                "run",
+                "flood:3",
+                "--workers",
+                "2",
+                "--max-retries",
+                "5",
+                "--allow-partial",
+                "--task-timeout",
+                "7.5",
+            ]
+        )
+        assert _retry_policy(args) == RetryPolicy(
+            max_retries=5, allow_partial=True, task_timeout_seconds=7.5
+        )
+        defaults = build_parser().parse_args(["run", "flood:3", "--workers", "2"])
+        assert _retry_policy(defaults) == RetryPolicy()
+
+    def test_retry_flags_reach_the_run(self, tmp_path, monkeypatch, capsys):
+        # Every first worker attempt dies; with no retries and partial
+        # results allowed, the run reports its failed partitions instead
+        # of raising.
+        import json
+
+        from repro.cli import main
+
+        monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
+        out = tmp_path / "report.json"
+        code = main(
+            [
+                "run",
+                "flood:4",
+                "--workers",
+                "2",
+                "--max-retries",
+                "0",
+                "--allow-partial",
+                "--json",
+                str(out),
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["partial"] is True
+        assert report["retries"] == 0
+        assert report["failed_partitions"]
+        assert all(
+            failure["attempts"] == 1 for failure in report["failed_partitions"]
+        )
+        assert "PARTIAL:" in capsys.readouterr().out

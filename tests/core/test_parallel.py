@@ -1,10 +1,9 @@
-"""Sequential-vs-parallel equivalence under a static cut, and the substrate.
+"""Sequential-vs-parallel equivalence under a fixed cut, and the substrate.
 
 The contract of :class:`repro.core.distributed.DistributedRunner` with a
-fixed cut and stealing off (what ``repro run --workers N`` runs): the
-merged report is *identical* to the sequential run's — same state
-census, same error states, same dscenario/dstate count — for any worker
-count.  These tests pin that down on the paper's 5x5 grid under COW and
+fixed event-count cut (``partition_depth``) and stealing off: the merged
+report is *identical* to the sequential run's — same state census, same
+error states, same dscenario/dstate count — for any worker count.  These tests pin that down on the paper's 5x5 grid under COW and
 SDS, plus the substrate pieces (pickling interned expressions,
 snapshotting mappers, LPT assignment) in isolation.
 """
@@ -30,7 +29,8 @@ from repro.core.scenario import Scenario, build_engine
 from repro.net import Topology
 from repro.workloads import grid_scenario
 
-SPLIT_MS = 3000
+#: Events the 5x5 grid (10 s) runs before virtual time 3000 ms.
+GRID5_PREFIX_EVENTS = {"cow": 281, "sds": 196}
 
 
 def _error_signature(report):
@@ -68,9 +68,10 @@ class TestParallelEquivalence:
             grid_scenario(5, sim_seconds=10),
             algorithm,
             workers=workers,
-            split_ms=SPLIT_MS,
+            partition_depth=GRID5_PREFIX_EVENTS[algorithm],
             steal=False,
         ).run()
+        assert parallel.prefix_events == GRID5_PREFIX_EVENTS[algorithm]
         assert parallel.total_states == report.total_states
         assert parallel.group_count == report.group_count
         assert parallel.state_census() == census
@@ -134,7 +135,7 @@ class TestParallelEquivalence:
         engine = build_engine(factory(), "cob")
         report = engine.run()
         parallel = DistributedRunner(
-            factory(), "cob", workers=2, split_ms=SPLIT_MS, steal=False
+            factory(), "cob", workers=2, partition_depth=257, steal=False
         ).run()
         assert parallel.total_states == report.total_states
         assert parallel.group_count == report.group_count
@@ -145,7 +146,7 @@ class TestParallelEquivalence:
             grid_scenario(3, sim_seconds=2),
             "sds",
             workers=4,
-            split_ms=10_000_000,
+            partition_depth=10**6,
             steal=False,
         ).run()
         engine = build_engine(grid_scenario(3, sim_seconds=2), "sds")
@@ -162,7 +163,7 @@ class TestParallelEquivalence:
             grid_scenario(3, sim_seconds=4),
             "cow",
             workers=2,
-            split_ms=1000,
+            partition_depth=9,
             steal=False,
         ).run()
         data = report_to_dict(parallel)
@@ -188,7 +189,7 @@ class TestParallelEquivalence:
             grid_scenario(5, sim_seconds=10),
             algorithm,
             workers=2,
-            split_ms=SPLIT_MS,
+            partition_depth=GRID5_PREFIX_EVENTS[algorithm],
             steal=False,
             trace=parallel,
         ).run()
@@ -231,8 +232,10 @@ class TestPickling:
     def test_mapper_snapshot_restores_structure(self, algorithm):
         from repro.core.scenario import make_mapper
 
+        # The events each mapper runs on the 3x3 grid before 2000 ms.
+        prefix_events = {"cob": 59, "cow": 25, "sds": 21}[algorithm]
         engine = build_engine(grid_scenario(3, sim_seconds=4), algorithm)
-        engine.run_until(split_ms=2000)
+        engine.run_until(split_events=prefix_events)
         mapper = engine.mapper
         payload = pickle.loads(
             pickle.dumps(
@@ -257,7 +260,7 @@ class TestPickling:
         # Build one real job snapshot, pickle it, and run it in-process:
         # the exact path a job takes on a worker.
         engine = build_engine(grid_scenario(3, sim_seconds=6), "cow")
-        engine.run_until(split_ms=2000)
+        engine.run_until(split_events=25)
         assignment = lpt_assign(partition_groups(engine.mapper), 2)
         snapshots = snapshot_assignment_tasks(
             engine, [bundle for bundle in assignment if bundle]
@@ -329,8 +332,9 @@ class TestParallelCLI:
                 "cow",
                 "--workers",
                 str(workers),
-                "--split-ms",
-                "3000",
+                "--partition-depth",
+                "80",
+                "--no-steal",
                 "--json",
                 str(path),
             ]

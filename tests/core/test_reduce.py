@@ -547,12 +547,11 @@ func on_recv(src, len) {
         sequential = build_engine(
             _guard_scenario(topology), "sds", symmetry=True, por=True
         ).run()
-        scenario = _guard_scenario(topology)
         parallel = DistributedRunner(
-            scenario,
+            _guard_scenario(topology),
             "sds",
             workers=2,
-            split_ms=scenario.horizon_ms * 3 // 10,
+            partition_depth=18,  # the events run before 30% of the horizon
             steal=False,
             symmetry=True,
             por=True,

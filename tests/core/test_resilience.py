@@ -225,12 +225,11 @@ class TestChaosEquivalence:
 
         monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
         parallel_trace = TraceEmitter()
-        scenario = flood_scenario(4, rounds=6)
         parallel = DistributedRunner(
-            scenario,
+            flood_scenario(4, rounds=6),
             "sds",
             workers=2,
-            split_ms=scenario.horizon_ms * 3 // 10,
+            partition_depth=1091,  # the events run before 30% of the horizon
             steal=False,
             trace=parallel_trace,
             retry_policy=RetryPolicy(backoff_base_seconds=0.001),
@@ -261,13 +260,17 @@ def _scenario():
     return grid_scenario(3, sim_seconds=6)
 
 
+#: Events SDS runs on :func:`_scenario` before virtual time 3000 ms.
+SDS_PREFIX_EVENTS = 68
+
+
 class TestCheckpointResume:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         baseline_engine = build_engine(_scenario(), "sds")
         baseline = baseline_engine.run()
 
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         header = save_checkpoint(engine, path)
         assert header["events_executed"] == engine.events_executed
@@ -281,10 +284,12 @@ class TestCheckpointResume:
 
     @pytest.mark.parametrize("algorithm", ["cob", "cow"])
     def test_resume_matches_for_other_mappers(self, tmp_path, algorithm):
+        # The events each mapper runs before 2000 ms.
+        prefix_events = {"cob": 59, "cow": 25}[algorithm]
         baseline_engine = build_engine(_scenario(), algorithm)
         baseline = baseline_engine.run()
         engine = build_engine(_scenario(), algorithm)
-        engine.run_until(split_ms=2000)
+        engine.run_until(split_events=prefix_events)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
         resumed = resume_engine(path)
@@ -310,7 +315,7 @@ class TestCheckpointResume:
             EngineSnapshot, "capture", staticmethod(with_retired_fields)
         )
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "old.sdeckpt"
         save_checkpoint(engine, path)
         del engine
@@ -338,7 +343,7 @@ class TestCheckpointResume:
             EngineSnapshot, "capture", staticmethod(with_foreign_bounds)
         )
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "foreign.sdeckpt"
         save_checkpoint(engine, path)
         with pytest.raises(CheckpointError, match="histogram bounds"):
@@ -371,7 +376,7 @@ class TestCheckpointResume:
 
         first_trace = TraceEmitter()
         engine = build_engine(_scenario(), "sds", trace=first_trace)
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
 
@@ -390,7 +395,7 @@ class TestCheckpointResume:
         from repro.core.reporting import report_to_dict
 
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
         report = resume_engine(path).run()
@@ -401,7 +406,7 @@ class TestCheckpointResume:
 
     def test_header_is_readable_without_unpickling(self, tmp_path):
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
         with open(path, "rb") as handle:
@@ -414,7 +419,7 @@ class TestCheckpointResume:
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
         raw = path.read_bytes()
@@ -424,7 +429,7 @@ class TestCheckpointResume:
 
     def test_corrupted_body_rejected(self, tmp_path):
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
         raw = bytearray(path.read_bytes())
@@ -445,7 +450,7 @@ class TestCheckpointResume:
 
     def test_future_version_rejected(self, tmp_path):
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "mid.sdeckpt"
         save_checkpoint(engine, path)
         magic, header_bytes, body = path.read_bytes().split(b"\n", 2)
@@ -461,7 +466,7 @@ class TestCheckpointResume:
         # Version 4 kept one counter dict per subsystem and no reducer
         # counters; its body cannot restore into a version-5 engine.
         engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_ms=3000)
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
         path = tmp_path / "v4.sdeckpt"
         save_checkpoint(engine, path)
         magic, header_bytes, body = path.read_bytes().split(b"\n", 2)

@@ -426,7 +426,7 @@ def test_checkpoint_resume_equals_uninterrupted(audit, tmp_path):
     baseline = baseline_engine.run()
     assert baseline_engine.executor.summary_hits > 0
     engine = build_engine(grid_scenario(3, sim_seconds=6), "sds")
-    engine.run_until(split_ms=3000)
+    engine.run_until(split_events=68)  # the events before 3000 ms
     path = tmp_path / "mid.sdeckpt"
     save_checkpoint(engine, path)
     resumed = resume_engine(path)

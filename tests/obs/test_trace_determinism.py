@@ -16,7 +16,8 @@ from repro.core.distributed import DistributedRunner
 from repro.obs import TraceEmitter, diff_traces, validate_trace
 from repro.workloads import flood_scenario, grid_scenario
 
-SPLIT_MS = 2000
+#: Events COW runs on the 3x3 grid before virtual time 2000 ms.
+PREFIX_EVENTS = 25
 
 
 def _traced_sequential(scenario, algorithm):
@@ -53,7 +54,7 @@ class TestWorkerCountIndependence:
             grid_scenario(3, sim_seconds=6),
             "cow",
             workers=workers,
-            split_ms=SPLIT_MS,
+            partition_depth=PREFIX_EVENTS,
             steal=False,
             trace=trace,
         ).run()
@@ -68,7 +69,7 @@ class TestWorkerCountIndependence:
             grid_scenario(3, sim_seconds=6),
             "cow",
             workers=2,
-            split_ms=SPLIT_MS,
+            partition_depth=PREFIX_EVENTS,
             steal=False,
             trace=trace,
         ).run()
@@ -89,7 +90,7 @@ class TestMetricsDeterminism:
                 grid_scenario(3, sim_seconds=6),
                 "cow",
                 workers=workers,
-                split_ms=SPLIT_MS,
+                partition_depth=PREFIX_EVENTS,
                 steal=False,
             ).run()
         # Cache hit/miss ratios, backend-solve counts, model shortcuts and

@@ -8,11 +8,11 @@ from repro.bench import (
     render_series,
     render_table1,
     run_algorithms,
-    run_one,
     series_csv,
 )
 from repro.bench.report import memory_label, runtime_label
 from repro.core.engine import RunReport
+from repro.core.scenario import run_scenario
 from repro.workloads import line_scenario
 
 
@@ -21,8 +21,8 @@ def rows_for(factory=lambda: line_scenario(3, sim_seconds=2)):
 
 
 class TestRunner:
-    def test_run_one_row_fields(self):
-        report = run_one(line_scenario(3, sim_seconds=2), "sds")
+    def test_run_scenario_row_fields(self):
+        report = run_scenario(line_scenario(3, sim_seconds=2), "sds")
         assert isinstance(report, RunReport)
         assert report.algorithm == "sds"
         assert report.total_states > 0
@@ -41,6 +41,14 @@ class TestRunner:
         )
         cob = rows[0]
         assert cob.aborted
+
+    def test_unset_caps_keep_the_scenarios_own(self):
+        from repro.workloads import grid_scenario
+
+        rows = run_algorithms(
+            lambda: grid_scenario(3, sim_seconds=3, max_states=1), ("cob",)
+        )
+        assert rows[0].aborted
 
     def test_full_scale_env(self, monkeypatch):
         monkeypatch.delenv("SDE_FULL", raising=False)
@@ -68,7 +76,7 @@ class TestReport:
 
     def test_ram_column_is_the_peak(self):
         # The paper's RAM column is peak memory, not the final accounting.
-        report = run_one(line_scenario(3, sim_seconds=2), "sds")
+        report = run_scenario(line_scenario(3, sim_seconds=2), "sds")
         report.samples.append(report.samples[-1]._replace(accounted_bytes=7_000_000))
         text = render_table1([report], "t")
         assert "7.0 MB" in text
