@@ -138,22 +138,27 @@ class _Canon:
         return index
 
 
-def _serialize_expr(root, canon: _Canon, out: List) -> None:
-    """Append a pre-order token stream for ``root`` (iterative: constraint
-    chains from long loops exceed the recursion limit)."""
+def _expr_template(root) -> Tuple[tuple, tuple]:
+    """The pre-order token stream of ``root`` with ``None`` at each
+    variable, plus the variable slots ``(position, name, width)`` in
+    pre-order (iterative: constraint chains from long loops exceed the
+    recursion limit)."""
+    tokens: List = []
+    slots: List = []
     stack = [root]
     while stack:
         node = stack.pop()
         if isinstance(node, BVVar):
-            out.append(("v", canon.rename(node.name), node.width))
+            slots.append((len(tokens), node.name, node.width))
+            tokens.append(None)
             continue
         if isinstance(node, BVConst):
-            out.append(("c", node.value, node.width))
+            tokens.append(("c", node.value, node.width))
             continue
         if isinstance(node, BoolConst):
-            out.append(("b", node.value))
+            tokens.append(("b", node.value))
             continue
-        out.append(
+        tokens.append(
             (
                 type(node).__name__,
                 getattr(node, "op", None),
@@ -164,50 +169,168 @@ def _serialize_expr(root, canon: _Canon, out: List) -> None:
         children = node.children()
         # Reversed so the stream stays in left-to-right pre-order.
         stack.extend(reversed(children))
+    return tuple(tokens), tuple(slots)
 
 
-def _serialize_cell(cell, canon: _Canon, out: List) -> None:
-    if isinstance(cell, int):
-        out.append(cell)
-    else:
-        out.append("<expr>")
-        _serialize_expr(cell, canon, out)
+def _fill(template: Tuple[tuple, tuple], canon: _Canon, out: List) -> None:
+    """Append ``template``'s tokens with every variable slot renamed.
+
+    Slots are renamed in pre-order, the order in which a walk of the
+    expression meets its variables, so the tokens equal the walk's."""
+    tokens, slots = template
+    base = len(out)
+    out.extend(tokens)
+    rename = canon.rename
+    for pos, name, width in slots:
+        out[base + pos] = ("v", rename(name), width)
 
 
-def _live_variables(state: ExecutionState) -> Set:
-    """Symbolic variables an idle state can still observe: those in guest
-    memory plus those in pending packet payloads."""
-    live: Set = set()
-    for cell in state.memory:
-        if not isinstance(cell, int):
-            live.update(cell.variables())
-    for event in state.events:
-        if event.kind == Event.RECV:
-            for cell in event.data.payload:
-                if not isinstance(cell, int):
-                    live.update(cell.variables())
-    return live
+class _MemoryTemplate:
+    """One memory tuple's part of a serialization.
+
+    Memory is serialized first, under an empty rename table, so its
+    renamed tokens, the renaming they leave and the live variables they
+    hold depend on the tuple alone.  So does the constraint segment of a
+    state with no pending reception, which is cached here per path
+    condition."""
+
+    __slots__ = ("memory", "tokens", "canon", "live", "segments")
+
+    def __init__(self, memory: Sequence, tokens: tuple, canon: _Canon, live) -> None:
+        self.memory = memory
+        self.tokens = tokens
+        self.canon = canon
+        self.live = live
+        #: id(path condition) -> (path condition, constraint segment)
+        self.segments: Dict[int, tuple] = {}
+
+
+class _Templates:
+    """One reducer's token templates, built once per shared object.
+
+    States share their parts by reference: expressions are interned,
+    idle memory is an immutable tuple, and constraint groups come
+    memoized from :meth:`ConstraintSet.partition_groups`.  Each part is
+    walked once; every later serialization copies its template and
+    renames the variable slots.  Entries are keyed by ``id`` and hold
+    their key, so the id cannot be reused while the entry lives, and
+    are never hashed structurally.  The table lives and dies with its
+    reducer and is never pickled: a restored reducer starts empty.
+    """
+
+    # Weak-referenceable, so tests can watch a dropped engine free it.
+    __slots__ = ("exprs", "memories", "groups", "__weakref__")
+
+    def __init__(self) -> None:
+        #: id(root) -> (root, (tokens, slots))
+        self.exprs: Dict[int, tuple] = {}
+        #: id(memory) -> _MemoryTemplate
+        self.memories: Dict[int, _MemoryTemplate] = {}
+        #: id(conjuncts) -> (conjuncts, (tokens, slots))
+        self.groups: Dict[int, tuple] = {}
+
+    def expr(self, root) -> Tuple[tuple, tuple]:
+        entry = self.exprs.get(id(root))
+        if entry is None or entry[0] is not root:
+            entry = (root, _expr_template(root))
+            self.exprs[id(root)] = entry
+        return entry[1]
+
+    def memory(self, memory: Sequence) -> _MemoryTemplate:
+        """The template of ``memory``; only an immutable tuple is kept, a
+        running state's list is serialized afresh."""
+        entry = self.memories.get(id(memory))
+        if entry is not None and entry.memory is memory:
+            return entry
+        canon = _Canon()
+        out: List = ["mem"]
+        live: Set = set()
+        _serialize_cells(memory, self, canon, out, live)
+        entry = _MemoryTemplate(memory, tuple(out), canon, frozenset(live))
+        if type(memory) is tuple:
+            self.memories[id(memory)] = entry
+        return entry
+
+    def group(self, conjuncts: Tuple) -> Tuple[tuple, tuple]:
+        """The concatenated templates of one group's conjuncts."""
+        entry = self.groups.get(id(conjuncts))
+        if entry is None or entry[0] is not conjuncts:
+            tokens: List = []
+            slots: List = []
+            for conjunct in conjuncts:
+                sub_tokens, sub_slots = self.expr(conjunct)
+                base = len(tokens)
+                tokens.extend(sub_tokens)
+                slots.extend(
+                    (base + pos, name, width) for pos, name, width in sub_slots
+                )
+            entry = (conjuncts, (tuple(tokens), tuple(slots)))
+            self.groups[id(conjuncts)] = entry
+        return entry[1]
+
+
+def _serialize_cells(
+    cells: Sequence,
+    templates: _Templates,
+    canon: _Canon,
+    out: List,
+    live: Optional[Set],
+) -> None:
+    """Append memory or payload cells; ``live`` collects their variables."""
+    for cell in cells:
+        if isinstance(cell, int):
+            out.append(cell)
+        else:
+            out.append("<expr>")
+            _fill(templates.expr(cell), canon, out)
+            if live is not None:
+                live.update(cell.variables())
 
 
 def _serialize_packet(
-    packet: Packet, canon: _Canon, out: List, slots: List[int]
+    packet: Packet,
+    templates: _Templates,
+    canon: _Canon,
+    out: List,
+    slots: List[int],
+    live: Optional[Set],
 ) -> None:
     slots.append(len(out))
     out.append(("pkt", packet.src))
-    for cell in packet.payload:
-        _serialize_cell(cell, canon, out)
+    _serialize_cells(packet.payload, templates, canon, out, live)
 
 
-def _serialize_state(state: ExecutionState, canon: _Canon, slots: List[int]) -> List:
+def _constraint_segment(
+    constraints, live, canon: _Canon, templates: _Templates
+) -> tuple:
+    """The live-projected constraint groups, renamed and sorted."""
+    groups = []
+    for conjuncts, variables in constraints.partition_groups():
+        if live and not variables.isdisjoint(live):
+            group_out: List = []
+            # Each group renames from a copy of the state's table: a
+            # name first met in one group takes the same index in all.
+            _fill(templates.group(conjuncts), _Canon(canon), group_out)
+            groups.append(tuple(group_out))
+    # Groups are variable-disjoint components; sorting their serialized
+    # forms makes the ordering canonical without a global var order.
+    return tuple(sorted(groups))
+
+
+def _serialize_state(
+    state: ExecutionState, templates: _Templates, slots: List[int]
+) -> Tuple[List, _Canon]:
     """One flat, hashable-token serialization of an idle state's
-    configuration, with node ids as they are.
+    configuration, with node ids as they are, and the renaming it leaves
+    (shared with the template table: copy it before renaming more).
 
     Includes: node, status, guest memory, pending events in deterministic
     order (timer liveness instead of absolute generations), and the
-    live-projected canonical constraint groups.  Excludes: sid, pc/stacks
-    (empty between events), clock (event times are absolute),
-    communication history and symbolic counters (future names are
-    alpha-erased anyway).
+    live-projected canonical constraint groups: those sharing a variable
+    with guest memory or a pending packet payload, the variables an idle
+    state can still observe.  Excludes: sid, pc/stacks (empty between
+    events), clock (event times are absolute), communication history and
+    symbolic counters (future names are alpha-erased anyway).
 
     The only node ids in the stream are the ``("node", n)`` token at
     index 0 and the ``("pkt", src)`` token of every pending packet; their
@@ -215,39 +338,44 @@ def _serialize_state(state: ExecutionState, canon: _Canon, slots: List[int]) -> 
     applied afterwards (see :func:`_canonical_form`).
     """
     slots.append(0)
+    memory = templates.memory(state.memory)
+    canon = memory.canon
+    live = memory.live
     out: List = [("node", state.node), ("status", state.status)]
-    out.append("mem")
-    for cell in state.memory:
-        _serialize_cell(cell, canon, out)
+    out.extend(memory.tokens)
     out.append("events")
+    received = False
     for event in state.events:
         if event.kind == Event.RECV:
+            if not received:
+                received = True
+                canon = _Canon(canon)
+                live = set(live)
             out.append(("recv", event.time))
-            _serialize_packet(event.data, canon, out, slots)
+            _serialize_packet(event.data, templates, canon, out, slots, live)
         elif event.kind == Event.TIMER:
-            live = event.generation == state.timer_generations.get(event.data, 0)
-            out.append(("timer", event.time, event.data, live))
+            alive = event.generation == state.timer_generations.get(event.data, 0)
+            out.append(("timer", event.time, event.data, alive))
         else:
             out.append((event.kind, event.time))
     out.append("constraints")
-    live = _live_variables(state)
-    groups = []
-    for conjuncts, variables in state.constraints.partition_groups():
-        if live and not variables.isdisjoint(live):
-            group_out: List = []
-            group_canon = _Canon(canon)
-            for conjunct in conjuncts:
-                _serialize_expr(conjunct, group_canon, group_out)
-            groups.append(tuple(group_out))
-    # Groups are variable-disjoint components; sorting their serialized
-    # forms makes the ordering canonical without a global var order.
-    out.extend(sorted(groups))
-    return out
+    constraints = state.constraints
+    if received:
+        out.extend(_constraint_segment(constraints, live, canon, templates))
+        return out, canon
+    entry = memory.segments.get(id(constraints))
+    if entry is None or entry[0] is not constraints:
+        segment = _constraint_segment(constraints, live, canon, templates)
+        entry = (constraints, segment)
+        memory.segments[id(constraints)] = entry
+    out.extend(entry[1])
+    return out, canon
 
 
 def _canonical_form(
     state: ExecutionState,
     perms: Optional[Sequence[Tuple[int, ...]]],
+    templates: _Templates,
     packet: Optional[Packet] = None,
 ) -> Optional[tuple]:
     """The minimal serialization of ``state`` (then ``packet``, if given)
@@ -263,11 +391,10 @@ def _canonical_form(
     """
     if len(state.constraints) > MAX_FINGERPRINT_CONJUNCTS:
         return None
-    canon = _Canon()
     slots: List[int] = []
-    tokens = _serialize_state(state, canon, slots)
+    tokens, canon = _serialize_state(state, templates, slots)
     if packet is not None:
-        _serialize_packet(packet, canon, tokens, slots)
+        _serialize_packet(packet, templates, _Canon(canon), tokens, slots, None)
     if perms is not None:
         ids = [tokens[pos][1] for pos in slots]
         best = min(perms, key=itemgetter(*ids))
@@ -280,14 +407,14 @@ def state_fingerprint(
     state: ExecutionState, perm: Optional[Tuple[int, ...]] = None
 ) -> Optional[tuple]:
     """The alpha-renamed configuration fingerprint of one idle state."""
-    return _canonical_form(state, None if perm is None else (perm,))
+    return _canonical_form(state, None if perm is None else (perm,), _Templates())
 
 
 def canonical_state_form(
     state: ExecutionState, autos: Sequence[Tuple[int, ...]]
 ) -> Optional[tuple]:
     """The minimal fingerprint over the given permutations."""
-    return _canonical_form(state, autos)
+    return _canonical_form(state, autos, _Templates())
 
 
 def permute_state(state: ExecutionState, perm: Tuple[int, ...]) -> ExecutionState:
@@ -533,6 +660,7 @@ class StateReducer:
         self.disable_reason = None if ok else reason
         self.seen: Dict[tuple, int] = {}
         self.delivery_seen: Set[tuple] = set()
+        self._templates = _Templates()
         # Flow counters (``reduce.*`` metrics), adopted by ``metrics``.
         #: canonical fingerprints computed
         self.fingerprints = Counter("reduce.fingerprints")
@@ -569,7 +697,9 @@ class StateReducer:
     def _fingerprint(
         self, state: ExecutionState, packet: Optional[Packet] = None
     ) -> Optional[tuple]:
-        fingerprint = _canonical_form(state, self._stabilizers[state.node], packet)
+        fingerprint = _canonical_form(
+            state, self._stabilizers[state.node], self._templates, packet
+        )
         if fingerprint is not None:
             self.fingerprints.value += 1
         return fingerprint

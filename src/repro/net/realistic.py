@@ -57,11 +57,16 @@ from ..obs.metrics import Counter
 from .medium import Medium, register_medium
 from .topology import Topology
 
-__all__ = ["RealisticMedium"]
+__all__ = ["DRAW_MEMO_LIMIT", "RealisticMedium"]
 
 #: egress-link key for broadcasts: the radio serializes one frame,
 #: whichever neighbours overhear it.
 _BROADCAST_LINK = -1
+
+#: Draws one medium keeps; a full memo is emptied and refills.  Sibling
+#: states replan the same logical send, so about half of all draws repeat
+#: an earlier key of the same medium.
+DRAW_MEMO_LIMIT = 1 << 16
 
 
 class RealisticMedium(Medium):
@@ -107,6 +112,7 @@ class RealisticMedium(Medium):
             self.hops_traversed,
         )
         self._hop_tables: Dict[int, Dict[int, int]] = {}
+        self._draws: Dict[Tuple[str, int, int, int, int, int], float] = {}
 
     # -- routing (Dijkstra, deterministic tie-breaks) -----------------------
 
@@ -177,8 +183,15 @@ class RealisticMedium(Medium):
     def _draw(
         self, tag: str, src: int, dest: int, clock: int, seq: int, hop: int
     ) -> float:
-        key = f"net:{self.seed}:{tag}:{src}:{dest}:{clock}:{seq}:{hop}"
-        return random.Random(key).random()
+        key = (tag, src, dest, clock, seq, hop)
+        draw = self._draws.get(key)
+        if draw is None:
+            if len(self._draws) >= DRAW_MEMO_LIMIT:
+                self._draws.clear()
+            seed = f"net:{self.seed}:{tag}:{src}:{dest}:{clock}:{seq}:{hop}"
+            draw = random.Random(seed).random()
+            self._draws[key] = draw
+        return draw
 
     def _jitter(
         self, src: int, dest: int, clock: int, seq: int, hop: int

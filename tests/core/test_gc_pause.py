@@ -9,7 +9,8 @@
 - the executor's event summaries key symbolic input on its path
   condition, so the summary table holds path-condition nodes.  The
   table lives inside the executor's documented ``_threaded`` cycle:
-  one collection after the engine is dropped frees every such node.
+  one collection after the engine is dropped frees every such node;
+- the reducer's template table lives and dies with its engine.
 """
 
 import gc
@@ -185,3 +186,17 @@ class TestTeardown:
         del engine
         gc.collect()
         assert [ref for ref in held if ref() is not None] == []
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_reducer_template_table_is_freed_with_the_engine(self, algorithm):
+        gc.collect()
+        engine = build_engine(
+            SCENARIOS["symflood"](), algorithm, symmetry=True, por=True
+        )
+        engine.run()
+        table = engine.reducer._templates
+        assert table.exprs and table.memories and table.groups
+        table = weakref.ref(table)
+        gc.disable()
+        del engine
+        assert table() is None

@@ -6,13 +6,17 @@ Four layers:
   orbits, closure);
 - the canonicalization property — ``canonicalize(permute(s)) ==
   canonicalize(s)`` for random reachable states under random
-  automorphisms (hypothesis) — and the one-walk canonical form checked
-  against a per-permutation reference serializer;
+  automorphisms (hypothesis) — and the one-walk canonical form, built
+  from the reducer's token templates, checked against an uncached
+  per-permutation reference serializer;
 - the static receive-handler certification that guards POR;
 - the reducer wired into the engine: pruning/sleeping/waking counters,
   verdict preservation, the uncertified-handler self-disable, and
   composition with the parallel and distributed runners.
 """
+
+import pickle
+from typing import List, Set
 
 import pytest
 from hypothesis import given, settings
@@ -28,9 +32,6 @@ from repro.core import reduce
 from repro.core.reduce import (
     StateReducer,
     _Canon,
-    _live_variables,
-    _serialize_cell,
-    _serialize_expr,
     analyze_recv_handler,
     automorphisms,
     canonical_state_form,
@@ -40,10 +41,12 @@ from repro.core.reduce import (
     permute_state,
     state_fingerprint,
 )
-from repro.expr import add, bv, var
+from repro.core.snapshot import EngineSnapshot
+from repro.expr import add, bv, sub, ult, var
+from repro.expr.ast import BoolConst, BVConst, BVVar
 from repro.lang import compile_source
 from repro.net.packet import Packet
-from repro.vm.state import Event
+from repro.vm.state import Event, ExecutionState
 
 from benchmarks.ladder.workloads import runs_for
 
@@ -182,6 +185,60 @@ class TestCanonicalInvariance:
 # ---------------------------------------------------------------------------
 # One serialization walk per canonical form
 # ---------------------------------------------------------------------------
+
+# The uncached walk: the reducer's template table must reproduce its
+# tokens exactly.
+
+
+def _serialize_expr(root, canon: _Canon, out: List) -> None:
+    """Append a pre-order token stream for ``root`` (iterative: constraint
+    chains from long loops exceed the recursion limit)."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, BVVar):
+            out.append(("v", canon.rename(node.name), node.width))
+            continue
+        if isinstance(node, BVConst):
+            out.append(("c", node.value, node.width))
+            continue
+        if isinstance(node, BoolConst):
+            out.append(("b", node.value))
+            continue
+        out.append(
+            (
+                type(node).__name__,
+                getattr(node, "op", None),
+                getattr(node, "low", None),
+                getattr(node, "signed", None),
+            )
+        )
+        children = node.children()
+        # Reversed so the stream stays in left-to-right pre-order.
+        stack.extend(reversed(children))
+
+
+def _serialize_cell(cell, canon: _Canon, out: List) -> None:
+    if isinstance(cell, int):
+        out.append(cell)
+    else:
+        out.append("<expr>")
+        _serialize_expr(cell, canon, out)
+
+
+def _live_variables(state: ExecutionState) -> Set:
+    """Symbolic variables an idle state can still observe: those in guest
+    memory plus those in pending packet payloads."""
+    live: Set = set()
+    for cell in state.memory:
+        if not isinstance(cell, int):
+            live.update(cell.variables())
+    for event in state.events:
+        if event.kind == Event.RECV:
+            for cell in event.data.payload:
+                if not isinstance(cell, int):
+                    live.update(cell.variables())
+    return live
 
 
 def _reference_serialize_packet(packet, perm, canon, out):
@@ -341,6 +398,30 @@ class TestOneWalkCanonicalForm:
         assert canonical == _reference_form(state, reducer.autos)
         node_count = len(reducer.autos[0])
         assert identity == _reference_form(state, [tuple(range(node_count))])
+
+
+    def test_template_table_equals_the_walk_on_crafted_states(self):
+        """Shapes the protocol runs above never make: expressions over
+        several variables, a live group with a variable seen nowhere else,
+        and one memory tuple and path condition both with and without a
+        pending reception that makes another group live."""
+        x, y, z, w = (var(name, 8) for name in ("n1.x", "n2.y", "n3.z", "n0.w"))
+        idle = ExecutionState(0, 3)
+        idle.memory = (3, add(y, x), x)
+        for constraint in (ult(x, w), ult(z, bv(9, 8)), ult(y, bv(5, 8))):
+            idle.add_constraint(constraint)
+        receiving = idle.fork()
+        receiving.push_event(10, Event.RECV, Packet(1, 0, (7, add(z, w)), 0))
+        packet = Packet(2, 0, (sub(w, z),), 0)
+        reducer = StateReducer(Topology.ring(4), compile_source(GUARDED))
+        stabilizer = reducer._stabilizers[0]
+        for state in (idle, receiving, idle, receiving):  # cold, then warm
+            assert reducer._fingerprint(state) == _reference_form(
+                state, stabilizer
+            )
+            assert reducer._delivery_key(state, packet) == _reference_form(
+                state, stabilizer, packet
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +614,49 @@ func on_recv(src, len) {
             "orbits": 217,
         }
 
+    def test_reduced_flood_fingerprints_equal_the_reference_walk(self):
+        """Every fingerprint and delivery key of a whole reduced-flood
+        run, taken from the reducer's warm template table, equals the
+        uncached per-permutation walk of the same state at that moment."""
+        audited = []
+        original = StateReducer._fingerprint
+
+        def audit(self, state, packet=None):
+            fingerprint = original(self, state, packet)
+            reference = _reference_form(
+                state, self._stabilizers[state.node], packet
+            )
+            assert fingerprint == reference
+            audited.append(packet is not None)
+            return fingerprint
+
+        (run,) = runs_for("reduced-flood", 7)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(StateReducer, "_fingerprint", audit)
+            report = run.execute(run.scenario())
+        assert (len(audited), sum(audited)) == (4346, 3126)  # 3126 with a packet
+        assert (report.total_states, report.events_executed) == (4002, 4672)
+        counters = report.metrics["counters"]
+        assert (
+            counters["reduce.fingerprints"],
+            counters["reduce.pruned"],
+            counters["reduce.orbits"],
+            counters["reduce.slept_twins"],
+            counters["reduce.woken"],
+            counters["reduce.slept_events"],
+        ) == (4346, 936, 217, 67, 67, 4482)
+
+    def test_restored_reducer_starts_with_an_empty_table(self):
+        engine = build_engine(
+            _guard_scenario(Topology.ring(4)), "sds", symmetry=True, por=True
+        )
+        engine.run_until(12)
+        assert engine.reducer._templates.memories
+        snapshot = EngineSnapshot.capture(engine, with_counters=True)
+        restored = pickle.loads(pickle.dumps(snapshot)).restore()
+        table = restored.reducer._templates
+        assert not (table.exprs or table.memories or table.groups)
+
     def test_reduction_off_exposes_no_counters(self):
         report = build_engine(
             _guard_scenario(Topology.line(3)), "sds"
@@ -562,6 +686,36 @@ func on_recv(src, len) {
         ) == canonical_violations(sequential, topology)
         merged = parallel.metrics["counters"]
         assert merged["reduce.slept_twins"] >= 1
+
+    def test_reduction_runs_inside_a_worker(self):
+        """A cut six events in: the prefix has slept no twin yet, so every
+        slept twin of the merged run was slept by a worker's reducer."""
+        topology = Topology.ring(4)
+        sequential = build_engine(
+            _guard_scenario(topology), "sds", symmetry=True, por=True
+        ).run()
+        prefix = build_engine(
+            _guard_scenario(topology), "sds", symmetry=True, por=True
+        )
+        prefix.run_until(6)
+        distributed = DistributedRunner(
+            _guard_scenario(topology),
+            "sds",
+            workers=2,
+            partition_depth=6,
+            steal=False,
+            symmetry=True,
+            por=True,
+        ).run()
+        assert distributed.jobs_dispatched >= 1
+        assert distributed.events_executed > distributed.prefix_events == 6
+        assert distributed.total_states == sequential.total_states
+        assert canonical_violations(
+            distributed, topology
+        ) == canonical_violations(sequential, topology)
+        slept = distributed.metrics["counters"]["reduce.slept_twins"]
+        assert slept >= 1
+        assert prefix.reducer.slept_twins.value == 0
 
     def test_composes_with_distributed_runner(self):
         topology = Topology.ring(4)

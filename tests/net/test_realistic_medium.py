@@ -1,6 +1,8 @@
 """The realistic medium: registry, routing, loss/jitter determinism,
 egress queues, and the symmetry predicate the reducer relies on."""
 
+import random
+
 import pytest
 
 from repro.net import (
@@ -11,6 +13,7 @@ from repro.net import (
     make_medium,
     register_medium,
 )
+from repro.net import realistic
 from repro.net.medium import _MEDIA
 from repro.vm.state import FrozenMap
 
@@ -102,6 +105,21 @@ class TestDeterminism:
         b = RealisticMedium(Topology.ring(4), loss=0.5, seed=9)
         for hop in range(8):
             assert a._lost(0, 2, 100, 3, hop) == b._lost(0, 2, 100, 3, hop)
+
+    def test_memoized_draw_equals_a_fresh_seeded_draw(self, monkeypatch):
+        monkeypatch.setattr(realistic, "DRAW_MEMO_LIMIT", 8)
+        medium = RealisticMedium(Topology.ring(4), loss=0.5, seed=9)
+        keys = [
+            (tag, 0, 2, 100, seq, hop)
+            for tag in ("loss", "jitter")
+            for seq in range(2)
+            for hop in range(3)
+        ]
+        # Misses, hits, then new keys past the bound, which empty the memo.
+        for key in keys[:6] + keys[:6] + keys:
+            seed = "net:9:" + ":".join(map(str, key))
+            assert medium._draw(*key) == random.Random(seed).random()
+            assert len(medium._draws) <= 8
 
     def test_different_seed_different_outcomes(self):
         draws = {
