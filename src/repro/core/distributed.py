@@ -84,8 +84,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.events import TraceEmitter
-from ..obs.metrics import Counter, merge_snapshots, report_snapshot
-from ..obs.profile import merge_phase_snapshots
+from ..obs.metrics import Counter, MetricsRegistry, merge_snapshots, report_snapshot
 from .engine import RunReport, SDEEngine
 from .partition import (
     Partition,
@@ -1126,21 +1125,17 @@ class DistributedReport(RunReport):
             )
         )
 
-        # Observability merge: counters sum exactly (same argument as the
-        # state totals above); phases/histograms merge across the prefix
-        # and every job, plus a "merge" phase for this method itself.
-        self.registry = merge_snapshots(
-            [prefix.registry] + [w.registry for w in results]
+        # Observability merge: counters and timers sum exactly (same
+        # argument as the state totals above) and histograms merge across
+        # the prefix and every job; the "merge" timer times this method.
+        merged = MetricsRegistry()
+        merged.install(
+            merge_snapshots([prefix.registry] + [w.registry for w in results])
         )
-        merge_phase = {
-            "merge": {
-                "count": 1,
-                "seconds": _time.perf_counter() - merge_started,
-            }
-        }
-        self.phases = merge_phase_snapshots(
-            [prefix.phases] + [w.phases for w in results] + [merge_phase]
-        )
+        merge = merged.timer("merge")
+        merge.count = 1
+        merge.seconds = _time.perf_counter() - merge_started
+        self.registry = merged.snapshot()
         self.metrics = report_snapshot(
             self,
             counters={

@@ -31,8 +31,7 @@ from ..lang.compiler import compile_source
 from ..net.packet import Packet
 from ..net.topology import Topology
 from ..obs.events import TraceEmitter
-from ..obs.metrics import CounterViews, MetricsRegistry, report_snapshot
-from ..obs.profile import PhaseProfiler
+from ..obs.metrics import CounterViews, MetricsRegistry, Timer, report_snapshot
 from ..oslib.kernel import HANDLER_BOOT, HANDLER_RECV, HANDLER_TIMER, NodeOS
 from ..sim.clock import VirtualClock
 from ..sim.queue import EventQueue
@@ -79,9 +78,10 @@ class RunReport(CounterViews):
     """Everything a benchmark or test wants to know about one SDE run.
 
     ``registry`` is the engine registry's snapshot (every subsystem
-    counter and histogram); ``solver_queries`` and the ``mapping_stats``,
-    ``solver_stats``, ``cache_stats``, ``net_stats`` and ``reduce_stats``
-    dicts are views over it (:class:`~repro.obs.metrics.CounterViews`).
+    counter, histogram and phase timer); ``solver_queries``, the
+    ``mapping_stats``, ``solver_stats``, ``cache_stats``, ``net_stats``
+    and ``reduce_stats`` dicts and the ``phases`` timings are views over
+    it (:class:`~repro.obs.metrics.CounterViews`).
     A sequential run is never partial and never retries; a
     :class:`~repro.core.distributed.DistributedReport` overrides the
     three resilience fields below.
@@ -108,8 +108,6 @@ class RunReport(CounterViews):
         self.samples: List[Sample] = list(engine.stats.samples)
         self.virtual_ms = engine.clock.now
         self.accounted_bytes = (self.samples[-1].accounted_bytes if self.samples else 0)
-        # -- observability extras (the metrics-snapshot contract) ----------
-        self.phases = engine.profiler.snapshot()
         # -- resilience extras ---------------------------------------------
         self.checkpoints_written = engine.checkpoints_written
         self.resumed = engine.resumed
@@ -221,14 +219,15 @@ class SDEEngine:
         # Observability: `trace is None` means tracing off — every emit
         # site guards on that, so the disabled path allocates nothing.
         self.trace = trace
-        self.profiler = PhaseProfiler()
-        self._phase_execute = self.profiler.phase("execute")
-        self._phase_map = self.profiler.phase("map")
-        # The run's counters: every subsystem's handles, adopted below.
+        self.execute_timer = Timer("execute")
+        self.map_timer = Timer("map")
+        self.handles = (self.execute_timer, self.map_timer)
+        # The run's counters and timers: every subsystem's handles.
         self.metrics = MetricsRegistry()
+        self.metrics.adopt(self)
         self.medium.trace = trace
         self.metrics.adopt(self.medium)
-        self.solver.attach_observability(trace, self.profiler, self.metrics)
+        self.solver.attach_observability(trace, self.metrics)
         mapper.bind(
             lambda state: services._register_state(state),
             trace=trace,
@@ -289,7 +288,7 @@ class SDEEngine:
             sender.node, dest_node, tuple(payload), sender.clock, broadcast_id
         )
         self.packets[packet.pid] = packet
-        with self._phase_map:
+        with self.map_timer:
             self._mapping_active = True
             try:
                 receivers = self.mapper.map_transmission(sender, dest_node)
@@ -433,7 +432,7 @@ class SDEEngine:
                 event = state.pop_event()
                 self.clock.advance_to(event_time)
                 state.clock = event_time
-                with self._phase_execute:
+                with self.execute_timer:
                     self._dispatch(state, event)
                 if self.reducer is not None:
                     self._apply_reduction()

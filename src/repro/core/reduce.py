@@ -69,7 +69,10 @@ MAX_AUTOMORPHISMS = 720
 #: left untouched); serialization cost would dwarf the pruning win.
 MAX_FINGERPRINT_CONJUNCTS = 2000
 
-_IDENTITY_CACHE: Dict[Tuple[str, int, frozenset], Tuple[Tuple[int, ...], ...]] = {}
+#: (name, node count, edges, limit) -> the enumerated permutations.
+_IDENTITY_CACHE: Dict[
+    Tuple[str, int, frozenset, int], Tuple[Tuple[int, ...], ...]
+] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +93,7 @@ def automorphisms(
     edges = frozenset(
         (min(a, b), max(a, b)) for a, b in topology.graph.edges
     )
-    cache_key = (topology.name, topology.node_count, edges)
+    cache_key = (topology.name, topology.node_count, edges, limit)
     cached = _IDENTITY_CACHE.get(cache_key)
     if cached is not None:
         return cached

@@ -315,7 +315,9 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 6: idle states are values — memory, stacks, event queue and
 # symbolics pickle as tuples and the three maps as FrozenMaps; a version-5
 # state would come back with lists and dicts that forks must not share.
-CHECKPOINT_VERSION = 6
+# Version 7: phase timings are registry timers inside the counters'
+# "registry" snapshot; the counters dict has no "phases" entry.
+CHECKPOINT_VERSION = 7
 
 
 class CheckpointError(RuntimeError):

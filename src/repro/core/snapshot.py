@@ -126,10 +126,6 @@ class EngineSnapshot:
             engine.events_executed = counters["events_executed"]
             engine.executor.instructions_executed = counters["instructions"]
             engine.checkpoints_written = counters["checkpoints_written"]
-            for name, data in counters["phases"].items():
-                phase = engine.profiler.phase(name)
-                phase.count = data["count"]
-                phase.seconds = data["seconds"]
             engine.stats.samples = list(counters["samples"])
             engine.stats._last_sampled_at = counters["events_executed"]
         if trace is not None and self.trace:
@@ -138,13 +134,12 @@ class EngineSnapshot:
 
 
 def _capture_counters(engine: SDEEngine) -> dict:
-    """The engine registry's snapshot plus the run totals, phase timings
-    and growth samples that ride beside it."""
+    """The engine registry's snapshot (counters and phase timers) plus
+    the run totals and growth samples that ride beside it."""
     return {
         "registry": engine.metrics.snapshot(),
         "events_executed": engine.events_executed,
         "instructions": engine.executor.instructions_executed,
         "checkpoints_written": engine.checkpoints_written,
-        "phases": engine.profiler.snapshot(),
         "samples": list(engine.stats.samples),
     }

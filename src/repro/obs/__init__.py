@@ -2,16 +2,15 @@
 
 The paper's evaluation (Figures 9-12) lives on knowing *where* state
 duplication and solver time go.  This package makes every run emit that
-information as data rather than prose, in three layers:
+information as data rather than prose, in two layers:
 
 - :mod:`repro.obs.events` — a low-overhead structured **event trace**
   (state forks, packet sends/deliveries, mapper copies, solver queries,
   worker lifecycle) serialized as JSONL;
 - :mod:`repro.obs.metrics` — a **metrics registry** (counters, gauges,
-  histograms) with deterministic snapshots, the JSON contract that
-  benchmarks and CI trend;
-- :mod:`repro.obs.profile` — a **phase profiler** (execute / map / solve /
-  merge context-manager timers) surfaced in run reports.
+  histograms, and the execute / map / solve / merge phase timers) with
+  deterministic snapshots, the JSON contract that benchmarks and CI
+  trend.
 
 :mod:`repro.obs.tracetool` turns traces back into summaries and diffs two
 traces by canonical event multiset — the check behind the guarantee that a
@@ -32,11 +31,11 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    Timer,
     report_snapshot,
     save_metrics,
     validate_metrics,
 )
-from .profile import PhaseProfiler, merge_phase_snapshots
 from .tracetool import (
     TraceDiff,
     canonical_multiset,
@@ -58,11 +57,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Timer",
     "report_snapshot",
     "save_metrics",
     "validate_metrics",
-    "PhaseProfiler",
-    "merge_phase_snapshots",
     "TraceDiff",
     "canonical_multiset",
     "diff_traces",

@@ -1,14 +1,16 @@
-"""The metrics registry: counters, gauges, histograms, one JSON contract.
+"""The metrics registry: counters, gauges, histograms, timers, one JSON contract.
 
 - **Counter** — monotone int (events executed, cache hits, forks);
-- **Gauge** — last-written number (peak states, phase seconds);
-- **Histogram** — power-of-two bucketed distribution (solver query sizes).
+- **Gauge** — last-written number (peak states, run seconds);
+- **Histogram** — power-of-two bucketed distribution (solver query sizes);
+- **Timer** — entry count and wall-clock seconds of one phase
+  (``execute``, ``map``, ``solve``, ``solve.search``, ``merge``).
 
-Each engine owns one registry, the only place its run's counters live.
-The mapper, solver, solver cache, medium and reducer create pre-bound
-:class:`Counter` handles as attributes (the hot path does
-``handle.value += n``, no name lookup) and list them in ``handles``;
-the engine's registry adopts those very objects
+Each engine owns one registry, the only place its run's counters and
+phase timings live.  The engine, mapper, solver, solver cache, medium and
+reducer create pre-bound handles as attributes (the hot path does
+``handle.value += n`` or ``with timer:``, no name lookup) and list them
+in ``handles``; the engine's registry adopts those very objects
 (:meth:`MetricsRegistry.adopt`), so its
 :meth:`~MetricsRegistry.snapshot` reads the live values.  A checkpoint
 restores them with one :meth:`~MetricsRegistry.install`; a distributed
@@ -18,12 +20,14 @@ Snapshots are deterministic: sorted names, plain JSON types, no wall-clock
 reads besides values that are explicitly time measurements.  The
 ``metrics`` snapshot of a run report (:func:`report_snapshot`) is the
 stable contract consumed by ``benchmarks/``, ``repro trace check-metrics``
-and the CI ``metrics-smoke`` job.
+and the CI ``metrics-smoke`` job; it renders each timer as a
+``phase.<name>.count`` counter and a ``phase.<name>.seconds`` gauge.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Timer",
     "MetricsRegistry",
     "CounterViews",
     "merge_snapshots",
@@ -156,13 +161,48 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count})"
 
 
+class Timer:
+    """Entry count and wall-clock seconds of one phase; a context manager.
+
+    Re-entrant: only the outermost ``with`` reads the clock and counts,
+    so a phase entered again from inside itself is timed once, and an
+    exception still stops the clock.  Seconds are inclusive of nested
+    phases (``map`` and ``solve`` run inside ``execute``).
+    """
+
+    __slots__ = ("name", "count", "seconds", "_depth", "_started")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.count = 0
+        self.seconds = 0.0
+        self._depth = 0
+        self._started = 0.0
+
+    def __enter__(self) -> "Timer":
+        if self._depth == 0:
+            self._started = time.perf_counter()
+        self._depth += 1
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._depth -= 1
+        if self._depth == 0:
+            self.seconds += time.perf_counter() - self._started
+            self.count += 1
+
+    def __repr__(self) -> str:
+        return f"Timer({self.name}, n={self.count}, s={self.seconds:.6f})"
+
+
 class MetricsRegistry:
-    """Named counters/gauges/histograms with a deterministic snapshot."""
+    """Named counters/gauges/histograms/timers with a deterministic snapshot."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._timers: Dict[str, Timer] = {}
         self._labels: Dict[str, str] = {}
 
     # -- creation / lookup (idempotent by name) -----------------------------
@@ -190,12 +230,20 @@ class MetricsRegistry:
             metric = self._histograms[name] = Histogram(name, bounds)
         return metric
 
+    def timer(self, name: str) -> Timer:
+        metric = self._timers.get(name)
+        if metric is None:
+            self._require_fresh(name)
+            metric = self._timers[name] = Timer(name)
+        return metric
+
     def set_label(self, name: str, value: str) -> None:
         self._labels[name] = value
 
     def adopt(self, owner) -> None:
-        """Register ``owner.handles`` (its pre-bound :class:`Counter` and
-        :class:`Histogram` attributes) under their own names.
+        """Register ``owner.handles`` (its pre-bound :class:`Counter`,
+        :class:`Histogram` and :class:`Timer` attributes) under their own
+        names.
 
         The registry shares those objects, so it reads their live values;
         adopting a second handle under a taken name is an error.  Owners
@@ -206,6 +254,8 @@ class MetricsRegistry:
         for metric in owner.handles:
             if isinstance(metric, Counter):
                 table = self._counters
+            elif isinstance(metric, Timer):
+                table = self._timers
             else:
                 table = self._histograms
             if table.get(metric.name) is not metric:
@@ -231,6 +281,10 @@ class MetricsRegistry:
             histogram.total = data["total"]
             histogram.min = data["min"]
             histogram.max = data["max"]
+        for name, data in snapshot["timers"].items():
+            timer = self.timer(name)
+            timer.count = data["count"]
+            timer.seconds = data["seconds"]
         self._labels.update(snapshot["labels"])
 
     def _require_fresh(self, name: str) -> None:
@@ -238,6 +292,7 @@ class MetricsRegistry:
             name in self._counters
             or name in self._gauges
             or name in self._histograms
+            or name in self._timers
         ):
             raise ValueError(f"metric name {name!r} is already registered")
 
@@ -259,13 +314,20 @@ class MetricsRegistry:
                 name: self._histograms[name].data()
                 for name in sorted(self._histograms)
             },
+            "timers": {
+                name: {
+                    "count": self._timers[name].count,
+                    "seconds": self._timers[name].seconds,
+                }
+                for name in sorted(self._timers)
+            },
         }
 
 
 def merge_snapshots(parts: Iterable[dict]) -> dict:
     """One registry snapshot of several runs' registries (exact).
 
-    Counters are summed and histograms merged with
+    Counters and timers are summed and histograms merged with
     :meth:`Histogram.merge_data`: every state of a distributed run is
     explored by exactly one job, so the sums equal the sequential run's.
     """
@@ -274,6 +336,10 @@ def merge_snapshots(parts: Iterable[dict]) -> dict:
     for part in parts:
         for name, value in part["counters"].items():
             registry.counter(name).value += value
+        for name, data in part["timers"].items():
+            timer = registry.timer(name)
+            timer.count += data["count"]
+            timer.seconds += data["seconds"]
     names = sorted({name for part in parts for name in part["histograms"]})
     snapshot = registry.snapshot()
     snapshot["histograms"] = {
@@ -289,8 +355,9 @@ class CounterViews:
     ``solver_queries`` reads one counter.  ``mapping_stats`` maps each
     ``mapping.*`` counter's name, minus the family prefix, to its value;
     likewise ``solver_stats`` (``solver.*`` without the cache),
-    ``cache_stats``, ``net_stats`` and ``reduce_stats``.  Views are built
-    on read; nothing is stored twice.
+    ``cache_stats``, ``net_stats`` and ``reduce_stats``.  ``phases`` is
+    the snapshot's timers, ``{name: {"count": n, "seconds": s}}``.  Views
+    are built on read; nothing is stored twice.
     """
 
     registry: dict
@@ -327,6 +394,10 @@ class CounterViews:
     def reduce_stats(self) -> Dict[str, int]:
         return self._family("reduce.")
 
+    @property
+    def phases(self) -> Dict[str, Dict[str, float]]:
+        return self.registry["timers"]
+
 
 def report_snapshot(
     report,
@@ -336,9 +407,10 @@ def report_snapshot(
     """The metrics snapshot of one :class:`~repro.core.engine.RunReport`.
 
     Its ``registry`` snapshot plus the values derived per report: the run
-    totals, the state census, groups, phase counts, gauges and labels.
-    ``counters`` and ``gauges`` add the values a report subclass derives
-    itself.
+    totals, the state census, groups, gauges and labels.  Each timer
+    becomes a ``phase.<name>.count`` counter and a ``phase.<name>.seconds``
+    gauge.  ``counters`` and ``gauges`` add the values a report subclass
+    derives itself.
     """
     registry = MetricsRegistry()
     registry.install(report.registry)
@@ -377,7 +449,9 @@ def report_snapshot(
     run_gauges.update(gauges or {})
     for name, value in run_gauges.items():
         registry.gauge(name).set(value)
-    return registry.snapshot()
+    snapshot = registry.snapshot()
+    del snapshot["timers"]  # rendered as the phase.* metrics above
+    return snapshot
 
 
 def save_metrics(snapshot: dict, path) -> None:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..expr import BoolAnd, BoolConst, BoolExpr, not_
-from ..obs.metrics import Counter, Histogram
+from ..obs.metrics import Counter, Histogram, Timer
 from .cache import SolverCache
 from .constraints import (
     ConstraintSet,
@@ -101,6 +101,11 @@ class Solver:
         #: Sizes are the *raw* conjunct counts (pre-simplification), so the
         #: histogram is identical whatever the memo/cache state.
         self.conjunct_histogram = Histogram("solver.query.conjuncts")
+        # Phase timers: ``solve`` wraps whole queries, ``solve.search``
+        # only the backend search calls, so ``solve - solve.search`` is
+        # the overhead of (and the time saved by) the optimization tiers.
+        self.solve_timer = Timer("solve")
+        self.search_timer = Timer("solve.search")
         self.handles = (
             self.queries,
             self.sat_results,
@@ -115,28 +120,21 @@ class Solver:
             self.simplify_removed,
             self.simplify_contradictions,
             self.conjunct_histogram,
+            self.solve_timer,
+            self.search_timer,
         )
         # Observability wiring (attach_observability); None = off.
         self.trace = None
-        self._phase_solve = None
-        self._phase_search = None
 
-    def attach_observability(self, trace, profiler, metrics=None) -> None:
-        """Adopt an engine's trace emitter and phase profiler; the
-        engine's ``metrics`` registry adopts the solver's and the cache's
-        counters.
-
-        ``solve`` wraps whole queries; ``solve.search`` only the backend
-        search calls, so ``solve - solve.search`` is the overhead of (and
-        the time saved by) the optimization tiers.
+    def attach_observability(self, trace, metrics=None) -> None:
+        """Adopt an engine's trace emitter; the engine's ``metrics``
+        registry adopts the solver's and the cache's counters and timers.
         """
         if metrics is not None:
             metrics.adopt(self)
             if self._cache is not None:
                 metrics.adopt(self._cache)
         self.trace = trace
-        self._phase_solve = profiler.phase("solve") if profiler else None
-        self._phase_search = profiler.phase("solve.search") if profiler else None
 
     # -- public API ---------------------------------------------------------
 
@@ -149,10 +147,8 @@ class Solver:
         models omit them (consumers default omitted inputs to zero).
         """
         cset = as_constraint_set(constraints)
-        if self._phase_solve is not None:
-            with self._phase_solve:
-                return self._check(cset)
-        return self._check(cset)
+        with self.solve_timer:
+            return self._check(cset)
 
     def is_satisfiable(self, constraints) -> bool:
         return self.check(constraints) is not None
@@ -165,19 +161,15 @@ class Solver:
         building).
         """
         cset = as_constraint_set(constraints)
-        if self._phase_solve is not None:
-            with self._phase_solve:
-                return self._check(cset, condition) is not None
-        return self._check(cset, condition) is not None
+        with self.solve_timer:
+            return self._check(cset, condition) is not None
 
     def must_be_true(self, constraints, condition: BoolExpr) -> bool:
         """Does ``constraints`` entail ``condition``?  One query."""
         cset = as_constraint_set(constraints)
         negated = not_(condition)
-        if self._phase_solve is not None:
-            with self._phase_solve:
-                return self._check(cset, negated) is None
-        return self._check(cset, negated) is None
+        with self.solve_timer:
+            return self._check(cset, negated) is None
 
     def branch_feasibility(
         self, constraints, condition: BoolExpr
@@ -191,10 +183,8 @@ class Solver:
         so at most one arm reaches the backend.
         """
         cset = as_constraint_set(constraints)
-        if self._phase_solve is not None:
-            with self._phase_solve:
-                return self._branch_feasibility(cset, condition)
-        return self._branch_feasibility(cset, condition)
+        with self.solve_timer:
+            return self._branch_feasibility(cset, condition)
 
     def _branch_feasibility(
         self, cset: ConstraintSet, condition: BoolExpr
@@ -365,10 +355,7 @@ class Solver:
                 outcome="miss" if self._cache is not None else "disabled",
             )
         self.backend_searches.value += 1
-        if self._phase_search is not None:
-            with self._phase_search:
-                result = search(list(group), group_vars, max_nodes=self._max_nodes)
-        else:
+        with self.search_timer:
             result = search(list(group), group_vars, max_nodes=self._max_nodes)
         if self._cache is not None:
             self._cache.store(key, result)

@@ -128,6 +128,14 @@ class TestAutomorphisms:
         assert len(autos) == 3
         assert tuple(range(4)) in autos
 
+    def test_limit_is_part_of_the_cache_key(self):
+        # The whole group first, then a truncated request of the same
+        # graph: the second call must not return the cached whole group.
+        mesh = Topology.full_mesh(4)
+        assert len(automorphisms(mesh)) == 24
+        assert len(automorphisms(mesh, limit=3)) == 3
+        assert len(automorphisms(mesh)) == 24
+
 
 # ---------------------------------------------------------------------------
 # Canonicalization invariance (the tentpole property test)

@@ -282,6 +282,23 @@ class TestCheckpointResume:
         _assert_reports_match(report, baseline)
         assert resumed.state_census() == baseline_engine.state_census()
 
+    def test_resume_keeps_phase_counts(self, tmp_path):
+        """The phase timers ride in the checkpoint's registry snapshot, so
+        the resumed report counts every phase entry of the whole run."""
+        baseline = build_engine(_scenario(), "sds").run()
+        engine = build_engine(_scenario(), "sds")
+        engine.run_until(split_events=SDS_PREFIX_EVENTS)
+        path = tmp_path / "mid.sdeckpt"
+        save_checkpoint(engine, path)
+        del engine
+        report = resume_engine(path).run()
+        for name in ("phase.execute.count", "phase.map.count"):
+            assert report.metrics["counters"][name] > 0
+            assert (
+                report.metrics["counters"][name]
+                == baseline.metrics["counters"][name]
+            )
+
     @pytest.mark.parametrize("algorithm", ["cob", "cow"])
     def test_resume_matches_for_other_mappers(self, tmp_path, algorithm):
         # The events each mapper runs before 2000 ms.
@@ -448,34 +465,38 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.sdeckpt")
 
-    def test_future_version_rejected(self, tmp_path):
+    @staticmethod
+    def _checkpoint_claiming_version(tmp_path, version):
+        """A mid-run checkpoint whose header claims ``version``."""
         engine = build_engine(_scenario(), "sds")
         engine.run_until(split_events=SDS_PREFIX_EVENTS)
-        path = tmp_path / "mid.sdeckpt"
+        path = tmp_path / f"v{version}.sdeckpt"
         save_checkpoint(engine, path)
         magic, header_bytes, body = path.read_bytes().split(b"\n", 2)
         header = json.loads(header_bytes)
-        header["version"] = 99
+        header["version"] = version
         path.write_bytes(
             magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + body
         )
+        return path
+
+    def test_future_version_rejected(self, tmp_path):
+        path = self._checkpoint_claiming_version(tmp_path, 99)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
     def test_version_4_checkpoint_rejected(self, tmp_path):
         # Version 4 kept one counter dict per subsystem and no reducer
         # counters; its body cannot restore into a version-5 engine.
-        engine = build_engine(_scenario(), "sds")
-        engine.run_until(split_events=SDS_PREFIX_EVENTS)
-        path = tmp_path / "v4.sdeckpt"
-        save_checkpoint(engine, path)
-        magic, header_bytes, body = path.read_bytes().split(b"\n", 2)
-        header = json.loads(header_bytes)
-        header["version"] = 4
-        path.write_bytes(
-            magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + body
-        )
+        path = self._checkpoint_claiming_version(tmp_path, 4)
         with pytest.raises(CheckpointError, match="version 4 is not supported"):
+            load_checkpoint(path)
+
+    def test_version_6_checkpoint_rejected(self, tmp_path):
+        # Version 6 carried the phase timings as a "phases" entry beside
+        # the registry snapshot; version 7 keeps them as registry timers.
+        path = self._checkpoint_claiming_version(tmp_path, 6)
+        with pytest.raises(CheckpointError, match="version 6 is not supported"):
             load_checkpoint(path)
 
 

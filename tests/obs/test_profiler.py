@@ -1,71 +1,101 @@
-"""The phase profiler: timing, re-entrancy, and snapshot merging."""
+"""Phase profiling with registry timers: timing, re-entrancy, merging."""
 
 import time
 
+import pytest
+
 from repro import build_engine
-from repro.obs import PhaseProfiler, merge_phase_snapshots
+from repro.core.distributed import DistributedRunner, InlineTransport
+from repro.obs import MetricsRegistry, Timer
+from repro.obs.metrics import merge_snapshots
 from repro.workloads import flood_scenario
+
+
+class _Owner:
+    """Holds a pre-bound timer, as the engine and the solver do."""
+
+    def __init__(self):
+        self.execute = Timer("execute")
+        self.handles = (self.execute,)
 
 
 class TestPhaseProfiler:
     def test_phase_counts_and_times(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("solve"):
+        registry = MetricsRegistry()
+        with registry.timer("solve"):
             time.sleep(0.01)
-        with profiler.phase("solve"):
+        with registry.timer("solve"):
             pass
-        snapshot = profiler.snapshot()
+        snapshot = registry.snapshot()["timers"]
         assert snapshot["solve"]["count"] == 2
         assert snapshot["solve"]["seconds"] >= 0.01
 
     def test_phase_handles_are_cached(self):
-        profiler = PhaseProfiler()
-        assert profiler.phase("map") is profiler.phase("map")
+        registry = MetricsRegistry()
+        assert registry.timer("map") is registry.timer("map")
+        owner = _Owner()
+        registry.adopt(owner)
+        assert registry.timer("execute") is owner.execute
 
     def test_reentrant_phase_counts_once_per_outermost_entry(self):
-        profiler = PhaseProfiler()
-        phase = profiler.phase("execute")
-        with phase:
-            with phase:  # nested re-entry must not double-count time
+        timer = Timer("execute")
+        with timer:
+            with timer:  # nested re-entry must not double-count time
                 time.sleep(0.005)
-        snapshot = profiler.snapshot()
-        assert snapshot["execute"]["count"] == 1
-        assert 0.005 <= snapshot["execute"]["seconds"] < 5
+        assert timer.count == 1
+        assert 0.005 <= timer.seconds < 5
 
     def test_exception_still_stops_the_timer(self):
-        profiler = PhaseProfiler()
-        try:
-            with profiler.phase("solve"):
-                raise RuntimeError("boom")
-        except RuntimeError:
+        timer = Timer("solve")
+        with pytest.raises(RuntimeError):
+            with timer:
+                with timer:
+                    raise RuntimeError("boom")
+        assert timer._depth == 0
+        with timer:
             pass
-        assert profiler.phase("solve")._depth == 0
-        with profiler.phase("solve"):
-            pass
-        assert profiler.snapshot()["solve"]["count"] == 2
+        assert timer.count == 2
 
     def test_snapshot_sorted_by_name(self):
-        profiler = PhaseProfiler()
-        with profiler.phase("zeta"):
+        registry = MetricsRegistry()
+        with registry.timer("zeta"):
             pass
-        with profiler.phase("alpha"):
+        with registry.timer("alpha"):
             pass
-        assert list(profiler.snapshot()) == ["alpha", "zeta"]
+        assert list(registry.snapshot()["timers"]) == ["alpha", "zeta"]
+
+
+def _timed(**phases):
+    registry = MetricsRegistry()
+    for name, (count, seconds) in phases.items():
+        timer = registry.timer(name)
+        timer.count, timer.seconds = count, seconds
+    return registry.snapshot()
 
 
 class TestMergeSnapshots:
     def test_merge_sums_counts_and_seconds(self):
-        merged = merge_phase_snapshots(
+        merged = merge_snapshots(
             [
-                {"execute": {"count": 2, "seconds": 1.0}},
-                {"execute": {"count": 3, "seconds": 0.5}, "solve": {"count": 1, "seconds": 0.1}},
+                _timed(execute=(2, 1.0)),
+                _timed(execute=(3, 0.5), solve=(1, 0.1)),
             ]
         )
-        assert merged["execute"] == {"count": 5, "seconds": 1.5}
-        assert merged["solve"] == {"count": 1, "seconds": 0.1}
+        assert merged["timers"]["execute"] == {"count": 5, "seconds": 1.5}
+        assert merged["timers"]["solve"] == {"count": 1, "seconds": 0.1}
 
     def test_merge_of_nothing_is_empty(self):
-        assert merge_phase_snapshots([]) == {}
+        assert merge_snapshots([])["timers"] == {}
+
+    def test_install_restores_into_adopted_timers(self):
+        source = MetricsRegistry()
+        with source.timer("execute"):
+            pass
+        owner, restored = _Owner(), MetricsRegistry()
+        restored.adopt(owner)
+        restored.install(source.snapshot())
+        assert owner.execute.count == 1
+        assert owner.execute.seconds == source.timer("execute").seconds
 
 
 class TestEngineIntegration:
@@ -83,3 +113,17 @@ class TestEngineIntegration:
     def test_summary_mentions_phases(self):
         report = build_engine(flood_scenario(3, rounds=1), "sds").run()
         assert "phase execute" in report.summary()
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "processes"])
+    def test_distributed_report_merges_phases(self, inline):
+        transport = InlineTransport() if inline else None
+        runner = DistributedRunner(
+            flood_scenario(4, rounds=3), "sds", workers=2, transport=transport
+        )
+        report = runner.run()
+        assert report.partition_count >= 1  # the jobs ran some events
+        assert report.phases["execute"]["count"] == report.events_executed
+        assert report.phases["merge"]["count"] == 1
+        counters = report.metrics["counters"]
+        assert counters["phase.execute.count"] == report.events_executed
+        assert "timers" not in report.metrics

@@ -163,7 +163,7 @@ class TestIndependence:
 def _cache_counters(solver) -> dict:
     """The solver's ``solver.cache.*`` counters, read as an engine does."""
     registry = MetricsRegistry()
-    solver.attach_observability(None, None, registry)
+    solver.attach_observability(None, registry)
     prefix = "solver.cache."
     return {
         name[len(prefix):]: value
