@@ -10,6 +10,10 @@ Not a paper artifact — these keep an eye on the substrate itself:
   exactly as the ladder scales ``explore_s``);
 - state fork cost: time, and bytes allocated per fork of an idle state
   (``fork_bytes_idle``, gated);
+- the SDS virtual layer's bytes per logical virtual fork on a fixed
+  anydrop grid (``virtual_fork_bytes``, gated): a virtual fork shares
+  every bystander's member list, so a return to one object per bystander
+  per fork shows up here;
 - solver query rate;
 - SDS end-to-end instruction rate (read from the metrics snapshot).
 
@@ -142,6 +146,36 @@ def test_state_fork_cost(benchmark):
     fork_bytes = _fork_bytes(state)
     benchmark.extra_info["fork_bytes_idle"] = fork_bytes
     record_bench(fork_bytes_idle=fork_bytes)
+
+
+def _virtual_fork_bytes(scenario):
+    """Bytes the SDS mapper holds per logical virtual fork after a run.
+
+    Counts the live blocks allocated in ``repro/core/sds.py`` when the run
+    ends (tracemalloc; deterministic): dstates, member lists, their holder
+    sets and bindings.  Twins and the engine's own bookkeeping are
+    allocated elsewhere and not counted.
+    """
+    engine = build_engine(scenario, "sds")
+    tracemalloc.start()
+    try:
+        engine.run()
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*repro/core/sds.py")]
+        )
+    finally:
+        tracemalloc.stop()
+    total = sum(stat.size for stat in held.statistics("filename"))
+    return round(total / engine.mapper.virtual_forks.value)
+
+
+def test_sds_virtual_fork_bytes():
+    """An 8x8 grid where any packet may drop: 92 dstates and 6,627
+    logical virtual forks, most of them bystanders'."""
+    scenario = grid_scenario(8, sim_seconds=3, drop_any_packet=True)
+    virtual_fork_bytes = _virtual_fork_bytes(scenario)
+    record_bench(virtual_fork_bytes=virtual_fork_bytes)
+    assert virtual_fork_bytes > 0
 
 
 def test_solver_query_rate(benchmark):

@@ -51,8 +51,8 @@ def main() -> int:
         ("cob", "Figure 3: the branch forked BOTH dscenarios completely"),
         ("cow", "Figure 4: the conflicted forward forked targets AND the"
                 " bystander (node 2's copy is a pure duplicate)"),
-        ("sds", "Figures 6-8: only the target forked; node 2 is shared via"
-                " virtual states"),
+        ("sds", "Figures 6-8: only the target forked; both dstates hold"
+                " node 2's one member list"),
     ):
         engine = build_engine(scenario(), algorithm, check_invariants=True)
         report = engine.run()

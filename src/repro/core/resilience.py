@@ -317,7 +317,10 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # state would come back with lists and dicts that forks must not share.
 # Version 7: phase timings are registry timers inside the counters'
 # "registry" snapshot; the counters dict has no "phases" entry.
-CHECKPOINT_VERSION = 7
+# Version 8: the SDS mapper payload is its dstates alone; member lists are
+# shared between dstates, each state has one binding, and the holders and
+# the bindings index are rebuilt on restore.
+CHECKPOINT_VERSION = 8
 
 
 class CheckpointError(RuntimeError):

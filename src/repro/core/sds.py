@@ -1,30 +1,59 @@
 """Super DStates (paper Section III-C) — the paper's contribution.
 
 SDS removes COW's bystander duplication with one level of indirection:
-*virtual states*.  Every execution state owns at least one virtual state;
-each virtual state belongs to exactly one dstate; the set of dstates a
-state's virtuals span is its *super-dstate*.  Conceptually, SDS is COW run
-on the virtual layer — but forking a bystander only forks its virtual state
-(a pointer), never the execution state itself.  Only **targets** are ever
-forked for real, and each at most once per mapping (either it receives the
-packet or it does not).
+*virtual states*.  Every execution state is bound into the dstates it
+belongs to; the set of those dstates is its *super-dstate*.  Conceptually,
+SDS is COW run on the virtual layer — but forking a bystander only forks
+its virtual state (a pointer), never the execution state itself.  Only
+**targets** are ever forked for real, and each at most once per mapping
+(either it receives the packet or it does not).
+
+The virtual layer
+-----------------
+
+A dstate maps each node to a :class:`MemberList` of :class:`VirtualState`
+bindings, and member lists are shared between dstates.  Each list records
+the dstates holding it (``MemberList.dstates``, in creation order).  Every
+execution state has exactly one binding, which names the state
+(``actual``) and its list: a state's node-mates are the same in every
+dstate it belongs to, so its super-dstate is its list's holders, and one
+*logical* virtual state of the paper is one (binding, holder) pair.  The
+operations keep that shape:
+
+- A *local fork* appends the child's binding to the parent's list in
+  place: every holder of the list holds the parent, and the child joins
+  every dstate of its parent.
+- A *virtual fork* ``D'`` of ``D`` is ``dict(D.members)`` with only the
+  sender's and the destination's lists replaced: every bystander list is
+  the same object in both and gains ``D'`` as one more holder.  No binding
+  is built for a bystander.
+- A forked target is *rebound*, not copied: its old binding moves to the
+  twin whole (``b.actual = twin``), and the target gets a fresh binding in
+  a fresh list held by the delivery dstates.
 
 The four phases of Section III-C:
 
-1. *Finding targets* — all execution states behind the virtual states of
-   the destination node in any dstate containing a sending virtual state.
-2. *Finding rivals* — direct rivals share a dstate with a sending virtual
-   state; super-rivals share a dstate with a target but not with the sender.
+1. *Finding targets* — the members of the destination's lists in the
+   sender's dstates.
+2. *Finding rivals* — direct rivals share the sender's list; super-rivals
+   share a dstate with a target but not with the sender.
 3. *Forking condition* — a target is forked iff its super-dstate contains
-   any rival (direct or super); a target with no rivals anywhere receives
-   without forking.
-4. *Virtual forking* — per dstate D of the sender: with direct rivals, D is
-   COW-forked on the virtual layer (the sender's virtual moves to a fresh
-   dstate with fresh virtuals for targets — attached to the receiving
-   state — and bystanders — attached to the *same* state); the displaced
-   target virtuals move to the non-receiving twin.  Super-rival dstates
-   only reassign their target virtuals to the twin ("cutting the
+   any rival (direct or super).  With direct rivals every target forks;
+   without, a target forks iff its list has a holder outside the sender's
+   dstates.
+4. *Virtual forking* — (a) with direct rivals, every dstate of the sender
+   is COW-forked on the virtual layer: the sender secedes to fresh dstates
+   whose destination lists bind the receiving targets, and the old ones
+   keep the rivals and the non-receiving twins.  (b) Without, a
+   destination list also held outside the sender's dstates splits: the
+   sender's dstates take a fresh list binding the receivers, and the other
+   holders keep the old bindings, rebound to the twins ("cutting the
    connection", Figure 7).
+
+Per transmission the work is proportional to the sender's dstates, its
+targets and the real forks, plus one holder entry per node list of each
+virtual fork; it does not grow with the bystander states, nor with the
+dstates a forked target sits in.
 
 The non-duplication property (Section III-D) is checked as a test: SDS
 never creates two states with identical configurations.
@@ -33,45 +62,71 @@ never creates two states with identical configurations.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Dict, Iterable, List, Sequence, Set
 
 from ..vm.state import ExecutionState
 from .cob import _ensure_counter_above
 from .mapping import MappingError, StateMapper
 
-__all__ = ["SDSMapper", "VirtualState", "VDState"]
+__all__ = ["SDSMapper", "MemberList", "VirtualState", "VDState"]
+
+_by_id = attrgetter("id")
+
+
+class MemberList(list):
+    """One node's bindings, shared by every dstate that holds this list.
+
+    ``dstates`` is the set of those holders: an insertion-ordered dict,
+    kept in creation (id) order.  It is not pickled — pickling it would
+    recurse from one list through every dstate reachable from it — and
+    ``SDSMapper.restore_groups`` rebuilds it from the restored dstates.
+    """
+
+    __slots__ = ("dstates",)
+
+    def __init__(self, bindings: Iterable["VirtualState"] = ()) -> None:
+        super().__init__(bindings)
+        self.dstates: Dict["VDState", None] = {}
+
+    def __reduce__(self):
+        return (MemberList, (), None, iter(self))
 
 
 class VirtualState:
-    """A reference to an execution state, member of exactly one dstate.
+    """The binding of execution state ``actual`` into every dstate that
+    holds ``members`` (its :class:`MemberList`).
 
-    ``dstate`` and ``VDState.members`` point at each other: the one cycle
-    of the mapping layer, kept strong because both directions are on the
-    hot path.  A finished SDS run's virtual layer is therefore freed by a
-    collection, not by refcount (docs/VM.md, "Memory management").
+    A binding and its list, and a list and its holders, point at each
+    other: the cycles of the mapping layer, kept strong because every
+    direction is on the hot path.  A finished SDS run's virtual layer is
+    therefore freed by a collection, not by refcount (docs/VM.md, "Memory
+    management").
     """
 
-    __slots__ = ("vid", "actual", "dstate")
+    __slots__ = ("actual", "members")
 
-    _ids = itertools.count(1)
-
-    def __init__(self, actual: ExecutionState, dstate: "VDState") -> None:
-        self.vid = next(VirtualState._ids)
+    def __init__(self, actual: ExecutionState, members: MemberList) -> None:
         self.actual = actual
-        self.dstate = dstate
+        self.members = members
+
+    @property
+    def dstates(self) -> List["VDState"]:
+        """The dstates this binding sits in (its list's holders)."""
+        return list(self.members.dstates)
 
     def __repr__(self) -> str:
-        return f"V#{self.vid}->s{self.actual.sid}@D{self.dstate.id}"
+        return f"V->s{self.actual.sid}@{len(self.members.dstates)}D"
 
 
 class VDState:
-    """A dstate over virtual states (node id -> non-empty virtual list)."""
+    """A dstate over virtual states (node id -> non-empty member list)."""
 
     __slots__ = ("id", "members")
 
     _ids = itertools.count(1)
 
-    def __init__(self, members: Dict[int, List[VirtualState]]) -> None:
+    def __init__(self, members: Dict[int, MemberList]) -> None:
         self.id = next(VDState._ids)
         self.members = members
 
@@ -87,6 +142,14 @@ class VDState:
         return f"VDState#{self.id}[{shape}]"
 
 
+def _bind(states: Iterable[ExecutionState]) -> MemberList:
+    """A fresh member list binding ``states``, with no holders yet."""
+    members = MemberList()
+    for state in states:
+        members.append(VirtualState(state, members))
+    return members
+
+
 class SDSMapper(StateMapper):
     """Super-dstate mapping: COW on the virtual layer."""
 
@@ -95,21 +158,21 @@ class SDSMapper(StateMapper):
     def __init__(self) -> None:
         super().__init__()
         self._dstates: List[VDState] = []
-        self._virtuals: Dict[int, List[VirtualState]] = {}  # sid -> virtuals
+        self._bindings: Dict[int, VirtualState] = {}  # sid -> its binding
 
     # -- interface -----------------------------------------------------------
 
     def register_initial(self, states: Sequence[ExecutionState]) -> None:
         if self._dstates:
             raise MappingError("initial states registered twice")
-        members: Dict[int, List[VirtualState]] = {}
-        dstate = VDState(members)
+        dstate = VDState({})
         for state in states:
-            if state.node in members:
+            if state.node in dstate.members:
                 raise MappingError("initial states must be one per node")
-            virtual = VirtualState(state, dstate)
-            members[state.node] = [virtual]
-            self._virtuals[state.sid] = [virtual]
+            members = _bind([state])
+            members.dstates[dstate] = None
+            dstate.members[state.node] = members
+            self._bindings[state.sid] = members[0]
         self._dstates.append(dstate)
 
     def on_local_fork(
@@ -118,64 +181,66 @@ class SDSMapper(StateMapper):
         """A branched state joins every dstate its predecessor is in.
 
         COW adds the child to the parent's (single) dstate; on the virtual
-        layer the child mirrors each of the parent's virtual states.
+        layer the child is bound into the parent's list, in place.  One
+        logical virtual fork is counted per dstate of the parent.
         """
-        parent_virtuals = list(self._virtuals[parent.sid])
+        members = self._bindings[parent.sid].members
+        copies = len(members.dstates)
         for child in children:
-            child_virtuals = []
-            for parent_virtual in parent_virtuals:
-                dstate = parent_virtual.dstate
-                virtual = VirtualState(child, dstate)
-                dstate.members[parent.node].append(virtual)
-                child_virtuals.append(virtual)
-                self.virtual_forks.value += 1
-                if self.trace is not None:
+            virtual = VirtualState(child, members)
+            members.append(virtual)
+            self._bindings[child.sid] = virtual
+            self.virtual_forks.value += copies
+            if self.trace is not None:
+                for _ in range(copies):
                     self.trace.emit(
                         "mapper.copy",
                         node=parent.node,
                         t=parent.clock,
                         kind="virtual",
                         role="local",
-                        vid=virtual.vid,
+                        sid=child.sid,
                     )
-            self._virtuals[child.sid] = child_virtuals
 
     def map_transmission(
         self, sender: ExecutionState, dest_node: int
     ) -> List[ExecutionState]:
         self.transmissions.value += 1
-        sender_virtuals = list(self._virtuals[sender.sid])
-        sender_dstate_ids: Set[int] = {vs.dstate.id for vs in sender_virtuals}
+        own = self._bindings[sender.sid]
+        rivals = own.members
+        rivalled = len(rivals) > 1
 
-        # Phase 1: find targets.
+        # Phase 1: find targets, grouping the sender's dstates by the
+        # destination list they hold.  Lists never share a state.
+        dests: Dict[int, tuple] = {}  # id(list) -> (list, sender's holders)
         targets: List[ExecutionState] = []
-        seen_targets: Set[int] = set()
-        for vs in sender_virtuals:
-            virtual_targets = vs.dstate.members.get(dest_node)
-            if not virtual_targets:
+        for dstate in rivals.dstates:
+            dest = dstate.members.get(dest_node)
+            if not dest:
                 raise MappingError(
-                    f"dstate {vs.dstate.id} has no virtuals for node {dest_node}"
+                    f"dstate {dstate.id} has no virtuals for node {dest_node}"
                 )
-            for vt in virtual_targets:
-                if vt.actual.sid not in seen_targets:
-                    seen_targets.add(vt.actual.sid)
-                    targets.append(vt.actual)
+            entry = dests.get(id(dest))
+            if entry is None:
+                dests[id(dest)] = (dest, [dstate])
+                targets.extend(virtual.actual for virtual in dest)
+            else:
+                entry[1].append(dstate)
 
-        # Phases 2+3: the forking condition.  A target needs no fork only if
-        # every one of its virtuals sits in a dstate of the sender in which
-        # the sender has no direct rivals.
+        # Phases 2+3: the forking condition.  Direct rivals fork every
+        # target; otherwise a list whose every holder is a dstate of the
+        # sender receives whole, and the members of any other list fork.
+        forking = [
+            (dest, holders)
+            for dest, holders in dests.values()
+            if rivalled or len(holders) != len(dest.dstates)
+        ]
+        if not forking:
+            return targets
         twins: Dict[int, ExecutionState] = {}  # target sid -> non-receiving twin
-        for target in targets:
-            needs_fork = False
-            for vt in self._virtuals[target.sid]:
-                dstate = vt.dstate
-                if dstate.id not in sender_dstate_ids:
-                    needs_fork = True  # super-rivals live there
-                    break
-                if len(dstate.members[sender.node]) > 1:
-                    needs_fork = True  # direct rivals
-                    break
-            if needs_fork:
+        for dest, _ in forking:
+            for virtual in dest:
+                target = virtual.actual
                 twin = target.fork()
                 twins[target.sid] = twin
                 self.spawn(twin)
@@ -190,117 +255,96 @@ class SDSMapper(StateMapper):
                         sid=twin.sid,
                     )
 
-        # Phase 4a: per sender dstate, resolve direct-rival conflicts by
-        # COW-forking the *virtual* layer.
-        delivery_dstate_ids: Set[int] = set(sender_dstate_ids)
-        for vs in sender_virtuals:
-            dstate = vs.dstate
-            direct_rivals = [v for v in dstate.members[sender.node] if v is not vs]
-            if not direct_rivals:
-                continue  # virtual packet delivered in place in this dstate
-            dstate.members[sender.node] = direct_rivals
-            new_members: Dict[int, List[VirtualState]] = {sender.node: [vs]}
-            new_dstate = VDState(new_members)
-            vs.dstate = new_dstate
-            for node in sorted(dstate.members):
-                if node == sender.node:
-                    continue
-                fresh_list: List[VirtualState] = []
-                for old in dstate.members[node]:
-                    if node == dest_node:
-                        # Fresh virtual stays with the receiving target; the
-                        # displaced one moves to the non-receiving twin.
-                        receiver = old.actual
-                        twin = twins[receiver.sid]
-                        fresh = VirtualState(receiver, new_dstate)
-                        self._virtuals[receiver.sid].remove(old)
-                        old.actual = twin
-                        self._virtuals.setdefault(twin.sid, []).append(old)
-                        self._virtuals[receiver.sid].append(fresh)
-                    else:
-                        # Bystander: only its virtual state forks.
-                        fresh = VirtualState(old.actual, new_dstate)
-                        self._virtuals[old.actual.sid].append(fresh)
-                    fresh_list.append(fresh)
-                    self.virtual_forks.value += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            "mapper.copy",
-                            node=node,
-                            t=sender.clock,
-                            kind="virtual",
-                            role="target" if node == dest_node else "bystander",
-                            vid=fresh.vid,
-                        )
-                new_members[node] = fresh_list
-            self._dstates.append(new_dstate)
-            delivery_dstate_ids.add(new_dstate.id)
-
-        # Phase 4b: super-rival dstates — move the target's remaining
-        # virtuals outside all delivery contexts to the twin (Figure 7).
-        for target in targets:
-            twin = twins.get(target.sid)
-            if twin is None:
-                continue
-            # One order-preserving pass: snapshot_groups relies on the
-            # per-sid virtual order.
-            virtuals = self._virtuals[target.sid]
-            keep: List[VirtualState] = []
-            moved: List[VirtualState] = []
-            for vt in virtuals:
-                if vt.dstate.id in delivery_dstate_ids:
-                    keep.append(vt)
-                else:
-                    vt.actual = twin
-                    moved.append(vt)
-            virtuals[:] = keep
-            if moved:
-                self._virtuals.setdefault(twin.sid, []).extend(moved)
-
+        # Phase 4: each forking list hands its sender-side holders a fresh
+        # list binding the receivers; the old list stays with its other
+        # holders, and its bindings move to the twins whole.
+        receivers_of = {
+            id(dest): _bind(virtual.actual for virtual in dest) for dest, _ in forking
+        }
+        if rivalled:
+            # 4a: the sender secedes from all its dstates at once; each
+            # virtual fork shares every bystander list with its origin.
+            node = sender.node
+            rivals.remove(own)
+            seceded = MemberList((own,))
+            own.members = seceded
+            for dstate in list(rivals.dstates):
+                members = dict(dstate.members)
+                members[node] = seceded
+                members[dest_node] = receivers_of[id(members[dest_node])]
+                forked = VDState(members)
+                for shared in members.values():
+                    shared.dstates[forked] = None
+                self._dstates.append(forked)
+                # One logical virtual fork per member of every other node.
+                self.virtual_forks.value += sum(map(len, members.values())) - 1
+                if self.trace is not None:
+                    self._trace_virtual_fork(forked, node, dest_node, sender.clock)
+        else:
+            # 4b: without direct rivals only the destination lists split
+            # (Figure 7); the sender's dstates keep the receivers.
+            for dest, holders in forking:
+                receivers = receivers_of[id(dest)]
+                for dstate in holders:
+                    del dest.dstates[dstate]
+                    receivers.dstates[dstate] = None
+                    dstate.members[dest_node] = receivers
+        bindings = self._bindings
+        for dest, _ in forking:
+            for old, fresh in zip(dest, receivers_of[id(dest)]):
+                twin = twins[fresh.actual.sid]
+                old.actual = twin
+                bindings[twin.sid] = old
+                bindings[fresh.actual.sid] = fresh
         return targets
+
+    def _trace_virtual_fork(
+        self, forked: VDState, node: int, dest_node: int, clock: int
+    ) -> None:
+        """One ``mapper.copy`` per logical virtual copy of a virtual fork."""
+        for other in sorted(forked.members):
+            if other == node:
+                continue
+            role = "target" if other == dest_node else "bystander"
+            for virtual in forked.members[other]:
+                self.trace.emit(
+                    "mapper.copy",
+                    node=other,
+                    t=clock,
+                    kind="virtual",
+                    role=role,
+                    sid=virtual.actual.sid,
+                )
 
     # -- snapshot / restore --------------------------------------------------------
 
     def snapshot_groups(self, group_indices):
-        """Selected dstates plus each member state's *ordered* virtual list.
+        """The selected dstates; their lists and bindings travel with them.
 
-        The order of ``self._virtuals[sid]`` drives map_transmission's
-        iteration, so it must survive the round-trip verbatim — it cannot be
-        rebuilt from dstate membership.  Because partitions are closed under
-        state sharing, every virtual of every state appearing in the
-        selected dstates lies inside the selection, so the payload is
-        self-contained (pickle's memo keeps the VirtualState objects shared
-        between the two halves).
+        A state's dstates, in the order map_transmission visits them, are
+        its list's holders in creation order, so nothing but the dstates
+        is needed: the holders are left out of the pickle
+        (:class:`MemberList`) and restore_groups rebuilds them, and the
+        bindings index, from the dstates.  Because partitions are closed
+        under state sharing, every dstate holding a list of a selected
+        dstate is itself selected, so the rebuilt holders equal the
+        original ones.
         """
-        dstates = [self._dstates[index] for index in group_indices]
-        ordered_sids: List[int] = []
-        seen: Set[int] = set()
-        for dstate in dstates:
-            for virtual in dstate.virtuals():
-                sid = virtual.actual.sid
-                if sid not in seen:
-                    seen.add(sid)
-                    ordered_sids.append(sid)
-        virtuals = [(sid, list(self._virtuals[sid])) for sid in ordered_sids]
-        return (dstates, virtuals)
+        return [self._dstates[index] for index in group_indices]
 
     def restore_groups(self, payload) -> None:
         if self._dstates:
             raise MappingError("restore_groups on a non-empty mapper")
-        dstates, virtuals = payload
-        max_did = 0
-        max_vid = 0
+        self._dstates.extend(payload)
         max_sid = 0
-        for dstate in dstates:
-            self._dstates.append(dstate)
-            max_did = max(max_did, dstate.id)
-        for sid, virtual_list in virtuals:
-            self._virtuals[sid] = list(virtual_list)
-            max_sid = max(max_sid, sid)
-            for virtual in virtual_list:
-                max_vid = max(max_vid, virtual.vid)
-        _ensure_counter_above(VDState, max_did)
-        _ensure_counter_above(VirtualState, max_vid)
+        for dstate in sorted(payload, key=_by_id):
+            for members in dstate.members.values():
+                if not members.dstates:
+                    for virtual in members:
+                        self._bindings[virtual.actual.sid] = virtual
+                        max_sid = max(max_sid, virtual.actual.sid)
+                members.dstates[dstate] = None
+        _ensure_counter_above(VDState, max((d.id for d in payload), default=0))
         from ..vm.state import ensure_state_ids_above
 
         ensure_state_ids_above(max_sid)
@@ -311,49 +355,42 @@ class SDSMapper(StateMapper):
         """Figure 5/8 taxonomy on the virtual layer.
 
         Returns ``(targets, direct_rivals, super_rivals, bystanders)``:
-        targets and bystanders as *execution states*, rivals as *virtual
-        states* (the distinction between direct and super-rivals only
-        exists virtually).  Read-only.
+        targets and bystanders as *execution states*, rivals as *bindings*
+        (the distinction between direct and super-rivals only exists
+        virtually).  A rival's one binding stands for it in every dstate
+        holding its list, so each rival is listed once.  Read-only.
         """
-        sender_virtuals = self._virtuals[sender.sid]
-        sender_dstate_ids = {vs.dstate.id for vs in sender_virtuals}
-        targets = []
-        seen = set()
-        involved_dstates = []
-        for vs in sender_virtuals:
-            involved_dstates.append(vs.dstate)
-            for vt in vs.dstate.members.get(dest_node, ()):
-                if vt.actual.sid not in seen:
-                    seen.add(vt.actual.sid)
-                    targets.append(vt.actual)
-        direct_rivals = [
-            v
-            for vs in sender_virtuals
-            for v in vs.dstate.members[sender.node]
-            if v.actual is not sender
-        ]
-        super_rivals = []
-        super_dstate_ids = set()
+        own = self._bindings[sender.sid]
+        sender_dstates = own.members.dstates
+        involved = list(sender_dstates)
+        targets: List[ExecutionState] = []
+        seen: Set[int] = set()
+        for dstate in sender_dstates:
+            for virtual in dstate.members.get(dest_node, ()):
+                if virtual.actual.sid not in seen:
+                    seen.add(virtual.actual.sid)
+                    targets.append(virtual.actual)
+        direct_rivals = [virtual for virtual in own.members if virtual is not own]
+        super_rivals: List[VirtualState] = []
+        seen_lists: Set[int] = set()
         for target in targets:
-            for vt in self._virtuals[target.sid]:
-                dstate = vt.dstate
-                if (
-                    dstate.id not in sender_dstate_ids
-                    and dstate.id not in super_dstate_ids
-                ):
-                    super_dstate_ids.add(dstate.id)
-                    involved_dstates.append(dstate)
-                    super_rivals.extend(dstate.members[sender.node])
-        bystander_sids = set()
+            for dstate in self._bindings[target.sid].members.dstates:
+                if dstate in sender_dstates or dstate in involved:
+                    continue
+                involved.append(dstate)
+                rivals = dstate.members[sender.node]
+                if id(rivals) not in seen_lists:
+                    seen_lists.add(id(rivals))
+                    super_rivals.extend(rivals)
+        bystander_sids: Set[int] = set()
         bystanders = []
-        target_sids = {t.sid for t in targets}
-        for dstate in involved_dstates:
+        for dstate in involved:
             for node, virtuals in dstate.members.items():
                 if node in (sender.node, dest_node):
                     continue
                 for virtual in virtuals:
                     sid = virtual.actual.sid
-                    if sid not in bystander_sids and sid not in target_sids:
+                    if sid not in bystander_sids and sid not in seen:
                         bystander_sids.add(sid)
                         bystanders.append(virtual.actual)
         return targets, direct_rivals, super_rivals, bystanders
@@ -371,15 +408,23 @@ class SDSMapper(StateMapper):
     def dstates(self) -> List[VDState]:
         return list(self._dstates)
 
-    def virtuals_of(self, state: ExecutionState) -> List[VirtualState]:
-        return list(self._virtuals.get(state.sid, ()))
+    def binding_of(self, state: ExecutionState) -> VirtualState:
+        """The one binding of ``state``."""
+        return self._bindings[state.sid]
+
+    def dstates_of(self, state: ExecutionState) -> List[VDState]:
+        """The super-dstate of ``state``, in the order map_transmission
+        visits it."""
+        return self._bindings[state.sid].dstates
 
     def virtual_count(self) -> int:
-        return sum(len(virtuals) for virtuals in self._virtuals.values())
+        """Logical virtual states: one per (state, dstate) membership."""
+        return sum(len(virtual.members.dstates) for virtual in self._bindings.values())
 
     def check_invariants(self) -> None:
         from .history import in_direct_conflict
 
+        known = set(self._dstates)
         node_sets = None
         for dstate in self._dstates:
             if node_sets is None:
@@ -389,22 +434,18 @@ class SDSMapper(StateMapper):
             for node, virtuals in dstate.members.items():
                 if not virtuals:
                     raise MappingError(f"dstate {dstate.id} empty for node {node}")
-                actual_sids = set()
+                if dstate not in virtuals.dstates:
+                    raise MappingError(
+                        f"dstate {dstate.id} missing from its node {node} holders"
+                    )
                 for virtual in virtuals:
-                    if virtual.dstate is not dstate:
-                        raise MappingError(f"virtual {virtual.vid} backpointer wrong")
+                    sid = virtual.actual.sid
+                    if virtual.members is not virtuals:
+                        raise MappingError(f"binding of state {sid} backpointer wrong")
                     if virtual.actual.node != node:
-                        raise MappingError(
-                            f"virtual {virtual.vid} filed under wrong node"
-                        )
-                    if virtual.actual.sid in actual_sids:
-                        raise MappingError(
-                            f"dstate {dstate.id} holds two virtuals of state"
-                            f" {virtual.actual.sid}"
-                        )
-                    actual_sids.add(virtual.actual.sid)
-                    if virtual not in self._virtuals.get(virtual.actual.sid, ()):
-                        raise MappingError(f"virtual {virtual.vid} missing from index")
+                        raise MappingError(f"state {sid} filed under wrong node")
+                    if self._bindings.get(sid) is not virtual:
+                        raise MappingError(f"state {sid} bound twice or not indexed")
             # Conflict-freedom over the actuals in this dstate.
             actuals = [v.actual for v in dstate.virtuals()]
             for i, a in enumerate(actuals):
@@ -414,6 +455,19 @@ class SDSMapper(StateMapper):
                             f"dstate {dstate.id} holds conflicting states"
                             f" {a.sid} and {b.sid}"
                         )
-        for sid, virtuals in self._virtuals.items():
-            if not virtuals:
+        for sid, virtual in self._bindings.items():
+            holders = list(virtual.members.dstates)
+            if virtual.actual.sid != sid or not holders:
                 raise MappingError(f"state {sid} has no virtual states")
+            node = virtual.actual.node
+            for holder in holders:
+                if holder not in known or holder.members.get(node) is not (
+                    virtual.members
+                ):
+                    raise MappingError(
+                        f"state {sid}'s list names dstate {holder.id},"
+                        " which does not hold it"
+                    )
+            ids = [holder.id for holder in holders]
+            if ids != sorted(ids):
+                raise MappingError(f"state {sid}'s dstates out of creation order")

@@ -70,30 +70,27 @@ def render_groups(
 
 
 def render_virtual_structure(mapper: SDSMapper, max_groups: int = 8) -> str:
-    """SDS-specific view: virtual states with their actual-state bindings,
-    drawing the dashed-line sharing of Figure 8 as shared labels."""
+    """SDS-specific view: each dstate's member lists, labelled so that the
+    sharing of Figure 8 shows.  ``L<k>`` names a member list; a list held
+    by several dstates appears under the same label in each, and ``~``
+    marks the states of such a list (in superposition)."""
     lines: List[str] = []
-    share_count: Dict[int, int] = {}
-    for dstate in mapper.dstates():
-        for virtual in dstate.virtuals():
-            share_count[virtual.actual.sid] = (
-                share_count.get(virtual.actual.sid, 0) + 1
-            )
+    labels: Dict[int, int] = {}
     for index, dstate in enumerate(mapper.dstates()[:max_groups]):
         lines.append(f"dstate #{index + 1}")
         for node in sorted(dstate.members):
-            row = []
-            for virtual in dstate.members[node]:
-                shared = share_count[virtual.actual.sid] > 1
-                row.append(
-                    f"v{virtual.vid}->s{virtual.actual.sid}"
-                    + ("~" if shared else "")
-                )
-            lines.append(f"  node {node} | {' '.join(row)}")
+            members = dstate.members[node]
+            label = labels.setdefault(id(members), len(labels) + 1)
+            shared = "~" if len(members.dstates) > 1 else ""
+            states = " ".join(f"s{virtual.actual.sid}{shared}" for virtual in members)
+            lines.append(f"  node {node} | L{label}: {states}")
     total = len(mapper.dstates())
     if total > max_groups:
         lines.append(f"... {total - max_groups} more dstates")
-    lines.append("(~ marks virtual states of an execution state in superposition)")
+    lines.append(
+        "(L<k> is one member list, shared by every dstate that shows it;"
+        " ~ marks states in superposition)"
+    )
     return "\n".join(lines)
 
 

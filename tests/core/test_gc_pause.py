@@ -5,7 +5,8 @@
 - exploration allocates no cyclic garbage;
 - a finished COB or COW engine frees its states, and their path
   conditions, by refcount alone (a parent holds its interned children
-  weakly).  SDS keeps one cycle on purpose and needs one collection;
+  weakly).  SDS keeps one cycle on purpose (binding <-> member list <->
+  dstate) and needs one collection;
 - the executor's event summaries key symbolic input on its path
   condition, so the summary table holds path-condition nodes.  The
   table lives inside the executor's documented ``_threaded`` cycle:
@@ -169,7 +170,9 @@ class TestTeardown:
         engine, state = self._finished("sds")
         gc.disable()
         del engine
-        assert state() is not None  # the documented VirtualState cycle
+        # The documented cycle: a binding and its member list, and the
+        # list and the dstates holding it, point at each other.
+        assert state() is not None
         gc.collect()
         assert state() is None
 

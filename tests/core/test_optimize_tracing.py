@@ -2,6 +2,7 @@
 
 from repro import Scenario, Topology, build_engine
 from repro.core import (
+    SDSMapper,
     analyze_equal_packets,
     partition_groups,
     projected_speedup,
@@ -11,6 +12,8 @@ from repro.core.partition import Partition
 from repro.core.tracing import render_groups, render_state, render_virtual_structure
 from repro.net import SymbolicPacketDrop
 from repro.workloads import grid_scenario, line_scenario
+
+from .helpers import MapperHarness
 
 
 class TestEqualPacketAnalysis:
@@ -137,8 +140,16 @@ class TestTracing:
         engine = build_engine(line_scenario(3, sim_seconds=3), "sds")
         engine.run()
         text = render_virtual_structure(engine.mapper)
-        assert "v" in text and "->s" in text
+        assert "node 0 | L1: s" in text
         assert "superposition" in text
+
+    def test_render_virtual_structure_shows_shared_lists(self):
+        harness = MapperHarness(SDSMapper(), node_count=3)
+        harness.branch(harness.initial[0])
+        harness.transmit(harness.initial[0], 1)  # a virtual fork
+        first, second = render_virtual_structure(harness.mapper).split("dstate #2")
+        bystander = f"node 2 | L3: s{harness.initial[2].sid}~"
+        assert bystander in first and bystander in second
 
     def test_render_state(self):
         engine = build_engine(line_scenario(3, sim_seconds=3), "sds")

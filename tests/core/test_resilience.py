@@ -299,6 +299,35 @@ class TestCheckpointResume:
                 == baseline.metrics["counters"][name]
             )
 
+    def test_pickled_sds_snapshot_of_shared_lists_resumes(self):
+        """A mid-run SDS snapshot of a 4x4 grid where any packet may drop:
+        many dstates share member lists, and the snapshot pickles without
+        the lists' holders.  Restored, it resumes to the uninterrupted
+        report."""
+        from repro.core.snapshot import EngineSnapshot
+
+        def scenario():
+            return grid_scenario(4, sim_seconds=5, drop_any_packet=True)
+
+        baseline_engine = build_engine(scenario(), "sds")
+        baseline = baseline_engine.run()
+        engine = build_engine(scenario(), "sds")
+        engine.run_until(split_events=baseline.events_executed // 2)
+        shared = [
+            members
+            for dstate in engine.mapper.dstates()
+            for members in dstate.members.values()
+            if len(members.dstates) > 1
+        ]
+        assert len(shared) > 10
+        payload = pickle.dumps(EngineSnapshot.capture(engine, with_counters=True))
+        del engine
+        resumed = pickle.loads(payload).restore()
+        resumed.mapper.check_invariants()
+        report = resumed.run()
+        _assert_reports_match(report, baseline)
+        assert resumed.state_census() == baseline_engine.state_census()
+
     @pytest.mark.parametrize("algorithm", ["cob", "cow"])
     def test_resume_matches_for_other_mappers(self, tmp_path, algorithm):
         # The events each mapper runs before 2000 ms.
@@ -497,6 +526,14 @@ class TestCheckpointResume:
         # the registry snapshot; version 7 keeps them as registry timers.
         path = self._checkpoint_claiming_version(tmp_path, 6)
         with pytest.raises(CheckpointError, match="version 6 is not supported"):
+            load_checkpoint(path)
+
+    def test_version_7_checkpoint_rejected(self, tmp_path):
+        # Version 7 pickled one SDS virtual state per (state, dstate) and a
+        # per-state virtual list; version 8 ships the dstates alone, with
+        # member lists shared between them.
+        path = self._checkpoint_claiming_version(tmp_path, 7)
+        with pytest.raises(CheckpointError, match="version 7 is not supported"):
             load_checkpoint(path)
 
 

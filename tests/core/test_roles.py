@@ -8,7 +8,9 @@ targets.  The other two states on the sender's node are its rivals.  The
 four states on node 3 and 4 are bystanders."
 
 We build exactly that configuration and check the classification, then the
-SDS variant with direct vs super rivals (Figure 8's legend).
+SDS variant with direct vs super rivals (Figure 8's legend).  SDS reports
+rivals as bindings: one binding stands for its state in every dstate that
+shares its member list.
 """
 
 from repro.core import COWMapper, SDSMapper
@@ -116,6 +118,9 @@ class TestSDSRoles:
         # Targets: the receiving state (in node0's dstate) and the twin
         # (in the rival's dstate).
         assert len(targets) == 2
-        assert len(direct) == 2  # sibling's virtuals in both dstates
+        # The sibling is one rival binding, shared by both dstates.
+        (sibling,) = direct
+        assert len(sibling.dstates) == 2
+        assert super_rivals == []
         assert {b.node for b in bystanders} == {0, 2}
         harness.check()

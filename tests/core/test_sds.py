@@ -14,7 +14,7 @@ def harness():
 
 
 def dstates_of(harness, state):
-    return {v.dstate.id for v in harness.mapper.virtuals_of(state)}
+    return {dstate.id for dstate in harness.mapper.dstates_of(state)}
 
 
 class TestVirtualLayer:
@@ -26,8 +26,11 @@ class TestVirtualLayer:
     def test_branch_mirrors_parent_virtuals(self, harness):
         node1 = harness.initial[1]
         children = harness.branch(node1)
-        assert len(harness.mapper.virtuals_of(children[0])) == 1
+        # The child is bound into its parent's member list, in place.
+        child = harness.mapper.binding_of(children[0])
+        assert child.members is harness.mapper.binding_of(node1).members
         assert dstates_of(harness, children[0]) == dstates_of(harness, node1)
+        assert harness.mapper.virtual_count() == 5
         assert harness.mapper.group_count() == 1
         harness.check()
 
@@ -84,12 +87,37 @@ class TestDirectRivals:
         node1 = harness.initial[1]
         harness.branch(node1)
         bystander = harness.initial[3]
-        assert len(harness.mapper.virtuals_of(bystander)) == 1
+        binding = harness.mapper.binding_of(bystander)
         harness.transmit(node1, 2)
-        # The bystander now has two virtual states (it is in superposition)
-        # but is still a single execution state.
-        assert len(harness.mapper.virtuals_of(bystander)) == 2
+        # The bystander is now in superposition over two dstates, but it is
+        # still a single execution state with its single binding: both
+        # dstates hold the same member list for its node.
+        assert harness.mapper.binding_of(bystander) is binding
         assert len(dstates_of(harness, bystander)) == 2
+        old, new = harness.mapper.dstates()
+        assert new.members[3] is old.members[3] is binding.members
+        # Four nodes in two dstates: eight logical virtual states over six
+        # execution states, and one virtual copy counted per bystander and
+        # receiver (plus the local fork).
+        assert harness.mapper.virtual_count() == 8
+        assert harness.total_states() == 6
+        assert harness.mapper.virtual_forks.value == 1 + 3
+
+    def test_forked_target_is_rebound_to_its_twin(self, harness):
+        node1 = harness.initial[1]
+        harness.branch(node1)
+        receiver = harness.initial[2]
+        old = harness.mapper.binding_of(receiver)
+        harness.transmit(node1, 2)
+        (twin,) = [s for s in harness.spawned if s.node == 2]
+        # The twin takes over the old binding whole; the receiver gets a
+        # fresh one in the sender's new dstate.
+        assert harness.mapper.binding_of(twin) is old
+        assert old.actual is twin
+        fresh = harness.mapper.binding_of(receiver)
+        assert fresh is not old and fresh.actual is receiver
+        assert dstates_of(harness, receiver) == dstates_of(harness, node1)
+        harness.check()
 
     def test_two_dstates_after_conflict(self, harness):
         node1 = harness.initial[1]
@@ -250,7 +278,8 @@ class TestInvariants:
         harness.branch(node0)
         harness.transmit(node0, 1)
         for state in harness.states:
-            assert harness.mapper.virtuals_of(state)
+            assert harness.mapper.binding_of(state).actual is state
+            assert harness.mapper.dstates_of(state)
 
     def test_unknown_destination_raises(self, harness):
         with pytest.raises(MappingError):
