@@ -67,6 +67,7 @@ from typing import Dict, Iterable, List, Sequence, Set
 
 from ..vm.state import ExecutionState
 from .cob import _ensure_counter_above
+from .history import in_direct_conflict
 from .mapping import MappingError, StateMapper
 
 __all__ = ["SDSMapper", "MemberList", "VirtualState", "VDState"]
@@ -422,34 +423,45 @@ class SDSMapper(StateMapper):
         return sum(len(virtual.members.dstates) for virtual in self._bindings.values())
 
     def check_invariants(self) -> None:
-        from .history import in_direct_conflict
-
         known = set(self._dstates)
         node_sets = None
+        # Dstates share member lists, so each list is checked once per
+        # call, and each pair of lists once, at the first dstate holding
+        # both.  States of one node conflict unless their histories are
+        # equal, so a list that passes has one history and its first
+        # state stands for it; two lists can only conflict where one's
+        # history names the other's node.
+        partners: Dict[int, Set[int]] = {}  # id(list) -> nodes it heard or told
+        seen_pairs: Set[tuple] = set()
         for dstate in self._dstates:
+            members = dstate.members
             if node_sets is None:
-                node_sets = set(dstate.members)
-            elif set(dstate.members) != node_sets:
+                node_sets = set(members)
+            elif set(members) != node_sets:
                 raise MappingError(f"dstate {dstate.id} covers a different node set")
-            for node, virtuals in dstate.members.items():
+            for node, virtuals in members.items():
                 if not virtuals:
                     raise MappingError(f"dstate {dstate.id} empty for node {node}")
                 if dstate not in virtuals.dstates:
                     raise MappingError(
                         f"dstate {dstate.id} missing from its node {node} holders"
                     )
-                for virtual in virtuals:
-                    sid = virtual.actual.sid
-                    if virtual.members is not virtuals:
-                        raise MappingError(f"binding of state {sid} backpointer wrong")
-                    if virtual.actual.node != node:
-                        raise MappingError(f"state {sid} filed under wrong node")
-                    if self._bindings.get(sid) is not virtual:
-                        raise MappingError(f"state {sid} bound twice or not indexed")
-            # Conflict-freedom over the actuals in this dstate.
-            actuals = [v.actual for v in dstate.virtuals()]
-            for i, a in enumerate(actuals):
-                for b in actuals[i + 1 :]:
+                if id(virtuals) not in partners:
+                    partners[id(virtuals)] = self._check_list(dstate, node, virtuals)
+            for node, virtuals in members.items():
+                for partner in partners[id(virtuals)]:
+                    other = members.get(partner)
+                    if other is None or other is virtuals:
+                        continue
+                    pair = (
+                        (id(virtuals), id(other))
+                        if node < partner
+                        else (id(other), id(virtuals))
+                    )
+                    if pair in seen_pairs:
+                        continue
+                    seen_pairs.add(pair)
+                    a, b = virtuals[0].actual, other[0].actual
                     if in_direct_conflict(a, b):
                         raise MappingError(
                             f"dstate {dstate.id} holds conflicting states"
@@ -471,3 +483,23 @@ class SDSMapper(StateMapper):
             ids = [holder.id for holder in holders]
             if ids != sorted(ids):
                 raise MappingError(f"state {sid}'s dstates out of creation order")
+
+    def _check_list(self, dstate: VDState, node: int, virtuals: MemberList) -> Set[int]:
+        """Check one member list's bindings and that its states agree on
+        their history; return the nodes that history names."""
+        first = virtuals[0].actual
+        for virtual in virtuals:
+            actual = virtual.actual
+            sid = actual.sid
+            if virtual.members is not virtuals:
+                raise MappingError(f"binding of state {sid} backpointer wrong")
+            if actual.node != node:
+                raise MappingError(f"state {sid} filed under wrong node")
+            if self._bindings.get(sid) is not virtual:
+                raise MappingError(f"state {sid} bound twice or not indexed")
+            if actual.history != first.history:
+                raise MappingError(
+                    f"dstate {dstate.id} holds conflicting states"
+                    f" {first.sid} and {sid}"
+                )
+        return {peer for _kind, _pid, peer in first.history}

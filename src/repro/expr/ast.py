@@ -541,9 +541,13 @@ class BoolOr(BoolExpr):
 
 
 class Cmp(BoolExpr):
-    """A comparison of two equal-width bitvectors (see CMP_OPS)."""
+    """A comparison of two equal-width bitvectors (see CMP_OPS).
 
-    __slots__ = ("op", "left", "right")
+    ``_negation`` memoizes :func:`repro.expr.builder.not_`: once set, two
+    nodes name each other, and both are from the same interning table.
+    """
+
+    __slots__ = ("op", "left", "right", "_negation")
 
     def __new__(cls, op: str, left: BVExpr, right: BVExpr) -> "Cmp":
         key = ("cmp", op, left, right)
@@ -554,9 +558,15 @@ class Cmp(BoolExpr):
             node.left = left
             node.right = right
             node._hash = hash(key)
+            node._negation = None
             return node
 
         return _interned(key, build)  # type: ignore[return-value]
+
+    def is_interned(self) -> bool:
+        """Is this node still the table's, i.e. built since the last
+        :func:`clear_intern_cache`?"""
+        return _INTERN.get(("cmp", self.op, self.left, self.right)) is self
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)

@@ -552,9 +552,17 @@ def not_(a: BoolExpr) -> BoolExpr:
     if isinstance(a, BoolNot):
         return a.operand
     if isinstance(a, Cmp):
-        op, swap = _CMP_NEG[a.op]
-        left, right = (a.right, a.left) if swap else (a.left, a.right)
-        return Cmp(op, left, right)
+        negation = a._negation
+        if negation is None:
+            op, swap = _CMP_NEG[a.op]
+            left, right = (a.right, a.left) if swap else (a.left, a.right)
+            negation = Cmp(op, left, right)
+            # A node from before clear_intern_cache() keeps no memo, so
+            # no memo links the old table to the new one.
+            if a.is_interned():
+                a._negation = negation
+                negation._negation = a
+        return negation
     return BoolNot(a)
 
 

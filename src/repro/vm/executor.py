@@ -17,15 +17,16 @@ branch"), while COW/SDS react to transmissions via the syscall host instead.
 
 A handler run is recorded once and then *replayed*: the executor keeps
 a bounded table of event summaries (the run's branch decisions and
-forks, each leaf's final memory and stacks, counts, ``log`` output and
-the host effects in order), and a repeated event replays the summary
-instead of re-interpreting the handler (docs/VM.md, "Summaries").
+forks, each leaf's final memory and stacks, ``log`` output and fresh
+symbols, counts and the host effects in order), and a repeated event
+replays the summary instead of re-interpreting the handler (docs/VM.md,
+"Summaries").
 
 The executor is deliberately ignorant of networking: everything beyond pure
 computation goes through a :class:`SyscallHost`.
 
 The interpreter is *threaded*: each pc indexes a precomputed
-``(bound handler, specialized arg, line)`` triple built from the decoder
+``(handler, specialized arg, line)`` triple built from the decoder
 output, so dispatch is one tuple index and one call — no opcode
 comparison chain, no operand re-interpretation — and fused
 superinstructions collapse 2–4 dispatches into one.  Fused handlers
@@ -195,11 +196,9 @@ class Executor:
         self.visited_pcs = set()
         self.fuse_ops = fuse_ops
         self.decoded: DecodedProgram = program.decoded(fuse=fuse_ops)
-        # The bound handlers point back at this executor: a deliberate
-        # cycle (the threaded loop needs no attribute lookups), freed by
-        # one collection after the run.  It holds no execution state; the
-        # summary keys hold path-condition nodes (docs/VM.md, "Memory
-        # management").
+        # (handler function, specialized arg, line) per pc; the handlers
+        # are unbound, so the table holds no reference to this executor
+        # (docs/VM.md, "Memory management").
         self._threaded = tuple(
             self._bind(op, arg, line) for op, arg, line in self.decoded.code
         )
@@ -209,10 +208,11 @@ class Executor:
         self.summary_hits = 0
         # What the event being recorded did so far, else None.
         self._recording: Optional[_Recording] = None
-        # The clock is a handler input only where the program reads it.
-        self._reads_clock = any(
-            op == Op.SYS and arg[0] == "time" for op, arg, _ in self.decoded.code
-        )
+        # The clock is a handler input only where the program reads it,
+        # and the symbol counters only where it makes fresh symbols.
+        syscalls = {arg[0] for op, arg, _ in self.decoded.code if op == Op.SYS}
+        self._reads_clock = "time" in syscalls
+        self._makes_symbols = "symbolic" in syscalls
 
     # -- state construction ---------------------------------------------------
 
@@ -298,7 +298,7 @@ class Executor:
                     done.append(successor)
                     if recording is not None:
                         recording.script.append(
-                            (_LEAF, _Leaf(successor, recording.trace))
+                            (_LEAF, _Leaf(successor, recording))
                         )
         return done
 
@@ -310,11 +310,13 @@ class Executor:
         """The event's summary key and the summary stored under it.
 
         The key is everything the handler can read; ``(None, None)``
-        means the host opts out.  A key with a symbolic cell also holds
-        the path condition, which the handler's jump decisions read
-        through the solver.  The key without it is looked up first: a
-        stored key of that length is concrete (no expression equals an
-        int), so a concrete hit costs one lookup and no scan.
+        means the host opts out.  A program that calls ``symbolic()``
+        reads the state's symbol counters, which name the fresh symbols.
+        A key with a symbolic cell also holds the path condition, which
+        the handler's jump decisions read through the solver.  The key
+        without it is looked up first: a stored key of that length is
+        concrete (no expression equals an int), so a concrete hit costs
+        one lookup and no scan.
         """
         event_input = self.host.event_input(state)
         if event_input is None:
@@ -324,6 +326,8 @@ class Executor:
         key = (state.node, func_name, args, memory, event_input)
         if self._reads_clock:
             key += (state.clock,)
+        if self._makes_symbols:
+            key += (frozenset(state.sym_counters.items()),)
         summaries = self._summaries
         summary = summaries.get(key)
         if summary is not None or _all_concrete(memory, args, event_input):
@@ -336,25 +340,19 @@ class Executor:
     ) -> List[ExecutionState]:
         """Run an event and keep its summary if the run qualifies: it
         used the solver for jump decisions only, every leaf ended
-        ``IDLE``, and a run on symbolic input had no host effect and no
-        ``log`` output (docs/VM.md, "Summaries")."""
-        symbolic = key[-1] is state.constraints  # as _lookup ends such a key
+        ``IDLE``, and a run with more than one leaf had no host effect
+        (docs/VM.md, "Summaries")."""
         instructions = self.instructions_executed
-        self._recording = recording = _Recording(len(state.trace))
+        self._recording = recording = _Recording(state)
         try:
             done = self.resume_event(state, on_fork)
         finally:
             self._recording = None
-        if recording.spoiled:
+        if recording.spoiled or (recording.effects and len(done) > 1):
             return done
         for successor in done:
             if successor.status != Status.IDLE:
                 return done
-        if symbolic and (
-            recording.effects
-            or any(step[1].trace for step in recording.script if step[0] == _LEAF)
-        ):
-            return done
         summaries = self._summaries
         if len(summaries) >= SUMMARY_LIMIT:
             del summaries[next(iter(summaries))]
@@ -460,7 +458,7 @@ class Executor:
                 state.pc = pc + 1
                 state.steps += 1
                 dispatched += 1
-                outcome = handler(state, arg, line)
+                outcome = handler(self, state, arg, line)
                 if outcome is not None:
                     return outcome
         finally:
@@ -473,94 +471,97 @@ class Executor:
 
         Runs once per pc at construction: all per-opcode decisions and
         dict lookups (arith/compare function pairs) happen here, so the
-        hot loop only indexes a tuple and calls.
+        hot loop only indexes a tuple and calls.  The handler is the
+        class's plain function, called with the executor: a bound method
+        would point back at the executor and make it cyclic garbage.
         """
+        cls = type(self)
         if op == Op.PUSH:
-            return (self._op_push, arg, line)
+            return (cls._op_push, arg, line)
         if op == Op.LOAD:
-            return (self._op_load, arg, line)
+            return (cls._op_load, arg, line)
         if op == Op.STORE:
-            return (self._op_store, arg, line)
+            return (cls._op_store, arg, line)
         if op == Op.LOADI:
-            return (self._op_loadi, arg, line)
+            return (cls._op_loadi, arg, line)
         if op == Op.STOREI:
-            return (self._op_storei, arg, line)
+            return (cls._op_storei, arg, line)
         if Op.ADD <= op <= Op.BNOT:
             if op in _DIVISIVE:
                 return (
-                    self._op_divide,
+                    cls._op_divide,
                     (_CONCRETE_ARITH[op], _SYMBOLIC_ARITH[op]),
                     line,
                 )
             if op == Op.NEG or op == Op.BNOT:
-                return (self._op_unary, op, line)
+                return (cls._op_unary, op, line)
             return (
-                self._op_arith2,
+                cls._op_arith2,
                 (_CONCRETE_ARITH[op], _SYMBOLIC_ARITH[op]),
                 line,
             )
         if Op.EQ <= op <= Op.BOOL:
             if op == Op.LNOT or op == Op.BOOL:
-                return (self._op_truth, op, line)
-            return (self._op_cmp2, (_CONCRETE_CMP[op], _SYMBOLIC_CMP[op]), line)
+                return (cls._op_truth, op, line)
+            return (cls._op_cmp2, (_CONCRETE_CMP[op], _SYMBOLIC_CMP[op]), line)
         if op == Op.JMP:
-            return (self._op_jmp, arg, line)
+            return (cls._op_jmp, arg, line)
         if op == Op.JZ:
-            return (self._op_jz, arg, line)
+            return (cls._op_jz, arg, line)
         if op == Op.JNZ:
-            return (self._op_jnz, arg, line)
+            return (cls._op_jnz, arg, line)
         if op == Op.CALL:
-            return (self._op_call, arg, line)
+            return (cls._op_call, arg, line)
         if op == Op.RET:
-            return (self._op_ret, None, line)
+            return (cls._op_ret, None, line)
         if op == Op.SYS:
-            return (self._op_sys, arg, line)
+            return (cls._op_sys, arg, line)
         if op == Op.POP:
-            return (self._op_pop, None, line)
+            return (cls._op_pop, None, line)
         if op == Op.DUP:
-            return (self._op_dup, None, line)
+            return (cls._op_dup, None, line)
         if op == Op.LOAD_LOAD:
-            return (self._op_load_load, arg, line)
+            return (cls._op_load_load, arg, line)
         if op == Op.PUSH_LOAD:
-            return (self._op_push_load, arg, line)
+            return (cls._op_push_load, arg, line)
         if op == Op.LOAD_PUSH:
-            return (self._op_load_push, arg, line)
+            return (cls._op_load_push, arg, line)
         if op == Op.PUSH_STORE:
-            return (self._op_push_store, arg, line)
+            return (cls._op_push_store, arg, line)
         if op == Op.LOAD_STORE:
-            return (self._op_load_store, arg, line)
+            return (cls._op_load_store, arg, line)
         if op == Op.LOAD_ARITH:
             addr, aop = arg
             return (
-                self._op_load_arith,
+                cls._op_load_arith,
                 (addr, _CONCRETE_ARITH[aop], _SYMBOLIC_ARITH[aop]),
                 line,
             )
         if op == Op.PUSH_ARITH:
             imm, aop = arg
             return (
-                self._op_push_arith,
+                cls._op_push_arith,
                 (imm, _CONCRETE_ARITH[aop], _SYMBOLIC_ARITH[aop]),
                 line,
             )
         if op == Op.ARITH_STORE:
             aop, addr = arg
             return (
-                self._op_arith_store,
+                cls._op_arith_store,
                 (_CONCRETE_ARITH[aop], _SYMBOLIC_ARITH[aop], addr),
                 line,
             )
         if op == Op.ARITH_LOAD:
             aop, addr = arg
             return (
-                self._op_arith_load,
+                cls._op_arith_load,
                 (_CONCRETE_ARITH[aop], _SYMBOLIC_ARITH[aop], addr),
                 line,
             )
         if op == Op.ARITH_ARITH:
             op1, op2 = arg
             return (
-                self._op_arith_arith,
+                cls._op_arith_arith,
                 (_CONCRETE_ARITH[op1], _SYMBOLIC_ARITH[op1],
                  _CONCRETE_ARITH[op2], _SYMBOLIC_ARITH[op2]),
                 line,
@@ -568,21 +569,21 @@ class Executor:
         if op == Op.CMP_JZ:
             cop, target = arg
             return (
-                self._op_cmp_jz,
+                cls._op_cmp_jz,
                 (_CONCRETE_CMP[cop], _SYMBOLIC_CMP[cop], target),
                 line,
             )
         if op == Op.CMP_JNZ:
             cop, target = arg
             return (
-                self._op_cmp_jnz,
+                cls._op_cmp_jnz,
                 (_CONCRETE_CMP[cop], _SYMBOLIC_CMP[cop], target),
                 line,
             )
         if op == Op.INC_MEM:
             addr, imm, aop = arg
             return (
-                self._op_inc_mem,
+                cls._op_inc_mem,
                 (addr, imm, _CONCRETE_ARITH[aop], _SYMBOLIC_ARITH[aop]),
                 line,
             )
@@ -1147,7 +1148,6 @@ class Executor:
                     ),
                 )
             ]
-        self._spoil_recording()
         tag = self.program.strings[tag_index]
         name = state.fresh_symbol_name(tag)
         symbol = var(name, width)
@@ -1215,30 +1215,40 @@ class Executor:
 class _Recording:
     """What the event being recorded did so far, in the interpreter's
     order: the script of branch decisions, forks and leaves, and the
-    host effects.  ``trace`` is the ``log`` length the event started at."""
+    host effects.  ``trace`` and ``symbolics`` are the lengths of the
+    ``log`` output and of the symbol list the event started at."""
 
-    __slots__ = ("script", "effects", "trace", "spoiled")
+    __slots__ = ("script", "effects", "trace", "symbolics", "spoiled")
 
-    def __init__(self, trace: int) -> None:
+    def __init__(self, state: ExecutionState) -> None:
         self.script: List[tuple] = []
         self.effects: List[tuple] = []
-        self.trace = trace
+        self.trace = len(state.trace)
+        self.symbolics = len(state.symbolics)
         self.spoiled = False
 
 
 class _Leaf:
     """How one path of a recorded run left its state: the frozen memory
-    and stacks, which every replay shares, and the ``log`` output."""
+    and stacks, which every replay shares, the ``log`` output and the
+    fresh symbols, with the symbol counters after them."""
 
-    __slots__ = ("memory", "pc", "call_stack", "opstack", "steps", "trace")
+    __slots__ = (
+        "memory", "pc", "call_stack", "opstack", "steps", "trace",
+        "symbolics", "sym_counters",
+    )
 
-    def __init__(self, state: ExecutionState, trace: int) -> None:
+    def __init__(self, state: ExecutionState, recording: _Recording) -> None:
         self.memory = state.memory
         self.pc = state.pc
         self.call_stack = state.call_stack
         self.opstack = state.opstack
         self.steps = state.steps
-        self.trace = state.trace[trace:]
+        self.trace = state.trace[recording.trace:]
+        # Only symbolic() moves the counters during a handler, and only
+        # a key of a program that calls it holds them.
+        self.symbolics = state.symbolics[recording.symbolics:]
+        self.sym_counters = state.sym_counters if self.symbolics else None
 
     def install(self, state: ExecutionState) -> None:
         """Leave ``state`` as the recorded path left it, host effects aside."""
@@ -1250,6 +1260,9 @@ class _Leaf:
         state.status = Status.IDLE
         if self.trace:
             state.trace = state.trace + self.trace
+        if self.symbolics:
+            state.symbolics = state.symbolics + self.symbolics
+            state.sym_counters = self.sym_counters
 
 
 class _Summary:

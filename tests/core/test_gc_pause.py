@@ -3,14 +3,14 @@
 - ``run_until`` and ``run`` pause automatic collection and restore the
   collector's previous state, also when an exception escapes the loop;
 - exploration allocates no cyclic garbage;
-- a finished COB or COW engine frees its states, and their path
-  conditions, by refcount alone (a parent holds its interned children
-  weakly).  SDS keeps one cycle on purpose (binding <-> member list <->
-  dstate) and needs one collection;
+- a finished COB or COW engine is freed by refcount alone: its states
+  and their path conditions (a parent holds its interned children
+  weakly), and its executor, whose dispatch table holds unbound
+  handlers.  SDS keeps one cycle on purpose (binding <-> member list
+  <-> dstate) and needs one collection;
 - the executor's event summaries key symbolic input on its path
-  condition, so the summary table holds path-condition nodes.  The
-  table lives inside the executor's documented ``_threaded`` cycle:
-  one collection after the engine is dropped frees every such node;
+  condition, so the summary table holds path-condition nodes; they go
+  with the executor;
 - the reducer's template table lives and dies with its engine.
 """
 
@@ -176,6 +176,22 @@ class TestTeardown:
         gc.collect()
         assert state() is None
 
+    @pytest.mark.parametrize("algorithm", ["cob", "cow"])
+    def test_dropped_engine_leaves_no_cyclic_garbage(self, algorithm):
+        engine, _ = self._finished(algorithm)
+        executor = weakref.ref(engine.executor)
+        gc.disable()
+        del engine
+        assert executor() is None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            found = len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert found == 0
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_summary_path_conditions_are_freed_by_one_collection(self, algorithm):
         engine, _ = self._finished(algorithm, "symflood")
@@ -187,6 +203,8 @@ class TestTeardown:
         assert held
         gc.disable()
         del engine
+        if algorithm != "sds":  # SDS states sit in its virtual-layer cycle
+            assert [ref for ref in held if ref() is not None] == []
         gc.collect()
         assert [ref for ref in held if ref() is not None] == []
 

@@ -281,6 +281,26 @@ class TestInvariants:
             assert harness.mapper.binding_of(state).actual is state
             assert harness.mapper.dstates_of(state)
 
+    @pytest.mark.parametrize("within", [False, True], ids=["across", "within"])
+    def test_conflict_in_a_shared_list_is_caught(self, harness, within):
+        """Each pair of member lists is checked once per call, so a
+        conflict planted in a list that two dstates hold still raises."""
+        node1 = harness.initial[1]
+        harness.branch(node1)
+        harness.transmit(node1, 2)
+        bystander = harness.initial[3]
+        (sibling,) = harness.branch(bystander)
+        shared = harness.mapper.binding_of(bystander).members
+        assert len(shared.dstates) == 2
+        harness.check()
+        if within:
+            # a send to itself: it conflicts with its node-mate only
+            sibling.record_sent(998, 3)
+        else:
+            bystander.record_received(999, 0)  # a packet node 0 never sent
+        with pytest.raises(MappingError, match="conflicting states"):
+            harness.check()
+
     def test_unknown_destination_raises(self, harness):
         with pytest.raises(MappingError):
             harness.mapper.map_transmission(harness.initial[0], 42)

@@ -5,7 +5,8 @@ hit, first replays the summary's paths, then runs the event for real on
 a copy of the state it had before, with a reference executor that never
 summarizes, its own solver and a host that records effects instead of
 performing them.  It compares, in order, the resulting states'
-``config_key()``, steps and ``log`` output, the (condition, answer)
+``config_key()``, steps, ``log`` output, fresh symbols and symbol
+counters, the (condition, answer)
 pairs of the solver calls, the fork callbacks, the instruction count
 and the effect list.  The reference runs second and on its own solver:
 the replay's calls leave the shared path-condition memos as
@@ -30,6 +31,8 @@ from hypothesis import HealthCheck, given, settings
 from benchmarks.ladder.workloads import SYMBOLIC_FLOOD
 from repro.api import Scenario, Topology, build_engine
 from repro.core import engine as engine_module
+from repro.core import iter_dscenarios
+from repro.core import testcase_for_dscenario as make_dscenario_testcase
 from repro.core.distributed import DistributedRunner
 from repro.core.resilience import resume_engine, save_checkpoint
 from repro.expr import var
@@ -80,7 +83,17 @@ def _fork_view(parent, children):
 
 
 def _views(states):
-    return [(s.config_key(), s.steps, s.trace) for s in states]
+    # config_key() leaves the fresh symbols and their counters out
+    return [
+        (
+            s.config_key(),
+            s.steps,
+            s.trace,
+            s.symbolics,
+            sorted(s.sym_counters.items()),
+        )
+        for s in states
+    ]
 
 
 class AuditingExecutor(Executor):
@@ -91,6 +104,8 @@ class AuditingExecutor(Executor):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.audited = 0
+        #: the handler of every audited hit
+        self.audited_handlers = []
         #: audited hits whose summary made branch decisions
         self.audited_symbolic = 0
         self.mismatches = []
@@ -155,6 +170,7 @@ class AuditingExecutor(Executor):
         if interpreted != replayed:
             self.mismatches.append((state.node, func_name, args))
         self.audited += 1
+        self.audited_handlers.append(func_name)
         if calls.calls:
             self.audited_symbolic += 1
         return done
@@ -408,12 +424,44 @@ def test_symbolic_payload_is_input():
 def test_symbolic_receptions_are_summarized_per_path_condition(audit):
     engine = build_engine(golden.scenarios()["symbolic"], "sds")
     engine.run()
-    receptions = [key for key in engine.executor._summaries if key[1] == "on_recv"]
+    keys = engine.executor._summaries
+    receptions = [key for key in keys if key[1] == "on_recv"]
     assert receptions
-    # a symbolic payload puts the path condition into the key
-    assert all(key[-1] is not None and len(key) == 6 for key in receptions)
+    # the program calls symbolic(): every key holds the symbol counters
+    # (node, handler, args, memory, packet, counters); a symbolic
+    # payload adds the path condition
+    assert all(len(key) == 7 and key[-1] is not None for key in receptions)
+    assert all(isinstance(key[5], frozenset) for key in keys)
+    assert any(key[1] == "on_timer" for key in keys)
     assert _audited(audit) > 0
     assert sum(executor.audited_symbolic for executor in audit) > 0
+
+
+def _testcases(engine):
+    """Every dscenario's test case, as node -> inputs, in mapper order."""
+    cases = []
+    for members in iter_dscenarios(engine.mapper):
+        case = make_dscenario_testcase(members, engine.solver)
+        cases.append(
+            (case.feasible, {node: case.inputs_for_node(node) for node in members})
+        )
+    return cases
+
+
+def test_testcases_of_summarized_states_equal_interpreted(audit, monkeypatch):
+    """``symbolic()`` runs answered from summaries name and count their
+    symbols as interpretation does, so test cases come out equal."""
+    scenario = Scenario(
+        name="symbolic-flood-line3",
+        program=SYMBOLIC_FLOOD,
+        topology=Topology.line(3),
+        horizon_ms=200,
+    )
+    summarized, interpreted = _run_both(monkeypatch, scenario, "sds")
+    assert "on_timer" in summarized.executor.audited_handlers
+    cases = _testcases(summarized)
+    assert cases == _testcases(interpreted)
+    assert any(inputs for _feasible, members in cases for inputs in members.values())
 
 
 # ---------------------------------------------------------------------------

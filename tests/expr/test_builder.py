@@ -1,5 +1,6 @@
 """Unit tests for smart-constructor folding and rewrites."""
 
+from repro.expr import ast as ast_module
 from repro.expr import (
     BVConst,
     Cmp,
@@ -11,6 +12,7 @@ from repro.expr import (
     bvnot,
     bvor,
     bvxor,
+    clear_intern_cache,
     concat,
     eq,
     extract,
@@ -247,6 +249,36 @@ class TestBooleanConnectives:
     def test_not_cancels(self):
         p = ult(X, Y)
         assert not_(not_(p)) is p
+
+    def test_not_of_cmp_is_memoized_both_ways(self):
+        p = ult(X, bv(77))
+        negation = not_(p)
+        assert negation is ule(bv(77), X)
+        assert p._negation is negation and negation._negation is p
+        assert not_(negation) is p
+
+    def test_not_memo_never_links_two_intern_tables(self, monkeypatch):
+        # Keep the process's table: other tests hold interned constants.
+        saved = dict(ast_module._INTERN)
+        monkeypatch.setattr(ast_module, "_INTERN_HITS", ast_module._INTERN_HITS)
+        monkeypatch.setattr(ast_module, "_INTERN_MISSES", ast_module._INTERN_MISSES)
+        try:
+            memoized = ult(X, bv(78))
+            negation = not_(memoized)
+            unmemoized = ult(X, bv(79))
+            clear_intern_cache()
+            # an old node's memo still points to an old node
+            assert not_(memoized) is negation
+            # an old node without one gets none into the new table
+            fresh = not_(unmemoized)
+            assert fresh.op == "ule" and fresh.is_interned()
+            assert not unmemoized.is_interned()
+            assert unmemoized._negation is None and fresh._negation is None
+            assert not_(fresh) is not unmemoized
+            assert not_(not_(fresh)) is fresh
+        finally:
+            ast_module._INTERN.clear()
+            ast_module._INTERN.update(saved)
 
     def test_not_of_cmp_stays_positive(self):
         # Negations of comparisons canonicalize into swapped comparisons,

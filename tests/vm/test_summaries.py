@@ -3,21 +3,24 @@
 A repeat of an event is answered from the summary its first run
 recorded.  These tests run the executor on the network-less
 :class:`NullHost` (plus a packet for the property) and pin what a hit
-must reproduce (memory, stacks, counts, ``log`` output, forks, branch
-decisions and solver counters) and what keeps an event out of the
-table (``symbolic()``, solver use other than a jump, a host effect or
-``log`` output on symbolic input, deaths, a different clock for a
-``time()`` reader, a different path condition for symbolic input).
+must reproduce (memory, stacks, counts, ``log`` output, fresh symbols
+and symbol counters, forks, branch decisions, solver counters and host
+effects) and what keeps an event out of the table (solver use other
+than a jump, a host effect on a run with more than one leaf, deaths)
+or apart in it (a different clock for a ``time()`` reader, different
+symbol counters for a ``symbolic()`` caller, a different path
+condition for symbolic input).
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.expr import bv, eq, ne, uge, ule, ult, var
+from repro.expr import bv, eq, ne, uge, ule, ult, var, zext
 from repro.lang import compile_source
 from repro.solver import EMPTY, as_constraint_set
 from repro.vm import Executor, NullHost, Status
+from repro.vm.state import FrozenMap
 from repro.vm import executor as executor_module
 
 COUNTER = """
@@ -41,7 +44,13 @@ def _executor(source, **kwargs):
 
 
 def _state_view(state):
-    return (state.config_key(), state.trace, state.steps, state.symbolics)
+    return (
+        state.config_key(),
+        state.trace,
+        state.steps,
+        state.symbolics,
+        sorted(state.sym_counters.items()),
+    )
 
 
 class _Interpreting(Executor):
@@ -136,26 +145,139 @@ def test_clock_is_no_input_without_time():
 
 
 @pytest.mark.parametrize(
-    "source",
+    "source, leaves",
     [
         # symbolic() called, result discarded: no fork, no constraint
-        "var k; func main() { var x = symbolic(\"x\"); k = 1; }",
-        # symbolic() feeding a branch: forks
-        "var k; func main() { var x = symbolic(\"x\");"
-        " if (x > 3) { k = 1; } else { k = 2; } }",
-        # assume() on symbolic data: a constraint, no fork
-        "var k; func main() { var x = symbolic(\"x\"); assume(x > 3); k = 1; }",
+        ("var k; func main() { var x = symbolic(\"x\"); k = 1; }", 1),
+        # symbolic() feeding a branch: forks on a concrete key
+        (
+            "var k; func main() { var x = symbolic(\"x\");"
+            " if (x > 3) { k = 1; } else { k = 2; } }",
+            2,
+        ),
+        # a fresh symbol after the fork, on one path only
+        (
+            "var k; func main() { var x = symbolic(\"x\");"
+            " if (x > 3) { k = symbolic(\"y\", 4); } else { k = 2; }"
+            " log(k); }",
+            2,
+        ),
     ],
+    ids=["discarded", "branch", "after-fork"],
 )
-def test_symbolic_events_are_never_summarized(source):
+def test_symbolic_calls_are_summarized(source, leaves):
+    program = compile_source(source)
+    views, hits = {}, {}
+    for kind in (Executor, _Interpreting):
+        executor = kind(program)
+        runs = []
+        for _ in range(3):
+            state = executor.make_initial_state(0)
+            runs.append(_views(executor.run_event(state, "main")))
+        views[kind] = (runs, executor.forks, executor.instructions_executed)
+        hits[kind] = executor.summary_hits
+    assert hits == {Executor: 2, _Interpreting: 0}
+    assert views[Executor] == views[_Interpreting]
+    replayed = views[Executor][0][2]
+    assert len(replayed) == leaves
+    assert all(view[3][0] == ("n0.x", 32) for view in replayed)  # symbolics
+
+
+def test_symbol_counters_are_input():
+    source = "var k; func main() { k = symbolic(\"x\", 8); }"
     executor = _executor(source)
-    finals = []
+    state = executor.make_initial_state(0)
+    for _ in range(3):  # each run makes the next name: a new key
+        executor.run_event(state, "main")
+    assert executor.summary_hits == 0
+    assert state.symbolics == (("n0.x", 8), ("n0.x1", 8), ("n0.x2", 8))
+    assert state.sym_counters == {"x": 3}
+    later = []
+    for _ in range(2):  # one more name each, from a counter of 1
+        again = executor.make_initial_state(0)
+        again.sym_counters = FrozenMap({"x": 1})
+        again.symbolics = (("n0.x", 8),)
+        executor.run_event(again, "main")
+        later.append(again)
+    assert executor.summary_hits == 1
+    assert _views(later[1:]) == _views(later[:1])
+    assert later[1].symbolics == (("n0.x", 8), ("n0.x1", 8))
+    assert later[1].sym_counters == {"x": 2}
+    assert later[1].memory[0] is zext(var("n0.x1", 8), 32)
+
+
+def test_counters_of_other_tags_survive_a_replay():
+    """A program without ``symbolic()`` keys no counters, so a replay
+    leaves the state's own (a failure model's budget, say) alone."""
+    executor = _executor(COUNTER)
+    first = executor.make_initial_state(0)
+    executor.run_event(first, "main", [3])
+    second = executor.make_initial_state(0)
+    second.sym_counters = FrozenMap({"drop": 1})
+    executor.run_event(second, "main", [3])
+    assert executor.summary_hits == 1
+    assert second.sym_counters == {"drop": 1}
+    assert second.symbolics == ()
+
+
+def test_symbolic_assume_is_never_summarized():
+    executor = _executor(
+        "var k; func main() { var x = symbolic(\"x\"); assume(x > 3); k = 1; }"
+    )
     for _ in range(3):
-        state = executor.make_initial_state(0)
-        finals.append(executor.run_event(state, "main"))
+        executor.run_event(executor.make_initial_state(0), "main")
     assert executor.summary_hits == 0
     assert executor._summaries == {}
-    assert [len(done) for done in finals] == [len(finals[0])] * 3
+
+
+class _SendHost(NullHost):
+    """:class:`NullHost` plus ``bc_send``, an effect: every send, run or
+    replayed, lands in :attr:`sent` with its sender's path condition."""
+
+    effects = frozenset(["bc_send"])
+
+    def __init__(self):
+        self.sent = []
+
+    def syscall(self, state, name, args):
+        if name == "bc_send":
+            self.replay(state, [self.resolve(state, name, args)])
+            return 0
+        return super().syscall(state, name, args)
+
+    def resolve(self, state, name, args):
+        return (name, tuple(state.memory[args[0] : args[0] + args[1]]))
+
+    def replay(self, state, effects):
+        for _name, payload in effects:
+            self.sent.append((state.node, state.constraints, payload))
+
+
+@pytest.mark.parametrize(
+    "body, summarized",
+    [
+        ("out[0] = symbolic(\"x\", 8); bc_send(out, 1);", True),
+        (
+            "var x = symbolic(\"x\"); if (x > 3) { out[0] = 1; } bc_send(out, 1);",
+            False,
+        ),
+    ],
+    ids=["one-leaf", "two-leaves"],
+)
+def test_only_one_leaf_keeps_host_effects(body, summarized):
+    program = compile_source(f"var out[1]; func main() {{ {body} }}")
+    runs, hits = {}, {}
+    for kind in (Executor, _Interpreting):
+        host = _SendHost()
+        executor = kind(program, host=host)
+        views = [
+            _views(executor.run_event(executor.make_initial_state(0), "main"))
+            for _ in range(3)
+        ]
+        runs[kind], hits[kind] = (views, host.sent), executor.summary_hits
+    assert runs[Executor] == runs[_Interpreting]
+    assert hits[Executor] == (2 if summarized else 0)
+    assert len(runs[Executor][1]) == (3 if summarized else 6)
 
 
 BRANCHY = "var x; var k; func main() { if (x > 3) { k = 1; } else { k = 2; } }"
@@ -208,10 +330,9 @@ def test_symbolic_memory_is_summarized_per_path_condition():
         "var x; var k[4]; func main() { k[x] = 1; }",
         "var x; var k; func main() { assert(x > 3); k = 1; }",
         "var x; var k; func main() { assume(x > 3); k = 1; }",
-        "var x; var k; func main() { if (x > 3) { log(k); } k = 1; }",
         "var x; var k; func main() { if (x > 3) { k = 1; } else { fail(2); } }",
     ],
-    ids=["divide", "index", "assert", "assume", "log", "death"],
+    ids=["divide", "index", "assert", "assume", "death"],
 )
 def test_symbolic_input_other_than_jumps_is_never_summarized(source):
     executor = _executor(source)
@@ -222,6 +343,27 @@ def test_symbolic_input_other_than_jumps_is_never_summarized(source):
         executor.run_event(state, "main")
     assert executor.summary_hits == 0
     assert executor._summaries == {}
+
+
+def test_log_on_symbolic_input_is_replayed_per_leaf():
+    source = (
+        "var x; var k; func main() { if (x > 3) { log(k, x); } else { log(k); }"
+        " k = 1; }"
+    )
+    program = compile_source(source)
+    x = var("x")
+    views, hits = {}, {}
+    for kind in (Executor, _Interpreting):
+        executor = kind(program)
+        runs = []
+        for _ in range(2):
+            state = executor.make_initial_state(0)
+            state.memory[0] = x
+            runs.append(_views(executor.run_event(state, "main")))
+        views[kind], hits[kind] = runs, executor.summary_hits
+    assert hits == {Executor: 1, _Interpreting: 0}
+    assert views[Executor] == views[_Interpreting]
+    assert [view[1] for view in views[Executor][1]] == [((0,),), ((0, x),)]
 
 
 def test_deaths_are_never_summarized():
@@ -267,8 +409,8 @@ def test_fused_and_unfused_summaries_agree():
 # ---------------------------------------------------------------------------
 
 
-class _PacketHost(NullHost):
-    """:class:`NullHost` plus a packet: ``state.current_packet`` holds
+class _PacketHost(_SendHost):
+    """:class:`_SendHost` plus a packet: ``state.current_packet`` holds
     payload cells, which ``recv_byte`` reads."""
 
     def event_input(self, state):
@@ -280,14 +422,24 @@ class _PacketHost(NullHost):
         return super().syscall(state, name, args)
 
 
-_OPERANDS = ("v", "m", "k")
+#: ``s`` is a fresh symbol made before the forks, or a constant
+_OPERANDS = ("v", "m", "k", "s")
 _COMPARISONS = (">", "<", "==", "!=", ">=", "<=")
+_SEND = "out[0] = k; bc_send(out, 1);"
 
 
 @st.composite
 def _branches(draw, depth):
     if depth == 0 or draw(st.integers(0, 3)) == 0:
-        return f"k += {draw(st.integers(1, 9))};"
+        return draw(
+            st.sampled_from(
+                [
+                    f"k += {draw(st.integers(1, 9))};",
+                    'k += symbolic("t", 4);',  # a fresh symbol after forks
+                    _SEND,
+                ]
+            )
+        )
     operand = draw(st.sampled_from(_OPERANDS))
     comparison = draw(st.sampled_from(_COMPARISONS))
     bound = draw(st.integers(0, 12))
@@ -301,11 +453,18 @@ def _branches(draw, depth):
 
 @st.composite
 def _handler_runs(draw):
-    """A handler with nested branches over a payload cell ``v`` and a
-    memory cell ``m``, path conditions, and a stream of events with
-    repeats (path condition, payload, memory)."""
+    """A handler with nested branches over a payload cell ``v``, a
+    memory cell ``m`` and maybe a fresh symbol ``s``, fresh symbols and
+    sends on some paths and maybe on all, path conditions, and a stream
+    of events with repeats (path condition, payload, memory, the symbol
+    counter of ``s``)."""
     body = " ".join(draw(st.lists(_branches(3), min_size=1, max_size=2)))
-    source = f"var m; var k; func main() {{ var v = recv_byte(0); {body} }}"
+    prelude = draw(st.sampled_from(['var s = symbolic("s", 8);', "var s = 2;"]))
+    epilogue = draw(st.sampled_from([_SEND, ""]))
+    source = (
+        "var m; var k; var out[1]; func main() {"
+        f" var v = recv_byte(0); {prelude} {body} {epilogue} }}"
+    )
     p, q = var("p"), var("q")
     atoms = [ult(p, bv(4)), uge(p, bv(6)), ule(q, bv(2)), ne(q, bv(5)), eq(p, q)]
     conditions = draw(
@@ -317,6 +476,7 @@ def _handler_runs(draw):
                 st.integers(0, len(conditions) - 1),
                 st.sampled_from([p, 3, 7]),
                 st.sampled_from([q, 1, 5]),
+                st.integers(0, 1),
             ),
             min_size=2,
             max_size=8,
@@ -330,17 +490,21 @@ def _solver_counters(solver):
 
 
 def _run_events(kind, source, conditions, events):
-    """Every event's results, the fork callbacks and the counters."""
-    executor = kind(compile_source(source), host=_PacketHost())
+    """Every event's results, the fork callbacks, the counters and the
+    sends."""
+    host = _PacketHost()
+    executor = kind(compile_source(source), host=host)
     # A fresh chain per executor and condition, so no two executors share
     # the memos of a path-condition node.
     bound = [ult(var("p"), bv(200))]
     chains = [as_constraint_set(bound + atoms) for atoms in conditions]
     forks = []
     results = []
-    for index, payload, cell in events:
+    for index, payload, cell, counter in events:
         state = executor.make_initial_state(0)
         state.memory[0] = cell
+        if counter:
+            state.sym_counters = FrozenMap({"s": counter})
         state.constraints = chains[index]
         state.current_packet = (payload,)
         done = executor.run_event(
@@ -356,7 +520,7 @@ def _run_events(kind, source, conditions, events):
         executor.instructions_executed,
         _solver_counters(executor.solver),
     )
-    return (results, forks, counters), executor.summary_hits
+    return (results, forks, counters, host.sent), executor.summary_hits
 
 
 @settings(
