@@ -11,7 +11,7 @@ each with the direction that counts as better::
 
     {
       "gates": {
-        "flood_wall_calibrated_s": {"direction": "lower", "value": 0.45}
+        "flood_wall_calibrated_s": {"direction": "lower", "value": 0.3}
       },
       "recorded": { ... the full artifact the baseline was cut from ... }
     }

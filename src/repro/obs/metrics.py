@@ -103,15 +103,16 @@ class Histogram:
         self.min: Optional[int] = None
         self.max: Optional[int] = None
 
-    def observe(self, value: int) -> None:
+    def observe(self, value: int, times: int = 1) -> None:
+        """Record ``value``; ``times`` records it that many times at once."""
         index = 0
         for bound in self.bounds:
             if value <= bound:
                 break
             index += 1
-        self.buckets[index] += 1
-        self.count += 1
-        self.total += value
+        self.buckets[index] += times
+        self.count += times
+        self.total += value * times
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

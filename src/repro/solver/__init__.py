@@ -9,6 +9,7 @@ caching.
 from .cache import SolverCache  # noqa: F401
 from .constraints import EMPTY, ConstraintSet, as_constraint_set  # noqa: F401
 from .core import (  # noqa: F401
+    BranchTotals,
     SearchBudgetExceeded,
     Solver,
     SolverError,

@@ -26,7 +26,10 @@ state, cache contents and checkpoint/resume (``branch_feasibility``
 always counts exactly two queries, even when one arm is answered for
 free).  Everything cache- or memo-dependent (``backend.*``,
 ``shortcuts.*``, ``simplify.*`` and the ``solver.cache.*`` stats) is
-volatile by design and excluded from determinism comparisons.
+volatile by design and excluded from determinism comparisons.  An event
+summary's replay asks nothing: :meth:`Solver.replay_branches` moves the
+semantic counters, the query-size histogram and the ``solve`` entry
+count by its recorded :class:`BranchTotals`, and no volatile counter.
 
 The procedure is sound and complete for the expression language of
 :mod:`repro.expr`; a per-query node budget guards against adversarial
@@ -50,7 +53,13 @@ from .model import Model
 from .search import SearchBudgetExceeded, search
 from .simplify import simplify_conjuncts, substitute
 
-__all__ = ["Solver", "SolverError", "UnsatisfiableError", "SearchBudgetExceeded"]
+__all__ = [
+    "BranchTotals",
+    "Solver",
+    "SolverError",
+    "UnsatisfiableError",
+    "SearchBudgetExceeded",
+]
 
 
 class SolverError(Exception):
@@ -59,6 +68,28 @@ class SolverError(Exception):
 
 class UnsatisfiableError(SolverError):
     """A model was requested for an unsatisfiable constraint set."""
+
+
+class BranchTotals:
+    """What a recorded run of :meth:`Solver.branch_feasibility` calls adds
+    to the semantic counters, computed once from its ``(depth, answer)``
+    pairs: ``depth`` is how many conjuncts the call's path condition had
+    gained since the run began, ``answer`` the ``(may hold, may not
+    hold)`` pair.  ``depths`` holds ``(depth, calls)`` pairs."""
+
+    __slots__ = ("calls", "sat", "unsat", "depths")
+
+    def __init__(self, pairs) -> None:
+        calls = sat = 0
+        depths = {}
+        for depth, (may_hold, may_not_hold) in pairs:
+            calls += 1
+            sat += may_hold + may_not_hold
+            depths[depth] = depths.get(depth, 0) + 1
+        self.calls = calls
+        self.sat = sat
+        self.unsat = 2 * calls - sat
+        self.depths = tuple(sorted(depths.items()))
 
 
 class Solver:
@@ -192,6 +223,30 @@ class Solver:
         may_true = self._check(cset, condition) is not None
         may_false = self._check(cset, not_(condition)) is not None
         return may_true, may_false
+
+    def replay_branches(self, totals: BranchTotals, path_length: int) -> None:
+        """Account recorded branch pairs without asking them again.
+
+        The semantic counters move as :meth:`branch_feasibility` on each
+        pair would move them, for a run that began on a path condition
+        of ``path_length`` conjuncts: two queries, the recorded SAT and
+        UNSAT verdicts, two histogram entries of the query size and one
+        ``solve`` entry per pair.  Volatile counters and memos stay.
+        """
+        calls = totals.calls
+        self.queries.value += 2 * calls
+        self.sat_results.value += totals.sat
+        self.unsat_results.value += totals.unsat
+        observe = self.conjunct_histogram.observe
+        for depth, count in totals.depths:
+            observe(path_length + depth + 1, 2 * count)
+        self.solve_timer.count += calls
+
+    def emit_branch(self, path_length: int, answer: Tuple[bool, bool]) -> None:
+        """The two ``solver.query`` events of a recorded branch pair on a
+        path condition of ``path_length`` conjuncts (tracing only)."""
+        for feasible in answer:
+            self._emit_query(path_length + 1, "sat" if feasible else "unsat")
 
     def get_model(self, constraints) -> Model:
         model = self.check(constraints)

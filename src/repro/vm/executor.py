@@ -74,7 +74,7 @@ from ..expr import (
     zext,
 )
 from ..lang.bytecode import CompiledProgram, DecodedProgram, Op
-from ..solver import Solver
+from ..solver import BranchTotals, Solver
 from .errors import ErrorKind, GuestError
 from .state import CellValue, ExecutionState, Status
 from .syscalls import SyscallAbort
@@ -93,7 +93,9 @@ _BV_ZERO = bv(0)
 SUMMARY_LIMIT = 4096
 
 #: The steps of a summary's script.
-_QUERY = 0  # (_QUERY, condition, (may hold, may not hold)): a jump's solver call
+#: (_QUERY, condition, (may hold, may not hold), depth): a jump's solver
+#: call, ``depth`` conjuncts after the path condition the run began on
+_QUERY = 0
 _FORK = 1  # (_FORK, the twin's conjunct, the state's own conjunct)
 _LEAF = 2  # (_LEAF, _Leaf): a path that ended; the next path starts
 
@@ -209,7 +211,8 @@ class Executor:
         # What the event being recorded did so far, else None.
         self._recording: Optional[_Recording] = None
         # The clock is a handler input only where the program reads it,
-        # and the symbol counters only where it makes fresh symbols.
+        # and the symbol counters only where it makes fresh symbols; such
+        # a program's cells (and packets) can hold its symbols.
         syscalls = {arg[0] for op, arg, _ in self.decoded.code if op == Op.SYS}
         self._reads_clock = "time" in syscalls
         self._makes_symbols = "symbolic" in syscalls
@@ -313,10 +316,11 @@ class Executor:
         means the host opts out.  A program that calls ``symbolic()``
         reads the state's symbol counters, which name the fresh symbols.
         A key with a symbolic cell also holds the path condition, which
-        the handler's jump decisions read through the solver.  The key
-        without it is looked up first: a stored key of that length is
-        concrete (no expression equals an int), so a concrete hit costs
-        one lookup and no scan.
+        the handler's jump decisions read through the solver.  Such a
+        program's cells are scanned before the one lookup.  Any other
+        program looks the key without the path condition up first: a
+        stored key of that length is concrete (no expression equals an
+        int), so a concrete hit costs one lookup and no scan.
         """
         event_input = self.host.event_input(state)
         if event_input is None:
@@ -326,9 +330,12 @@ class Executor:
         key = (state.node, func_name, args, memory, event_input)
         if self._reads_clock:
             key += (state.clock,)
+        summaries = self._summaries
         if self._makes_symbols:
             key += (frozenset(state.sym_counters.items()),)
-        summaries = self._summaries
+            if not _all_concrete(memory, args, event_input):
+                key += (state.constraints,)
+            return key, summaries.get(key)
         summary = summaries.get(key)
         if summary is not None or _all_concrete(memory, args, event_input):
             return key, summary
@@ -357,7 +364,7 @@ class Executor:
         if len(summaries) >= SUMMARY_LIMIT:
             del summaries[next(iter(summaries))]
         summaries[key] = _Summary(
-            tuple(recording.script),
+            recording.script,
             self.instructions_executed - instructions,
             tuple(recording.effects),
         )
@@ -388,15 +395,19 @@ class Executor:
         """Fork ``state`` and install the leaves as the recorded run did;
         return the leaves in the interpreter's order.
 
-        Each recorded branch decision is asked again on the replaying
-        state's own path condition, so the solver's counters and memos
-        move exactly as under interpretation.
+        The recorded branch decisions are not asked again: their answers
+        cannot change (docs/VM.md, "Summaries"), and the solver's
+        semantic counters move by the summary's totals.  A trace gets
+        each decision's query events at its place in the script.
         """
         script = summary.script
         if len(script) == 1:  # one path, no decision: all concrete runs
             script[0][1].install(state)
             return [state]
+        # Any longer script begins with a decision: summary.branches is set.
         solver = self.solver
+        solver.replay_branches(summary.branches, len(state.constraints))
+        trace = solver.trace
         steps = iter(script)
         active = [state]
         done: List[ExecutionState] = []
@@ -405,12 +416,8 @@ class Executor:
             for step in steps:
                 kind = step[0]
                 if kind == _QUERY:
-                    answer = solver.branch_feasibility(current.constraints, step[1])
-                    if answer != step[2]:
-                        raise AssertionError(
-                            f"summary replay: {step[1]} decided {answer},"
-                            f" recorded {step[2]}"
-                        )
+                    if trace is not None:
+                        solver.emit_branch(len(current.constraints), step[2])
                 elif kind == _FORK:
                     twin = current.fork()
                     twin.add_constraint(step[1])
@@ -935,7 +942,9 @@ class Executor:
         answer = self.solver.branch_feasibility(state.constraints, zero_cond)
         recording = self._recording
         if recording is not None:
-            recording.script.append((_QUERY, zero_cond, answer))
+            recording.script.append(
+                (_QUERY, zero_cond, answer, len(state.constraints) - recording.path)
+            )
         feasible_zero, feasible_nonzero = answer
         if feasible_zero and feasible_nonzero:
             # Fork: the original takes the fall-through; the twin jumps.
@@ -1215,16 +1224,18 @@ class Executor:
 class _Recording:
     """What the event being recorded did so far, in the interpreter's
     order: the script of branch decisions, forks and leaves, and the
-    host effects.  ``trace`` and ``symbolics`` are the lengths of the
-    ``log`` output and of the symbol list the event started at."""
+    host effects.  ``trace``, ``symbolics`` and ``path`` are the lengths
+    of the ``log`` output, the symbol list and the path condition the
+    event started at."""
 
-    __slots__ = ("script", "effects", "trace", "symbolics", "spoiled")
+    __slots__ = ("script", "effects", "trace", "symbolics", "path", "spoiled")
 
     def __init__(self, state: ExecutionState) -> None:
         self.script: List[tuple] = []
         self.effects: List[tuple] = []
         self.trace = len(state.trace)
         self.symbolics = len(state.symbolics)
+        self.path = len(state.constraints)
         self.spoiled = False
 
 
@@ -1267,13 +1278,16 @@ class _Leaf:
 
 class _Summary:
     """One recorded run of an event: its script (``_QUERY``, ``_FORK``
-    and ``_LEAF`` steps in the interpreter's depth-first order), its
+    and ``_LEAF`` steps in the interpreter's depth-first order), what its
+    decisions add to the solver's counters (``None`` without any), its
     instruction count and, for a run with one leaf, its host effects."""
 
-    __slots__ = ("script", "instructions", "effects")
+    __slots__ = ("script", "branches", "instructions", "effects")
 
-    def __init__(self, script: tuple, instructions: int, effects: tuple) -> None:
-        self.script = script
+    def __init__(self, script: List[tuple], instructions: int, effects: tuple) -> None:
+        self.script = tuple(script)
+        queries = [(step[3], step[2]) for step in script if step[0] == _QUERY]
+        self.branches = BranchTotals(queries) if queries else None
         self.instructions = instructions
         self.effects = effects
 

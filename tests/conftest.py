@@ -4,7 +4,8 @@ Tier-1 runs every property test at its own small budget under Hypothesis's
 default profile.  ``--hypothesis-profile=deep`` raises the budget of the
 properties that opt in through :func:`budget`; CI runs them that way (the
 snapshot and sample-total properties in ``fault-smoke``, the solver cache
-and evaluator properties in ``solver-bench``).
+and evaluator properties and the event-summary audit and property in
+``solver-bench``).
 """
 
 from hypothesis import settings

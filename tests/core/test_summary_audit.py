@@ -6,12 +6,14 @@ a copy of the state it had before, with a reference executor that never
 summarizes, its own solver and a host that records effects instead of
 performing them.  It compares, in order, the resulting states'
 ``config_key()``, steps, ``log`` output, fresh symbols and symbol
-counters, the (condition, answer)
-pairs of the solver calls, the fork callbacks, the instruction count
-and the effect list.  The reference runs second and on its own solver:
-the replay's calls leave the shared path-condition memos as
-interpretation would, and the reference's calls move no counter of the
-engine.  The engine is built with it in place of the plain executor.
+counters; the summary's recorded (condition, answer) pairs with the
+reference solver's answers on the same path conditions (a replay asks
+the solver nothing, so this is where a recorded answer is checked);
+what the replay and the reference moved the deterministic solver
+counters by; the fork callbacks, the instruction count and the effect
+list.  The reference runs second and on its own solver, so its calls
+move no counter of the engine.  The engine is built with it in place
+of the plain executor.
 
 It runs on every golden-matrix cell (which must still reproduce its
 committed entry), the property-equivalence scenarios, symmetry + POR
@@ -40,9 +42,12 @@ from repro.net.packet import Packet
 from repro.oslib import NodeOS
 from repro.solver import Solver
 from repro.vm import ExecutionState, Executor, SyscallHost
+from repro.vm.executor import _QUERY
 from repro.workloads import election_scenario, flood_scenario, grid_scenario
 
+from ..conftest import budget
 from ..integration import golden
+from ..vm.test_summaries import semantic_counters
 from .test_distributed import _assert_matches_sequential
 from .test_property_equivalence import build, scenario_config
 from .test_resilience import _assert_reports_match
@@ -76,6 +81,21 @@ class _SolverLog:
 
     def __getattr__(self, name):
         return getattr(self.solver, name)
+
+
+def _moved(before, after):
+    """How far each :func:`semantic_counters` entry moved."""
+    moved = {}
+    for name, value in after.items():
+        if isinstance(value, dict):  # a histogram's data
+            old = before[name]
+            moved[name] = (
+                [new - was for new, was in zip(value["buckets"], old["buckets"])],
+                value["total"] - old["total"],
+            )
+        else:
+            moved[name] = value - before[name]
+    return moved
 
 
 def _fork_view(parent, children):
@@ -133,15 +153,13 @@ class AuditingExecutor(Executor):
             if on_fork is not None:
                 on_fork(parent, children)
 
-        solver = self.solver
-        self.solver = calls = _SolverLog(solver)
-        try:
-            done = super()._replay_paths(state, summary, log_fork)
-        finally:
-            self.solver = solver
+        counters = semantic_counters(self.solver)
+        done = super()._replay_paths(state, summary, log_fork)
+        recorded = [(step[1], step[2]) for step in summary.script if step[0] == _QUERY]
         replayed = (
             _views(done),
-            calls.calls,
+            recorded,
+            _moved(counters, semantic_counters(self.solver)),
             forks,
             summary.instructions,
             summary.effects,
@@ -149,6 +167,7 @@ class AuditingExecutor(Executor):
 
         reference = self._reference
         reference.solver.calls = []
+        counters = semantic_counters(reference.solver.solver)
         self._effect_log.log = []
         reference_forks = []
         before = reference.instructions_executed
@@ -163,6 +182,7 @@ class AuditingExecutor(Executor):
         interpreted = (
             _views(reference_done),
             reference.solver.calls,
+            _moved(counters, semantic_counters(reference.solver.solver)),
             reference_forks,
             reference.instructions_executed - before,
             tuple(self._effect_log.log),
@@ -171,7 +191,7 @@ class AuditingExecutor(Executor):
             self.mismatches.append((state.node, func_name, args))
         self.audited += 1
         self.audited_handlers.append(func_name)
-        if calls.calls:
+        if recorded:
             self.audited_symbolic += 1
         return done
 
@@ -225,7 +245,7 @@ def test_golden_cells_audited(audit, workload, algorithm):
 
 
 @settings(
-    max_examples=20,
+    max_examples=budget(20),
     deadline=None,
     suppress_health_check=[
         HealthCheck.too_slow,

@@ -37,27 +37,37 @@ LIVE_WORKLOADS = ("flood", "dissemination", "symbolic")
 
 
 class AuditingSolver(Solver):
-    """A :class:`Solver` that records every query it answers."""
+    """A :class:`Solver` that records every query it answers, and counts
+    the queries that event-summary replays account from recorded answers
+    without asking (``tests/core/test_summary_audit.py`` checks those
+    answers against a fresh solver on every golden cell)."""
 
     def __init__(self) -> None:
         super().__init__()
         self.answered = []
+        self.replayed = 0
 
     def _check(self, cset, extra=None):
         result = super()._check(cset, extra)
         self.answered.append((cset, extra, result))
         return result
 
+    def replay_branches(self, totals, path_length):
+        super().replay_branches(totals, path_length)
+        self.replayed += 2 * totals.calls
+
 
 def _audited_queries(workload, algorithm):
-    """Run one golden cell; ``(raw, extra) -> (cset, model)`` per query.
+    """Run one golden cell; ``(raw, extra) -> (cset, model)`` per query
+    asked.
 
-    The run itself must reproduce its golden entry.
+    The run itself must reproduce its golden entry, and its asked and
+    replayed queries must add up to its query count.
     """
     solver = AuditingSolver()
     entry, _ = golden.run(SCENARIOS[workload], algorithm, solver=solver)
     assert entry == GOLDEN[f"{workload}/{algorithm}"]
-    assert len(solver.answered) == entry["solver.queries"]
+    assert len(solver.answered) + solver.replayed == entry["solver.queries"]
     queries = {}
     for cset, extra, model in solver.answered:
         queries.setdefault((cset.raw(), extra), (cset, model))

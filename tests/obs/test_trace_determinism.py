@@ -10,10 +10,14 @@ outcomes) may differ, and the canonical multiset drops exactly those.
 
 import pytest
 
+from benchmarks.ladder.workloads import SYMBOLIC_FLOOD
 from repro import build_engine
+from repro.api import Scenario, Topology
 from repro.cli import main
+from repro.core import engine as engine_module
 from repro.core.distributed import DistributedRunner
 from repro.obs import TraceEmitter, diff_traces, validate_trace
+from repro.vm import Executor
 from repro.workloads import flood_scenario, grid_scenario
 
 #: Events COW runs on the 3x3 grid before virtual time 2000 ms.
@@ -80,6 +84,41 @@ class TestWorkerCountIndependence:
             event["worker"] for event in trace.events if "worker" in event
         }
         assert len(workers_seen) >= 2
+
+
+class _Interpreting(Executor):
+    """An executor that never summarizes: the reference run."""
+
+    def _lookup(self, state, func_name, args):
+        return None, None
+
+
+class TestSummaryReplays:
+    def test_replays_emit_the_interpreted_solver_queries(self, monkeypatch):
+        """A summary replay asks the solver nothing, yet its trace holds
+        each recorded decision's two ``solver.query`` events where
+        interpretation has them: equal in number, order and fields."""
+        scenario = Scenario(
+            name="symbolic-flood-line3",
+            program=SYMBOLIC_FLOOD,
+            topology=Topology.line(3),
+            horizon_ms=200,
+        )
+        queries, hits = {}, {}
+        for kind in (Executor, _Interpreting):
+            monkeypatch.setattr(engine_module, "Executor", kind)
+            trace = TraceEmitter()
+            engine = build_engine(scenario, "sds", trace=trace)
+            engine.run()
+            queries[kind] = [
+                (event["conjuncts"], event["result"])
+                for event in trace.events
+                if event["ev"] == "solver.query"
+            ]
+            hits[kind] = engine.executor.summary_hits
+        assert hits[Executor] > 0
+        assert len(queries[Executor]) == engine.solver.queries.value
+        assert queries[Executor] == queries[_Interpreting]
 
 
 class TestMetricsDeterminism:

@@ -4,12 +4,12 @@ A repeat of an event is answered from the summary its first run
 recorded.  These tests run the executor on the network-less
 :class:`NullHost` (plus a packet for the property) and pin what a hit
 must reproduce (memory, stacks, counts, ``log`` output, fresh symbols
-and symbol counters, forks, branch decisions, solver counters and host
-effects) and what keeps an event out of the table (solver use other
-than a jump, a host effect on a run with more than one leaf, deaths)
-or apart in it (a different clock for a ``time()`` reader, different
-symbol counters for a ``symbolic()`` caller, a different path
-condition for symbolic input).
+and symbol counters, forks, branch decisions, the deterministic solver
+counters and host effects) and what keeps an event out of the table
+(solver use other than a jump, a host effect on a run with more than
+one leaf, deaths) or apart in it (a different clock for a ``time()``
+reader, different symbol counters for a ``symbolic()`` caller, a
+different path condition for symbolic input).
 """
 
 import pytest
@@ -18,10 +18,13 @@ from hypothesis import strategies as st
 
 from repro.expr import bv, eq, ne, uge, ule, ult, var, zext
 from repro.lang import compile_source
+from repro.obs.metrics import Histogram, Timer
 from repro.solver import EMPTY, as_constraint_set
 from repro.vm import Executor, NullHost, Status
 from repro.vm.state import FrozenMap
 from repro.vm import executor as executor_module
+
+from ..conftest import budget
 
 COUNTER = """
 var total;
@@ -287,10 +290,13 @@ def _views(states):
     return [_state_view(state) for state in states]
 
 
-def test_symbolic_memory_is_summarized_per_path_condition():
+def _check_summarized_per_path_condition(source):
+    """Run ``main`` with a symbolic ``x`` twice on the empty path
+    condition and twice under ``x < 3``: two hits, one summary per
+    path condition, everything equal to interpretation."""
     x = var("x")
     bounded = EMPTY.extended(ult(x, bv(3)))
-    program = compile_source(BRANCHY)
+    program = compile_source(source)
     executors = {kind: kind(program) for kind in (Executor, _Interpreting)}
     runs = {}
     for kind, executor in executors.items():
@@ -312,8 +318,7 @@ def test_symbolic_memory_is_summarized_per_path_condition():
             forks,
             executor.forks,
             executor.instructions_executed,
-            solver.queries.value,
-            solver.sat_results.value,
+            semantic_counters(solver),
         )
     assert runs[Executor] == runs[_Interpreting]
     # both arms on the empty path condition, one under x < 3
@@ -321,6 +326,20 @@ def test_symbolic_memory_is_summarized_per_path_condition():
     summarized = executors[Executor]
     assert summarized.summary_hits == 2
     assert {key[-1] for key in summarized._summaries} == {EMPTY, bounded}
+
+
+def test_symbolic_memory_is_summarized_per_path_condition():
+    _check_summarized_per_path_condition(BRANCHY)
+
+
+def test_symbolic_caller_is_summarized_per_path_condition():
+    """A program that calls ``symbolic()`` scans its cells before its
+    one lookup; a symbolic cell still puts the path condition in the
+    key."""
+    _check_summarized_per_path_condition(
+        'var x; var k; func main() { var t = symbolic("t");'
+        " if (x > 3) { k = t; } else { k = 2; } }"
+    )
 
 
 @pytest.mark.parametrize(
@@ -485,8 +504,25 @@ def _handler_runs(draw):
     return source, conditions, events
 
 
-def _solver_counters(solver):
-    return [(handle.name, getattr(handle, "value", None)) for handle in solver.handles]
+#: Solver handles that move with memo and cache state (docs/SOLVER.md,
+#: "Determinism contract"); a replay asks nothing, so they may differ.
+_VOLATILE = ("solver.backend.", "solver.shortcuts.", "solver.simplify.", "solve.search")
+
+
+def semantic_counters(solver):
+    """Every deterministic solver handle by name: counter values, the
+    query-size histogram's data and the ``solve`` timer's entry count."""
+    view = {}
+    for handle in solver.handles:
+        if handle.name.startswith(_VOLATILE):
+            continue
+        if isinstance(handle, Histogram):
+            view[handle.name] = handle.data()
+        elif isinstance(handle, Timer):
+            view[handle.name] = handle.count
+        else:
+            view[handle.name] = handle.value
+    return view
 
 
 def _run_events(kind, source, conditions, events):
@@ -518,13 +554,13 @@ def _run_events(kind, source, conditions, events):
     counters = (
         executor.forks,
         executor.instructions_executed,
-        _solver_counters(executor.solver),
+        semantic_counters(executor.solver),
     )
     return (results, forks, counters, host.sent), executor.summary_hits
 
 
 @settings(
-    max_examples=60,
+    max_examples=budget(60),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
