@@ -87,25 +87,57 @@ def automorphisms(
 
     Returned as sorted tuples ``perm`` with ``perm[node] == image``.
     Enumeration stops at ``limit`` permutations (the identity is always
-    included), so highly symmetric graphs degrade to a subgroup-like
-    subset rather than an O(k!) blowup.
+    included), so highly symmetric graphs degrade to a subset rather
+    than an O(k!) blowup.  The search maps nodes in BFS order, on an
+    explicit stack: a node's candidate images are the unused neighbours
+    of its BFS parent's image (any unused node for a component's root)
+    of its degree whose used neighbours are exactly the images of its
+    already-mapped neighbours.
     """
-    edges = frozenset(
-        (min(a, b), max(a, b)) for a, b in topology.graph.edges
-    )
-    cache_key = (topology.name, topology.node_count, edges, limit)
+    cache_key = (topology.name, topology.node_count, topology.edges, limit)
     cached = _IDENTITY_CACHE.get(cache_key)
     if cached is not None:
         return cached
-    from networkx.algorithms.isomorphism import GraphMatcher
+    count = topology.node_count
+    neighbors = [topology.neighbors(node) for node in range(count)]
+    parent: Dict[int, Optional[int]] = {}  # in BFS order, per component
+    for root in range(count):
+        if root not in parent:
+            component = topology.next_hop_table(root)  # BFS insertion order
+            component[root] = None
+            parent.update(component)
+    order = list(parent)
+    image: List[Optional[int]] = [None] * count
+    used = [False] * count
 
-    identity = tuple(range(topology.node_count))
-    found: Set[Tuple[int, ...]] = {identity}
-    matcher = GraphMatcher(topology.graph, topology.graph)
-    for mapping in matcher.isomorphisms_iter():
-        found.add(tuple(mapping[node] for node in range(topology.node_count)))
-        if len(found) >= limit:
-            break
+    def candidates(depth: int):
+        node = order[depth]
+        anchor = parent[node]
+        pool = range(count) if anchor is None else neighbors[image[anchor]]
+        wanted = {image[w] for w in neighbors[node] if image[w] is not None}
+        # Lazy: whenever this level advances, every deeper node is unmapped.
+        return (
+            c
+            for c in pool
+            if not used[c]
+            and len(neighbors[c]) == len(neighbors[node])
+            and {w for w in neighbors[c] if used[w]} == wanted
+        )
+
+    found: Set[Tuple[int, ...]] = {tuple(range(count))}
+    stack = [candidates(0)]
+    while stack and len(found) < limit:
+        node = order[len(stack) - 1]
+        if image[node] is not None:
+            used[image[node]] = False
+        image[node] = choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+        elif len(stack) == count:
+            found.add(tuple(image))
+        else:
+            used[choice] = True
+            stack.append(candidates(len(stack)))
     result = tuple(sorted(found))
     _IDENTITY_CACHE[cache_key] = result
     return result

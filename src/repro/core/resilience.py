@@ -320,7 +320,9 @@ CHECKPOINT_MAGIC = b"SDECKPT"
 # Version 8: the SDS mapper payload is its dstates alone; member lists are
 # shared between dstates, each state has one binding, and the holders and
 # the bindings index are rebuilt on restore.
-CHECKPOINT_VERSION = 8
+# Version 9: a Topology pickles as its edges and neighbour tuples, no
+# longer as a third-party graph object.
+CHECKPOINT_VERSION = 9
 
 
 class CheckpointError(RuntimeError):

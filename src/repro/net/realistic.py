@@ -13,9 +13,9 @@ CloudSim-style roadmap sketches (ROADMAP item 5):
   ``queue_capacity`` bounds how many packets may wait behind the one in
   service, and an over-capacity send is a *tail drop*, counted in
   ``queue_drops`` and traced as ``net.drop`` with ``reason="queue"``;
-- **Dijkstra-routed multi-hop unicast** — a unicast to any reachable node
-  follows the shortest path (uniform hop weights today; the weight hook is
-  where per-link costs slot in), with lowest-node-id tie-breaking so
+- **routed multi-hop unicast** — a unicast to any reachable node follows
+  the topology's BFS shortest path (:meth:`Topology.next_hop_table`, the
+  grid workloads' static routes), with lowest-node-id tie-breaking so
   routes are deterministic.  Star/ring/mesh/random/fat-tree topologies
   therefore deliver beyond one hop; broadcasts stay single-hop radio
   semantics (every neighbour overhears).
@@ -49,7 +49,6 @@ rather than pruning under a broken equivalence (docs/NETWORK.md).
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -114,55 +113,20 @@ class RealisticMedium(Medium):
         self._hop_tables: Dict[int, Dict[int, int]] = {}
         self._draws: Dict[Tuple[str, int, int, int, int, int], float] = {}
 
-    # -- routing (Dijkstra, deterministic tie-breaks) -----------------------
-
-    def _hop_weight(self, a: int, b: int) -> int:
-        """Cost of traversing link ``a``-``b`` (uniform today)."""
-        return 1
-
-    def _distances(self, dest: int) -> Dict[int, int]:
-        dist: Dict[int, int] = {dest: 0}
-        heap: List[Tuple[int, int]] = [(0, dest)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, d):
-                continue
-            for neighbor in self.topology.neighbors(node):
-                candidate = d + self._hop_weight(node, neighbor)
-                if candidate < dist.get(neighbor, candidate + 1):
-                    dist[neighbor] = candidate
-                    heapq.heappush(heap, (candidate, neighbor))
-        return dist
+    # -- routing (shared BFS, lowest-id tie-breaks) --------------------------
 
     def next_hop_table(self, dest: int) -> Dict[int, int]:
-        """Next hop toward ``dest`` for every node that can reach it.
-
-        Among equal-cost parents the lowest node id wins, so routes are
-        deterministic for any topology.  Tables are cached per
-        destination (routing is static for the run).
-        """
+        """Next hop toward ``dest`` for every other node that can reach
+        it: :meth:`Topology.next_hop_table` (among equal-length routes the
+        lowest-id parent wins) without the ``dest`` entry, cached per
+        destination; an out-of-range ``dest`` routes nowhere."""
         table = self._hop_tables.get(dest)
-        if table is not None:
-            return table
-        if dest not in self.topology.nodes():
-            # An out-of-range destination routes nowhere (the ideal
-            # medium's undeliverable semantics, not a crash).
-            self._hop_tables[dest] = {}
-            return self._hop_tables[dest]
-        dist = self._distances(dest)
-        table = {}
-        for node in self.topology.nodes():
-            if node == dest or node not in dist:
-                continue
-            parents = [
-                neighbor
-                for neighbor in self.topology.neighbors(node)
-                if neighbor in dist
-                and dist[neighbor] + self._hop_weight(node, neighbor)
-                == dist[node]
-            ]
-            table[node] = min(parents)
-        self._hop_tables[dest] = table
+        if table is None:
+            table = {}
+            if dest in self.topology.nodes():
+                table = self.topology.next_hop_table(dest)
+                del table[dest]
+            self._hop_tables[dest] = table
         return table
 
     def route(self, src: int, dest: int) -> Optional[List[int]]:

@@ -1,18 +1,17 @@
 """Network topologies for SDE scenarios.
 
-Wraps a :mod:`networkx` graph with the derived data the engine and workloads
-need: neighbour sets, static next-hop routing toward a sink (the paper's
-grid scenarios use preconfigured static routes), and the classification of
-nodes into on-path / neighbour-of-path / bystander roles that drives the
-symbolic-failure configuration (cf. the paper's Figure 9, where six grid
-corners are bystanders).
+An undirected graph kept as its edge set and sorted neighbour tuples, with
+the derived data the engine and workloads need: static next-hop routing
+toward a sink (the paper's grid scenarios use preconfigured static routes),
+and the classification of nodes into on-path / neighbour-of-path /
+bystander roles that drives the symbolic-failure configuration (cf. the
+paper's Figure 9, where six grid corners are bystanders).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import networkx as nx
+import random
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["Topology"]
 
@@ -20,16 +19,21 @@ __all__ = ["Topology"]
 class Topology:
     """An undirected connectivity graph over nodes ``0..k-1``."""
 
-    def __init__(self, graph: nx.Graph, name: str = "custom") -> None:
-        if graph.number_of_nodes() == 0:
+    def __init__(
+        self, node_count: int, edges: Iterable[Tuple[int, int]], name: str = "custom"
+    ) -> None:
+        if node_count < 1:
             raise ValueError("topology must contain at least one node")
-        expected = set(range(graph.number_of_nodes()))
-        if set(graph.nodes) != expected:
-            raise ValueError("nodes must be labelled 0..k-1")
-        self.graph = graph
+        self.edges = frozenset((min(a, b), max(a, b)) for a, b in edges)
+        neighbors: Dict[int, List[int]] = {node: [] for node in range(node_count)}
+        for a, b in self.edges:
+            if a not in neighbors or b not in neighbors:
+                raise ValueError("nodes must be labelled 0..k-1")
+            neighbors[a].append(b)
+            neighbors[b].append(a)
         self.name = name
         self._neighbors: Dict[int, Tuple[int, ...]] = {
-            node: tuple(sorted(graph.neighbors(node))) for node in graph.nodes
+            node: tuple(sorted(adjacent)) for node, adjacent in neighbors.items()
         }
 
     # -- constructors ---------------------------------------------------------
@@ -37,22 +41,19 @@ class Topology:
     @classmethod
     def line(cls, k: int) -> "Topology":
         """Nodes 0-1-2-...-(k-1) in a chain."""
-        return cls(nx.path_graph(k), name=f"line-{k}")
+        return cls(k, [(node, node + 1) for node in range(k - 1)], name=f"line-{k}")
 
     @classmethod
     def grid(cls, width: int, height: Optional[int] = None) -> "Topology":
         """A width x height lattice, row-major labels (the paper's layout)."""
         height = width if height is None else height
-        graph = nx.Graph()
-        graph.add_nodes_from(range(width * height))
-        for row in range(height):
-            for col in range(width):
-                node = row * width + col
-                if col + 1 < width:
-                    graph.add_edge(node, node + 1)
-                if row + 1 < height:
-                    graph.add_edge(node, node + width)
-        topology = cls(graph, name=f"grid-{width}x{height}")
+        edges = []
+        for node in range(width * height):
+            if node % width + 1 < width:
+                edges.append((node, node + 1))
+            if node + width < width * height:
+                edges.append((node, node + width))
+        topology = cls(width * height, edges, name=f"grid-{width}x{height}")
         topology.width = width
         topology.height = height
         return topology
@@ -62,17 +63,18 @@ class Topology:
         """Nodes 0-1-...-(k-1)-0 in a cycle (dihedral symmetry group)."""
         if k < 3:
             raise ValueError("a ring needs at least 3 nodes")
-        return cls(nx.cycle_graph(k), name=f"ring-{k}")
+        return cls(k, [(node, (node + 1) % k) for node in range(k)], name=f"ring-{k}")
 
     @classmethod
     def star(cls, k: int) -> "Topology":
         """Node 0 is the hub; 1..k-1 are leaves."""
-        return cls(nx.star_graph(k - 1), name=f"star-{k}")
+        return cls(k, [(0, leaf) for leaf in range(1, k)], name=f"star-{k}")
 
     @classmethod
     def full_mesh(cls, k: int) -> "Topology":
         """Every node hears every other node (the paper's worst case)."""
-        return cls(nx.complete_graph(k), name=f"mesh-{k}")
+        edges = [(a, b) for a in range(k) for b in range(a + 1, k)]
+        return cls(k, edges, name=f"mesh-{k}")
 
     @classmethod
     def fat_tree(cls, pods: int = 2, leaf_fanout: int = 2) -> "Topology":
@@ -89,36 +91,39 @@ class Topology:
             raise ValueError("a fat tree needs at least one pod")
         if leaf_fanout < 1:
             raise ValueError("each pod needs at least one leaf")
-        graph = nx.Graph()
-        cores = (0, 1)
-        aggregations = tuple(2 + pod for pod in range(pods))
         leaf_base = 2 + pods
-        graph.add_nodes_from(range(leaf_base + pods * leaf_fanout))
-        for aggregation in aggregations:
-            for core in cores:
-                graph.add_edge(core, aggregation)
-        for pod, aggregation in enumerate(aggregations):
-            for leaf in range(leaf_fanout):
-                graph.add_edge(
-                    aggregation, leaf_base + pod * leaf_fanout + leaf
-                )
-        return cls(graph, name=f"fat-tree-{pods}x{leaf_fanout}")
+        edges = [(core, 2 + pod) for pod in range(pods) for core in (0, 1)]
+        edges += [
+            (2 + pod, leaf_base + pod * leaf_fanout + leaf)
+            for pod in range(pods)
+            for leaf in range(leaf_fanout)
+        ]
+        return cls(
+            leaf_base + pods * leaf_fanout, edges, name=f"fat-tree-{pods}x{leaf_fanout}"
+        )
 
     @classmethod
     def random_connected(cls, k: int, degree: int = 3, seed: int = 7) -> "Topology":
-        """A random connected graph (regular-ish) for randomized tests."""
-        attempt = seed
+        """A seeded random connected ``degree``-regular graph: node stubs
+        are paired at random, redrawn until the graph is simple and
+        connected (``k * degree`` must be even)."""
+        stubs = [node for node in range(k) for _ in range(min(degree, k - 1))]
+        if len(stubs) % 2:
+            raise ValueError("k * degree must be even")
+        rng = random.Random(seed)
         while True:
-            graph = nx.random_regular_graph(min(degree, k - 1), k, seed=attempt)
-            if nx.is_connected(graph):
-                return cls(graph, name=f"random-{k}-d{degree}-s{seed}")
-            attempt += 1
+            rng.shuffle(stubs)
+            pairs = list(zip(stubs[::2], stubs[1::2]))
+            topology = cls(k, pairs, name=f"random-{k}-d{degree}-s{seed}")
+            simple = len(topology.edges) == len(pairs) and all(a != b for a, b in pairs)
+            if simple and len(topology.next_hop_table(0)) == k:
+                return topology
 
     # -- queries -----------------------------------------------------------------
 
     @property
     def node_count(self) -> int:
-        return self.graph.number_of_nodes()
+        return len(self._neighbors)
 
     def nodes(self) -> range:
         return range(self.node_count)
@@ -129,16 +134,11 @@ class Topology:
     def are_neighbors(self, a: int, b: int) -> bool:
         return b in self._neighbors[a]
 
-    def shortest_path(self, src: int, dest: int) -> List[int]:
-        return nx.shortest_path(self.graph, src, dest)
-
-    def diameter(self) -> int:
-        return nx.diameter(self.graph)
-
     # -- routing ------------------------------------------------------------------
 
     def next_hop_table(self, sink: int) -> Dict[int, int]:
-        """Static routing: next hop toward ``sink`` for every node.
+        """Static routing: next hop toward ``sink`` for every node that
+        reaches it, keyed in BFS order (``sink`` first, mapped to itself).
 
         Deterministic (among equal-length paths the lowest-id parent wins),
         which matches the "preconfigured data path" of the paper's grid
@@ -146,13 +146,11 @@ class Topology:
         """
         table: Dict[int, int] = {sink: sink}
         frontier = [sink]
-        visited = {sink}
         while frontier:
             next_frontier: List[int] = []
             for node in frontier:
                 for neighbor in self._neighbors[node]:
-                    if neighbor not in visited:
-                        visited.add(neighbor)
+                    if neighbor not in table:
                         table[neighbor] = node
                         next_frontier.append(neighbor)
             frontier = sorted(next_frontier)
@@ -189,5 +187,5 @@ class Topology:
     def __repr__(self) -> str:
         return (
             f"Topology({self.name}: {self.node_count} nodes,"
-            f" {self.graph.number_of_edges()} edges)"
+            f" {len(self.edges)} edges)"
         )

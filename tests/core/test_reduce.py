@@ -3,7 +3,7 @@
 Four layers:
 
 - the automorphism machinery (group sizes for the stock topologies,
-  orbits, closure);
+  orbits, closure, and generated graphs against networkx's VF2 matcher);
 - the canonicalization property — ``canonicalize(permute(s)) ==
   canonicalize(s)`` for random reachable states under random
   automorphisms (hypothesis) — and the one-walk canonical form, built
@@ -15,12 +15,14 @@ Four layers:
   composition with the parallel and distributed runners.
 """
 
+import itertools
 import pickle
 from typing import List, Set
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from repro.api import (
     DistributedRunner,
@@ -30,6 +32,7 @@ from repro.api import (
 )
 from repro.core import reduce
 from repro.core.reduce import (
+    MAX_AUTOMORPHISMS,
     StateReducer,
     _Canon,
     analyze_recv_handler,
@@ -49,6 +52,9 @@ from repro.net.packet import Packet
 from repro.vm.state import Event, ExecutionState
 
 from benchmarks.ladder.workloads import runs_for
+
+from ..conftest import budget
+from ..net.graphs import reference_graph, topologies
 
 #: Symbolic readings guarded by assertions: every reception forks on the
 #: solver and one branch violates, so runs report real verdicts.
@@ -80,6 +86,13 @@ def _guard_scenario(topology, horizon_ms=300):
         topology=topology,
         horizon_ms=horizon_ms,
     )
+
+
+def _reference_group(topology, limit):
+    """At most ``limit`` automorphisms from networkx's VF2 matcher."""
+    graph = reference_graph(topology)
+    mappings = itertools.islice(GraphMatcher(graph, graph).isomorphisms_iter(), limit)
+    return {tuple(m[node] for node in topology.nodes()) for m in mappings}
 
 
 class TestAutomorphisms:
@@ -135,6 +148,32 @@ class TestAutomorphisms:
         assert len(automorphisms(mesh)) == 24
         assert len(automorphisms(mesh, limit=3)) == 3
         assert len(automorphisms(mesh)) == 24
+
+    def test_large_grid_needs_no_recursion(self):
+        # 1,600 nodes is past Python's recursion limit: one frame per
+        # mapped node could not finish this search.
+        autos = automorphisms(Topology.grid(40))
+        assert len(autos) == 8
+        assert tuple(range(1600)) in autos
+
+    @settings(max_examples=budget(150), deadline=None)
+    @given(topologies(), st.one_of(st.just(MAX_AUTOMORPHISMS), st.integers(1, 40)))
+    def test_group_equals_networkx(self, topology, limit):
+        """Below the cap the group is networkx ``GraphMatcher``'s; a
+        truncated one is ``limit`` real automorphisms with the identity."""
+        autos = automorphisms(topology, limit=limit)
+        identity = tuple(range(topology.node_count))
+        if len(autos) < limit:
+            assert set(autos) == _reference_group(topology, limit)
+            return
+        assert len(autos) == limit
+        assert identity in autos
+        for perm in autos:
+            assert sorted(perm) == list(identity)
+            assert {
+                (min(perm[a], perm[b]), max(perm[a], perm[b]))
+                for a, b in topology.edges
+            } == topology.edges
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ egress queues, and the symmetry predicate the reducer relies on."""
 
 import random
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from repro.net import (
     IdealMedium,
@@ -16,6 +18,9 @@ from repro.net import (
 from repro.net import realistic
 from repro.net.medium import _MEDIA
 from repro.vm.state import FrozenMap
+
+from ..conftest import budget
+from .graphs import reference_graph, topologies
 
 
 class _Sender:
@@ -82,6 +87,33 @@ class TestRouting:
         path = medium.route(leaves[0], leaves[-1])
         assert path is not None
         assert len(path) >= 3  # up through an aggregation at least
+
+    @settings(max_examples=budget(100), deadline=None)
+    @given(topologies())
+    def test_route_is_the_lowest_id_shortest_path(self, topology):
+        """Every route is a shortest path (networkx BFS distances) whose
+        each hop is the lowest-id neighbour one hop closer; unreachable
+        and out-of-range destinations route nowhere."""
+        graph = reference_graph(topology)
+        medium = RealisticMedium(topology)
+        for dest in range(-1, topology.node_count + 1):
+            distance = (
+                nx.single_source_shortest_path_length(graph, dest)
+                if dest in graph
+                else {}
+            )
+            for src in topology.nodes():
+                path = medium.route(src, dest)
+                if src not in distance:
+                    assert path is None
+                    continue
+                assert len(path) == distance[src] + 1
+                for node, hop in zip(path, path[1:]):
+                    assert hop == min(
+                        n
+                        for n in topology.neighbors(node)
+                        if distance.get(n) == distance[node] - 1
+                    )
 
     def test_unreachable_is_none_and_undeliverable(self):
         topology = Topology.line(2)

@@ -1,8 +1,13 @@
-"""Topology constructors, routing and role classification."""
+"""Topology constructors, routing and role classification.
 
+networkx is the reference for diameter, path length and connectivity."""
+
+import networkx as nx
 import pytest
 
 from repro.net import Topology
+
+from .graphs import reference_graph
 
 
 class TestConstructors:
@@ -36,7 +41,8 @@ class TestConstructors:
         assert topo.node_count == 5
         assert topo.neighbors(0) == (1, 4)  # the wrap-around edge
         assert topo.neighbors(2) == (1, 3)
-        assert topo.diameter() == 2
+        assert topo.edges == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        assert nx.diameter(reference_graph(topo)) == 2
 
     def test_ring_minimum_size(self):
         with pytest.raises(ValueError):
@@ -55,25 +61,30 @@ class TestConstructors:
     def test_random_connected(self):
         topo = Topology.random_connected(10, degree=3, seed=1)
         assert topo.node_count == 10
-        import networkx as nx
+        assert all(len(topo.neighbors(node)) == 3 for node in topo.nodes())
+        assert len(topo.edges) == 15  # simple: no loop, no parallel edge
+        assert nx.is_connected(reference_graph(topo))
+        assert topo.edges == Topology.random_connected(10, degree=3, seed=1).edges
 
-        assert nx.is_connected(topo.graph)
+    def test_random_connected_needs_an_even_stub_count(self):
+        with pytest.raises(ValueError):
+            Topology.random_connected(5, degree=3)
 
     def test_single_node(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_node(0)
-        topo = Topology(graph)
+        topo = Topology(1, [])
         assert topo.node_count == 1
+        assert topo.neighbors(0) == ()
+
+    def test_edges_are_sorted_pairs(self):
+        topo = Topology(3, [(2, 1), (1, 2), (0, 2)])
+        assert topo.edges == {(1, 2), (0, 2)}
+        assert topo.neighbors(2) == (0, 1)
 
     def test_bad_labels_rejected(self):
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_edge(1, 2)  # missing node 0
         with pytest.raises(ValueError):
-            Topology(graph)
+            Topology(2, [(1, 2)])  # node 2 is outside 0..1
+        with pytest.raises(ValueError):
+            Topology(0, [])
 
 
 class TestRouting:
@@ -88,19 +99,18 @@ class TestRouting:
     def test_next_hop_points_toward_sink(self):
         topo = Topology.grid(4)
         table = topo.next_hop_table(0)
+        distance = nx.single_source_shortest_path_length(reference_graph(topo), 0)
         for node in topo.nodes():
             if node == 0:
                 continue
             hop = table[node]
             assert topo.are_neighbors(node, hop)
-            assert len(topo.shortest_path(hop, 0)) < len(
-                topo.shortest_path(node, 0)
-            )
+            assert distance[hop] == distance[node] - 1
 
     def test_route_length_matches_shortest_path(self):
         topo = Topology.grid(10)
         route = topo.route(99, 0)
-        assert len(route) == len(topo.shortest_path(99, 0))
+        assert len(route) == len(nx.shortest_path(reference_graph(topo), 99, 0))
         assert len(route) == 19  # 18 hops corner to corner
 
     def test_sink_routes_to_itself(self):

@@ -13,7 +13,7 @@ different path condition for symbolic input).
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.expr import bv, eq, ne, uge, ule, ult, var, zext
@@ -504,6 +504,21 @@ def _handler_runs(draw):
     return source, conditions, events
 
 
+def _two_path_conditions(prelude):
+    """``v > 5`` on the payload cell ``p`` under ``p < 4``, then twice
+    under ``p >= 6``: the conditions decide the branch opposite ways, so
+    only the third event may hit.  Random event streams rarely hold
+    such a pair; the ``prelude`` picks the lookup branch (a program
+    that calls ``symbolic()`` or one that does not)."""
+    source = (
+        "var m; var k; var out[1]; func main() { var v = recv_byte(0);"
+        f" {prelude} if (v > 5) {{ k += 1; }} else {{ k += 2; }} }}"
+    )
+    p = var("p")
+    events = [(0, p, 1, 0), (1, p, 1, 0), (1, p, 1, 0)]
+    return source, [[ult(p, bv(4))], [uge(p, bv(6))]], events
+
+
 #: Solver handles that move with memo and cache state (docs/SOLVER.md,
 #: "Determinism contract"); a replay asks nothing, so they may differ.
 _VOLATILE = ("solver.backend.", "solver.shortcuts.", "solver.simplify.", "solve.search")
@@ -565,6 +580,8 @@ def _run_events(kind, source, conditions, events):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(_handler_runs())
+@example(_two_path_conditions('var s = symbolic("s", 8);'))
+@example(_two_path_conditions("var s = 2;"))
 def test_summaries_equal_interpretation_on_symbolic_branches(runs):
     source, conditions, events = runs
     summarized, _ = _run_events(Executor, source, conditions, events)
