@@ -138,6 +138,22 @@ class COBMapper(StateMapper):
 
         ensure_state_ids_above(max_sid)
 
+    def drop_groups(self, group_indices) -> List[int]:
+        dropped = set(group_indices)
+        sids = [
+            state.sid
+            for index in dropped
+            for state in self._dscenarios[index].members.values()
+        ]
+        for sid in sids:
+            del self._owner[sid]
+        self._dscenarios = [
+            scenario
+            for index, scenario in enumerate(self._dscenarios)
+            if index not in dropped
+        ]
+        return sids
+
     # -- introspection -----------------------------------------------------------------
 
     def group_count(self) -> int:

@@ -152,6 +152,21 @@ class COWMapper(StateMapper):
 
         ensure_state_ids_above(max_sid)
 
+    def drop_groups(self, group_indices) -> List[int]:
+        dropped = set(group_indices)
+        sids = [
+            state.sid
+            for index in dropped
+            for states in self._dstates[index].members.values()
+            for state in states
+        ]
+        for sid in sids:
+            del self._owner[sid]
+        self._dstates = [
+            dstate for index, dstate in enumerate(self._dstates) if index not in dropped
+        ]
+        return sids
+
     # -- introspection ----------------------------------------------------------------
 
     def classify_roles(self, sender: ExecutionState, dest_node: int):

@@ -18,7 +18,8 @@ dissolves).  So the runner cuts only between components:
 
 1. The engine runs sequentially to the cut.  By default
    :func:`deepen_until_partitioned` picks it adaptively: it runs
-   ``probe_events``-sized slices, recomputing
+   ``probe_events``-sized slices (doubling the run so far while the graph
+   is one component), recomputing
    :func:`~repro.core.partition.partition_groups` after each, until there
    are at least ``min_partitions`` components with runnable states (or
    the run completes first — the degenerate sequential case).  A fixed
@@ -42,18 +43,19 @@ dissolves).  So the runner cuts only between components:
    socket backend only needs to move the same opaque messages).
    Stragglers are rebalanced by **work-stealing**: an idle pool prompts a
    busy worker to re-partition its remaining frontier at its next event
-   boundary and hand half back as fresh jobs.
+   boundary, ship half of it back as a fresh job and run on with the
+   rest.
 
 Why the merged :class:`DistributedReport` is identical to the sequential
 run: partitions are disjoint in execution states and cover all of them,
 transmissions only ever map within the sender's dstates, and each state
 executes the identical event sequence no matter which process hosts it
 (the scheduler snapshot preserves the sequential pop order, and solver
-verdicts are solver-instance independent).  A steal is just another cut
-— the donor's partial slice is reported with *flow* counters only
-(events, instructions, solver queries, stats, trace events) while all
-*stock* totals (states, census, groups, errors, memory) come from the
-terminal jobs.  So state counts, the census, error states, group counts,
+verdicts are solver-instance independent).  A steal is just another cut:
+the donor ships only the stolen half and releases it from its engine,
+which runs on.  The donor's report then covers its whole job but that
+half (flow and stock), and the stolen job's report covers what it ran
+after the cut.  So state counts, the census, error states, group counts,
 mapping stats and solver query totals all sum to exactly the sequential
 run's values, for any worker count and any steal timing; only cache
 hit/miss ratios shift with the partitioning.  State ids remain volatile;
@@ -67,10 +69,10 @@ Failures use the typed-failure machinery from
 and overrun deadlines, failed jobs are requeued behind a deterministic
 per-job backoff, the runner's final crash/exception attempt runs
 inline, and ``SDE_CHAOS_KILL_WORKER`` kills every job's first
-subprocess attempt.  A donor that dies *after* a steal reply costs
-nothing extra — the reply carries the kept half as a fresh payload, so
-the retry resumes from the split, and a donor that dies *before*
-replying simply retries the original job.
+subprocess attempt.  A donor's retry always starts from its original
+payload: if the donor dies after a steal reply, the coordinator cancels
+the jobs stolen from it (recursively, voiding any that already ended)
+and re-runs the whole job.
 """
 
 from __future__ import annotations
@@ -130,8 +132,10 @@ DEFAULT_PROBE_LIMIT_EVENTS = 4096
 #: Share of linear LPT-projected speedup an adaptive cut waits for.
 BALANCE_FRACTION = 0.8
 
-#: Seconds a worker that answered "nothing to steal" is left alone before
-#: the coordinator asks again (its component may fracture later).
+#: Seconds a worker is left alone before the coordinator asks it for a
+#: steal again: after it denied one (its component may fracture later),
+#: and after it granted one or was sent a stolen job (it has just paid
+#: for a split or a restore; asking again thrashes the run's tail).
 STEAL_RETRY_COOLDOWN_SECONDS = 0.5
 
 
@@ -241,8 +245,11 @@ def deepen_until_partitioned(
 ) -> List[Partition]:
     """Advance ``engine`` until its sharing graph has fractured.
 
-    Runs ``probe_events``-sized slices and recomputes the component
-    decomposition after each, returning the partition list of the first
+    Runs slices of ``probe_events`` events and recomputes the component
+    decomposition after each; while at most one live partition exists,
+    a slice is as long as all the events run so far (but at least
+    ``probe_events``), so a graph that never fractures costs a logarithmic
+    number of probes.  Returns the partition list of the first
     frontier with at least ``min_partitions`` components that still have
     runnable states.  With ``balance_workers`` set, the cut additionally
     waits until the LPT-projected speedup on that many workers reaches
@@ -278,7 +285,10 @@ def deepen_until_partitioned(
         ):
             return partitions
         before = engine.events_executed
-        engine.run_until(split_events=before + probe_events)
+        # Back off while the graph is one component: each probe then
+        # costs no more than the events run since the last one.
+        step = probe_events if live > 1 else max(probe_events, before)
+        engine.run_until(split_events=before + step)
         if engine.events_executed == before:
             return partitions  # horizon reached with entries still queued
 
@@ -296,10 +306,10 @@ def deepen_until_partitioned(
 #
 #   worker -> coordinator:
 #     ("done", worker, job_id, result)          terminal result for job_id
-#     ("steal_reply", worker, job_id, partial_report, kept_payload,
-#       [(payload, PathPrefix), ...])           donor split: flow-only slice
-#                                               report + its continuation +
-#                                               the stolen jobs
+#     ("steal_reply", worker, job_id,
+#       [(payload, PathPrefix), ...])           donor split: the stolen jobs;
+#                                               the donor runs on with the
+#                                               rest of job_id
 #     ("steal_deny", worker, job_id)            single component, can't split
 #     ("fail", worker, job_id, WorkerFailure)   worker survived an exception
 #
@@ -358,55 +368,36 @@ def _execute_job(
 
     The engine advances in ``steal_check_events``-sized slices; between
     slices (an event boundary — states quiescent, snapshot exact) the
-    worker polls for a steal request.  Granting one means: snapshot *all*
-    local partitions, ship a flow-only partial report plus the stolen half
-    plus our own continuation payload in a single atomic reply, then
-    resume from the continuation.  The reply is self-delimiting: even if
-    this worker dies right after sending it, the coordinator can finish
-    the subtree from the kept/stolen payloads alone.
+    worker polls for a steal request.  Granting one ships the stolen half
+    in one reply and releases it from the engine, which then runs on with
+    the rest: its solver caches and summary table stay warm, and its
+    terminal report covers the whole job but the stolen half.
     """
+    snapshot: EngineSnapshot = pickle.loads(payload)
+    engine = snapshot.restore(
+        TraceEmitter(worker=job_id) if snapshot.trace is not None else None
+    )
     while True:
-        snapshot: EngineSnapshot = pickle.loads(payload)
-        engine = snapshot.restore(
-            TraceEmitter(worker=job_id) if snapshot.trace is not None else None
-        )
-        image_cost = PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(engine.program.code)
-        while True:
-            target = engine.events_executed + steal_check_events
-            engine.run_until(split_events=target)
-            if engine.events_executed < target or engine.aborted:
-                send(("done", worker_index, job_id, _job_report(engine, job_id)))
-                return
-            if poll_steal is not None and poll_steal():
-                split = _split_for_steal(engine, job_id, image_cost)
-                if split is None:
-                    send(("steal_deny", worker_index, job_id))
-                    continue
-                partial, payload, stolen_jobs = split
-                send(
-                    (
-                        "steal_reply",
-                        worker_index,
-                        job_id,
-                        partial,
-                        payload,
-                        stolen_jobs,
-                    )
-                )
-                break  # restart from the kept half
+        target = engine.events_executed + steal_check_events
+        engine.run_until(split_events=target)
+        if engine.events_executed < target or engine.aborted:
+            send(("done", worker_index, job_id, _job_report(engine, job_id)))
+            return
+        if poll_steal is not None and poll_steal():
+            stolen_jobs = _split_for_steal(engine)
+            if stolen_jobs is None:
+                send(("steal_deny", worker_index, job_id))
+            else:
+                send(("steal_reply", worker_index, job_id, stolen_jobs))
 
 
-def _split_for_steal(
-    engine: SDEEngine, job_id: int, image_cost: int
-) -> Optional[Tuple[RunReport, bytes, List[Tuple[bytes, PathPrefix]]]]:
-    """Split a running engine in half; ``None`` when it cannot be split.
+def _split_for_steal(engine: SDEEngine) -> Optional[List[Tuple[bytes, PathPrefix]]]:
+    """Ship half of a running engine's work; ``None`` when it cannot split.
 
-    Returns ``(partial_report, kept_payload, stolen_jobs)``.  The partial
-    report covers the donor's slice up to this boundary with *flow*
-    counters only: its stock totals are zeroed (and ``accounted_bytes``
-    set to the shared-image sentinel) because every state lives on in
-    exactly one of the kept/stolen payloads, whose terminal reports will
-    count them.
+    Returns the stolen jobs, ``[(payload, PathPrefix)]``, and releases
+    their groups from ``engine`` (:meth:`SDEEngine.release_groups`), so
+    every state lives on in exactly one engine and is counted once, by the
+    report of the job that finishes it.
     """
     partitions = partition_groups(engine.mapper)
     runnable = {sid for _, sid in engine.scheduler_snapshot()}
@@ -418,24 +409,14 @@ def _split_for_steal(
         return len(partition.state_sids & runnable)
 
     # Balance the *remaining* work; quiescent partitions carry stock
-    # states but no events, so they stay with the donor (same shipping
-    # cost either way, one fewer restore on the thief).
+    # states but no events, so they stay with the donor and never move.
     kept, given = steal_split(live, weight=runnable_weight)
     if not kept or not given:
         return None
-    kept = kept + [p for p in partitions if not (p.state_sids & runnable)]
-    kept_snapshot, given_snapshot = snapshot_assignment_tasks(
-        engine, [kept, given]
-    )
-    partial = _job_report(engine, job_id)
-    partial.total_states = 0
-    partial.active_states = 0
-    partial.group_count = 0
-    partial.error_states = []
-    partial.census = {}
-    partial.accounted_bytes = image_cost
+    [given_snapshot] = snapshot_assignment_tasks(engine, [given])
     stolen_jobs = [(pickle.dumps(given_snapshot), _path_prefix(engine, given))]
-    return partial, pickle.dumps(kept_snapshot), stolen_jobs
+    engine.release_groups(_bundle_groups(given))
+    return stolen_jobs
 
 
 def _job_worker_main(
@@ -684,13 +665,20 @@ class Coordinator:
     backoff before its next dispatch; with ``run_inline`` set, the final
     crash/exception attempt runs in-process (timeouts keep retrying in a
     subprocess, which can be killed).  ``step`` returns the turn's events:
-    ``("start", job, attempt)``, ``("done", job, result)``, ``("partial",
-    job, report)`` for a steal donor's flow-only slice, ``("retry", job,
-    failure)`` and ``("failed", job, failure)``.  :meth:`run` is the
-    runner's blocking loop: it collects ``results`` and raises on a failed
-    job unless ``allow_partial`` reports it instead; it sleeps in the
-    transport until a reply, a worker's death or the next deadline, so
-    there is no poll interval.
+    ``("start", job, attempt)``, ``("done", job, result)``, ``("retry",
+    job, failure)``, ``("failed", job, failure)`` and ``("cancelled", job,
+    None)``, which voids an ended job's result or failure.
+
+    A granted steal adds the stolen jobs, each recorded in ``donors`` as
+    stolen from the donor's job, whose payload stays the original one.
+    When a donor's attempt fails after granting, every job stolen from it
+    is cancelled, recursively: queued ones are dropped, running ones
+    stopped, ended ones voided.  The donor's next attempt re-runs its
+    whole job, and an exhausted donor's failure covers the whole subtree.
+    :meth:`run` is the runner's blocking loop: it collects ``results``
+    and raises on a failed job unless ``allow_partial`` reports it
+    instead; it sleeps in the transport until a reply, a worker's death or
+    the next deadline, so there is no poll interval.
     """
 
     def __init__(
@@ -714,6 +702,8 @@ class Coordinator:
         self.attempts: Dict[int, int] = {}
         self.results: List[RunReport] = []
         self.failed: List[WorkerFailure] = []
+        #: stolen job -> the job it was stolen from
+        self.donors: Dict[int, int] = {}
         self.retries = 0
         self.steals_requested = Counter("distributed.steals.requested")
         self.steals_granted = Counter("distributed.steals.granted")
@@ -755,6 +745,7 @@ class Coordinator:
         self.payloads.pop(job_id, None)
         self.prefixes.pop(job_id, None)
         self.attempts.pop(job_id, None)
+        self.donors.pop(job_id, None)
 
     def cancel(self, job_id: int) -> None:
         """End ``job_id`` without a result, restarting its worker if busy."""
@@ -813,14 +804,18 @@ class Coordinator:
         if self._outstanding == 0:
             return
         self.transport.start()
+        results: Dict[int, RunReport] = {}
         try:
             while self._outstanding > 0:
-                for kind, _job, detail in self.step(None):
-                    if kind in ("done", "partial"):
-                        self.results.append(detail)
+                for kind, job, detail in self.step(None):
+                    if kind == "done":
+                        results[job] = detail
+                    elif kind == "cancelled":
+                        results.pop(job, None)
                     elif kind == "failed" and not self.policy.allow_partial:
                         raise_worker_failure(detail)
         finally:
+            self.results.extend(results.values())
             self.transport.stop()
 
     # -- internals ----------------------------------------------------------
@@ -856,6 +851,8 @@ class Coordinator:
             if self.policy.task_timeout_seconds is not None:
                 deadline = now + self.policy.task_timeout_seconds
             self._busy[worker] = _RunningJob(job_id, attempt, deadline)
+            if job_id in self.donors:  # a thief: see the cooldown's reasons
+                self._steal_cooldown[worker] = now + STEAL_RETRY_COOLDOWN_SECONDS
             self.jobs_dispatched += 1
             self._events.append(("start", job_id, attempt))
             if self.trace is not None:
@@ -891,32 +888,23 @@ class Coordinator:
             if self.trace is not None:
                 self.trace.emit("worker.job.done", job=job_id)
         elif tag == "steal_reply":
-            _, worker, job_id, partial, kept_payload, stolen_jobs = message
+            _, worker, job_id, stolen_jobs = message
             self._steal_pending.discard(worker)
             running = self._busy.get(worker)
             if job_id in self._resolved or running is None or running.job_id != job_id:
-                # The whole job was (or will be) re-run from its pre-split
-                # payload; the partial and the stolen half must be dropped
-                # together or states would be double-counted.
+                # The whole job was (or will be) re-run from its payload;
+                # accepting the stolen half would count its states twice.
                 return
             self.steals_granted.value += 1
-            # Cooldown after a grant too: re-stealing from a donor that
-            # just paid for a split/restore thrashes the run's tail.
             self._steal_cooldown[worker] = (
                 _time.monotonic() + STEAL_RETRY_COOLDOWN_SECONDS
             )
-            self._events.append(("partial", job_id, partial))
-            # The donor continues from the kept half: a later crash must
-            # retry only that half, not replay the reported slice.
-            self.payloads[job_id] = kept_payload
-            if running.deadline is not None:
-                running.deadline = _time.monotonic() + self.policy.task_timeout_seconds
             moved = 0
             for payload, prefix in stolen_jobs:
                 # The donor's group indices are local to its restored
                 # engine; failure records name the initial cut's groups.
                 prefix.group_indices = self.prefixes[job_id].group_indices
-                self.add(payload, prefix)
+                self.donors[self.add(payload, prefix)] = job_id
                 moved += prefix.states
             if self.trace is not None:
                 self.trace.emit("worker.steal.grant", job=job_id, states=moved)
@@ -938,6 +926,8 @@ class Coordinator:
     def _scan_workers(self) -> None:
         now = _time.monotonic()
         for worker, running in list(self._busy.items()):
+            if self._busy.get(worker) is not running:
+                continue  # stopped by this scan: its donor's failure cancelled it
             if not self.transport.alive(worker):
                 failure = WorkerFailure(
                     task_index=running.job_id,
@@ -957,6 +947,7 @@ class Coordinator:
             self._job_failed(running.job_id, failure)
 
     def _job_failed(self, job_id: int, failure: WorkerFailure) -> None:
+        self._cancel_stolen(job_id)
         self.attempts[job_id] += 1
         failure.attempts = self.attempts[job_id]
         if self.trace is not None:
@@ -984,6 +975,20 @@ class Coordinator:
             delay = self.policy.backoff_seconds(job_id, failure.attempts)
             self._not_before[job_id] = _time.monotonic() + delay
             self.pending.append(job_id)
+
+    def _cancel_stolen(self, donor: int) -> None:
+        """Cancel every job stolen from ``donor``, recursively: the donor's
+        next attempt runs them again, or its failure record covers them."""
+        for job_id in [job for job, source in self.donors.items() if source == donor]:
+            del self.donors[job_id]
+            self._cancel_stolen(job_id)
+            if job_id in self._resolved:
+                self.failed = [f for f in self.failed if f.task_index != job_id]
+                self._events.append(("cancelled", job_id, None))
+            else:
+                self.cancel(job_id)
+            if self.trace is not None:
+                self.trace.emit("worker.steal.cancel", job=job_id, donor=donor)
 
     def _run_final_inline(self, job_id: int) -> None:
         try:
@@ -1030,9 +1035,10 @@ class DistributedReport(RunReport):
 
     The semantic totals are identical to the sequential run for any
     worker count and any steal timing (see the module docstring).  The
-    extras are ``workers``, ``worker_results`` (every job's tagged
-    :class:`RunReport`, steal partials included), ``prefix_events`` (the
-    cut in events), ``partition_count``,
+    extras are ``workers``, ``worker_results`` (the tagged
+    :class:`RunReport` of every job that ended, stolen jobs included and
+    cancelled ones left out), ``prefix_events`` (the cut in events),
+    ``partition_count``,
     ``projected`` (the LPT-projected speedup), ``census`` (per-node state
     counts, from the jobs' census tags), and from the ``coordinator``:
     ``jobs_dispatched``, the ``steals_*`` counts, ``retries`` and
@@ -1082,8 +1088,9 @@ class DistributedReport(RunReport):
             (w.abort_reason for w in results if w.abort_reason), ""
         )
         if results:
-            # Every prefix state was shipped to exactly one job, so the
-            # terminal results' totals sum to the sequential run's totals.
+            # Every prefix state was shipped to exactly one job, and a
+            # steal moves states from one job to another, so the results'
+            # totals sum to the sequential run's totals.
             self.virtual_ms = max(w.virtual_ms for w in results)
             self.total_states = sum(w.total_states for w in results)
             self.active_states = sum(w.active_states for w in results)
@@ -1295,9 +1302,7 @@ class DistributedRunner:
             trace=self.trace,
         )
         coordinator.run()
-        results = sorted(
-            coordinator.results, key=lambda w: (w.job_id, -w.total_states)
-        )
+        results = sorted(coordinator.results, key=lambda w: w.job_id)
         if self.trace is not None:
             for worker in results:
                 self.trace.extend(worker.trace_events)

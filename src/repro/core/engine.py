@@ -505,6 +505,18 @@ class SDEEngine:
                 out.append((event_time, sid))
         return out
 
+    def release_groups(self, group_indices) -> None:
+        """Detach mapper groups, closed under state sharing, with their states.
+
+        A work-stealing donor calls this at an event boundary after it has
+        shipped those groups: the engine runs on with the rest.  The
+        released states' scheduler entries go stale and are skipped when
+        popped, and the next sample recounts every state left.
+        """
+        for sid in self.mapper.drop_groups(group_indices):
+            del self.states[sid]
+        self.stats.forget()
+
     def _entry_valid(self, event_time: int, sid: int) -> bool:
         # PRUNED states stay schedulable: their events must surface so the
         # reducer can decide wake-vs-sleep per delivery (_dispatch_pruned).

@@ -122,6 +122,16 @@ class StateMapper:
         """
         raise NotImplementedError
 
+    def drop_groups(self, group_indices: Sequence[int]) -> List[int]:
+        """Forget the selected groups and their states; return those sids.
+
+        The selection must be closed under state sharing, as for
+        :meth:`snapshot_groups`: a work-stealing donor drops the half it
+        has just shipped and keeps running the rest.  The remaining
+        groups keep their order.
+        """
+        raise NotImplementedError
+
     def groups(self) -> Iterable[Dict[int, List[ExecutionState]]]:
         """Each group as a node -> states mapping (states, not virtuals)."""
         raise NotImplementedError

@@ -350,6 +350,26 @@ class SDSMapper(StateMapper):
 
         ensure_state_ids_above(max_sid)
 
+    def drop_groups(self, group_indices) -> List[int]:
+        """Forget the selected dstates, their lists and their bindings.
+
+        A closed selection holds every holder of its lists, so each list
+        is emptied of holders at its first visit and skipped after.
+        """
+        dropped = set(group_indices)
+        sids: List[int] = []
+        for index in dropped:
+            for members in self._dstates[index].members.values():
+                if members.dstates:
+                    members.dstates.clear()
+                    for virtual in members:
+                        del self._bindings[virtual.actual.sid]
+                        sids.append(virtual.actual.sid)
+        self._dstates = [
+            dstate for index, dstate in enumerate(self._dstates) if index not in dropped
+        ]
+        return sids
+
     # -- introspection -------------------------------------------------------------
 
     def classify_roles(self, sender: ExecutionState, dest_node: int):

@@ -10,7 +10,8 @@ run, and all three ship the same picklable :class:`EngineSnapshot`:
 - the distributed runner's **initial cut** captures one snapshot per
   bundle of partitions
   (:func:`repro.core.distributed.snapshot_assignment_tasks`);
-- a **steal split** is the same cut, taken inside a worker.
+- a **steal split** captures the stolen half the same way, inside a
+  worker, which then releases those groups and runs on with the rest.
 
 Cut snapshots carry no counters: a worker reports only the flow of its
 own slice, and the merge adds the prefix's.  Each snapshot holds the

@@ -20,7 +20,9 @@ the live count and the accounted bytes as running totals.  The engine
 calls :meth:`StatsRecorder.touch` on every state it is about to change
 and :meth:`StatsRecorder.add` on every state it creates; a sample
 re-prices only those.  The first sample of a recorder counts every state
-once, which covers the boot states and every restored snapshot.
+once, which covers the boot states and every restored snapshot, and so
+does the first sample after :meth:`StatsRecorder.forget` (a steal donor
+releasing the half it shipped).
 """
 
 from __future__ import annotations
@@ -145,6 +147,11 @@ class StatsRecorder:
     def add(self, state: ExecutionState) -> None:
         """``state`` is new: count it from the next sample on."""
         self._dirty[state.sid] = state
+
+    def forget(self) -> None:
+        """States left the engine: count every state again at the next sample."""
+        self._counted = False
+        self._dirty = {}
 
     def recount(self, states: Iterable[ExecutionState]) -> Tuple[int, int]:
         """``(live states, accounted bytes)`` of ``states`` by a full pass."""

@@ -103,6 +103,8 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "worker.steal.request": frozenset(["victim"]),
     "worker.steal.grant": frozenset(["job", "states"]),
     "worker.steal.deny": frozenset(["job"]),
+    # a stolen job voided because its donor's attempt failed
+    "worker.steal.cancel": frozenset(["job", "donor"]),
     # symmetry/POR reduction (meta: pruning decisions depend on seen-set
     # arrival order, which worker split points perturb; verdict equality
     # is pinned separately, not via trace diff)

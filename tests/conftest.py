@@ -5,7 +5,7 @@ default profile.  ``--hypothesis-profile=deep`` raises the budget of the
 properties that opt in through :func:`budget`; CI runs them that way (the
 snapshot and sample-total properties in ``fault-smoke``, the solver cache
 and evaluator properties and the event-summary audit and property in
-``solver-bench``).
+``solver-bench``, the forced-steal property in ``distributed-bench``).
 """
 
 from hypothesis import settings

@@ -12,10 +12,13 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
    enough balanced partitions, and degrades gracefully when it cannot:
    a frontier that drains before fracturing (or an explicit cut depth
    past the end of the run) yields a sequential-prefix-only report.
-4. Steal grants move work atomically (partial + kept + stolen in one
-   reply); a donor with fewer than two live partitions denies; stale
-   replies are dropped whole; killed workers retry through the typed
-   failure path, and every failure record names its initial-cut groups.
+4. A steal grant ships only the stolen half, in one reply, and the donor
+   runs on with the rest; a donor with fewer than two live partitions
+   denies; stale replies are dropped whole; killed workers retry through
+   the typed failure path, and every failure record names its
+   initial-cut groups.  A donor whose attempt fails after a grant is
+   retried from its original payload, and the jobs stolen from it are
+   cancelled, recursively (``TestUnsteal``).
 5. The coordinator is the one worker supervisor: timeouts, crashes and
    worker exceptions are classified, the last attempt runs inline, and
    under ``allow_partial`` completed jobs survive another job's failure.
@@ -42,6 +45,7 @@ from multiprocessing.connection import wait
 
 import pytest
 
+from benchmarks.ladder.workloads import SYMBOLIC_FLOOD
 from repro.api import Scenario, Topology, build_engine
 from repro.bench import render_series, render_table1, series_csv
 from repro.bench.report import memory_label
@@ -51,6 +55,7 @@ from repro.core.distributed import (
     MultiprocessTransport,
     Coordinator,
     Transport,
+    _job_worker_main,
     _split_for_steal,
     deepen_until_partitioned,
     snapshot_assignment_tasks,
@@ -315,7 +320,7 @@ class TestStealSplit:
         snapshots = snapshot_assignment_tasks(engine, [bundle])
         worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
         # One partition, still runnable: nothing to split off.
-        assert _split_for_steal(worker, 0, 0) is None
+        assert _split_for_steal(worker) is None
 
     def test_drained_donor_denies(self):
         engine = build_engine(_scenario(), "sds")
@@ -325,23 +330,34 @@ class TestStealSplit:
         snapshots = snapshot_assignment_tasks(engine, [partitions])
         worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
         worker.run()  # final partition state: nothing runnable anywhere
-        assert _split_for_steal(worker, 0, 0) is None
+        assert _split_for_steal(worker) is None
 
     def test_split_conserves_states(self):
-        engine = build_engine(_scenario(), "sds")
-        partitions = deepen_until_partitioned(
-            engine, min_partitions=4, probe_events=2
-        )
-        snapshots = snapshot_assignment_tasks(engine, [partitions])
-        worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
-        split = _split_for_steal(worker, 0, 123)
-        assert split is not None
-        partial, kept_payload, stolen_jobs = split
-        assert partial.total_states == 0
-        assert partial.accounted_bytes == 123
-        kept_engine = pickle.loads(kept_payload).restore()
-        stolen_states = sum(prefix.states for _, prefix in stolen_jobs)
-        assert len(kept_engine.states) + stolen_states == len(worker.states)
+        for algorithm in ("cob", "cow", "sds"):
+            engine = build_engine(_scenario(), algorithm)
+            partitions = deepen_until_partitioned(
+                engine, min_partitions=4, probe_events=2
+            )
+            snapshots = snapshot_assignment_tasks(engine, [partitions])
+            worker = pickle.loads(pickle.dumps(snapshots[0])).restore()
+            before = set(worker.states)
+            groups = worker.mapper.group_count()
+            stolen_jobs = _split_for_steal(worker)
+            assert stolen_jobs is not None, algorithm
+            # The donor's live engine lost exactly the states it shipped.
+            stolen = [pickle.loads(payload).restore() for payload, _ in stolen_jobs]
+            stolen_sids = [sid for thief in stolen for sid in thief.states]
+            assert sorted(list(worker.states) + stolen_sids) == sorted(before)
+            assert sum(prefix.states for _, prefix in stolen_jobs) == len(
+                stolen_sids
+            )
+            assert worker.mapper.group_count() + sum(
+                thief.mapper.group_count() for thief in stolen
+            ) == groups
+            worker.mapper.check_invariants()
+            # Only the donor's own states stay scheduled.
+            scheduled = {sid for _, sid in worker.scheduler_snapshot()}
+            assert scheduled <= set(worker.states)
 
     def test_steal_split_balances_by_weight(self):
         engine = build_engine(_scenario(), "sds")
@@ -466,14 +482,7 @@ class TestCoordinatorProtocol:
 
         def on_steal(worker, message):
             return [
-                (
-                    "steal_reply",
-                    worker,
-                    0,
-                    "partial-0",
-                    b"kept-half",
-                    [(b"stolen-half", _Prefix(3))],
-                ),
+                ("steal_reply", worker, 0, [(b"stolen-half", _Prefix(3))]),
                 ("done", worker, 0, "result-0"),
             ]
 
@@ -490,19 +499,16 @@ class TestCoordinatorProtocol:
         coordinator = self._coordinator(transport, jobs)
         coordinator.run()
         assert coordinator.steals_granted.value == 1
-        # Donor's retry payload switched to the kept half.
-        assert coordinator.payloads[0] == b"kept-half"
-        assert sorted(coordinator.results) == [
-            "partial-0",
-            "result-0",
-            "result-1",
-            "result-2",
-        ]
+        # The donor keeps its original payload: a retry re-runs the job.
+        assert coordinator.payloads[0] == b"j0"
+        assert coordinator.donors == {2: 0}
+        # One result per job, and no partial.
+        assert sorted(coordinator.results) == ["result-0", "result-1", "result-2"]
 
     def test_stale_steal_reply_dropped_whole(self):
         # The donor died *after* sending a steal reply that arrives after
-        # its job was already requeued: accepting the partial or the
-        # stolen half would double-count the replayed subtree.
+        # its job was already requeued: accepting the stolen half would
+        # double-count the replayed subtree.
         transport = ScriptedTransport()
         jobs = [(b"j0", _Prefix(4))]
         coordinator = self._coordinator(transport, jobs, steal=False)
@@ -510,16 +516,10 @@ class TestCoordinatorProtocol:
         coordinator._dispatch()
         coordinator._busy.pop(0)  # presumed dead; job requeued elsewhere
         coordinator._handle(
-            (
-                "steal_reply",
-                0,
-                0,
-                "stale-partial",
-                b"stale-kept",
-                [(b"stale-stolen", _Prefix(2))],
-            ),
+            ("steal_reply", 0, 0, [(b"stale-stolen", _Prefix(2))]),
         )
         assert coordinator.results == []
+        assert coordinator.donors == {}
         assert coordinator.steals_granted.value == 0
         assert coordinator._outstanding == 1
 
@@ -626,8 +626,6 @@ class TestCoordinatorProtocol:
                     "steal_reply",
                     worker,
                     0,
-                    "partial-0",
-                    b"kept-half",
                     [(b"stolen-half", _Prefix(3, group_indices=(7,)))],
                 ),
                 ("done", worker, 0, "result-0"),
@@ -769,6 +767,234 @@ class TestCoordinatorProtocol:
         coordinator.run()
         assert coordinator.results == ["result-0"]
         assert [f.task_index for f in coordinator.failed] == [1]
+
+
+class _LazyRestartTransport(ScriptedTransport):
+    """A restarted worker reads as gone until its next message, as a
+    :class:`MultiprocessTransport` worker does (it forks on the send)."""
+
+    def restart(self, worker):
+        super().restart(worker)
+        self._alive[worker] = False
+
+    def send(self, worker, message):
+        self._alive[worker] = True
+        super().send(worker, message)
+
+
+def _grant(worker, job_id, *stolen):
+    """A donor's steal reply shipping ``stolen`` ``(payload, _Prefix)`` jobs."""
+    return ("steal_reply", worker, job_id, list(stolen))
+
+
+def _run_on(worker, message):
+    """Script step: the job keeps running."""
+    return []
+
+
+def _finish(worker, message):
+    """Script step: the job finishes at once."""
+    return [("done", worker, message[1], f"result-{message[1]}")]
+
+
+def _grant_from_job_0(worker, message):
+    """Script step: job 0 answers a steal request with one stolen job."""
+    return [_grant(worker, 0, (b"stolen", _Prefix(3)))]
+
+
+@pytest.fixture
+def no_steal_cooldown(monkeypatch):
+    """Scripted transports answer at once, so a cooldown would only spin."""
+    monkeypatch.setattr("repro.core.distributed.STEAL_RETRY_COOLDOWN_SECONDS", 0.0)
+
+
+class TestUnsteal:
+    """A donor's attempt that fails after a grant is retried from its
+    original payload, and every job stolen from it is cancelled,
+    recursively: queued ones dropped, running ones stopped, ended ones
+    voided."""
+
+    JOBS = [(b"j0", _Prefix(8, group_indices=(0, 2))), (b"j1", _Prefix(2))]
+
+    def _coordinator(self, transport, policy=FAST):
+        return Coordinator(transport, self.JOBS, policy=policy, steal=True)
+
+    def test_thief_gets_the_steal_cooldown(self):
+        from repro.core.distributed import STEAL_RETRY_COOLDOWN_SECONDS
+
+        transport = ScriptedTransport()
+        coordinator = self._coordinator(transport)
+        coordinator._dispatch()
+        coordinator._handle(_grant(0, 0, (b"stolen", _Prefix(2))))
+        coordinator._handle(("done", 1, 1, "result-1"))
+        started = time.monotonic()
+        coordinator._dispatch()
+        assert transport.sent[-1] == (1, ("job", 2, b"stolen", 0))
+        assert coordinator._steal_cooldown[1] >= started + STEAL_RETRY_COOLDOWN_SECONDS
+
+    def test_donor_death_voids_a_finished_stolen_job(self, no_steal_cooldown):
+        transport = ScriptedTransport()
+
+        def finish_then_donor_dies(worker, message):
+            assert message[1:3] == (2, b"stolen")
+            transport._alive[0] = False
+            return _finish(worker, message)
+
+        def retry_donor(worker, message):
+            assert message == ("job", 0, b"j0", 1)  # the original payload
+            return [("done", worker, 0, "result-0-whole")]
+
+        transport.script = [
+            _run_on,
+            _finish,
+            _grant_from_job_0,
+            finish_then_donor_dies,
+            retry_donor,
+        ]
+        coordinator = self._coordinator(transport)
+        coordinator.run()
+        assert coordinator.steals_granted.value == 1
+        assert coordinator.retries == 1
+        assert coordinator.failed == []
+        # The stolen half ran, but the donor's retry covers it again.
+        assert sorted(coordinator.results) == ["result-0-whole", "result-1"]
+        assert coordinator.donors == {}
+
+    def test_a_thief_that_donated_then_died_is_retried_alone(
+        self, no_steal_cooldown
+    ):
+        transport = ScriptedTransport()
+
+        def grant_and_finish(worker, message):
+            # Job 0 gives job 2 away, then finishes its own part.
+            return [
+                _grant(worker, 0, (b"s2", _Prefix(4))),
+                ("done", worker, 0, "result-0"),
+            ]
+
+        def thief_grants(worker, message):
+            assert message == ("steal",) and worker == 0
+            return [_grant(worker, 2, (b"s3", _Prefix(2)))]
+
+        def finish_then_thief_dies(worker, message):
+            assert message[1:3] == (3, b"s3")
+            transport._alive[0] = False
+            return _finish(worker, message)
+
+        def retry_thief(worker, message):
+            assert message[1:] == (2, b"s2", 1)
+            return [("done", worker, 2, "result-2-whole")]
+
+        transport.script = [
+            _run_on,  # j0 on worker 0
+            _finish,  # j1 on worker 1
+            grant_and_finish,  # steal from job 0
+            _run_on,  # job 2 on worker 0
+            thief_grants,  # steal from job 2
+            finish_then_thief_dies,  # job 3 on worker 1
+            retry_thief,
+        ]
+        coordinator = self._coordinator(transport)
+        coordinator.run()
+        assert coordinator.steals_granted.value == 2
+        assert coordinator.retries == 1
+        assert coordinator.attempts[0] == 0  # the first donor is untouched
+        assert sorted(coordinator.results) == [
+            "result-0",
+            "result-1",
+            "result-2-whole",
+        ]
+        assert coordinator.donors == {2: 0}
+
+    def test_an_exhausted_donor_takes_its_subtree(self, no_steal_cooldown):
+        transport = _LazyRestartTransport()
+
+        def run_on_then_donor_dies(worker, message):
+            assert message[1:3] == (2, b"stolen")
+            transport._alive[0] = False
+            return []
+
+        transport.script = [_run_on, _finish, _grant_from_job_0, run_on_then_donor_dies]
+        policy = dataclasses.replace(FAST, max_retries=0, allow_partial=True)
+        coordinator = self._coordinator(transport, policy=policy)
+        coordinator.run()
+        # The running stolen job was stopped, not taken for a crash: only
+        # the donor failed.
+        assert transport.restarts == [0, 1]
+        assert coordinator.retries == 0
+        assert coordinator.results == ["result-1"]
+        [failure] = coordinator.failed
+        assert failure.task_index == 0
+        assert failure.state_count == 8
+        assert failure.group_indices == (0, 2)
+
+    def test_voided_failures_leave_the_record(self, no_steal_cooldown):
+        # A stolen job exhausted under allow_partial, then its donor died:
+        # the donor's retry covers the stolen half, so the run is whole.
+        transport = ScriptedTransport()
+
+        def fail_then_donor_dies(worker, message):
+            transport._alive[0] = False
+            return [_fail(worker, message[1])]
+
+        def retry_donor(worker, message):
+            assert message == ("job", 0, b"j0", 1)
+            return [("done", worker, 0, "result-0-whole")]
+
+        def fail(worker, message):
+            return [_fail(worker, message[1])]
+
+        transport.script = [
+            _run_on,
+            _finish,
+            _grant_from_job_0,
+            fail,  # the stolen job's first attempt
+            fail_then_donor_dies,  # its last: exhausted
+            retry_donor,
+        ]
+        policy = dataclasses.replace(FAST, max_retries=1, allow_partial=True)
+        coordinator = self._coordinator(transport, policy=policy)
+        coordinator.run()
+        assert coordinator.attempts[2] == 2
+        assert coordinator.failed == []
+        assert sorted(coordinator.results) == ["result-0-whole", "result-1"]
+
+
+def _exit_after_first_grant(worker, inbox, outbox, message):
+    """Pool worker that exits right after sending its first steal grant."""
+
+    class Outbox:
+        def send(self, reply):
+            outbox.send(reply)
+            if reply[0] == "steal_reply":
+                os._exit(0)
+
+    _job_worker_main(worker, inbox, Outbox(), message)
+
+
+class TestUnstealRealEngine:
+    def test_donor_exits_after_each_first_grant(self):
+        scenario = Scenario(
+            name="symbolic-flood-line4",
+            program=SYMBOLIC_FLOOD,
+            topology=Topology.line(4),
+            horizon_ms=300,
+        )
+        sequential_engine = build_engine(scenario, "sds")
+        sequential = sequential_engine.run()
+        report = DistributedRunner(
+            scenario,
+            "sds",
+            workers=2,
+            transport=MultiprocessTransport(2, worker_main=_exit_after_first_grant),
+            retry_policy=FAST,
+        ).run()
+        _assert_matches_sequential(report, sequential_engine, sequential)
+        assert report.accounted_bytes == sequential.accounted_bytes
+        assert not report.failed_partitions
+        # Every grant killed its donor, so each one cost a retry.
+        assert report.retries >= report.steals_granted
+
 
 
 def _reply_on_request(worker, inbox, outbox, message):

@@ -12,8 +12,8 @@ reduced 4-node mesh whose states flip between PRUNED and IDLE, every
 - over an uninterrupted run;
 - after an :class:`EngineSnapshot` of a drawn event boundary is pickled
   and restored, with counters (a checkpoint) and as a partition cut;
-- after a steal split at that boundary, on the donor, the kept half and
-  the stolen half.
+- after a steal split at that boundary, on the donor's engine, which
+  released the stolen half and runs on, and on the stolen half.
 
 ``--hypothesis-profile=deep`` (``tests/conftest.py``) raises the budget.
 """
@@ -37,6 +37,7 @@ from repro.core.stats import (
 )
 
 from ..conftest import budget
+from .test_forced_steal import SCENARIOS as SPLITTABLE
 from .test_property_equivalence import build, scenario_config
 from .test_reduce import _guard_scenario
 
@@ -159,15 +160,14 @@ def test_samples_after_restore_equal_rescan(config, algorithm, data):
 
 
 @PROPERTY
-@given(config=scenario_config(), algorithm=ALGORITHMS, data=st.data())
-def test_samples_after_steal_equal_rescan(config, algorithm, data):
-    engine, audited = _boundary(build(config), algorithm, data)
-    sampled = len(audited)
-    image_cost = PROGRAM_IMAGE_COST_PER_INSTRUCTION * len(engine.program.code)
-    split = _split_for_steal(engine, 0, image_cost)
-    if split is None:
+@given(scenario=SPLITTABLE, algorithm=ALGORITHMS, data=st.data())
+def test_samples_after_steal_equal_rescan(scenario, algorithm, data):
+    engine, audited = _boundary(scenario, algorithm, data)
+    stolen_jobs = _split_for_steal(engine)
+    if stolen_jobs is None:
         return
-    assert len(audited) == sampled + 1  # the donor's partial report
-    _, kept, stolen_jobs = split
-    for payload in [kept] + [job for job, _ in stolen_jobs]:
+    sampled = len(audited)
+    engine.run()  # the donor runs on: its first sample recounts
+    assert len(audited) > sampled
+    for payload, _ in stolen_jobs:
         assert _run_restored(pickle.loads(payload))
