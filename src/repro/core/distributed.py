@@ -79,7 +79,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import queue as queue_module
 import time as _time
 from abc import ABC, abstractmethod
 from collections import deque
@@ -113,11 +112,12 @@ __all__ = [
     "PathPrefix",
     "Transport",
     "deepen_until_partitioned",
+    "serve_jobs",
     "snapshot_assignment_tasks",
 ]
 
 #: Events between a worker's steal-request polls.  Each poll is one
-#: non-blocking queue read; the value bounds steal latency (a donor can
+#: poll of the inbox pipe; the value bounds steal latency (a donor can
 #: only hand work over at an event boundary it actually reaches).
 STEAL_CHECK_EVENTS = 64
 
@@ -419,40 +419,65 @@ def _split_for_steal(engine: SDEEngine) -> Optional[List[Tuple[bytes, PathPrefix
     return stolen_jobs
 
 
+def serve_jobs(worker_index: int, inbox, outbox, message: tuple, run_job) -> None:
+    """The worker loop of both worker mains: serve ``message``, then every
+    message the inbox brings, until the supervisor is gone.
+
+    ``run_job(message, poll_steal)`` runs one ``("job", ...)`` message and
+    sends its replies; ``poll_steal()`` is true once a steal request has
+    arrived (any other message waits for the next turn of the loop).  The
+    inbox is a pipe whose only write end the supervisor holds, so a
+    worker whose supervisor has died reads end-of-file and exits, and one
+    whose reply finds the supervisor gone (a broken pipe) exits too.
+    """
+    import gc
+    import signal
+
+    # A fork()ed child inherits the supervisor's signal plumbing: the job
+    # service's loop installs a no-op C handler for SIGTERM/SIGINT plus a
+    # wakeup fd.  Left in place, SIGTERM or SIGINT would not kill the
+    # worker, and its handler would write into the *shared* wakeup pipe
+    # and convince the parent loop that *it* was signalled.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # Fork-started workers inherit the supervisor's whole heap.  Freeze it
+    # so the cyclic GC never scans (and copy-on-write-unshares) inherited
+    # pages: a large parent heap would otherwise multiply across workers.
+    gc.freeze()
+    pending: deque = deque([message])
+
+    def poll_steal() -> bool:
+        while inbox.poll():
+            message = inbox.recv()
+            if message[0] == "steal":
+                return True
+            pending.append(message)  # unexpected: handle after this job
+        return False
+
+    try:
+        while True:
+            message = pending.popleft() if pending else inbox.recv()
+            if message[0] == "steal":
+                # Raced with our own completion: nothing running here.
+                outbox.send(("steal_deny", worker_index, -1))
+            else:
+                run_job(message, poll_steal)
+    except (EOFError, BrokenPipeError):
+        return  # the supervisor is gone
+
+
 def _job_worker_main(
     worker_index: int, inbox, outbox, message: tuple
 ) -> None:  # pragma: no cover - subprocess
-    """Pool-worker entry: run ``message``, then serve the inbox until stopped.
+    """Pool-worker entry: serve snapshot jobs (:func:`serve_jobs`).
 
     ``SDE_CHAOS_KILL_WORKER`` makes job attempts die unreported (like an
     OOM kill): every first attempt when set plain-truthy, a seeded
     per-(job, attempt) coin when set to a fractional probability.
     """
-    import gc
 
-    # Fork-started workers inherit the coordinator's whole heap.  Freeze it
-    # so the cyclic GC never scans (and copy-on-write-unshares) inherited
-    # pages — without this, a large parent heap multiplies across workers
-    # and the run degrades to slower than sequential.
-    gc.freeze()
-    pending: deque = deque([message])
-
-    def poll_steal() -> bool:
-        try:
-            message = inbox.get_nowait()
-        except queue_module.Empty:
-            return False
-        if message[0] == "steal":
-            return True
-        pending.append(message)  # unexpected: handle after this job
-        return False
-
-    while True:
-        message = pending.popleft() if pending else inbox.get()
-        if message[0] == "steal":
-            # Raced with our own completion: nothing running here.
-            outbox.send(("steal_deny", worker_index, -1))
-            continue
+    def run_job(message: tuple, poll_steal) -> None:
         _, job_id, payload, attempt = message
         if chaos_kill_requested(attempt, token=f"job:{job_id}"):
             os._exit(137)
@@ -469,30 +494,57 @@ def _job_worker_main(
             failure = WorkerFailure.from_exception(job_id, exc)
             outbox.send(("fail", worker_index, job_id, failure))
 
+    serve_jobs(worker_index, inbox, outbox, message, run_job)
+
+
+def _worker_entry(worker_main, inherited, worker, inbox, outbox, message) -> None:
+    """A forked worker's first step: drop the supervisor's pipe ends.
+
+    The child inherits the supervisor's ends of every worker's pipes, its
+    own inbox's write end included.  With those closed the supervisor
+    holds the only write end of each inbox (its death reads as
+    end-of-file in every worker) and the only read end of each reply pipe
+    (a reply to a dead supervisor fails instead of blocking).
+    """
+    for connection in inherited:
+        connection.close()
+    worker_main(worker, inbox, outbox, message)
+
 
 class MultiprocessTransport(Transport):
-    """The subprocess backend: one process per worker.
+    """The subprocess backend: one long-lived process per worker slot.
 
     A worker is forked by the :meth:`send` that first needs it, and that
-    message is its fork argument: nothing is pickled and no queue feeder
-    thread starts for it.  Later messages (more jobs, steal requests) go
-    through the worker's inbox queue.  Each worker has its own one-way
-    reply pipe.  The parent holds no write end, so a pipe reads as
+    message is its fork argument: nothing is pickled for it.  The worker
+    then serves every later message sent to its slot (more jobs, steal
+    requests), which arrive on its inbox, a one-way pipe whose only write
+    end the supervisor holds: a worker whose supervisor dies reads
+    end-of-file and exits.  Each worker has its own one-way reply pipe,
+    whose only read end the supervisor holds, so a pipe reads as
     end-of-file once its worker is gone (or closes it): a reply cut off
-    mid-write raises instead of blocking, no worker's death stalls another
-    worker's replies, and :meth:`recv` returns at once so the caller can
-    notice the death.  ``restart`` drops the process and both channels, so
-    neither queued input nor a stale reply outlives it; the next message
-    forks the replacement.  ``worker_main(worker, inbox, outbox, message)``
-    is the process entry: the distributed runner's serves jobs until
-    stopped, the job service's runs one attempt and exits.
+    mid-write raises instead of blocking, no worker's death stalls
+    another worker's replies, and :meth:`recv` returns at once so the
+    caller can notice the death.  A :meth:`send` that finds its worker
+    dead (a broken pipe) drops the inbox and leaves the death to the
+    caller's scan of :meth:`alive`.  ``restart`` drops the process and
+    both channels, so neither queued input nor a stale reply outlives
+    it; the next message forks the replacement.  ``worker_main(worker,
+    inbox, outbox, message)`` is the process entry; both the distributed
+    runner's and the job service's run :func:`serve_jobs`.  ``started``
+    counts forks.
     """
 
-    def __init__(self, worker_count: int, worker_main=_job_worker_main) -> None:
+    def __init__(
+        self,
+        worker_count: int,
+        worker_main=_job_worker_main,
+        started: Optional[Counter] = None,
+    ) -> None:
         if worker_count < 1:
             raise ValueError("need at least one worker")
         self.worker_count = worker_count
         self.worker_main = worker_main
+        self.started = started if started is not None else Counter("workers.started")
         # Imported here: most runs never start a worker process.
         import multiprocessing
         from multiprocessing.connection import wait
@@ -510,10 +562,19 @@ class MultiprocessTransport(Transport):
         pass  # each worker is forked by the first message it gets
 
     def send(self, worker: int, message: tuple) -> None:
-        if worker in self._processes:
-            self._inboxes[worker].put(message)
-        else:
+        if worker not in self._processes:
             self._spawn(worker, message)
+            return
+        inbox = self._inboxes.get(worker)
+        if inbox is None:
+            return  # found dead by an earlier send; the scan will see it
+        try:
+            inbox.send(message)
+        except BrokenPipeError:
+            # Only the worker reads its inbox, so the worker has died and
+            # its reply pipe reads end-of-file: the caller's scan finds
+            # the death and retries the job as a crash.
+            self._inboxes.pop(worker).close()
 
     def recv(self, timeout: Optional[float]) -> Optional[tuple]:
         readers = {conn: worker for worker, conn in self._replies.items()}
@@ -551,23 +612,27 @@ class MultiprocessTransport(Transport):
         return conn.poll() or self._processes[worker].is_alive()
 
     def restart(self, worker: int) -> None:
-        # Forked lazily: an idle fork would hold the parent's descriptors
-        # (a server's client sockets, say) open until its next job.
-        self._close(worker)
+        self._close(worker)  # the next message forks the replacement
 
     def _spawn(self, worker: int, message: tuple) -> None:
-        inbox = self._context.Queue()
-        reader, writer = self._context.Pipe(duplex=False)
+        inbox, feed = self._context.Pipe(duplex=False)
+        reader, outbox = self._context.Pipe(duplex=False)
+        # Registered before the fork, so the child closes these ends too.
+        self._inboxes[worker] = feed
+        self._replies[worker] = reader
+        inherited = (*self._inboxes.values(), *self._replies.values())
         process = self._context.Process(
-            target=self.worker_main,
-            args=(worker, inbox, writer, message),
+            target=_worker_entry,
+            args=(self.worker_main, inherited, worker, inbox, outbox, message),
             daemon=True,
         )
         process.start()
-        writer.close()  # the worker holds the only write end
+        # The worker holds the only read end of its inbox and the only
+        # write end of its reply pipe.
+        inbox.close()
+        outbox.close()
         self._processes[worker] = process
-        self._inboxes[worker] = inbox
-        self._replies[worker] = reader
+        self.started.inc(1)
 
     def _close(self, worker: int) -> None:
         process = self._processes.pop(worker, None)
@@ -577,13 +642,10 @@ class MultiprocessTransport(Transport):
                 # handler that ignores SIGTERM.
                 process.kill()
             process.join()
-        inbox = self._inboxes.pop(worker, None)
-        if inbox is not None:
-            inbox.cancel_join_thread()  # the reader is gone
-            inbox.close()
-        reader = self._replies.pop(worker, None)
-        if reader is not None:
-            reader.close()
+        for channels in (self._inboxes, self._replies):
+            connection = channels.pop(worker, None)
+            if connection is not None:
+                connection.close()
 
     def stop(self) -> None:
         for worker in list(self._processes):

@@ -5,8 +5,9 @@ The package splits along the failure domains:
 - :mod:`repro.service.spec` — validated, content-addressed submissions;
 - :mod:`repro.service.store` — the persistent run store (atomic records,
   artifacts, dedup index);
-- :mod:`repro.service.worker` — the supervised subprocess that executes
-  one attempt, streaming its trace and checkpointing;
+- :mod:`repro.service.worker` — the supervised, long-lived subprocess
+  that executes attempt after attempt, streaming each trace and
+  checkpointing;
 - :mod:`repro.service.jobs` — admission control, retry, drain, recovery;
 - :mod:`repro.service.http` — the stdlib asyncio HTTP front door.
 

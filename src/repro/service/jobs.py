@@ -3,9 +3,12 @@
 The long-lived front half of the service.  Attempts run on the
 distributed runner's :class:`~repro.core.distributed.Coordinator`, the
 one worker supervisor, over a
-:class:`~repro.core.distributed.MultiprocessTransport` of one-shot
-workers (:func:`~repro.service.worker.job_worker_main`), so every attempt
-starts in a fresh process.  What lives here:
+:class:`~repro.core.distributed.MultiprocessTransport` of long-lived
+workers (:func:`~repro.service.worker.job_worker_main`): a worker is
+forked on the first dispatch to its slot and serves every later attempt
+sent there, until it dies, is cancelled, times out or the service
+drains (``service.workers.started`` counts the forks).  What lives
+here:
 
 - **Backpressure** — a bounded admission queue (HTTP 429 once full, with
   a Retry-After hint) and a per-client live-job cap, so one hot client
@@ -52,11 +55,10 @@ from ..core.config import DEFAULT_CHECKPOINT_EVERY_EVENTS, check_checkpoint_cade
 from ..core.distributed import Coordinator, MultiprocessTransport
 from ..core.resilience import RetryPolicy, WorkerFailure
 from ..lang.bytecode import CompiledProgram
-from ..lang.compiler import compile_source
 from ..obs.metrics import MetricsRegistry
 from .spec import SubmissionSpec
 from .store import JobRecord, RunStore
-from .worker import chaos_kill_after, job_worker_main
+from .worker import chaos_kill_after, compiled_program, job_worker_main
 
 __all__ = [
     "AdmissionError",
@@ -145,8 +147,12 @@ class JobManager:
         self.limits = limits or ServiceLimits()
         self.metrics = metrics or MetricsRegistry()
         self.trace = trace
-        # Workers are spawned on first dispatch, one per attempt.
-        self.transport = MultiprocessTransport(self.limits.max_active, job_worker_main)
+        # Workers are forked on the first dispatch to their slot.
+        self.transport = MultiprocessTransport(
+            self.limits.max_active,
+            job_worker_main,
+            started=self.metrics.counter("service.workers.started"),
+        )
         self.coordinator = Coordinator(
             self.transport, [], self.limits.retry_policy(), steal=False
         )
@@ -157,8 +163,6 @@ class JobManager:
         #: digest -> live (queued or running) job id, for coalescing
         self._live_digests: Dict[str, str] = {}
         self._client_load: Dict[str, int] = {}
-        #: program source -> compiled program, handed over at fork
-        self._programs: Dict[str, CompiledProgram] = {}
         self._wake = asyncio.Event()
         #: reply descriptors the scheduler's sleep is watching
         self._watched: List[int] = []
@@ -305,11 +309,6 @@ class JobManager:
             self._start_queued()
             for kind, job, detail in self.coordinator.step(0.0):
                 self._on_event(kind, self.active[job], detail)
-            # A one-shot worker is spent once its reply is read, but its
-            # process may not have closed its pipe yet: drop it now, or the
-            # next dispatch could reach it and be retried as a crash.
-            for worker in self.coordinator.idle:
-                self.transport.restart(worker)
             self._enforce_budgets()
             self._watch()
             deadline = self._next_deadline()
@@ -327,9 +326,10 @@ class JobManager:
     def _watch(self) -> None:
         """Wake on every busy worker's reply pipe: a reply or its death.
 
-        Only busy workers are watched: a spent worker has been dropped and
-        a closed pipe has no descriptor, so nothing stays readable once
-        the next pass has read it.
+        Only busy workers are watched: an idle worker's pipe stays silent
+        while it waits for its next attempt, and if the worker dies
+        meanwhile, its end-of-file is left for the next dispatch to it,
+        so it never spins the loop.
         """
         loop = asyncio.get_running_loop()
         for worker in range(self.transport.worker_count):
@@ -371,8 +371,8 @@ class JobManager:
                 "report_path": self.store.report_path(record.id),
                 "checkpoint_path": self.store.checkpoint_path(record.id),
                 "checkpoint_every": self.limits.checkpoint_every_events,
-                "program": self._program(record.spec.workload),
             }
+            self._program(record.spec.workload)
             # Attempts count across service lives: a recovered job keeps
             # its retry budget and its chaos coins.
             job = self.coordinator.add(payload, attempts=record.attempts)
@@ -382,23 +382,21 @@ class JobManager:
             self.active[job] = _ActiveJob(record, job, deadline)
 
     def _program(self, workload: str) -> Optional[CompiledProgram]:
-        """The workload's guest program, compiled, for a worker to inherit.
+        """The workload's guest program, compiled for workers to inherit.
 
         Compiled once per distinct program (one per built-in workload at
-        most), so a fresh worker neither re-parses nor re-compiles it; the
-        worker still builds the scenario's topology.  ``None`` for a
-        workload whose program is not known up front (an out-of-tree
-        registration): its worker compiles the program itself.
+        most) into :func:`~repro.service.worker.compiled_program`'s table,
+        before the dispatch that may fork a worker: a worker forked after
+        it holds the program and never re-compiles it, and a worker that
+        is reused compiles a program it lacks once (attempts carry no
+        program, so none is pickled per attempt).  ``None`` for a workload
+        whose program is not known up front (an out-of-tree registration):
+        its worker compiles the program itself.
         """
         from ..workloads import WORKLOAD_PROGRAMS
 
         source = WORKLOAD_PROGRAMS.get(workload)
-        if source is None:
-            return None
-        program = self._programs.get(source)
-        if program is None:
-            program = self._programs[source] = compile_source(source)
-        return program
+        return None if source is None else compiled_program(source)
 
     def _on_event(self, kind: str, active: _ActiveJob, detail) -> None:
         record = active.record

@@ -1,11 +1,12 @@
-"""The job worker subprocess: one SDE run, streamed and checkpointed.
+"""The job worker subprocess: SDE runs, streamed and checkpointed.
 
-Each attempt at a job runs here, in a fresh child process: the job
+Each attempt at a job runs here, in a long-lived child process: the job
 manager hands attempts to the distributed runner's
 :class:`~repro.core.distributed.Coordinator`, whose
 :class:`~repro.core.distributed.MultiprocessTransport` forks one
-:func:`job_worker_main` per attempt, with the attempt as its fork
-argument.  The worker:
+:func:`job_worker_main` per worker slot, with the slot's first attempt
+as its fork argument; the worker then serves every later attempt sent
+to its slot.  Per attempt, the worker:
 
 - rebuilds the scenario from the submission spec (workload registry);
 - runs the engine with service-owned checkpointing into the job dir, so
@@ -37,8 +38,9 @@ from __future__ import annotations
 import json
 import os
 import random
-from typing import Optional
+from typing import Dict, Optional
 
+from ..core.distributed import serve_jobs
 from ..core.resilience import (
     CheckpointError,
     WorkerFailure,
@@ -46,6 +48,8 @@ from ..core.resilience import (
     resume_engine,
 )
 from ..core.scenario import build_engine
+from ..lang.bytecode import CompiledProgram
+from ..lang.compiler import compile_source
 from ..obs.events import TraceEmitter
 from .spec import SubmissionSpec
 
@@ -53,9 +57,15 @@ __all__ = [
     "ScenarioBuildError",
     "StreamingTraceEmitter",
     "chaos_kill_after",
+    "compiled_program",
     "execute_job",
     "job_worker_main",
 ]
+
+
+#: one encoder for every streamed line: ``json.dumps(event,
+#: sort_keys=True)`` builds a new encoder per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class StreamingTraceEmitter(TraceEmitter):
@@ -89,7 +99,7 @@ class StreamingTraceEmitter(TraceEmitter):
             self._stream(event)
 
     def _stream(self, event: dict) -> None:
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
+        self._handle.write(_ENCODER.encode(event) + "\n")
         self._handle.flush()
         self._streamed += 1
         if self.kill_after is not None and self._streamed >= self.kill_after:
@@ -100,6 +110,21 @@ class StreamingTraceEmitter(TraceEmitter):
             self._handle.close()
         except OSError:
             pass
+
+
+#: program source -> compiled program, for the life of the process: the
+#: job manager compiles built-in workloads' programs here before a worker
+#: forks, so the worker inherits them, and a worker compiles any other
+#: program once and keeps it for its later attempts
+_PROGRAMS: Dict[str, CompiledProgram] = {}
+
+
+def compiled_program(source: str) -> CompiledProgram:
+    """``source`` compiled, once per process."""
+    program = _PROGRAMS.get(source)
+    if program is None:
+        program = _PROGRAMS[source] = compile_source(source)
+    return program
 
 
 class ScenarioBuildError(Exception):
@@ -117,17 +142,15 @@ def execute_job(payload: dict) -> dict:
 
         {"spec": {...}, "trace_path": ..., "report_path": ...,
          "checkpoint_path": ..., "checkpoint_every": 500,
-         "kill_after": None | int, "program": None | CompiledProgram}
+         "kill_after": None | int}
 
     ``checkpoint_every`` is ``ServiceLimits.checkpoint_every_events``
     (default ``DEFAULT_CHECKPOINT_EVERY_EVENTS``, 500): a job shorter
     than that writes no checkpoint, so a killed or drained attempt of it
     runs again from the start.
 
-    ``program``, when present, is the workload's guest program already
-    compiled (the job manager compiles it once and hands it over at
-    fork); the worker uses it if it is the program the spec's scenario
-    runs, and compiles the scenario's own program otherwise.
+    The scenario's guest program comes from :func:`compiled_program`, so
+    a process compiles each program once, however many attempts run it.
 
     Returns the summary dict the job manager stores on the record.
     """
@@ -158,9 +181,8 @@ def execute_job(payload: dict) -> dict:
                 scenario = spec.build_scenario()
             except Exception as exc:
                 raise ScenarioBuildError() from exc
-            program = payload.get("program")
-            if program is not None and scenario.program == program.source:
-                scenario.program = program
+            if isinstance(scenario.program, str):
+                scenario.program = compiled_program(scenario.program)
             engine = build_engine(
                 scenario,
                 spec.algorithm,
@@ -202,39 +224,31 @@ def chaos_kill_after(job_id: str, attempt: int) -> Optional[int]:
 
 
 def job_worker_main(worker_index: int, inbox, outbox, message: tuple) -> None:
-    """Transport worker entry: run the attempt it was forked with, reply, exit.
+    """Transport worker entry: serve job attempts until the service is gone.
 
-    One attempt per process, so no module state (the expression interning
-    table, for one) carries over from another job.  The attempt arrives as
-    the fork argument ``message``; the inbox is never read.  Failures
-    travel as typed :class:`WorkerFailure` records, never bare pickled
-    exceptions.
+    The first attempt arrives as the fork argument ``message``, every
+    later one on the inbox (:func:`~repro.core.distributed.serve_jobs`).
+    Between attempts the process keeps only its interpreter, its imports,
+    its compiled programs and the module interning tables; each attempt
+    builds its own engine, solver and trace.  Failures travel as typed
+    :class:`WorkerFailure` records, never bare pickled exceptions.
     """
-    # A fork()ed child inherits the service loop's signal plumbing: a
-    # no-op C handler for SIGTERM/SIGINT plus the loop's wakeup fd.
-    # Left in place, SIGTERM or SIGINT would not kill the worker, and worse,
-    # the child's handler would write into the *shared* wakeup pipe and
-    # convince the parent loop that *it* was signalled.  Restore default
-    # handling before any real work.
-    import signal
 
-    signal.set_wakeup_fd(-1)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-    _, job_id, payload, attempt = message
-    payload = dict(payload, kill_after=chaos_kill_after(payload["job"], attempt))
-    try:
-        reply = ("done", worker_index, job_id, execute_job(payload))
-    except ScenarioBuildError as exc:
-        failure = WorkerFailure.from_exception(
-            job_id, exc.__cause__, retryable=False
+    def run_attempt(message: tuple, _poll_steal) -> None:
+        _, job_id, payload, attempt = message
+        payload = dict(
+            payload, kill_after=chaos_kill_after(payload["job"], attempt)
         )
-        reply = ("fail", worker_index, job_id, failure)
-    except BaseException as exc:  # noqa: BLE001 - classified for the parent
-        failure = WorkerFailure.from_exception(job_id, exc)
-        reply = ("fail", worker_index, job_id, failure)
-    outbox.send(reply)
-    # Closing at once marks this worker spent, so the next attempt gets a
-    # fresh process without waiting for this one's exit.
-    outbox.close()
+        try:
+            reply = ("done", worker_index, job_id, execute_job(payload))
+        except ScenarioBuildError as exc:
+            failure = WorkerFailure.from_exception(
+                job_id, exc.__cause__, retryable=False
+            )
+            reply = ("fail", worker_index, job_id, failure)
+        except BaseException as exc:  # noqa: BLE001 - classified for the parent
+            failure = WorkerFailure.from_exception(job_id, exc)
+            reply = ("fail", worker_index, job_id, failure)
+        outbox.send(reply)
+
+    serve_jobs(worker_index, inbox, outbox, message, run_attempt)

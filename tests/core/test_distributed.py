@@ -25,6 +25,9 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
 6. Each subprocess worker replies on its own pipe: a worker killed in
    the middle of a reply cannot block another worker's replies, and a
    reply sent just before a worker exits is read, not taken for a crash.
+   A worker serves job after job from one fork; a job sent to a worker
+   that died idle is retried as a crash; an idle worker whose supervisor
+   is SIGKILLed reads end-of-file on its inbox and exits.
 7. ``Coordinator.run`` sleeps until a reply, a worker's death or its next
    deadline, with no poll: a hung job times out, a killed worker is
    retried at once, and a steal denial's cooldown ends and the run goes
@@ -34,6 +37,7 @@ The contracts pinned here (see docs/DISTRIBUTED.md):
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import multiprocessing
 import os
@@ -58,6 +62,7 @@ from repro.core.distributed import (
     _job_worker_main,
     _split_for_steal,
     deepen_until_partitioned,
+    serve_jobs,
     snapshot_assignment_tasks,
 )
 from repro.core.engine import RunReport
@@ -1006,7 +1011,7 @@ def _reply_on_request(worker, inbox, outbox, message):
         outbox.send(b"x" * (16 << 20))  # blocks: nobody reads the pipe
     else:
         outbox.send(("small", worker))
-    inbox.get()  # idle until stopped
+    inbox.recv()  # idle until stopped
 
 
 def _mid_reply_kill_probe():
@@ -1104,6 +1109,149 @@ class TestMultiprocessTransport:
         assert coordinator.retries == 0
 
 
+def _serve_done(worker, inbox, outbox, message):
+    """Test worker: answer every job at once, with what the serve loop set
+    up in this process, until stopped."""
+
+    def run_job(message, _poll_steal):
+        result = {
+            "pid": os.getpid(),
+            "frozen": gc.get_freeze_count() > 0,
+            "sigterm": signal.getsignal(signal.SIGTERM) == signal.SIG_DFL,
+        }
+        outbox.send(("done", worker, message[1], result))
+
+    serve_jobs(worker, inbox, outbox, message, run_job)
+
+
+def _is_running(pid):
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # pragma: no cover - no procfs
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _supervise_one_worker(worker_main, message, report):
+    """Fork one worker, wait until it has answered ``message``, then idle."""
+    transport = MultiprocessTransport(1, worker_main=worker_main)
+    transport.send(0, message)
+    reply = transport.recv(30.0)
+    report.send((transport._processes[0].pid, reply and reply[0]))
+    time.sleep(60)
+
+
+def _service_probe_message(tmp_path):
+    """A job-service attempt whose scenario cannot build: it fails fast."""
+    from repro.service.spec import SubmissionSpec
+
+    spec = {"workload": "flood", "size": 1, "algorithm": "sds", "seed": 7}
+    payload = {
+        "job": "probe",
+        "spec": SubmissionSpec.from_dict(spec).as_dict(),
+        "trace_path": str(tmp_path / "trace.jsonl"),
+        "report_path": str(tmp_path / "report.json"),
+        "checkpoint_path": str(tmp_path / "checkpoint.sdeckpt"),
+        "checkpoint_every": 25,
+    }
+    return ("job", 0, payload, 0)
+
+
+class TestLongLivedWorkers:
+    def test_one_fork_serves_job_after_job(self):
+        transport = MultiprocessTransport(1, worker_main=_serve_done)
+        # The serve loop restores default handling in the child.
+        previous = signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        try:
+            transport.send(0, ("job", 0, b"j0", 0))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            replies = [transport.recv(10.0)]
+            for job_id in (1, 2):
+                transport.send(0, ("job", job_id, b"j", 0))
+                replies.append(transport.recv(10.0))
+        finally:
+            transport.stop()
+        assert [reply[2] for reply in replies] == [0, 1, 2]
+        assert len({reply[3]["pid"] for reply in replies}) == 1
+        assert all(reply[3]["frozen"] for reply in replies)
+        assert all(reply[3]["sigterm"] for reply in replies)
+        assert transport.started.value == 1
+
+    def test_a_job_sent_to_a_dead_idle_worker_is_retried_as_a_crash(self):
+        transport = MultiprocessTransport(1, worker_main=_serve_done)
+        coordinator = Coordinator(
+            transport, [(b"j0", _Prefix(1))], policy=FAST, steal=False
+        )
+        events = []
+        try:
+            deadline = time.monotonic() + 10
+            while coordinator._outstanding and time.monotonic() < deadline:
+                events.extend(coordinator.step(1.0))
+            first = transport._processes[0]
+            first.kill()  # dies idle: its inbox's read end closes
+            first.join(10)
+            coordinator.add(b"j1", _Prefix(1))
+            # The dispatch still sees the unread end-of-file as alive; its
+            # send breaks the pipe, which must not raise.
+            while coordinator._outstanding and time.monotonic() < deadline:
+                events.extend(coordinator.step(1.0))
+        finally:
+            transport.stop()
+        kinds = [(kind, job) for kind, job, _detail in events]
+        assert kinds == [
+            ("start", 0),
+            ("done", 0),
+            ("start", 1),
+            ("retry", 1),
+            ("start", 1),
+            ("done", 1),
+        ]
+        [failure] = [detail for kind, _job, detail in events if kind == "retry"]
+        assert failure.kind == "crash"
+        assert transport.started.value == 2
+
+    @pytest.mark.parametrize("main", ["runner", "service"])
+    def test_an_idle_worker_exits_with_its_supervisor(self, main, tmp_path):
+        if main == "runner":
+            worker_main, message = _job_worker_main, ("steal",)
+        else:
+            from repro.service.worker import job_worker_main
+
+            worker_main = job_worker_main
+            message = _service_probe_message(tmp_path)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        supervisor = context.Process(
+            target=_supervise_one_worker, args=(worker_main, message, writer)
+        )
+        supervisor.start()
+        writer.close()
+        try:
+            assert reader.poll(30), "the worker never answered"
+            worker_pid, answer = reader.recv()
+        finally:
+            supervisor.kill()
+            supervisor.join()
+            reader.close()
+        assert answer in ("steal_deny", "fail")
+        deadline = time.monotonic() + 5
+        while _is_running(worker_pid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        orphaned = _is_running(worker_pid)
+        if orphaned:
+            os.kill(worker_pid, signal.SIGKILL)
+        assert not orphaned, "the idle worker outlived its supervisor"
+
+
 def _under_watchdog(build, seconds=30.0):
     """Run ``build()``'s coordinator in a forked child and summarize it.
 
@@ -1164,7 +1312,7 @@ def _die_on_first_attempt(worker, inbox, outbox, message):
     if attempt == 0:
         os.kill(os.getpid(), signal.SIGKILL)
     outbox.send(("done", worker, job_id, f"result-{job_id}"))
-    inbox.get()  # idle until stopped
+    inbox.recv()  # idle until stopped
 
 
 def _deny_first_steal(worker, inbox, outbox, message):
@@ -1172,11 +1320,11 @@ def _deny_first_steal(worker, inbox, outbox, message):
     steal request and finishes on the second."""
     _, job_id, payload, _attempt = message
     if payload == b"long":
-        assert inbox.get() == ("steal",)
+        assert inbox.recv() == ("steal",)
         outbox.send(("steal_deny", worker, job_id))
-        assert inbox.get() == ("steal",)
+        assert inbox.recv() == ("steal",)
     outbox.send(("done", worker, job_id, f"result-{job_id}"))
-    inbox.get()  # idle until stopped
+    inbox.recv()  # idle until stopped
 
 
 class TestCoordinatorWakes:

@@ -1,16 +1,15 @@
 """The job lifecycle's terminal paths: budget expiry, exhausted retries,
-a raising attempt, a spec whose scenario cannot be built; and a spent
-worker that lingers after its reply.
+a raising attempt, a spec whose scenario cannot be built; and the worker
+that serves attempt after attempt.
 
 Each path ends a job in one terminal state with a typed failure record,
 and the record's attempt and retry counts say what actually ran: an
 attempt is counted when it starts, a retry only when one is scheduled.
+A worker is forked once per slot and reused until it dies:
+``service.workers.started`` counts the forks.
 """
 
-import time
-
 from repro.service import ServiceLimits
-from repro.service import jobs as jobs_module
 from repro.service import worker as worker_module
 
 from .test_service import FAST_SPEC, SLOW_SPEC, ServiceThread
@@ -84,32 +83,10 @@ def test_raising_attempt_keeps_its_origin(tmp_path, monkeypatch):
         service.stop()
 
 
-class _LingeringPipe:
-    """A reply pipe whose worker pauses between its reply and closing."""
-
-    def __init__(self, connection):
-        self._connection = connection
-
-    def send(self, message):
-        self._connection.send(message)
-
-    def close(self):
-        time.sleep(1.0)
-        self._connection.close()
-
-
-def _lingering_worker_main(worker_index, inbox, outbox, message):
-    worker_module.job_worker_main(
-        worker_index, inbox, _LingeringPipe(outbox), message
-    )
-
-
-def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
+def test_next_attempt_reuses_the_worker_that_replied(tmp_path):
     # One worker slot and two queued jobs: the second is dispatched right
-    # after the first job's reply is read, while its worker still lingers.
-    # It must get a fresh worker, not be sent to the spent one and then be
-    # retried as a crash when that one exits.
-    monkeypatch.setattr(jobs_module, "job_worker_main", _lingering_worker_main)
+    # after the first job's reply is read, to the same worker, which is
+    # waiting on its inbox; no attempt is retried.
     service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_active=1))
     try:
         _, first = service.submit(FAST_SPEC)
@@ -122,6 +99,41 @@ def test_next_attempt_skips_a_worker_that_has_replied(tmp_path, monkeypatch):
             assert record["failure"] is None
         _, stats = service.request("GET", "/v1/stats")
         assert stats["counters"].get("service.retries", 0) == 0
+        assert stats["counters"]["service.workers.started"] == 1
+    finally:
+        service.stop()
+
+
+def test_sequential_jobs_fork_once_and_a_chaos_kill_forks_again(
+    tmp_path, monkeypatch
+):
+    service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_active=1))
+    try:
+        for seed in range(6):
+            _, out = service.submit(dict(FAST_SPEC, seed=seed))
+            assert service.wait_terminal(out["id"])["state"] == "done"
+        _, stats = service.request("GET", "/v1/stats")
+        assert stats["counters"]["service.workers.started"] == 1
+    finally:
+        service.stop()
+
+    # Every first attempt dies, five trace events in: the killed worker is
+    # replaced, and its replacement serves the retry.
+    monkeypatch.setenv("SDE_CHAOS_KILL_WORKER", "1")
+    monkeypatch.setattr(
+        worker_module,
+        "chaos_kill_after",
+        lambda job_id, attempt: 5 if attempt == 0 else None,
+    )
+    service = ServiceThread(tmp_path / "chaos", limits=ServiceLimits(max_active=1))
+    try:
+        _, out = service.submit(FAST_SPEC)
+        record = service.wait_terminal(out["id"])
+        assert record["state"] == "done"
+        assert record["attempts"] == 2
+        _, stats = service.request("GET", "/v1/stats")
+        assert stats["counters"]["service.chaos.kills_planned"] == 1
+        assert stats["counters"]["service.workers.started"] == 2
     finally:
         service.stop()
 

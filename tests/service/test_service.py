@@ -21,6 +21,7 @@ import asyncio
 import pytest
 
 from repro.api import make_workload, report_to_dict, run_scenario
+from repro.obs import canonical_multiset
 from repro.service import SDEService, ServiceLimits
 from repro.service import worker as service_worker
 
@@ -376,6 +377,38 @@ class TestChaos:
             assert stats["counters"]["service.retries"] >= 1
         finally:
             service.stop()
+
+
+class TestWorkerReuse:
+    def test_back_to_back_jobs_in_one_worker_match(self, tmp_path, fast_reference):
+        # One worker slot serves both seeds (the spec seed keys dedup, not
+        # the run): the second job runs in the process the first warmed,
+        # and must report and trace what a fresh process would.
+        service = ServiceThread(
+            tmp_path / "data", limits=ServiceLimits(max_active=1)
+        )
+        reports, traces = [], []
+        try:
+            for seed in (7, 8):
+                _, out = service.submit(dict(FAST_SPEC, seed=seed))
+                assert service.wait_terminal(out["id"])["state"] == "done"
+                _, report = service.request("GET", f"/v1/runs/{out['id']}/report")
+                reports.append(report)
+                _, raw = service.request(
+                    "GET", f"/v1/runs/{out['id']}/trace?follow=0"
+                )
+                traces.append(
+                    [json.loads(line) for line in raw.splitlines() if line.strip()]
+                )
+            _, stats = service.request("GET", "/v1/stats")
+            assert stats["counters"]["service.workers.started"] == 1
+        finally:
+            service.stop()
+        for field in PINNED_FIELDS:
+            assert reports[0][field] == fast_reference[field], field
+            assert reports[1][field] == fast_reference[field], field
+        assert canonical_multiset(traces[0]) == canonical_multiset(traces[1])
+        assert len(traces[0]) == len(traces[1])
 
 
 class TestConnections:

@@ -6,13 +6,15 @@ never on a timer.  Each test swaps in a stand-in worker (the workers
 fork from this process, so they see the patch), counts the
 coordinator's steps while its jobs run, and bounds the count by a small
 constant: a fixed 20 ms poll would take about 15 steps per 0.3 s of
-waiting.
+waiting.  The stand-ins serve attempt after attempt through the same
+loop as the real worker, :func:`~repro.core.distributed.serve_jobs`.
 """
 
 import multiprocessing
 import os
 import time
 
+from repro.core.distributed import serve_jobs
 from repro.service import ServiceLimits
 from repro.service import jobs as jobs_module
 from repro.service import worker as worker_module
@@ -34,15 +36,19 @@ def _count_steps(service):
     return calls
 
 
-def _reply_after(seconds, worker_index, outbox, message):
-    time.sleep(seconds)
-    _, job_id, _payload, _attempt = message
-    outbox.send(("done", worker_index, job_id, {"ok": True}))
-    outbox.close()
+def _serve_replying_after(seconds, worker_index, inbox, outbox, message):
+    """Serve attempts like the real worker, answering each after ``seconds``."""
+
+    def reply(message, _poll_steal):
+        time.sleep(seconds)
+        _, job_id, _payload, _attempt = message
+        outbox.send(("done", worker_index, job_id, {"ok": True}))
+
+    serve_jobs(worker_index, inbox, outbox, message, reply)
 
 
 def _slow_reply_worker_main(worker_index, inbox, outbox, message):
-    _reply_after(0.3, worker_index, outbox, message)
+    _serve_replying_after(0.3, worker_index, inbox, outbox, message)
 
 
 def test_a_reply_wakes_the_scheduler(tmp_path, monkeypatch):
@@ -59,33 +65,17 @@ def test_a_reply_wakes_the_scheduler(tmp_path, monkeypatch):
         service.stop()
 
 
-class _LingeringPipe:
-    """A reply pipe whose worker pauses between its reply and closing."""
-
-    def __init__(self, connection):
-        self._connection = connection
-
-    def send(self, message):
-        self._connection.send(message)
-
-    def close(self):
-        time.sleep(1.0)
-        self._connection.close()
-
-
-def _linger_or_run_slowly(worker_index, inbox, outbox, message):
-    # Seed 7 is a real run whose worker lingers after its reply; any other
-    # seed replies after a second, so the loop stays busy meanwhile.
+def _run_or_reply_slowly(worker_index, inbox, outbox, message):
+    # Seed 7 is a real run, whose worker then idles on its open pipe; any
+    # other seed replies after a second, so the loop stays busy meanwhile.
     if message[2]["spec"]["seed"] == 7:
-        worker_module.job_worker_main(
-            worker_index, inbox, _LingeringPipe(outbox), message
-        )
+        worker_module.job_worker_main(worker_index, inbox, outbox, message)
     else:
-        _reply_after(1.0, worker_index, outbox, message)
+        _serve_replying_after(1.0, worker_index, inbox, outbox, message)
 
 
 def test_a_lingering_worker_does_not_spin_the_loop(tmp_path, monkeypatch):
-    monkeypatch.setattr(jobs_module, "job_worker_main", _linger_or_run_slowly)
+    monkeypatch.setattr(jobs_module, "job_worker_main", _run_or_reply_slowly)
     service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_active=2))
     try:
         steps = _count_steps(service)
@@ -104,7 +94,7 @@ def test_a_lingering_worker_does_not_spin_the_loop(tmp_path, monkeypatch):
 def _crash_then_reply(worker_index, inbox, outbox, message):
     if message[3] == 0:
         os._exit(137)  # die unreported, like an OOM kill
-    _reply_after(0.3, worker_index, outbox, message)
+    _serve_replying_after(0.3, worker_index, inbox, outbox, message)
 
 
 def test_a_crashed_attempt_is_retried_after_its_backoff(tmp_path, monkeypatch):
@@ -147,28 +137,33 @@ def test_a_job_over_its_wall_budget_times_out(tmp_path, monkeypatch):
         service.stop()
 
 
-def test_two_workers_that_reply_and_exit_together_both_end_done(
-    tmp_path, monkeypatch
-):
-    # Both replies and both end-of-files land before the scheduler's next
-    # pass: no reply may be left unread on a pipe nothing watches.
+def test_two_workers_that_reply_together_both_end_done(tmp_path, monkeypatch):
+    # Both replies land before the scheduler's next pass: no reply may be
+    # left unread on a pipe nothing watches.  Each worker then serves a
+    # second job, and the pair replies together again.
     barrier = multiprocessing.get_context("fork").Barrier(2)
 
     def reply_together(worker_index, inbox, outbox, message):
-        barrier.wait(10)
-        _, job_id, _payload, _attempt = message
-        outbox.send(("done", worker_index, job_id, {"ok": True}))
-        os._exit(0)
+        def reply(message, _poll_steal):
+            barrier.wait(10)
+            _, job_id, _payload, _attempt = message
+            outbox.send(("done", worker_index, job_id, {"ok": True}))
+
+        serve_jobs(worker_index, inbox, outbox, message, reply)
 
     monkeypatch.setattr(jobs_module, "job_worker_main", reply_together)
     service = ServiceThread(tmp_path / "data", limits=ServiceLimits(max_active=2))
     try:
         steps = _count_steps(service)
-        jobs = [service.submit(dict(FAST_SPEC, seed=seed))[1] for seed in (7, 8)]
-        for job in jobs:
-            record = service.wait_terminal(job["id"], timeout=10)
-            assert record["state"] == "done"
-            assert record["result"] == {"ok": True}
-        assert len(steps) <= 10, steps
+        for seeds in ((7, 8), (9, 10)):
+            jobs = [service.submit(dict(FAST_SPEC, seed=seed))[1] for seed in seeds]
+            for job in jobs:
+                record = service.wait_terminal(job["id"], timeout=10)
+                assert record["state"] == "done"
+                assert record["result"] == {"ok": True}
+                assert record["retries"] == 0
+        assert len(steps) <= 20, steps
+        _, stats = service.request("GET", "/v1/stats")
+        assert stats["counters"]["service.workers.started"] == 2
     finally:
         service.stop()

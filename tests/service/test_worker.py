@@ -7,9 +7,12 @@ would raise the same ``CheckpointError`` on every retry.  The worker
 discards it instead, says so in the trace, and runs the job from the
 start; runs are deterministic, so the report equals a fresh run's.
 
-A worker may also get its workload's program from the job manager,
-compiled once per program and handed over at fork; the report is the
-same as when the worker compiles it.
+A worker holds each guest program it has compiled, or inherited at
+fork from the job manager, for its whole life; a later attempt reuses
+it, and the report is the same as when the worker compiles it.
+
+The streamed trace file is byte-for-byte what ``json.dumps(event,
+sort_keys=True)`` writes.
 
 Every entry point that checkpoints defaults to one cadence,
 ``DEFAULT_CHECKPOINT_EVERY_EVENTS``; the shipped default is exercised
@@ -30,7 +33,8 @@ from repro.net.topology import Topology
 from repro.service.jobs import JobManager, ServiceLimits
 from repro.service.spec import SubmissionSpec
 from repro.service.store import RunStore
-from repro.service.worker import execute_job
+from repro.service import worker as worker_module
+from repro.service.worker import StreamingTraceEmitter, execute_job
 from repro.workloads import (
     WORKLOAD_PROGRAMS,
     WORKLOADS,
@@ -134,28 +138,62 @@ def test_readable_checkpoint_still_resumes(tmp_path):
         assert report[field] == reference[field], field
 
 
-def test_a_handed_over_program_gives_the_same_report(tmp_path):
-    manager = JobManager(RunStore(tmp_path / "data"))
+def test_a_handed_over_program_gives_the_same_report(tmp_path, monkeypatch):
+    # An empty table, as in a worker forked before the manager compiled
+    # anything: the first attempt compiles the program and keeps it.
+    monkeypatch.setattr(worker_module, "_PROGRAMS", {})
     spec = SubmissionSpec.from_dict(FAST_SPEC)
-    program = manager._program(spec.workload)
-    # Compiled once per program: every later job of the workload gets the
-    # same object.
-    assert program is manager._program(spec.workload)
-    assert program.source == spec.build_scenario().program
-
     built = _payload(tmp_path / "built")
     execute_job(built)
     reference = load_report_dict(built["report_path"])
-    # A program the scenario does not run is ignored: the worker compiles
-    # the scenario's own.
-    other = manager._program("grid")
-    assert other.source != program.source
-    for name, handed_program in (("handed", program), ("other", other)):
-        handed = dict(_payload(tmp_path / name), program=handed_program)
-        execute_job(handed)
-        report = load_report_dict(handed["report_path"])
-        for field in COMPARED_FIELDS:
-            assert report[field] == reference[field], (name, field)
+    source = spec.build_scenario().program
+    program = worker_module._PROGRAMS[source]
+
+    # The manager hands over the same table entry (a worker forked after
+    # it inherits it), compiled once per program.
+    manager = JobManager(RunStore(tmp_path / "data"))
+    assert manager._program(spec.workload) is program
+    assert manager._program("grid").source != source
+
+    # A later attempt in the same process compiles nothing.
+    def refuse(source):
+        raise AssertionError("a held program was compiled again")
+
+    monkeypatch.setattr(worker_module, "compile_source", refuse)
+    handed = _payload(tmp_path / "handed")
+    execute_job(handed)
+    report = load_report_dict(handed["report_path"])
+    for field in COMPARED_FIELDS:
+        assert report[field] == reference[field], field
+
+
+def test_streamed_lines_are_the_json_dumps_lines(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    emitter = StreamingTraceEmitter(path)
+    emitter.emit(
+        "run.start",
+        text="na\u00efve \u2713 \"quoted\"\n",
+        ratio=0.1,
+        tiny=1e-300,
+        big=2**70,
+        flag=True,
+        none=None,
+        nested=[1, {"b": 2, "a": [None, False]}],
+    )
+    emitter.extend([{"ev": "state.fork", "z": 1, "a": -0.0, "t": 3}])
+    emitter.close()
+    expected = "".join(
+        json.dumps(event, sort_keys=True) + "\n" for event in emitter.events
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+    # A real job's trace, line by line.
+    payload = _payload(tmp_path / "job")
+    execute_job(payload)
+    lines = open(payload["trace_path"], encoding="utf-8").read().splitlines()
+    assert len(lines) > 10
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True) == line
 
 
 def test_every_built_in_program_is_known_up_front():
